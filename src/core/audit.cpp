@@ -276,6 +276,52 @@ void InvariantAuditor::check_kway_state(const Graph& g,
   bump(AuditCheck::kKWayState);
 }
 
+void InvariantAuditor::check_kway_boundary(const Graph& g,
+                                           const std::vector<idx_t>& where,
+                                           const KWayBoundary& bnd,
+                                           const char* site) {
+  idx_t listed = 0;
+  for (idx_t v = 0; v < g.nvtxs; ++v) {
+    const idx_t pv = where[to_size(v)];
+    sum_t id = 0;
+    sum_t ed = 0;
+    idx_t next = 0;
+    for (idx_t e = g.xadj[to_size(v)]; e < g.xadj[to_size(v + 1)]; ++e) {
+      if (where[to_size(g.adjncy[to_size(e)])] == pv) {
+        id = checked_add(id, g.adjwgt[to_size(e)]);
+      } else {
+        ed = checked_add(ed, g.adjwgt[to_size(e)]);
+        ++next;
+      }
+    }
+    MCGP_AUDIT_MSG(this,
+                   bnd.internal_degree(v) == id &&
+                       bnd.external_degree(v) == ed &&
+                       bnd.external_edges(v) == next,
+                   site, ": vertex ", v, " bookkeeping says id=",
+                   bnd.internal_degree(v), " ed=", bnd.external_degree(v),
+                   " external edges=", bnd.external_edges(v),
+                   ", recompute says id=", id, " ed=", ed,
+                   " external edges=", next);
+    const bool movable = next > 0 && ed >= id;
+    const idx_t pos = bnd.position(v);
+    MCGP_AUDIT_MSG(this, (pos >= 0) == movable, site, ": vertex ", v,
+                   " listed as movable ", pos >= 0, " but has ", next,
+                   " external edges, id=", id, " ed=", ed);
+    if (!movable) continue;
+    ++listed;
+    const std::vector<idx_t>& list = bnd.movable(bnd.color(v));
+    MCGP_AUDIT_MSG(this,
+                   to_size(pos) < list.size() && list[to_size(pos)] == v,
+                   site, ": vertex ", v, " not at its list position ", pos);
+  }
+  std::size_t total = 0;
+  for (idx_t c = 0; c < bnd.ncolors(); ++c) total += bnd.movable(c).size();
+  MCGP_AUDIT_MSG(this, total == to_size(listed), site, ": lists hold ", total,
+                 " vertices, recompute finds ", listed);
+  bump(AuditCheck::kKWayState);
+}
+
 void InvariantAuditor::check_gain(const Graph& g,
                                   const std::vector<idx_t>& where, idx_t v,
                                   sum_t claimed_gain, const char* site) {

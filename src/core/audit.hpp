@@ -30,6 +30,7 @@
 
 #include "core/bisection.hpp"
 #include "core/config.hpp"
+#include "core/kway_boundary.hpp"
 #include "graph/csr_graph.hpp"
 #include "support/check.hpp"
 
@@ -137,6 +138,14 @@ class InvariantAuditor {
   void check_kway_state(const Graph& g, const std::vector<idx_t>& where,
                         idx_t nparts, const std::vector<sum_t>& pwgts,
                         const std::vector<idx_t>* vcount, const char* site);
+
+  /// k-way boundary bookkeeping: every vertex's maintained internal and
+  /// external degree and external edge count equal a fresh recompute, and
+  /// the movable lists hold exactly the boundary vertices whose external
+  /// degree reaches their internal one, each once, in its class's list at
+  /// its recorded position.
+  void check_kway_boundary(const Graph& g, const std::vector<idx_t>& where,
+                           const KWayBoundary& bnd, const char* site);
 
   /// Sampled FM gain: the queue's claimed gain for moving v off its side
   /// equals ext - int weighted degree recomputed from the adjacency list.

@@ -5,8 +5,10 @@
 #include <cstdint>
 #include <memory>
 #include <string>
+#include <utility>
 
 #include "core/audit.hpp"
+#include "core/kway_boundary.hpp"
 #include "core/kway_context.hpp"
 #include "support/check.hpp"
 #include "graph/metrics.hpp"
@@ -51,9 +53,8 @@ namespace {
 // The shared bookkeeping (part weights, counts, limits, connectivity
 // scratch) lives in core/kway_context.hpp so the rebalancer can reuse it.
 
-/// Vertex-range grain of the colored sweep's parallel phases (boundary
-/// collection and per-color propose). Fixed boundaries: the decomposition
-/// depends only on sizes, never on the pool.
+/// Vertex-range grain of the colored sweep's parallel propose phase. Fixed
+/// boundaries: the decomposition depends only on sizes, never on the pool.
 constexpr idx_t kSweepChunk = 4096;
 
 /// Greedy vertex coloring in ascending id order: each vertex takes the
@@ -61,8 +62,8 @@ constexpr idx_t kSweepChunk = 4096;
 /// vertices never share a color, so same-color boundary vertices cannot
 /// affect each other's connectivity — the independence the colored sweep's
 /// concurrent propose phase rests on. Deterministic by construction.
-void color_graph(const Graph& g, std::vector<idx_t>& color) {
-  color.assign(to_size(g.nvtxs), -1);
+std::vector<idx_t> color_graph(const Graph& g) {
+  std::vector<idx_t> color(to_size(g.nvtxs), -1);
   std::vector<idx_t> used;  // used[c] == v iff c is taken next to v
   for (idx_t v = 0; v < g.nvtxs; ++v) {
     for (idx_t e = g.xadj[to_size(v)]; e < g.xadj[to_size(v + 1)]; ++e) {
@@ -75,16 +76,16 @@ void color_graph(const Graph& g, std::vector<idx_t>& color) {
     while (to_size(c) < used.size() && used[to_size(c)] == v) ++c;
     color[to_size(v)] = c;
   }
+  return color;
 }
 
 /// Best admissible move of v under the sweep rules, evaluated against the
 /// (frozen) context state using caller-owned connectivity scratch. Pure
 /// per-vertex function of that state: concurrent evaluation over any
 /// chunking yields identical proposals.
-void propose_move(const Graph& /*g*/, const KWayContext& ctx,
-                  const std::vector<idx_t>& where, idx_t v,
-                  std::vector<sum_t>& conn, std::vector<idx_t>& touched,
-                  idx_t& dest, sum_t& gain) {
+void propose_move(const KWayContext& ctx, const std::vector<idx_t>& where,
+                  idx_t v, std::vector<sum_t>& conn,
+                  std::vector<idx_t>& touched, idx_t& dest, sum_t& gain) {
   dest = -1;
   gain = 0;
   const idx_t own = where[to_size(v)];
@@ -109,20 +110,46 @@ void propose_move(const Graph& /*g*/, const KWayContext& ctx,
   if (gain == 0 && best_load >= ctx.part_load(own) - 1e-12) dest = -1;
 }
 
-/// One cut-driven colored sweep. Boundary vertices are visited color class
-/// by color class; within a class every proposal is computed from the
-/// state frozen at the class's start (concurrently when exec has a pool —
-/// class members are pairwise non-adjacent, so proposals cannot interact)
-/// and then committed serially in the fixed hashed order, re-validating
+/// What one refinement pass did.
+struct PassResult {
+  idx_t moves = 0;
+  sum_t gain = 0;      ///< total cut improvement of the moves
+  idx_t proposed = 0;  ///< vertices whose best move was evaluated
+};
+
+/// Colored-sweep state that lives across the passes of one kway_refine()
+/// call: the coloring (the graph is static, so one serves every pass), the
+/// maintained boundary and degrees, and scratch reused by every pass.
+struct SweepState {
+  SweepState(const Graph& g, const std::vector<idx_t>& where,
+             ThreadPool* pool)
+      : color(color_graph(g)), bnd(g, where, color, pool) {}
+
+  std::vector<idx_t> color;
+  KWayBoundary bnd;
+  /// The current class's candidates, as (hash key, vertex).
+  std::vector<std::pair<std::uint64_t, idx_t>> order;
+  std::vector<idx_t> dest;
+  std::vector<sum_t> gains;
+};
+
+/// One cut-driven colored sweep over the boundary as it stands at the
+/// pass's start (vertices that join it during the pass wait for the next
+/// one). Boundary vertices are visited color class by color class. At a
+/// class's start, the members that could move — their part can spare a
+/// vertex and their external degree reaches their internal one (the
+/// class's movable list) — are put in a hashed order. Every other member
+/// would propose nothing, so leaving it out changes no move, and none of
+/// them is even looked at. The proposals are computed from the state
+/// frozen at the class's start (concurrently when exec has a pool — class
+/// members are pairwise non-adjacent, so proposals cannot interact) and
+/// then committed serially in the hashed order, re-validating
 /// can_leave/fits/zero-gain-balance against the live weights. A proposal's
 /// GAIN needs no re-validation: only same-class commits intervene and none
 /// of them is adjacent to the proposer, so its connectivity is unchanged —
-/// which keeps the paranoid cut-delta audit exact. Returns the number of
-/// moves performed and the total cut improvement via `gain_sum`.
-idx_t colored_sweep(const Graph& g, KWayContext& ctx, idx_t nparts,
-                    const std::vector<idx_t>& where,
-                    const std::vector<idx_t>& color, Rng& rng,
-                    sum_t& gain_sum, const KWayExec* exec) {
+/// which keeps the paranoid cut-delta audit exact.
+PassResult colored_sweep(KWayContext& ctx, const std::vector<idx_t>& where,
+                         SweepState& st, Rng& rng, const KWayExec* exec) {
   ThreadPool* pool = exec != nullptr ? exec->pool : nullptr;
   WorkspacePool* wspool = exec != nullptr ? exec->wspool : nullptr;
   Profiler* profile = exec != nullptr ? exec->profile : nullptr;
@@ -132,60 +159,25 @@ idx_t colored_sweep(const Graph& g, KWayContext& ctx, idx_t nparts,
   // vertex id, independent of threads and chunking.
   const std::uint64_t pass_seed = rng.next_u64();
 
-  // Collect the boundary in parallel ranges; concatenating the chunk-local
-  // lists in chunk order recovers exactly the ascending serial scan.
-  const idx_t n = g.nvtxs;
-  const idx_t nchunks = (n + kSweepChunk - 1) / kSweepChunk;
-  std::vector<std::vector<idx_t>> chunk_bnd(to_size(nchunks));
-  parallel_chunks(pool, n, kSweepChunk, [&](idx_t b, idx_t e) {
-    ProfScope aux(profile, "kway_refine", level, /*aux=*/true);
-    std::vector<idx_t>& out = chunk_bnd[to_size(b / kSweepChunk)];
-    for (idx_t v = b; v < e; ++v) {
-      const idx_t pv = where[to_size(v)];
-      for (idx_t ge = g.xadj[to_size(v)]; ge < g.xadj[to_size(v + 1)]; ++ge) {
-        if (where[to_size(g.adjncy[to_size(ge)])] != pv) {
-          out.push_back(v);
-          break;
-        }
+  st.bnd.begin_pass();
+
+  PassResult res;
+  for (idx_t c = 0; c < st.bnd.ncolors(); ++c) {
+    // Candidates in the visit order: the hashed shuffle inside a class is
+    // the parallel replacement for the serial sweep's rng shuffle.
+    st.order.clear();
+    for (const idx_t v : st.bnd.movable(c)) {
+      if (!st.bnd.was_on_boundary(v) || !ctx.can_leave(where[to_size(v)])) {
+        continue;
       }
+      st.order.emplace_back(
+          mix_seed(pass_seed, static_cast<std::uint64_t>(v)), v);
     }
-  });
-  std::vector<idx_t> boundary;
-  {
-    std::size_t total = 0;
-    for (const std::vector<idx_t>& cb : chunk_bnd) total += cb.size();
-    boundary.reserve(total);
-    for (const std::vector<idx_t>& cb : chunk_bnd) {
-      boundary.insert(boundary.end(), cb.begin(), cb.end());
-    }
-  }
-
-  // Visit order: color classes ascending, hashed shuffle inside a class
-  // (the parallel replacement for the serial sweep's rng shuffle).
-  std::sort(boundary.begin(), boundary.end(), [&](idx_t a, idx_t b) {
-    const idx_t ca = color[to_size(a)];
-    const idx_t cb = color[to_size(b)];
-    if (ca != cb) return ca < cb;
-    const std::uint64_t ka = mix_seed(pass_seed, static_cast<std::uint64_t>(a));
-    const std::uint64_t kb = mix_seed(pass_seed, static_cast<std::uint64_t>(b));
-    if (ka != kb) return ka < kb;
-    return a < b;
-  });
-
-  std::vector<idx_t> dest(boundary.size(), -1);
-  std::vector<sum_t> gains(boundary.size(), 0);
-
-  idx_t moves = 0;
-  gain_sum = 0;
-  std::size_t seg_b = 0;
-  while (seg_b < boundary.size()) {
-    const idx_t c = color[to_size(boundary[seg_b])];
-    std::size_t seg_e = seg_b;
-    while (seg_e < boundary.size() &&
-           color[to_size(boundary[seg_e])] == c) {
-      ++seg_e;
-    }
-    const idx_t seg_n = static_cast<idx_t>(seg_e - seg_b);
+    if (st.order.empty()) continue;
+    std::sort(st.order.begin(), st.order.end());
+    const idx_t seg_n = static_cast<idx_t>(st.order.size());
+    st.dest.resize(st.order.size());
+    st.gains.resize(st.order.size());
 
     // Propose phase: reads the context frozen as of this class's start.
     parallel_chunks(pool, seg_n, kSweepChunk, [&](idx_t b, idx_t e) {
@@ -202,35 +194,35 @@ idx_t colored_sweep(const Graph& g, KWayContext& ctx, idx_t nparts,
                                                      : local_touched;
       // A pooled buffer may carry another task's touched parts; start from
       // the all-zero state the sparse-reset discipline expects.
-      conn.assign(to_size(nparts), 0);
+      conn.assign(to_size(ctx.nparts()), 0);
       touched.clear();
       for (idx_t i = b; i < e; ++i) {
-        const std::size_t pos = seg_b + to_size(i);
-        propose_move(g, ctx, where, boundary[pos], conn, touched, dest[pos],
-                     gains[pos]);
+        propose_move(ctx, where, st.order[to_size(i)].second, conn, touched,
+                     st.dest[to_size(i)], st.gains[to_size(i)]);
       }
     });
+    res.proposed += seg_n;
 
     // Commit phase: serial, in the class's fixed order, against the live
     // state (earlier commits of THIS class shift weights and counts).
-    for (std::size_t i = seg_b; i < seg_e; ++i) {
-      const idx_t v = boundary[i];
-      const idx_t d = dest[i];
+    for (std::size_t i = 0; i < st.order.size(); ++i) {
+      const idx_t v = st.order[i].second;
+      const idx_t d = st.dest[i];
       if (d < 0) continue;
       const idx_t own = where[to_size(v)];
       if (!ctx.can_leave(own)) continue;
       if (!ctx.fits(v, d)) continue;
-      if (gains[i] == 0 &&
+      if (st.gains[i] == 0 &&
           ctx.part_load(d) >= ctx.part_load(own) - 1e-12) {
         continue;
       }
       ctx.move(v, d);
-      gain_sum = checked_add(gain_sum, gains[i]);
-      ++moves;
+      st.bnd.moved(v, own);
+      res.gain = checked_add(res.gain, st.gains[i]);
+      ++res.moves;
     }
-    seg_b = seg_e;
   }
-  return moves;
+  return res;
 }
 
 /// One balancing episode: drain the part attaining the current global
@@ -342,38 +334,12 @@ idx_t balance_episode(const Graph& g, KWayContext& ctx, idx_t nparts,
   return moves;
 }
 
-/// Best admissible move of vertex v under the sweep rules. Returns the
-/// destination part (or -1) and its gain via out-params.
-bool best_move(const Graph& /*g*/, KWayContext& ctx,
-               const std::vector<idx_t>& where, idx_t v, idx_t& dest,
-               sum_t& gain) {
-  const idx_t own = where[to_size(v)];
-  if (!ctx.can_leave(own)) return false;
-  const sum_t idw = ctx.gather_connectivity(v);
-  dest = -1;
-  gain = 0;
-  real_t best_load = 0.0;
-  for (const idx_t p : ctx.touched()) {
-    if (!ctx.fits(v, p)) continue;
-    const sum_t g2 = checked_sub(ctx.conn(p), idw);
-    if (g2 < 0) continue;
-    const real_t load = ctx.part_load(p);
-    if (dest < 0 || g2 > gain || (g2 == gain && load < best_load)) {
-      dest = p;
-      gain = g2;
-      best_load = load;
-    }
-  }
-  if (dest < 0) return false;
-  if (gain == 0 && best_load >= ctx.part_load(own) - 1e-12) return false;
-  return true;
-}
-
 /// One priority-queue pass: boundary vertices keyed by their optimistic
-/// gain (best neighbor connectivity minus internal degree). Returns moves
-/// performed; accumulates realized gain in `gain_sum`.
-idx_t pq_pass(const Graph& g, KWayContext& ctx, std::vector<idx_t>& where,
-              BucketQueue& queue, Rng& rng, sum_t& gain_sum) {
+/// gain (best neighbor connectivity minus internal degree). Each popped
+/// vertex takes its best admissible move under the sweep rules.
+PassResult pq_pass(const Graph& g, KWayContext& ctx,
+                   const std::vector<idx_t>& where, BucketQueue& queue,
+                   Rng& rng) {
   queue.reset(g.nvtxs);
   std::vector<char> popped(to_size(g.nvtxs), 0);
   for (const idx_t v : ctx.boundary(rng)) {
@@ -383,17 +349,20 @@ idx_t pq_pass(const Graph& g, KWayContext& ctx, std::vector<idx_t>& where,
     queue.insert(v, checked_narrow<wgt_t>(checked_sub(best_conn, idw)));
   }
 
-  idx_t moves = 0;
-  gain_sum = 0;
+  std::vector<sum_t> conn(to_size(ctx.nparts()), 0);
+  std::vector<idx_t> touched;
+  PassResult res;
   while (!queue.empty()) {
     const idx_t v = queue.pop_max();
     popped[to_size(v)] = 1;  // each vertex moves at most once per pass
     idx_t dest;
     sum_t gain;
-    if (!best_move(g, ctx, where, v, dest, gain)) continue;
+    propose_move(ctx, where, v, conn, touched, dest, gain);
+    ++res.proposed;
+    if (dest < 0) continue;
     ctx.move(v, dest);
-    gain_sum = checked_add(gain_sum, gain);
-    ++moves;
+    res.gain = checked_add(res.gain, gain);
+    ++res.moves;
     // Refresh the optimistic keys of v's unpopped neighbors; insert
     // neighbors that just became boundary vertices, drop ones that left it.
     for (idx_t e = g.xadj[to_size(v)]; e < g.xadj[to_size(v + 1)]; ++e) {
@@ -416,7 +385,96 @@ idx_t pq_pass(const Graph& g, KWayContext& ctx, std::vector<idx_t>& where,
       }
     }
   }
-  return moves;
+  return res;
+}
+
+/// Observers and audit sites of one refinement call.
+struct RefineHooks {
+  TraceRecorder* trace;
+  InvariantAuditor* audit;
+  FlightRecorder* flight;
+  const char* pass_site;  ///< audit site of every pass
+  const char* site;       ///< audit site of the finished refinement
+};
+
+void balance_if_infeasible(const Graph& g, KWayContext& ctx, idx_t nparts,
+                           std::vector<idx_t>& where,
+                           const std::vector<real_t>& ub, Rng& rng,
+                           const std::vector<real_t>* tpwgts,
+                           const RefineHooks& hooks) {
+  if (ctx.feasible()) return;
+  kway_balance(g, nparts, where, ub, rng, tpwgts, hooks.trace, hooks.audit);
+  ctx.reload();
+}
+
+/// The pass loop both refiners share, from a balanced start to the final
+/// cut. Runs `pass(rng)` until the cut stops improving (zero-gain balance
+/// jiggling alone is not progress), bounded by a generous multiple of the
+/// configured pass count as a safety net against oscillation, then
+/// balances again if the passes could not keep the partition feasible.
+template <class Pass>
+sum_t run_passes(const Graph& g, KWayContext& ctx, idx_t nparts,
+                 std::vector<idx_t>& where, const std::vector<real_t>& ub,
+                 int max_passes, Rng& rng, KWayRefineStats* stats,
+                 const std::vector<real_t>* tpwgts, const RefineHooks& hooks,
+                 Pass&& pass) {
+  TraceRecorder* trace = hooks.trace;
+  InvariantAuditor* audit = hooks.audit;
+  const bool delta_audit = audit != nullptr && audit->paranoid();
+  const int pass_cap = 4 * max_passes;
+  for (int p = 0; p < pass_cap; ++p) {
+    TraceSpan span(trace, "kway.pass");
+    const sum_t cut_before = delta_audit ? edge_cut(g, where) : 0;
+    const PassResult r = pass(rng);
+    if (delta_audit) {
+      // Every accepted move's gain was exact at commit time, so the sum
+      // must account for the pass's cut change to the last unit.
+      audit->check_cut_delta(cut_before, r.gain, edge_cut(g, where),
+                             hooks.pass_site);
+      audit->check_kway_state(g, where, nparts, ctx.pwgts(), &ctx.vcounts(),
+                              hooks.pass_site);
+    }
+    if (stats != nullptr) {
+      ++stats->passes;
+      stats->moves += r.moves;
+      stats->proposed += r.proposed;
+    }
+    if (span.enabled()) {
+      trace_count(trace, "kway.passes");
+      trace_count(trace, "kway.moves", r.moves);
+      trace_count(trace, "kway.proposed", r.proposed);
+      span.arg({"pass", p});
+      span.arg({"moves", r.moves});
+      span.arg({"proposed", r.proposed});
+      span.arg({"gain", r.gain});
+      span.arg({"max_overload", ctx.max_overload()});
+    }
+    if (hooks.flight != nullptr) {
+      FlightSample fs;
+      fs.stage = FlightSample::Stage::kKWayPass;
+      fs.pass = p;
+      fs.nvtxs = g.nvtxs;
+      fs.nedges = g.nedges();
+      fs.moves = r.moves;
+      fs.gain = r.gain;
+      fs.worst_imbalance = ctx.max_overload();
+      hooks.flight->record(fs);
+    }
+    if (r.moves == 0 || (r.gain == 0 && p + 1 >= max_passes)) break;
+  }
+
+  if (audit != nullptr && audit->boundaries()) {
+    audit->check_kway_state(g, where, nparts, ctx.pwgts(), &ctx.vcounts(),
+                            hooks.site);
+  }
+  balance_if_infeasible(g, ctx, nparts, where, ub, rng, tpwgts, hooks);
+
+  const sum_t cut = edge_cut(g, where);
+  if (stats != nullptr) {
+    stats->final_cut = cut;
+    stats->feasible = ctx.feasible();
+  }
+  return cut;
 }
 
 }  // namespace
@@ -505,78 +563,22 @@ sum_t kway_refine(const Graph& g, idx_t nparts, std::vector<idx_t>& where,
                   KWayRefineStats* stats, const std::vector<real_t>* tpwgts,
                   TraceRecorder* trace, InvariantAuditor* audit,
                   FlightRecorder* flight, const KWayExec* exec) {
+  const RefineHooks hooks{trace, audit, flight, "kway.sweep", "kway.refine"};
   KWayContext ctx(g, nparts, where, ub, tpwgts);
+  balance_if_infeasible(g, ctx, nparts, where, ub, rng, tpwgts, hooks);
 
-  if (!ctx.feasible()) {
-    kway_balance(g, nparts, where, ub, rng, tpwgts, trace, audit);
-    ctx.reload();
-  }
-
-  // The graph is static across passes, so one coloring serves them all.
-  std::vector<idx_t> color;
-  color_graph(g, color);
-
-  // Sweep until the cut stops improving (zero-gain balance jiggling alone
-  // is not progress), bounded by a generous multiple of the configured
-  // pass count as a safety net against oscillation.
-  const bool delta_audit = audit != nullptr && audit->paranoid();
-  const int pass_cap = 4 * max_passes;
-  for (int pass = 0; pass < pass_cap; ++pass) {
-    TraceSpan span(trace, "kway.pass");
-    sum_t gain_sum = 0;
-    const sum_t cut_before = delta_audit ? edge_cut(g, where) : 0;
-    const idx_t moves =
-        colored_sweep(g, ctx, nparts, where, color, rng, gain_sum, exec);
-    if (delta_audit) {
-      // Every accepted move's gain was exact at commit time, so the sum
-      // must account for the sweep's cut change to the last unit.
-      audit->check_cut_delta(cut_before, gain_sum, edge_cut(g, where),
-                             "kway.sweep");
-      audit->check_kway_state(g, where, nparts, ctx.pwgts(), &ctx.vcounts(),
-                              "kway.sweep");
-    }
-    if (stats != nullptr) {
-      ++stats->passes;
-      stats->moves += moves;
-    }
-    if (span.enabled()) {
-      trace_count(trace, "kway.passes");
-      trace_count(trace, "kway.moves", moves);
-      span.arg({"pass", pass});
-      span.arg({"moves", moves});
-      span.arg({"gain", gain_sum});
-      span.arg({"max_overload", ctx.max_overload()});
-    }
-    if (flight != nullptr) {
-      FlightSample fs;
-      fs.stage = FlightSample::Stage::kKWayPass;
-      fs.pass = pass;
-      fs.nvtxs = g.nvtxs;
-      fs.nedges = g.nedges();
-      fs.moves = moves;
-      fs.gain = gain_sum;
-      fs.worst_imbalance = ctx.max_overload();
-      flight->record(fs);
-    }
-    if (moves == 0 || (gain_sum == 0 && pass + 1 >= max_passes)) break;
-  }
-
-  if (audit != nullptr && audit->boundaries()) {
-    audit->check_kway_state(g, where, nparts, ctx.pwgts(), &ctx.vcounts(),
-                            "kway.refine");
-  }
-
-  if (!ctx.feasible()) {
-    kway_balance(g, nparts, where, ub, rng, tpwgts, trace, audit);
-    ctx.reload();
-  }
-
-  const sum_t cut = edge_cut(g, where);
-  if (stats != nullptr) {
-    stats->final_cut = cut;
-    stats->feasible = ctx.feasible();
-  }
-  return cut;
+  SweepState st(g, where, exec != nullptr ? exec->pool : nullptr);
+  const bool paranoid = audit != nullptr && audit->paranoid();
+  return run_passes(g, ctx, nparts, where, ub, max_passes, rng, stats, tpwgts,
+                    hooks, [&](Rng& r) {
+                      const PassResult res =
+                          colored_sweep(ctx, where, st, r, exec);
+                      if (paranoid) {
+                        audit->check_kway_boundary(g, where, st.bnd,
+                                                   hooks.pass_site);
+                      }
+                      return res;
+                    });
 }
 
 sum_t kway_refine_pq(const Graph& g, idx_t nparts, std::vector<idx_t>& where,
@@ -584,69 +586,16 @@ sum_t kway_refine_pq(const Graph& g, idx_t nparts, std::vector<idx_t>& where,
                      KWayRefineStats* stats,
                      const std::vector<real_t>* tpwgts, TraceRecorder* trace,
                      InvariantAuditor* audit, FlightRecorder* flight) {
+  const RefineHooks hooks{trace, audit, flight, "kway.pq_pass",
+                          "kway.refine_pq"};
   KWayContext ctx(g, nparts, where, ub, tpwgts);
-
-  if (!ctx.feasible()) {
-    kway_balance(g, nparts, where, ub, rng, tpwgts, trace, audit);
-    ctx.reload();
-  }
+  balance_if_infeasible(g, ctx, nparts, where, ub, rng, tpwgts, hooks);
 
   BucketQueue queue;
-  const bool delta_audit = audit != nullptr && audit->paranoid();
-  const int pass_cap = 4 * max_passes;
-  for (int pass = 0; pass < pass_cap; ++pass) {
-    TraceSpan span(trace, "kway.pass");
-    sum_t gain_sum = 0;
-    const sum_t cut_before = delta_audit ? edge_cut(g, where) : 0;
-    const idx_t moves = pq_pass(g, ctx, where, queue, rng, gain_sum);
-    if (delta_audit) {
-      audit->check_cut_delta(cut_before, gain_sum, edge_cut(g, where),
-                             "kway.pq_pass");
-      audit->check_kway_state(g, where, nparts, ctx.pwgts(), &ctx.vcounts(),
-                              "kway.pq_pass");
-    }
-    if (stats != nullptr) {
-      ++stats->passes;
-      stats->moves += moves;
-    }
-    if (span.enabled()) {
-      trace_count(trace, "kway.passes");
-      trace_count(trace, "kway.moves", moves);
-      span.arg({"pass", pass});
-      span.arg({"moves", moves});
-      span.arg({"gain", gain_sum});
-      span.arg({"max_overload", ctx.max_overload()});
-    }
-    if (flight != nullptr) {
-      FlightSample fs;
-      fs.stage = FlightSample::Stage::kKWayPass;
-      fs.pass = pass;
-      fs.nvtxs = g.nvtxs;
-      fs.nedges = g.nedges();
-      fs.moves = moves;
-      fs.gain = gain_sum;
-      fs.worst_imbalance = ctx.max_overload();
-      flight->record(fs);
-    }
-    if (moves == 0 || (gain_sum == 0 && pass + 1 >= max_passes)) break;
-  }
-
-  if (audit != nullptr && audit->boundaries()) {
-    audit->check_kway_state(g, where, nparts, ctx.pwgts(), &ctx.vcounts(),
-                            "kway.refine_pq");
-  }
-
-  if (!ctx.feasible()) {
-    kway_balance(g, nparts, where, ub, rng, tpwgts, trace, audit);
-    ctx.reload();
-  }
-
-  const sum_t cut = edge_cut(g, where);
-  if (stats != nullptr) {
-    stats->final_cut = cut;
-    stats->feasible = ctx.feasible();
-  }
-  return cut;
+  return run_passes(g, ctx, nparts, where, ub, max_passes, rng, stats, tpwgts,
+                    hooks, [&](Rng& r) {
+                      return pq_pass(g, ctx, where, queue, r);
+                    });
 }
 
 }  // namespace mcgp

@@ -34,6 +34,7 @@ struct KWayExec {
 struct KWayRefineStats {
   int passes = 0;
   idx_t moves = 0;
+  idx_t proposed = 0;  ///< vertices whose best move was evaluated
   sum_t final_cut = 0;
   bool feasible = false;
 };
@@ -62,12 +63,13 @@ bool kway_balance(const Graph& g, idx_t nparts, std::vector<idx_t>& where,
 /// Greedy refinement. Runs up to `max_passes` sweeps (plus balancing when
 /// needed) and returns the final cut. `tpwgts` (optional) gives per-part
 /// target fractions; null = uniform. A non-null `trace` records one
-/// "kway.pass" span per sweep plus the kway.moves / kway.passes counters.
-/// A non-null `audit` verifies the incrementally maintained part weights
-/// and vertex counts against fresh recomputes when refinement finishes
-/// (kBoundaries) and, per sweep, that the accumulated move gains account
-/// exactly for the cut change (kParanoid). A non-null `flight` appends
-/// one telemetry sample per sweep (moves, gain, max overload).
+/// "kway.pass" span per sweep plus the kway.moves / kway.passes /
+/// kway.proposed counters. A non-null `audit` verifies the incrementally
+/// maintained part weights and vertex counts against fresh recomputes when
+/// refinement finishes (kBoundaries) and, per sweep, that the accumulated
+/// move gains account exactly for the cut change and that the maintained
+/// boundary and degrees match a recompute (kParanoid). A non-null `flight`
+/// appends one telemetry sample per sweep (moves, gain, max overload).
 ///
 /// Each sweep is a colored sweep: boundary vertices are bucketed by a
 /// greedy vertex coloring (adjacent vertices never share a color) and
@@ -77,7 +79,11 @@ bool kway_balance(const Graph& g, idx_t nparts, std::vector<idx_t>& where,
 /// change another's connectivity — and then COMMITTED serially in the
 /// fixed order, re-validating balance against the live state. A non-null
 /// `exec` runs the propose phases on its pool; the result is bit-identical
-/// at every thread count.
+/// at every thread count. The boundary and every vertex's internal and
+/// external degree are maintained across commits (core/kway_boundary.hpp),
+/// so a sweep neither rescans the graph nor proposes a vertex whose
+/// external degree is below its internal one; edge weights must be
+/// non-negative for that skip to be exact.
 sum_t kway_refine(const Graph& g, idx_t nparts, std::vector<idx_t>& where,
                   const std::vector<real_t>& ub, int max_passes, Rng& rng,
                   KWayRefineStats* stats = nullptr,

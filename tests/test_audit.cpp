@@ -10,6 +10,7 @@
 #include "core/audit.hpp"
 #include "core/bisection.hpp"
 #include "core/coarsen.hpp"
+#include "core/kway_boundary.hpp"
 #include "core/partitioner.hpp"
 #include "gen/mesh_gen.hpp"
 #include "gen/weight_gen.hpp"
@@ -184,6 +185,24 @@ TEST(InvariantAuditor, DetectsDriftedKWayState) {
   vcount[2] -= 1;  // drifted vertex count
   EXPECT_THROW(aud.check_kway_state(g, where, nparts, pwgts, &vcount, "test"),
                AuditFailure);
+}
+
+TEST(InvariantAuditor, DetectsStaleKWayBoundary) {
+  const Graph g = test_graph();
+  std::vector<idx_t> where(to_size(g.nvtxs));
+  for (idx_t v = 0; v < g.nvtxs; ++v) {
+    where[to_size(v)] = v < 32 ? 0 : 1;  // two halves of the 8x8 grid
+  }
+  const std::vector<idx_t> color(to_size(g.nvtxs), 0);
+  KWayBoundary bnd(g, where, color);
+  InvariantAuditor aud(AuditLevel::kParanoid);
+  aud.check_kway_boundary(g, where, bnd, "test");
+
+  where[0] = 1;  // moved behind the bookkeeping's back
+  EXPECT_THROW(aud.check_kway_boundary(g, where, bnd, "test"), AuditFailure);
+  bnd.moved(0, 0);  // reported: consistent again
+  aud.check_kway_boundary(g, where, bnd, "test");
+  EXPECT_EQ(aud.count(AuditCheck::kKWayState), 2u);
 }
 
 TEST(InvariantAuditor, DetectsStaleGainAndCutDelta) {

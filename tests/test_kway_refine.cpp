@@ -2,6 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <tuple>
+
+#include "core/audit.hpp"
+#include "core/kway_boundary.hpp"
+#include "core/kway_context.hpp"
 #include "gen/mesh_gen.hpp"
 #include "gen/weight_gen.hpp"
 #include "graph/metrics.hpp"
@@ -192,6 +198,184 @@ TEST(KWayRefine, PooledColoredSweepBitIdenticalToInline) {
   EXPECT_EQ(pooled_part, inline_part);
   EXPECT_EQ(pooled_cut, inline_cut);
   EXPECT_GT(wspool.footprint_bytes(), 0);  // chunk leases were accounted
+}
+
+/// The colored sweep as it ran before the boundary and the degrees were
+/// maintained: every pass rescans all vertices for the boundary, sorts it
+/// by (color, per-pass hash, id) and proposes a move for every boundary
+/// vertex. kway_refine() must reproduce it move for move.
+sum_t reference_refine(const Graph& g, idx_t nparts, std::vector<idx_t>& where,
+                       const std::vector<real_t>& ub, int max_passes,
+                       Rng& rng) {
+  KWayContext ctx(g, nparts, where, ub, nullptr);
+  if (!ctx.feasible()) {
+    kway_balance(g, nparts, where, ub, rng);
+    ctx.reload();
+  }
+  std::vector<idx_t> color(to_size(g.nvtxs), -1);
+  for (idx_t v = 0; v < g.nvtxs; ++v) {
+    std::vector<char> taken(to_size(g.degree(v)) + 1, 0);
+    for (idx_t e = g.xadj[to_size(v)]; e < g.xadj[to_size(v + 1)]; ++e) {
+      const idx_t c = color[to_size(g.adjncy[to_size(e)])];
+      if (c >= 0 && to_size(c) < taken.size()) taken[to_size(c)] = 1;
+    }
+    idx_t c = 0;
+    while (taken[to_size(c)] != 0) ++c;
+    color[to_size(v)] = c;
+  }
+  for (int pass = 0; pass < 4 * max_passes; ++pass) {
+    const std::uint64_t seed = rng.next_u64();
+    std::vector<idx_t> bnd;
+    for (idx_t v = 0; v < g.nvtxs; ++v) {
+      for (idx_t e = g.xadj[to_size(v)]; e < g.xadj[to_size(v + 1)]; ++e) {
+        if (where[to_size(g.adjncy[to_size(e)])] != where[to_size(v)]) {
+          bnd.push_back(v);
+          break;
+        }
+      }
+    }
+    auto key = [&](idx_t v) {
+      return std::make_tuple(color[to_size(v)],
+                             mix_seed(seed, static_cast<std::uint64_t>(v)), v);
+    };
+    std::sort(bnd.begin(), bnd.end(),
+              [&](idx_t a, idx_t b) { return key(a) < key(b); });
+    idx_t moves = 0;
+    sum_t gain_sum = 0;
+    for (std::size_t b = 0, e = 0; b < bnd.size(); b = e) {
+      while (e < bnd.size() &&
+             color[to_size(bnd[e])] == color[to_size(bnd[b])]) {
+        ++e;
+      }
+      std::vector<idx_t> dest(e - b, -1);
+      std::vector<sum_t> gain(e - b, 0);
+      for (std::size_t i = b; i < e; ++i) {  // propose: frozen state
+        const idx_t v = bnd[i];
+        const idx_t own = where[to_size(v)];
+        if (!ctx.can_leave(own)) continue;
+        const sum_t idw = ctx.gather_connectivity(v);
+        real_t best_load = 0.0;
+        idx_t& d = dest[i - b];
+        sum_t& gn = gain[i - b];
+        for (const idx_t p : ctx.touched()) {
+          const sum_t g2 = checked_sub(ctx.conn(p), idw);
+          if (!ctx.fits(v, p) || g2 < 0) continue;
+          const real_t load = ctx.part_load(p);
+          if (d < 0 || g2 > gn || (g2 == gn && load < best_load)) {
+            d = p;
+            gn = g2;
+            best_load = load;
+          }
+        }
+        if (d >= 0 && gn == 0 && best_load >= ctx.part_load(own) - 1e-12) {
+          d = -1;
+        }
+      }
+      for (std::size_t i = b; i < e; ++i) {  // commit: live state
+        const idx_t v = bnd[i];
+        const idx_t d = dest[i - b];
+        const idx_t own = where[to_size(v)];
+        if (d < 0 || !ctx.can_leave(own) || !ctx.fits(v, d)) continue;
+        if (gain[i - b] == 0 &&
+            ctx.part_load(d) >= ctx.part_load(own) - 1e-12) {
+          continue;
+        }
+        ctx.move(v, d);
+        gain_sum = checked_add(gain_sum, gain[i - b]);
+        ++moves;
+      }
+    }
+    if (moves == 0 || (gain_sum == 0 && pass + 1 >= max_passes)) break;
+  }
+  if (!ctx.feasible()) {
+    kway_balance(g, nparts, where, ub, rng);
+    ctx.reload();
+  }
+  return edge_cut(g, where);
+}
+
+/// grid2d-shaped graph in which every edge at a vertex v with v % 5 == 0
+/// weighs 0 (the others weigh 1 or 2): zero-weight edges put vertices on
+/// the boundary without giving them external degree, and a vertex with
+/// no edge weight at all can still make zero-gain balancing moves.
+Graph grid_with_zero_edges(idx_t nx, idx_t ny) {
+  GraphBuilder b(nx * ny, 1);
+  auto weight = [](idx_t u, idx_t v) -> wgt_t {
+    return u % 5 == 0 || v % 5 == 0 ? 0 : 1 + (u + v) % 2;
+  };
+  for (idx_t x = 0; x < nx; ++x) {
+    for (idx_t y = 0; y < ny; ++y) {
+      const idx_t v = x * ny + y;
+      if (x + 1 < nx) b.add_edge(v, v + ny, weight(v, v + ny));
+      if (y + 1 < ny) b.add_edge(v, v + 1, weight(v, v + 1));
+    }
+  }
+  return b.build();
+}
+
+TEST(KWayRefine, MatchesFullRescanReference) {
+  struct Case {
+    Graph g;
+    idx_t k;
+    real_t ub;
+  };
+  std::vector<Case> cases;
+  cases.push_back({grid2d(40, 40), 8, 1.05});
+  cases.push_back({random_geometric(1500, 0, 8, 3), 16, 1.10});
+  cases.push_back({fe_mesh(1200, 5), 7, 1.05});
+  cases.push_back({grid_with_zero_edges(30, 30), 9, 1.05});
+  apply_type_s_weights(cases[1].g, 3, 16, 0, 19, 4);
+  apply_type_s_weights(cases[2].g, 5, 12, 0, 19, 6);
+  for (const Case& c : cases) {
+    const std::vector<real_t> ub = ubvec(c.g.ncon, c.ub);
+    for (const std::uint64_t seed : {1u, 2u, 3u}) {
+      std::vector<idx_t> expect = scrambled(c.g.nvtxs, c.k, seed);
+      std::vector<idx_t> got = expect;
+      Rng r1(seed), r2(seed);
+      const sum_t expect_cut = reference_refine(c.g, c.k, expect, ub, 8, r1);
+      KWayRefineStats stats;
+      EXPECT_EQ(kway_refine(c.g, c.k, got, ub, 8, r2, &stats), expect_cut);
+      EXPECT_EQ(got, expect) << "n=" << c.g.nvtxs << " seed=" << seed;
+      EXPECT_EQ(r2.next_u64(), r1.next_u64());  // same number of passes
+      EXPECT_GE(stats.proposed, stats.moves);
+    }
+  }
+}
+
+TEST(KWayBoundary, MovesKeepDegreesExact) {
+  Graph g = grid_with_zero_edges(20, 20);
+  std::vector<idx_t> where = scrambled(g.nvtxs, 5, 11);
+  std::vector<idx_t> color(to_size(g.nvtxs));
+  for (idx_t v = 0; v < g.nvtxs; ++v) color[to_size(v)] = v % 3;
+  KWayBoundary bnd(g, where, color);
+  EXPECT_EQ(bnd.ncolors(), 3);
+  InvariantAuditor audit(AuditLevel::kParanoid);
+  Rng rng(12);
+  for (int pass = 0; pass < 10; ++pass) {
+    bnd.begin_pass();
+    std::vector<char> at_start(to_size(g.nvtxs));
+    for (idx_t v = 0; v < g.nvtxs; ++v) {
+      at_start[to_size(v)] = bnd.external_edges(v) > 0 ? 1 : 0;
+    }
+    for (int i = 0; i < 50; ++i) {
+      const idx_t v = static_cast<idx_t>(
+          rng.next_below(static_cast<std::uint64_t>(g.nvtxs)));
+      const idx_t from = where[to_size(v)];
+      where[to_size(v)] =
+          (from + 1 + static_cast<idx_t>(rng.next_below(4))) % 5;
+      bnd.moved(v, from);
+    }
+    audit.check_kway_boundary(g, where, bnd, "test");
+    for (idx_t v = 0; v < g.nvtxs; ++v) {
+      EXPECT_EQ(bnd.was_on_boundary(v), at_start[to_size(v)] != 0) << v;
+    }
+  }
+  // A single part has no boundary at all.
+  const std::vector<idx_t> one(to_size(g.nvtxs), 0);
+  const KWayBoundary whole(g, one, color);
+  for (idx_t c = 0; c < whole.ncolors(); ++c) {
+    EXPECT_TRUE(whole.movable(c).empty());
+  }
 }
 
 TEST(KWayRefinePq, ImprovesScrambledCutMassively) {
