@@ -1,6 +1,6 @@
 // Shared k-way refinement context: incrementally maintained part weights,
-// vertex counts, per-part/per-constraint tolerance limits, and sparse
-// connectivity scratch.
+// vertex counts, per-part/per-constraint tolerance limits, a per-part
+// member index, and sparse connectivity scratch.
 //
 // Extracted from the k-way refiner so every pass that mutates a k-way
 // assignment — the colored sweep, the PQ pass, the balancer, and the
@@ -47,13 +47,33 @@ class KWayContext {
   }
 
   /// Recompute part weights and counts from the current assignment
-  /// (after an external pass, e.g. kway_balance, mutated `where`).
+  /// (after an external pass, e.g. kway_balance, mutated `where`). The
+  /// member index is dropped and rebuilt on its next use.
   void reload() {
     pwgts_ = part_weights(g_, where_, nparts_);
     vcount_.assign(to_size(nparts_), 0);
     for (idx_t v = 0; v < g_.nvtxs; ++v) {
       ++vcount_[to_size(where_[to_size(v)])];
     }
+    drop_members();
+  }
+
+  /// Free the member index; members() rebuilds it on its next use.
+  void drop_members() {
+    members_built_ = false;
+    std::vector<std::vector<idx_t>>().swap(members_);
+  }
+
+  /// The vertices of part p, in ascending id order: exactly what a scan
+  /// of all n vertices filtered by part would visit, at the cost of p's
+  /// list. The index is built on first use (a counting sort by part, so
+  /// each list starts ascending) and move() appends every arrival, so a
+  /// list may hold vertices that have since left and duplicates of ones
+  /// that came back; this call drops both and re-sorts p's list only.
+  const std::vector<idx_t>& members(idx_t p) {
+    if (!members_built_) build_members();
+    compact_members(p);
+    return members_[to_size(p)];
   }
 
   const Graph& graph() const { return g_; }
@@ -164,6 +184,15 @@ class KWayContext {
     where_[to_size(v)] = to;
     --vcount_[to_size(from)];
     ++vcount_[to_size(to)];
+    if (members_built_) {
+      // Compacting a list once it holds twice its part's vertices keeps
+      // the index O(n) however many moves the context sees.
+      std::vector<idx_t>& list = members_[to_size(to)];
+      list.push_back(v);
+      if (list.size() > 2 * to_size(vcount_[to_size(to)]) + 64) {
+        compact_members(to);
+      }
+    }
     const wgt_t* w = g_.weights(v);
     for (int i = 0; i < g_.ncon; ++i) {
       sum_t& fs = pwgts_[to_size(from) * to_size(g_.ncon) + to_size(i)];
@@ -189,6 +218,26 @@ class KWayContext {
   }
 
  private:
+  /// Drop the entries of part p's list that left it and the duplicates.
+  void compact_members(idx_t p) {
+    std::vector<idx_t>& list = members_[to_size(p)];
+    std::erase_if(list, [&](idx_t v) { return where_[to_size(v)] != p; });
+    std::sort(list.begin(), list.end());
+    list.erase(std::unique(list.begin(), list.end()), list.end());
+  }
+
+  void build_members() {
+    members_.resize(to_size(nparts_));
+    for (idx_t p = 0; p < nparts_; ++p) {
+      members_[to_size(p)].clear();
+      members_[to_size(p)].reserve(to_size(vcount_[to_size(p)]));
+    }
+    for (idx_t v = 0; v < g_.nvtxs; ++v) {
+      members_[to_size(where_[to_size(v)])].push_back(v);
+    }
+    members_built_ = true;
+  }
+
   const Graph& g_;
   idx_t nparts_;
   std::vector<idx_t>& where_;
@@ -199,6 +248,11 @@ class KWayContext {
   std::vector<sum_t> conn_;
   std::vector<idx_t> touched_;
   std::vector<real_t> limit_;
+  /// members_[p]: every vertex of part p, plus stale entries (see
+  /// members()). Valid only while members_built_; move() is its only
+  /// writer besides the rebuild and compaction.
+  std::vector<std::vector<idx_t>> members_;
+  bool members_built_ = false;
 };
 
 }  // namespace mcgp

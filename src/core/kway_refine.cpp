@@ -225,15 +225,26 @@ PassResult colored_sweep(KWayContext& ctx, const std::vector<idx_t>& where,
   return res;
 }
 
+/// Scratch one kway_balance call reuses across its episodes.
+struct BalanceScratch {
+  std::vector<idx_t> cand;
+  std::vector<std::pair<real_t, idx_t>> order;  ///< (key, vertex)
+  std::vector<real_t> load;  ///< part_load by part, as of the last commit
+  sum_t scanned = 0;  ///< live members of the drained parts examined
+};
+
 /// One balancing episode: drain the part attaining the current global
 /// maximum load. Strict `fits()` acceptance deadlocks when every part with
 /// slack in one constraint is itself overloaded in another (complementary
 /// overloads — common after a granular coarse-level initial partition), so
 /// acceptance is potential-reducing instead: a destination is admissible
 /// whenever its post-move load stays strictly below the current global
-/// maximum. Returns the number of moves performed.
+/// maximum. Candidates come from the drained part's member list, so an
+/// episode costs what that part costs, not n. Returns the number of moves
+/// performed.
 idx_t balance_episode(const Graph& g, KWayContext& ctx, idx_t nparts,
-                      const std::vector<idx_t>& where, Rng& rng) {
+                      const std::vector<idx_t>& where, Rng& rng,
+                      BalanceScratch& s) {
   // Locate the global maximum (part q, constraint c).
   idx_t q = -1;
   int c = 0;
@@ -251,13 +262,19 @@ idx_t balance_episode(const Graph& g, KWayContext& ctx, idx_t nparts,
   if (q < 0 || peak <= 1.0 + 1e-12) return 0;
 
   // Candidates: vertices of q carrying weight in constraint c, boundary
-  // first, higher (ed - id) first — cheapest cut damage first.
-  std::vector<idx_t> cand;
-  std::vector<real_t> key(to_size(g.nvtxs), 0.0);
-  for (idx_t v = 0; v < g.nvtxs; ++v) {
-    if (where[to_size(v)] != q) continue;
-    if (g.weight(v, c) <= 0) continue;
-    cand.push_back(v);
+  // first, higher (ed - id) first — cheapest cut damage first, ties in
+  // shuffled order. The member list is ascending, so the shuffle sees the
+  // order a full scan would give.
+  std::vector<idx_t>& cand = s.cand;
+  cand.clear();
+  const std::vector<idx_t>& members = ctx.members(q);
+  s.scanned = checked_add(s.scanned, static_cast<sum_t>(members.size()));
+  for (const idx_t v : members) {
+    if (g.weight(v, c) > 0) cand.push_back(v);
+  }
+  shuffle(cand, rng);
+  s.order.clear();
+  for (const idx_t v : cand) {
     sum_t idw = 0, edw = 0;
     for (idx_t e = g.xadj[to_size(v)]; e < g.xadj[to_size(v + 1)]; ++e) {
       if (where[to_size(g.adjncy[to_size(e)])] == q) {
@@ -266,13 +283,15 @@ idx_t balance_episode(const Graph& g, KWayContext& ctx, idx_t nparts,
         edw = checked_add(edw, g.adjwgt[to_size(e)]);
       }
     }
-    key[to_size(v)] =
-        static_cast<real_t>(checked_sub(edw, idw)) + (edw > 0 ? 1e6 : 0.0);
+    s.order.emplace_back(
+        static_cast<real_t>(checked_sub(edw, idw)) + (edw > 0 ? 1e6 : 0.0),
+        v);
   }
-  shuffle(cand, rng);
-  std::stable_sort(cand.begin(), cand.end(), [&](idx_t a, idx_t b) {
-    return key[to_size(a)] > key[to_size(b)];
-  });
+  std::stable_sort(s.order.begin(), s.order.end(),
+                   [](const std::pair<real_t, idx_t>& a,
+                      const std::pair<real_t, idx_t>& b) {
+                     return a.first > b.first;
+                   });
 
   idx_t moves = 0;
   // Early-exit: once a long run of consecutive candidates yields no
@@ -280,7 +299,17 @@ idx_t balance_episode(const Graph& g, KWayContext& ctx, idx_t nparts,
   // bail instead of scanning every remaining (worse-keyed) vertex.
   const idx_t reject_cap = std::max<idx_t>(64, 8 * nparts);
   idx_t rejects = 0;
-  for (const idx_t v : cand) {
+  // The globally lightest part other than q. Loads change only when a
+  // move commits, and then only q's and the destination's, so every other
+  // part's load is kept from the episode's start and the argmin is redone
+  // only after a commit.
+  std::vector<real_t>& load = s.load;
+  load.resize(to_size(nparts));
+  for (idx_t p = 0; p < nparts; ++p) load[to_size(p)] = ctx.part_load(p);
+  idx_t lightest = -1;
+  bool lightest_stale = true;
+  for (const std::pair<real_t, idx_t>& kv : s.order) {
+    const idx_t v = kv.second;
     if (where[to_size(v)] != q) continue;  // already moved
     if (!ctx.can_leave(q)) break;
     // Stop once q is no longer the bottleneck for constraint c.
@@ -289,15 +318,16 @@ idx_t balance_episode(const Graph& g, KWayContext& ctx, idx_t nparts,
 
     const sum_t idw = ctx.gather_connectivity(v);
     // Candidate destinations: adjacent parts plus the globally lightest.
-    idx_t lightest = -1;
-    real_t lightest_load = 1e300;
-    for (idx_t p = 0; p < nparts; ++p) {
-      if (p == q) continue;
-      const real_t l = ctx.part_load(p);
-      if (l < lightest_load) {
-        lightest_load = l;
-        lightest = p;
+    if (lightest_stale) {
+      lightest = -1;
+      real_t lightest_load = 1e300;
+      for (idx_t p = 0; p < nparts; ++p) {
+        if (p != q && load[to_size(p)] < lightest_load) {
+          lightest_load = load[to_size(p)];
+          lightest = p;
+        }
       }
+      lightest_stale = false;
     }
     idx_t best = -1;
     bool best_fits = false;
@@ -329,6 +359,8 @@ idx_t balance_episode(const Graph& g, KWayContext& ctx, idx_t nparts,
     }
     rejects = 0;
     ctx.move(v, best);
+    load[to_size(best)] = ctx.part_load(best);
+    lightest_stale = true;
     ++moves;
   }
   return moves;
@@ -514,6 +546,7 @@ bool kway_balance(const Graph& g, idx_t nparts, std::vector<idx_t>& where,
     return std::make_pair(peak, at_peak);
   };
   auto prev = progress_state();
+  BalanceScratch scratch;
   for (int ep = 0; ep < max_episodes; ++ep) {
     if (ctx.feasible()) {
       bail = "feasible";
@@ -523,7 +556,7 @@ bool kway_balance(const Graph& g, idx_t nparts, std::vector<idx_t>& where,
       bail = "move_cap";
       break;
     }
-    const idx_t moves = balance_episode(g, ctx, nparts, where, rng);
+    const idx_t moves = balance_episode(g, ctx, nparts, where, rng, scratch);
     if (moves == 0) {
       bail = "no_moves";
       break;
@@ -549,9 +582,11 @@ bool kway_balance(const Graph& g, idx_t nparts, std::vector<idx_t>& where,
   if (span.enabled()) {
     trace_count(trace, "kway.balance.moves", total_moves);
     trace_count(trace, "kway.balance.episodes", episodes);
+    trace_count(trace, "kway.balance.scanned", scratch.scanned);
     trace_count(trace, std::string("kway.balance.bail.") + bail);
     span.arg({"moves", total_moves});
     span.arg({"episodes", episodes});
+    span.arg({"scanned", scratch.scanned});
     span.arg({"max_overload", ctx.max_overload()});
     span.arg({"feasible", static_cast<std::int64_t>(ok ? 1 : 0)});
   }

@@ -1,6 +1,7 @@
 #include "core/rebalance.hpp"
 
 #include <algorithm>
+#include <array>
 #include <cstddef>
 #include <cstdint>
 #include <limits>
@@ -134,9 +135,11 @@ std::pair<real_t, idx_t> progress_state(const Graph& g,
 /// Greedy gain-to-relief episodes: repeatedly pick the argmax overloaded
 /// (part, constraint), drain it through a relief-ordered indexed heap with
 /// lazy key revalidation, and stop when feasible, deadlocked, or out of
-/// progress. Returns the number of moves committed.
+/// progress. The heap is filled from the drained part's member list and
+/// emptied in O(its size), so an episode costs what that part costs, not
+/// n. Returns the number of moves committed.
 sum_t greedy_episodes(const Graph& g, KWayContext& ctx, idx_t nparts,
-                      const std::vector<idx_t>& where, int* episodes_out) {
+                      int* episodes_out) {
   sum_t total = 0;
   int episodes = 0;
   const int max_episodes = 16 * g.ncon * std::max<idx_t>(nparts, 2);
@@ -144,7 +147,9 @@ sum_t greedy_episodes(const Graph& g, KWayContext& ctx, idx_t nparts,
       checked_mul(static_cast<sum_t>(8),
                   static_cast<sum_t>(std::max<idx_t>(g.nvtxs, 1)));
   IndexedMaxHeap heap;
+  heap.reset(g.nvtxs);
   std::vector<char> requeued(to_size(g.nvtxs), 0);
+  std::vector<idx_t> requeued_list;  // the vertices to clear after an episode
   std::vector<sum_t> conn(to_size(nparts), 0);
   std::vector<idx_t> touched;
   touched.reserve(64);
@@ -155,10 +160,7 @@ sum_t greedy_episodes(const Graph& g, KWayContext& ctx, idx_t nparts,
     if (!find_peak(g, ctx, nparts, q, c)) break;
     if (total >= move_cap) break;
 
-    heap.reset(g.nvtxs);
-    std::fill(requeued.begin(), requeued.end(), 0);
-    for (idx_t v = 0; v < g.nvtxs; ++v) {
-      if (where[to_size(v)] != q) continue;
+    for (const idx_t v : ctx.members(q)) {
       if (g.weight(v, c) <= 0) continue;
       heap.insert(v, relief_key(g, ctx, v, c, conn, touched));
     }
@@ -176,6 +178,7 @@ sum_t greedy_episodes(const Graph& g, KWayContext& ctx, idx_t nparts,
       if (requeued[to_size(v)] == 0 && fresh < popped_key - 1e-9 &&
           !heap.empty() && fresh < heap.top_key()) {
         requeued[to_size(v)] = 1;
+        requeued_list.push_back(v);
         heap.insert(v, fresh);
         continue;
       }
@@ -186,6 +189,9 @@ sum_t greedy_episodes(const Graph& g, KWayContext& ctx, idx_t nparts,
       ctx.move(v, dest);
       ++ep_moves;
     }
+    heap.clear();
+    for (const idx_t v : requeued_list) requeued[to_size(v)] = 0;
+    requeued_list.clear();
 
     if (ep_moves == 0) break;  // deadlocked — the caller escalates
     total = checked_add(total, ep_moves);
@@ -285,24 +291,10 @@ sum_t swap_escape(const Graph& g, KWayContext& ctx, idx_t nparts,
 }
 
 /// Change in the total relative overload sum_i max(0, load - 1) over both
-/// touched parts if v moved q -> p. Negative = net relief. This is the
-/// joint multi-constraint potential: the peak-chasing episodes above can
-/// deadlock when every destination is itself near the peak in SOME
-/// constraint, while the summed overload can still descend.
-real_t move_delta(const Graph& g, const KWayContext& ctx, idx_t v, idx_t q,
-                  idx_t p) {
-  real_t d = 0.0;
-  const wgt_t* w = g.weights(v);
-  for (int i = 0; i < g.ncon; ++i) {
-    d += std::max(0.0, ctx.load_with(q, i, checked_narrow<wgt_t>(-static_cast<sum_t>(w[i]))) - 1.0) -
-         std::max(0.0, ctx.overload(q, i) - 1.0) +
-         std::max(0.0, ctx.load_with(p, i, w[i]) - 1.0) -
-         std::max(0.0, ctx.overload(p, i) - 1.0);
-  }
-  return d;
-}
-
-/// As move_delta, for exchanging v (in q) with u (in p).
+/// touched parts if v (in q) and u (in p) were exchanged. Negative = net
+/// relief. This is the joint multi-constraint potential: the peak-chasing
+/// episodes above can deadlock when every destination is itself near the
+/// peak in SOME constraint, while the summed overload can still descend.
 real_t swap_delta(const Graph& g, const KWayContext& ctx, idx_t v, idx_t q,
                   idx_t u, idx_t p) {
   real_t d = 0.0;
@@ -325,27 +317,56 @@ constexpr real_t kDescentMin = 1e-9;  ///< smallest accepted strict decrease
 /// takes the destination with the most negative delta (smallest id on
 /// ties, by scan order). Every committed move strictly decreases the
 /// potential, so the loop cannot cycle; the move cap bounds it anyway.
+///
+/// The delta of moving v from q to p sums, over constraints i and in this
+/// order, ((q_after - q_now) + p_after) - p_now, where each term is a
+/// max(0, load - 1). The source terms are computed once per vertex, and
+/// each part's max(0, overload - 1) and overloaded flag are cached and
+/// refreshed only for the two parts a move touches, so a destination costs
+/// one division per constraint. `evals` counts the (vertex, destination)
+/// pairs evaluated.
 sum_t overload_descent(const Graph& g, KWayContext& ctx, idx_t nparts,
-                       const std::vector<idx_t>& where) {
+                       const std::vector<idx_t>& where, sum_t* evals) {
   sum_t moves = 0;
   const sum_t move_cap =
       checked_mul(static_cast<sum_t>(8),
                   static_cast<sum_t>(std::max<idx_t>(g.nvtxs, 1)));
+  const auto ncon = to_size(g.ncon);
+  std::vector<real_t> excess(to_size(nparts) * ncon);
+  std::vector<char> over(to_size(nparts));
+  auto refresh = [&](idx_t p) {
+    over[to_size(p)] = 0;
+    for (int i = 0; i < g.ncon; ++i) {
+      const real_t l = ctx.overload(p, i);
+      if (l > 1.0 + kEps) over[to_size(p)] = 1;
+      excess[to_size(p) * ncon + to_size(i)] = std::max(0.0, l - 1.0);
+    }
+  };
+  for (idx_t p = 0; p < nparts; ++p) refresh(p);
+  std::array<real_t, kMaxNcon> src{};  // per constraint: q_after - q_now
   bool changed = true;
   while (changed && moves < move_cap) {
     changed = false;
     for (idx_t v = 0; v < g.nvtxs && moves < move_cap; ++v) {
       const idx_t q = where[to_size(v)];
-      bool over = false;
+      if (over[to_size(q)] == 0 || !ctx.can_leave(q)) continue;
+      const wgt_t* w = g.weights(v);
       for (int i = 0; i < g.ncon; ++i) {
-        if (ctx.overload(q, i) > 1.0 + kEps) over = true;
+        const wgt_t out = checked_narrow<wgt_t>(-static_cast<sum_t>(w[i]));
+        src[to_size(i)] = std::max(0.0, ctx.load_with(q, i, out) - 1.0) -
+                          excess[to_size(q) * ncon + to_size(i)];
       }
-      if (!over || !ctx.can_leave(q)) continue;
+      *evals = checked_add(*evals, static_cast<sum_t>(nparts - 1));
       idx_t best = -1;
       real_t best_d = -kDescentMin;
       for (idx_t p = 0; p < nparts; ++p) {
         if (p == q) continue;
-        const real_t d = move_delta(g, ctx, v, q, p);
+        real_t d = 0.0;
+        for (int i = 0; i < g.ncon; ++i) {
+          d += src[to_size(i)] +
+               std::max(0.0, ctx.load_with(p, i, w[i]) - 1.0) -
+               excess[to_size(p) * ncon + to_size(i)];
+        }
         if (d < best_d - kEps) {
           best_d = d;
           best = p;
@@ -353,6 +374,8 @@ sum_t overload_descent(const Graph& g, KWayContext& ctx, idx_t nparts,
       }
       if (best >= 0) {
         ctx.move(v, best);
+        refresh(q);
+        refresh(best);
         moves = checked_add(moves, 1);
         changed = true;
       }
@@ -507,9 +530,9 @@ real_t total_overload(const Graph& g, const KWayContext& ctx, idx_t nparts) {
 /// exchange.
 void overload_sum_escape(const Graph& g, KWayContext& ctx, idx_t nparts,
                          const std::vector<idx_t>& where, sum_t* moves,
-                         sum_t* swaps) {
+                         sum_t* swaps, sum_t* evals) {
   for (int round = 0; round < 8; ++round) {
-    const sum_t m = overload_descent(g, ctx, nparts, where);
+    const sum_t m = overload_descent(g, ctx, nparts, where, evals);
     *moves = checked_add(*moves, m);
     if (ctx.feasible()) break;
     const sum_t s = swap_descent(g, ctx, where);
@@ -566,7 +589,7 @@ idx_t restricted_match(const Graph& g, const std::vector<idx_t>& where,
 bool run_vcycle(const Graph& g, idx_t nparts, std::vector<idx_t>& where,
                 const std::vector<real_t>& ub, Rng& rng,
                 const std::vector<real_t>* tpwgts, TraceRecorder* trace,
-                InvariantAuditor* audit) {
+                InvariantAuditor* audit, sum_t* descent_evals) {
   // Restricted matching never merges across parts, so the coarse graph
   // keeps >= nparts vertices; a floor above nparts would refuse to engage
   // exactly on the tiny tight instances that need cluster-granularity
@@ -609,12 +632,12 @@ bool run_vcycle(const Graph& g, idx_t nparts, std::vector<idx_t>& where,
     std::vector<idx_t>& cw = parts.back();
     kway_balance(cg, nparts, cw, ub, rng, tpwgts, trace, audit);
     KWayContext cctx(cg, nparts, cw, ub, tpwgts);
-    greedy_episodes(cg, cctx, nparts, cw, nullptr);
+    greedy_episodes(cg, cctx, nparts, nullptr);
     if (!cctx.feasible()) swap_escape(cg, cctx, nparts, cw);
     if (!cctx.feasible()) {
       sum_t cm = 0;
       sum_t cs = 0;
-      overload_sum_escape(cg, cctx, nparts, cw, &cm, &cs);
+      overload_sum_escape(cg, cctx, nparts, cw, &cm, &cs, descent_evals);
     }
     kway_refine(cg, nparts, cw, ub, /*max_passes=*/4, rng, nullptr, tpwgts,
                 trace, audit, nullptr, nullptr);
@@ -757,28 +780,34 @@ bool rebalance_partition(const Graph& g, idx_t nparts,
   };
 
   st.moves = checked_add(st.moves,
-                         greedy_episodes(g, ctx, nparts, where, &st.episodes));
+                         greedy_episodes(g, ctx, nparts, &st.episodes));
   if (!ctx.feasible()) {
     st.swaps = checked_add(st.swaps, swap_escape(g, ctx, nparts, where));
   }
   if (!ctx.feasible()) {
-    overload_sum_escape(g, ctx, nparts, where, &st.moves, &st.swaps);
+    overload_sum_escape(g, ctx, nparts, where, &st.moves, &st.swaps,
+                          &st.descent_evals);
   }
   note_state();
 
   for (int cycle = 0; cycle < max_vcycles && !ctx.feasible(); ++cycle) {
     const real_t before = ctx.max_overload();
     const real_t before_sum = total_overload(g, ctx, nparts);
-    if (!run_vcycle(g, nparts, where, ub, rng, tpwgts, trace, audit)) break;
+    // The V-cycle's coarse graphs are this pass's memory peak; the member
+    // index is rebuilt afterwards anyway (reload below), so free it now.
+    ctx.drop_members();
+    if (!run_vcycle(g, nparts, where, ub, rng, tpwgts, trace, audit,
+                    &st.descent_evals)) break;
     ctx.reload();
     ++st.vcycles;
     st.moves = checked_add(
-        st.moves, greedy_episodes(g, ctx, nparts, where, &st.episodes));
+        st.moves, greedy_episodes(g, ctx, nparts, &st.episodes));
     if (!ctx.feasible()) {
       st.swaps = checked_add(st.swaps, swap_escape(g, ctx, nparts, where));
     }
     if (!ctx.feasible()) {
-      overload_sum_escape(g, ctx, nparts, where, &st.moves, &st.swaps);
+      overload_sum_escape(g, ctx, nparts, where, &st.moves, &st.swaps,
+                          &st.descent_evals);
     }
     note_state();
     // A full cycle that moved neither the peak nor the summed overload
@@ -823,8 +852,9 @@ bool rebalance_partition(const Graph& g, idx_t nparts,
         st.moves = checked_add(st.moves, 1);
       }
       st.moves = checked_add(
-          st.moves, greedy_episodes(g, ctx, nparts, where, &st.episodes));
-      overload_sum_escape(g, ctx, nparts, where, &st.moves, &st.swaps);
+          st.moves, greedy_episodes(g, ctx, nparts, &st.episodes));
+      overload_sum_escape(g, ctx, nparts, where, &st.moves, &st.swaps,
+                          &st.descent_evals);
       note_state();
     }
   }
@@ -850,12 +880,14 @@ bool rebalance_partition(const Graph& g, idx_t nparts,
     trace_count(trace, "rebalance.swaps", st.swaps);
     trace_count(trace, "rebalance.episodes", st.episodes);
     trace_count(trace, "rebalance.vcycles", st.vcycles);
+    trace_count(trace, "rebalance.descent.evals", st.descent_evals);
     trace_count(trace, st.feasible ? "rebalance.feasible"
                                    : "rebalance.infeasible");
     span.arg({"moves", st.moves});
     span.arg({"swaps", st.swaps});
     span.arg({"episodes", st.episodes});
     span.arg({"vcycles", st.vcycles});
+    span.arg({"descent_evals", st.descent_evals});
     span.arg({"max_overload", st.max_overload});
     span.arg({"feasible", static_cast<std::int64_t>(st.feasible ? 1 : 0)});
   }

@@ -33,6 +33,9 @@ struct RebalanceStats {
   int vcycles = 0;        ///< restricted V-cycles run
   sum_t moves = 0;        ///< single-vertex moves committed
   sum_t swaps = 0;        ///< pairwise swaps committed (small graphs only)
+  /// (vertex, destination) pairs the single-move overload descent
+  /// evaluated, coarse V-cycle levels included: a deterministic work count.
+  sum_t descent_evals = 0;
   bool feasible = false;  ///< final state satisfies every constraint
   real_t max_overload = 0.0;  ///< final max tolerance-relative load
 };

@@ -29,16 +29,20 @@ int dominant_constraint(const Graph& g, idx_t v) {
 namespace {
 
 /// How far past the tolerance an intermediate state may stray within a
-/// pass (see the exploration-envelope note in FmPass::run).
+/// pass (see the exploration-envelope note in FmRefiner::run).
 constexpr real_t kBalanceExploreSlack = 0.10;
 
-/// One FM pass worth of state. Queues are indexed [side][constraint]
-/// (policy kSingleQueue uses constraint slot 0 only).
-class FmPass {
+/// The FM state of one refine_2way call, reused by all of its passes:
+/// per-vertex dominant constraints and the queues are set up once, and a
+/// pass only clears what the previous one left behind. Queues are indexed
+/// [side][constraint] (policy kSingleQueue uses constraint slot 0 only).
+class FmRefiner {
  public:
-  FmPass(const Graph& g, std::vector<idx_t>& where,
-         const BisectionTargets& targets, QueuePolicy policy, Rng& rng)
+  FmRefiner(const Graph& g, std::vector<idx_t>& where,
+            const BisectionTargets& targets, QueuePolicy policy, Rng& rng)
       : g_(g), where_(where), policy_(policy), rng_(rng) {
+    // Part weights are integers and a pass rolls back exactly, so one
+    // init serves every pass (the boundaries audit re-checks it per pass).
     balance_.init(g, where, targets);
     const auto n = to_size(g.nvtxs);
     id_.assign(n, 0);
@@ -104,7 +108,14 @@ class FmPass {
   std::vector<MoveRecord> log_;
 };
 
-void FmPass::compute_degrees_and_seed_queues(sum_t& cut) {
+void FmRefiner::compute_degrees_and_seed_queues(sum_t& cut) {
+  // Forget the previous pass: what it left queued, what it popped, and
+  // where the round-robin cursor stopped (every pass starts at constraint 0).
+  for (int s = 0; s < 2; ++s) {
+    for (int c = 0; c < nqueues_; ++c) queues_[to_size(s)][to_size(c)].clear();
+  }
+  std::fill(moved_.begin(), moved_.end(), 0);
+  rr_next_ = 0;
   sum_t cut2 = 0;
   for (idx_t v = 0; v < g_.nvtxs; ++v) {
     sum_t idw = 0, edw = 0;
@@ -130,7 +141,7 @@ void FmPass::compute_degrees_and_seed_queues(sum_t& cut) {
   }
 }
 
-bool FmPass::select(idx_t& v, int& from) {
+bool FmRefiner::select(idx_t& v, int& from) {
   if (nqueues_ == 1) {
     // Single-queue policy: prefer the heavier side overall, fall back to
     // the other side.
@@ -194,7 +205,7 @@ bool FmPass::select(idx_t& v, int& from) {
   return true;
 }
 
-void FmPass::commit_move(idx_t v, int from, sum_t& cut) {
+void FmRefiner::commit_move(idx_t v, int from, sum_t& cut) {
   const int to = 1 - from;
   const sum_t delta = checked_sub(id_[to_size(v)], ed_[to_size(v)]);
   cut = checked_add(cut, delta);
@@ -232,7 +243,7 @@ void FmPass::commit_move(idx_t v, int from, sum_t& cut) {
   }
 }
 
-void FmPass::rollback_to(std::size_t best_prefix, sum_t& cut) {
+void FmRefiner::rollback_to(std::size_t best_prefix, sum_t& cut) {
   while (log_.size() > best_prefix) {
     const MoveRecord r = log_.back();
     log_.pop_back();
@@ -242,9 +253,9 @@ void FmPass::rollback_to(std::size_t best_prefix, sum_t& cut) {
   }
 }
 
-bool FmPass::run(sum_t& cut, idx_t move_limit, Refine2WayStats* stats,
-                 TraceRecorder* trace, InvariantAuditor* audit,
-                 FlightRecorder* flight, int pass_index) {
+bool FmRefiner::run(sum_t& cut, idx_t move_limit, Refine2WayStats* stats,
+                    TraceRecorder* trace, InvariantAuditor* audit,
+                    FlightRecorder* flight, int pass_index) {
   TraceSpan span(trace, "fm.pass");
   Histogram* gain_hist =
       trace != nullptr ? &trace->hist("gain.histogram") : nullptr;
@@ -372,8 +383,8 @@ sum_t refine_2way(const Graph& g, std::vector<idx_t>& where,
   sum_t cut = compute_cut_2way(g, where);
   if (stats != nullptr) stats->initial_cut = cut;
 
+  FmRefiner fm(g, where, targets, policy, rng);
   for (int pass = 0; pass < max_passes; ++pass) {
-    FmPass fm(g, where, targets, policy, rng);
     const bool improved =
         fm.run(cut, move_limit, stats, trace, audit, flight, pass);
     if (stats != nullptr) ++stats->passes;

@@ -13,7 +13,24 @@ void BucketQueue::reset(idx_t n, wgt_t expected_max_gain) {
   in_queue_.assign(un, 0);
   const long long span = 2LL * std::max<wgt_t>(expected_max_gain, 1) + 1;
   buckets_.assign(to_size(span), kNil);
+  initial_span_ = span;
   offset_ = span / 2;
+  max_bucket_ = -1;
+  count_ = 0;
+}
+
+void BucketQueue::clear() {
+  // Only buckets at or below max_bucket_ can be non-empty.
+  for (long long b = 0; b <= max_bucket_; ++b) {
+    for (idx_t id = buckets_[to_size(b)]; id != kNil; id = next_[to_size(id)]) {
+      in_queue_[to_size(id)] = 0;
+    }
+    buckets_[to_size(b)] = kNil;
+  }
+  if (static_cast<long long>(buckets_.size()) != initial_span_) {
+    buckets_.assign(to_size(initial_span_), kNil);
+  }
+  offset_ = initial_span_ / 2;
   max_bucket_ = -1;
   count_ = 0;
 }

@@ -24,6 +24,12 @@ class BucketQueue {
   /// `expected_max_gain` sizes the initial bucket array (it may grow later).
   void reset(idx_t n, wgt_t expected_max_gain = 64);
 
+  /// Empty the queue, keeping the id range of the last reset() and
+  /// restoring its initial bucket range: afterwards the queue behaves
+  /// exactly as after that reset(). Costs O(queued + bucket range), not
+  /// O(n), so a caller running many passes over one id range resets once.
+  void clear();
+
   /// Number of elements currently queued.
   idx_t size() const { return count_; }
   bool empty() const { return count_ == 0; }
@@ -70,6 +76,7 @@ class BucketQueue {
   // buckets_[g + offset_] is the head of the list for gain g.
   std::vector<idx_t> buckets_;
   long long offset_ = 0;
+  long long initial_span_ = 0;  // bucket count set by the last reset()
   long long max_bucket_ = -1;  // index of highest non-empty bucket, -1 if none
   idx_t count_ = 0;
 };

@@ -21,6 +21,12 @@ class IndexedMaxHeap {
     keys_.resize(to_size(n));
   }
 
+  /// Empty the heap in O(size), keeping the id range of the last reset.
+  void clear() {
+    for (const idx_t id : heap_) pos_[to_size(id)] = kNil;
+    heap_.clear();
+  }
+
   idx_t size() const { return static_cast<idx_t>(heap_.size()); }
   bool empty() const { return heap_.empty(); }
   bool contains(idx_t id) const { return pos_[to_size(id)] != kNil; }

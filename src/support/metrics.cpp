@@ -184,7 +184,11 @@ MetricFamily& MetricsRegistry::family_at(std::string_view name,
   f.name = std::string(name);
   f.kind = kind;
   for (std::size_t i = 0; i < arity; ++i) {
-    f.label_keys.push_back("l" + std::to_string(i));
+    // Appended, not `"l" + ...`: GCC 12's -Wrestrict misfires on that
+    // operator+ overload at -O3.
+    std::string key = "l";
+    key += std::to_string(i);
+    f.label_keys.push_back(std::move(key));
   }
   index_.emplace(f.name, families_.size());
   families_.push_back(std::move(f));

@@ -154,5 +154,43 @@ TEST(BucketQueue, StressAgainstReference) {
   }
 }
 
+TEST(BucketQueue, ClearThenReuse) {
+  // A queue cleared after use, its bucket range grown past the initial
+  // one, must behave exactly like a freshly reset queue.
+  BucketQueue used;
+  used.reset(50);
+  for (idx_t v = 0; v < 40; ++v) used.insert(v, static_cast<wgt_t>(v % 7 - 3));
+  used.insert(40, 5000);  // grows the range
+  used.insert(41, -4000);
+  for (int i = 0; i < 10; ++i) used.pop_max();
+  used.clear();
+  EXPECT_TRUE(used.empty());
+  for (idx_t v = 0; v < 50; ++v) EXPECT_FALSE(used.contains(v));
+
+  BucketQueue fresh;
+  fresh.reset(50);
+  Rng rng(3);
+  for (idx_t v = 0; v < 50; ++v) {
+    const idx_t id = (v * 17) % 50;
+    const wgt_t key = static_cast<wgt_t>(rng.next_below(200)) - 100;
+    used.insert(id, key);
+    fresh.insert(id, key);
+  }
+  used.update(3, 90);
+  fresh.update(3, 90);
+  used.remove(8);
+  fresh.remove(8);
+  while (!fresh.empty()) {
+    ASSERT_FALSE(used.empty());
+    EXPECT_EQ(used.max_key(), fresh.max_key());
+    EXPECT_EQ(used.pop_max(), fresh.pop_max());
+  }
+  EXPECT_TRUE(used.empty());
+
+  used.clear();  // clearing an empty queue is a no-op
+  used.insert(7, 2);
+  EXPECT_EQ(used.pop_max(), 7);
+}
+
 }  // namespace
 }  // namespace mcgp

@@ -3,6 +3,7 @@
 // structurally valid, tolerably balanced partition with a sane cut.
 #include <gtest/gtest.h>
 
+#include <string>
 #include <tuple>
 
 #include "core/partitioner.hpp"
@@ -119,10 +120,12 @@ INSTANTIATE_TEST_SUITE_P(
                      testing::Values(Algorithm::kRecursiveBisection,
                                      Algorithm::kKWay)),
     [](const testing::TestParamInfo<std::tuple<int, Algorithm>>& pinfo) {
-      return "m" + std::to_string(std::get<0>(pinfo.param)) +
-             (std::get<1>(pinfo.param) == Algorithm::kKWay
-                  ? std::string("_kw")
-                  : std::string("_rb"));
+      // Appended, not `"m" + ...`: GCC 12's -Wrestrict misfires on that
+      // operator+ overload at -O3.
+      std::string name = "m";
+      name += std::to_string(std::get<0>(pinfo.param));
+      name += std::get<1>(pinfo.param) == Algorithm::kKWay ? "_kw" : "_rb";
+      return name;
     });
 
 /// Determinism across the whole matrix: same options -> same partition.

@@ -10,16 +10,20 @@
 
 #include <algorithm>
 #include <stdexcept>
+#include <utility>
 #include <vector>
 
 #include "core/audit.hpp"
+#include "core/kway_context.hpp"
 #include "core/kway_refine.hpp"
 #include "core/partitioner.hpp"
 #include "gen/mesh_gen.hpp"
 #include "gen/weight_gen.hpp"
 #include "graph/metrics.hpp"
 #include "support/check.hpp"
+#include "support/indexed_heap.hpp"
 #include "support/random.hpp"
+#include "support/trace.hpp"
 
 namespace mcgp {
 namespace {
@@ -130,6 +134,294 @@ TEST(RebalancePartition, FeasibleInputStaysFeasibleAndUntouchedOrBetter) {
   Rng rng(7);
   EXPECT_TRUE(rebalance_partition(g, k, where, ub, rng));
   EXPECT_EQ(where, before);  // nothing to do: input returned verbatim
+}
+
+TEST(RebalancePartition, TracesDeterministicWorkCounts) {
+  // An 8x8 block start under Type-P weights at a tight tolerance: the
+  // greedy episodes deadlock and the overload descent has to run.
+  Graph g = grid2d(48, 48);
+  apply_type_p_weights(g, 3, 24, 2003);
+  const idx_t k = 16;
+  std::vector<idx_t> where(to_size(g.nvtxs));
+  for (idx_t v = 0; v < g.nvtxs; ++v) {
+    where[to_size(v)] = ((v / 48) / 6 * 8 + (v % 48) / 6) % k;
+  }
+  const std::vector<real_t> ub(3, 1.02);
+  auto run = [&](TraceRecorder* trace, RebalanceStats& stats) {
+    std::vector<idx_t> w = where;
+    Rng rng(5);
+    rebalance_partition(g, k, w, ub, rng, nullptr, &stats, trace);
+    return w;
+  };
+  TraceRecorder trace;
+  RebalanceStats traced;
+  RebalanceStats untraced;
+  EXPECT_EQ(run(&trace, traced), run(nullptr, untraced));
+  EXPECT_EQ(traced.descent_evals, untraced.descent_evals);
+  EXPECT_GT(traced.descent_evals, 0);
+  EXPECT_EQ(trace.counters().get("rebalance.descent.evals"),
+            traced.descent_evals);
+  EXPECT_EQ(trace.counters().get("rebalance.moves"), traced.moves);
+}
+
+/// rebalance_partition as it ran before the per-part member index and the
+/// cached descent terms, for graphs above the swap and kick size gates and
+/// with no V-cycles: full-scan greedy episodes, then the single-move
+/// overload descent with every delta recomputed from scratch, keeping the
+/// best state. The library must reproduce it move for move.
+struct ReferenceRebalancer {
+  const Graph& g;
+  idx_t nparts;
+  std::vector<idx_t>& where;
+  KWayContext ctx;
+  sum_t moves = 0;
+  int episodes = 0;
+
+  ReferenceRebalancer(const Graph& graph, idx_t k, std::vector<idx_t>& w,
+                      const std::vector<real_t>& ub,
+                      const std::vector<real_t>* tpwgts)
+      : g(graph), nparts(k), where(w), ctx(graph, k, w, ub, tpwgts) {}
+
+  bool find_peak(idx_t& q, int& c) const {
+    q = -1;
+    c = 0;
+    real_t peak = 1.0 + 1e-12;
+    for (idx_t p = 0; p < nparts; ++p) {
+      for (int i = 0; i < g.ncon; ++i) {
+        if (ctx.overload(p, i) > peak) {
+          peak = ctx.overload(p, i);
+          q = p;
+          c = i;
+        }
+      }
+    }
+    return q >= 0;
+  }
+
+  std::pair<real_t, idx_t> progress() const {
+    const real_t peak = ctx.max_overload();
+    idx_t at_peak = 0;
+    for (idx_t p = 0; p < nparts; ++p) {
+      for (int i = 0; i < g.ncon; ++i) {
+        if (ctx.overload(p, i) > peak - 1e-9) ++at_peak;
+      }
+    }
+    return {peak, at_peak};
+  }
+
+  real_t relief_key(idx_t v, int c, std::vector<sum_t>& conn,
+                    std::vector<idx_t>& touched) const {
+    const sum_t idw = ctx.gather_connectivity_into(v, conn, touched);
+    sum_t edw = 0;
+    for (const idx_t p : touched) edw = checked_add(edw, conn[to_size(p)]);
+    return static_cast<real_t>(checked_sub(edw, idw)) /
+           static_cast<real_t>(std::max<wgt_t>(g.weight(v, c), 1));
+  }
+
+  idx_t pick_destination(idx_t v, idx_t q, sum_t idw, real_t peak) const {
+    idx_t best = -1;
+    bool best_fits = false;
+    sum_t best_gain = 0;
+    real_t best_load = 0.0;
+    auto consider = [&](idx_t p) {
+      if (p < 0 || p == q) return;
+      const real_t after = ctx.load_after(v, p);
+      const bool fits = after <= 1.0 + 1e-12;
+      if (!fits && after >= peak - 1e-12) return;
+      const sum_t gain = checked_sub(ctx.conn(p), idw);
+      if (best < 0 || (fits && !best_fits) ||
+          (fits == best_fits &&
+           (gain > best_gain ||
+            (gain == best_gain &&
+             (after < best_load - 1e-12 ||
+              (after <= best_load + 1e-12 && p < best)))))) {
+        best = p;
+        best_fits = fits;
+        best_gain = gain;
+        best_load = after;
+      }
+    };
+    for (const idx_t p : ctx.touched()) consider(p);
+    idx_t lightest = -1;
+    real_t lightest_load = 1e300;
+    for (idx_t p = 0; p < nparts; ++p) {
+      if (p == q) continue;
+      const real_t l = ctx.part_load(p);
+      if (l < lightest_load - 1e-12 ||
+          (l <= lightest_load + 1e-12 && (lightest < 0 || p < lightest))) {
+        lightest_load = l;
+        lightest = p;
+      }
+    }
+    consider(lightest);
+    return best;
+  }
+
+  void greedy_episodes() {
+    const int max_episodes = 16 * g.ncon * std::max<idx_t>(nparts, 2);
+    const sum_t move_cap = checked_mul(
+        static_cast<sum_t>(8), static_cast<sum_t>(std::max<idx_t>(g.nvtxs, 1)));
+    std::vector<sum_t> conn(to_size(nparts), 0);
+    std::vector<idx_t> touched;
+    sum_t total = 0;
+    auto prev = progress();
+    for (int ep = 0; ep < max_episodes; ++ep) {
+      idx_t q;
+      int c;
+      if (!find_peak(q, c) || total >= move_cap) break;
+      IndexedMaxHeap heap;
+      heap.reset(g.nvtxs);
+      std::vector<char> requeued(to_size(g.nvtxs), 0);
+      for (idx_t v = 0; v < g.nvtxs; ++v) {
+        if (where[to_size(v)] != q || g.weight(v, c) <= 0) continue;
+        heap.insert(v, relief_key(v, c, conn, touched));
+      }
+      idx_t ep_moves = 0;
+      while (!heap.empty()) {
+        if (ctx.overload(q, c) <= 1.0 + 1e-12 || !ctx.can_leave(q)) break;
+        const real_t popped_key = heap.top_key();
+        const idx_t v = heap.pop_max();
+        const real_t fresh = relief_key(v, c, conn, touched);
+        if (requeued[to_size(v)] == 0 && fresh < popped_key - 1e-9 &&
+            !heap.empty() && fresh < heap.top_key()) {
+          requeued[to_size(v)] = 1;
+          heap.insert(v, fresh);
+          continue;
+        }
+        const sum_t idw = ctx.gather_connectivity(v);
+        const idx_t dest = pick_destination(v, q, idw, ctx.max_overload());
+        if (dest < 0) continue;
+        ctx.move(v, dest);
+        ++ep_moves;
+      }
+      if (ep_moves == 0) break;
+      total = checked_add(total, ep_moves);
+      ++episodes;
+      const auto cur = progress();
+      if (cur.first >= prev.first - 1e-12 && cur.second >= prev.second) break;
+      prev = cur;
+    }
+    moves = checked_add(moves, total);
+  }
+
+  real_t move_delta(idx_t v, idx_t q, idx_t p) const {
+    real_t d = 0.0;
+    const wgt_t* w = g.weights(v);
+    for (int i = 0; i < g.ncon; ++i) {
+      d += std::max(0.0, ctx.load_with(q, i, checked_narrow<wgt_t>(
+                                                 -static_cast<sum_t>(w[i]))) -
+                             1.0) -
+           std::max(0.0, ctx.overload(q, i) - 1.0) +
+           std::max(0.0, ctx.load_with(p, i, w[i]) - 1.0) -
+           std::max(0.0, ctx.overload(p, i) - 1.0);
+    }
+    return d;
+  }
+
+  sum_t overload_descent() {
+    sum_t m = 0;
+    const sum_t move_cap = checked_mul(
+        static_cast<sum_t>(8), static_cast<sum_t>(std::max<idx_t>(g.nvtxs, 1)));
+    bool changed = true;
+    while (changed && m < move_cap) {
+      changed = false;
+      for (idx_t v = 0; v < g.nvtxs && m < move_cap; ++v) {
+        const idx_t q = where[to_size(v)];
+        bool over = false;
+        for (int i = 0; i < g.ncon; ++i) {
+          if (ctx.overload(q, i) > 1.0 + 1e-12) over = true;
+        }
+        if (!over || !ctx.can_leave(q)) continue;
+        idx_t best = -1;
+        real_t best_d = -1e-9;
+        for (idx_t p = 0; p < nparts; ++p) {
+          if (p == q) continue;
+          const real_t d = move_delta(v, q, p);
+          if (d < best_d - 1e-12) {
+            best_d = d;
+            best = p;
+          }
+        }
+        if (best >= 0) {
+          ctx.move(v, best);
+          m = checked_add(m, 1);
+          changed = true;
+        }
+      }
+    }
+    return m;
+  }
+
+  real_t total_overload() const {
+    real_t t = 0.0;
+    for (idx_t p = 0; p < nparts; ++p) {
+      for (int i = 0; i < g.ncon; ++i) {
+        t += std::max(0.0, ctx.overload(p, i) - 1.0);
+      }
+    }
+    return t;
+  }
+
+  void run() {
+    if (ctx.feasible()) return;
+    const std::vector<idx_t> input = where;
+    const real_t in_overload = ctx.max_overload();
+    const real_t in_sum = total_overload();
+    const sum_t in_cut = edge_cut(g, where);
+    greedy_episodes();
+    for (int round = 0; round < 8 && !ctx.feasible(); ++round) {
+      const sum_t m = overload_descent();
+      moves = checked_add(moves, m);
+      if (m == 0) break;
+    }
+    // Keep the input unless the result is better: feasible first, then a
+    // lower peak, a lower summed overload, a lower cut.
+    const real_t ov = ctx.max_overload();
+    const real_t tsum = total_overload();
+    const bool better =
+        ctx.feasible() ||
+        ov < in_overload - 1e-12 ||
+        (ov <= in_overload + 1e-12 &&
+         (tsum < in_sum - 1e-12 ||
+          (tsum <= in_sum + 1e-12 && edge_cut(g, where) < in_cut)));
+    if (!better) where = input;
+  }
+};
+
+TEST(RebalancePartition, MatchesFullScanReference) {
+  // 112x112 = 12544 vertices: above the swap/kick gate, so with no
+  // V-cycles the library runs exactly the greedy episodes and the descent.
+  const idx_t side = 112;
+  int descents = 0;
+  for (const int m : {1, 3}) {
+    Graph g = grid2d(side, side);
+    apply_type_p_weights(g, m, 32, 2003);
+    for (const idx_t k : {16, 64}) {
+      for (const real_t ub_value : {1.03, 1.05}) {
+        const std::vector<real_t> ub(to_size(m), ub_value);
+        std::vector<idx_t> start(to_size(g.nvtxs));
+        const idx_t block = side / 8;
+        for (idx_t v = 0; v < g.nvtxs; ++v) {
+          start[to_size(v)] = ((v / side) / block * 8 + (v % side) / block) % k;
+        }
+        Rng br(3);
+        kway_balance(g, k, start, ub, br);  // the drift pipeline's first step
+        std::vector<idx_t> expect = start;
+        ReferenceRebalancer ref(g, k, expect, ub, nullptr);
+        ref.run();
+        std::vector<idx_t> got = start;
+        Rng rng(4);
+        RebalanceStats st;
+        rebalance_partition(g, k, got, ub, rng, nullptr, &st, nullptr,
+                            nullptr, nullptr, /*max_vcycles=*/0);
+        EXPECT_EQ(got, expect) << "m=" << m << " k=" << k << " ub=" << ub_value;
+        EXPECT_EQ(st.moves, ref.moves);
+        EXPECT_EQ(st.episodes, ref.episodes);
+        if (st.descent_evals > 0) ++descents;
+      }
+    }
+  }
+  EXPECT_GE(descents, 2);  // the descent actually ran
 }
 
 TEST(FeasibilityAudit, PassesOnHonestDeclarationTripsOnCorruption) {

@@ -2,9 +2,15 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <array>
+#include <numeric>
+
 #include "core/balance2way.hpp"
 #include "gen/mesh_gen.hpp"
 #include "gen/weight_gen.hpp"
+#include "support/bucket_queue.hpp"
+#include "support/check.hpp"
 #include "support/random.hpp"
 
 namespace mcgp {
@@ -204,6 +210,300 @@ TEST(Refine2Way, MultiConstraintSwapEscape) {
   }
   b.init(g, where, t);
   EXPECT_LE(b.potential(), 1.0 + 1e-9) << "swap escape failed";
+}
+
+// ---------------------------------------------------------------------------
+// Reference: the FM refiner as it was before refine_2way kept its state
+// across passes — a fresh pass object (fresh queues, dominant constraints,
+// side weights and round-robin cursor) per pass. Trace/audit/flight hooks
+// are left out; they never change the moves.
+
+class ReferenceFmPass {
+ public:
+  ReferenceFmPass(const Graph& g, std::vector<idx_t>& where,
+                  const BisectionTargets& targets, QueuePolicy policy,
+                  Rng& rng)
+      : g_(g), where_(where), policy_(policy), rng_(rng) {
+    balance_.init(g, where, targets);
+    const auto n = to_size(g.nvtxs);
+    id_.assign(n, 0);
+    ed_.assign(n, 0);
+    moved_.assign(n, 0);
+    dom_.resize(n);
+    for (idx_t v = 0; v < g.nvtxs; ++v) {
+      dom_[to_size(v)] =
+          policy == QueuePolicy::kSingleQueue ? 0 : dominant_constraint(g, v);
+    }
+    nqueues_ = policy == QueuePolicy::kSingleQueue ? 1 : g.ncon;
+    for (int s = 0; s < 2; ++s) {
+      for (int c = 0; c < nqueues_; ++c) {
+        queues_[to_size(s)][to_size(c)].reset(g.nvtxs);
+      }
+    }
+  }
+
+  bool run(sum_t& cut, idx_t move_limit) {
+    seed(cut);
+    const sum_t start_cut = cut;
+    const real_t start_potential = balance_.potential();
+    const bool start_feasible = start_potential <= 1.0 + 1e-12;
+    sum_t best_cut = cut;
+    real_t best_potential = start_potential;
+    bool best_feasible = start_feasible;
+    std::size_t best_prefix = 0;
+    const real_t explore_cap = std::max(start_potential, 1.0) * 1.10;
+
+    idx_t bad_streak = 0;
+    idx_t v;
+    int from;
+    while (bad_streak < move_limit && select(v, from)) {
+      moved_[to_size(v)] = 1;
+      const real_t pot = balance_.potential();
+      const real_t new_pot = balance_.potential_after(v, from);
+      if (!(new_pot <= explore_cap + 1e-12 || new_pot < pot - 1e-12)) {
+        ++bad_streak;
+        continue;
+      }
+      commit(v, from, cut);
+      const bool cur_feasible = new_pot <= 1.0 + 1e-12;
+      const bool better =
+          (cur_feasible && (!best_feasible || cut < best_cut)) ||
+          (!cur_feasible && !best_feasible &&
+           (new_pot < best_potential - 1e-12 ||
+            (new_pot <= best_potential + 1e-12 && cut < best_cut)));
+      if (better) {
+        best_cut = cut;
+        best_potential = new_pot;
+        best_feasible = cur_feasible;
+        best_prefix = log_.size();
+        bad_streak = 0;
+      } else {
+        ++bad_streak;
+      }
+    }
+    while (log_.size() > best_prefix) {
+      const MoveRecord r = log_.back();
+      log_.pop_back();
+      where_[to_size(r.v)] = r.from;
+      balance_.apply_move(r.v, 1 - r.from);
+      cut = checked_sub(cut, r.cut_delta);
+    }
+    const bool improved = (best_feasible && !start_feasible) ||
+                          best_cut < start_cut ||
+                          best_potential < start_potential - 1e-12;
+    return improved && best_prefix > 0;
+  }
+
+ private:
+  struct MoveRecord {
+    idx_t v;
+    int from;
+    sum_t cut_delta;
+  };
+
+  wgt_t gain(idx_t v) const {
+    return checked_narrow<wgt_t>(
+        checked_sub(ed_[to_size(v)], id_[to_size(v)]));
+  }
+
+  BucketQueue& queue_of(idx_t v) {
+    return queues_[to_size(where_[to_size(v)])][to_size(dom_[to_size(v)])];
+  }
+
+  void seed(sum_t& cut) {
+    sum_t cut2 = 0;
+    for (idx_t v = 0; v < g_.nvtxs; ++v) {
+      sum_t idw = 0, edw = 0;
+      for (idx_t e = g_.xadj[to_size(v)]; e < g_.xadj[to_size(v + 1)]; ++e) {
+        if (where_[to_size(g_.adjncy[to_size(e)])] == where_[to_size(v)]) {
+          idw = checked_add(idw, g_.adjwgt[to_size(e)]);
+        } else {
+          edw = checked_add(edw, g_.adjwgt[to_size(e)]);
+        }
+      }
+      id_[to_size(v)] = idw;
+      ed_[to_size(v)] = edw;
+      cut2 = checked_add(cut2, edw);
+    }
+    cut = cut2 / 2;
+    std::vector<idx_t> perm;
+    random_permutation(g_.nvtxs, perm, rng_);
+    for (const idx_t v : perm) {
+      if (ed_[to_size(v)] > 0) queue_of(v).insert(v, gain(v));
+    }
+  }
+
+  bool select(idx_t& v, int& from) {
+    if (nqueues_ == 1) {
+      const int c = balance_.worst_constraint();
+      const int heavy = balance_.nload(0, c) >= balance_.nload(1, c) ? 0 : 1;
+      for (const int s : {heavy, 1 - heavy}) {
+        if (!queues_[to_size(s)][0].empty()) {
+          v = queues_[to_size(s)][0].pop_max();
+          from = s;
+          return true;
+        }
+      }
+      return false;
+    }
+    const int nq = std::clamp(nqueues_, 1, kMaxNcon);
+    std::array<int, kMaxNcon> order{};
+    std::iota(order.begin(), order.begin() + nq, 0);
+    if (policy_ == QueuePolicy::kMostImbalanced) {
+      std::sort(order.begin(), order.begin() + nq, [&](int a, int b) {
+        return balance_.constraint_potential(a) >
+               balance_.constraint_potential(b);
+      });
+    } else {
+      std::rotate(order.begin(), order.begin() + (rr_next_ % nq),
+                  order.begin() + nq);
+      rr_next_ = (rr_next_ + 1) % nq;
+    }
+    for (int oi = 0; oi < nq; ++oi) {
+      const int c = order[to_size(oi)];
+      const int heavy = balance_.heavy_side(c);
+      if (!queues_[to_size(heavy)][to_size(c)].empty()) {
+        v = queues_[to_size(heavy)][to_size(c)].pop_max();
+        from = heavy;
+        return true;
+      }
+    }
+    wgt_t best_gain = 0;
+    int bs = -1, bc = -1;
+    for (int s = 0; s < 2; ++s) {
+      for (int c = 0; c < nqueues_; ++c) {
+        if (queues_[to_size(s)][to_size(c)].empty()) continue;
+        const wgt_t gq = queues_[to_size(s)][to_size(c)].max_key();
+        if (bs < 0 || gq > best_gain) {
+          best_gain = gq;
+          bs = s;
+          bc = c;
+        }
+      }
+    }
+    if (bs < 0) return false;
+    v = queues_[to_size(bs)][to_size(bc)].pop_max();
+    from = bs;
+    return true;
+  }
+
+  void commit(idx_t v, int from, sum_t& cut) {
+    const int to = 1 - from;
+    const sum_t delta = checked_sub(id_[to_size(v)], ed_[to_size(v)]);
+    cut = checked_add(cut, delta);
+    log_.push_back(MoveRecord{v, from, delta});
+    where_[to_size(v)] = to;
+    balance_.apply_move(v, from);
+    std::swap(id_[to_size(v)], ed_[to_size(v)]);
+    for (idx_t e = g_.xadj[to_size(v)]; e < g_.xadj[to_size(v + 1)]; ++e) {
+      const idx_t u = g_.adjncy[to_size(e)];
+      const wgt_t w = g_.adjwgt[to_size(e)];
+      const std::size_t su = to_size(u);
+      if (where_[su] == to) {
+        id_[su] = checked_add(id_[su], w);
+        ed_[su] = checked_sub(ed_[su], w);
+      } else {
+        id_[su] = checked_sub(id_[su], w);
+        ed_[su] = checked_add(ed_[su], w);
+      }
+      if (moved_[su]) continue;
+      BucketQueue& q = queue_of(u);
+      if (ed_[su] > 0) {
+        if (q.contains(u)) {
+          q.update(u, gain(u));
+        } else {
+          q.insert(u, gain(u));
+        }
+      } else if (q.contains(u)) {
+        q.remove(u);
+      }
+    }
+  }
+
+  const Graph& g_;
+  std::vector<idx_t>& where_;
+  QueuePolicy policy_;
+  Rng& rng_;
+  BisectionBalance balance_;
+  std::vector<sum_t> id_, ed_;
+  std::vector<char> moved_;
+  std::vector<int> dom_;
+  std::array<std::array<BucketQueue, kMaxNcon>, 2> queues_;
+  int nqueues_ = 1;
+  int rr_next_ = 0;
+  std::vector<MoveRecord> log_;
+};
+
+/// Returns the number of passes run, counted like Refine2WayStats::passes.
+int reference_refine_2way(const Graph& g, std::vector<idx_t>& where,
+                          const BisectionTargets& targets, QueuePolicy policy,
+                          int max_passes, Rng& rng) {
+  const idx_t move_limit = std::max<idx_t>(64, g.nvtxs / 100);
+  sum_t cut = compute_cut_2way(g, where);
+  int passes = 0;
+  for (int pass = 0; pass < max_passes; ++pass) {
+    ReferenceFmPass fm(g, where, targets, policy, rng);
+    const bool improved = fm.run(cut, move_limit);
+    ++passes;
+    if (!improved) break;
+  }
+  return passes;
+}
+
+TEST(Refine2Way, MatchesPerPassReference) {
+  // Multi-pass calls under every queue policy, m 1/3/5, random and
+  // striped starts, tight and loose tolerances, even and uneven targets:
+  // keeping the FM state across passes must not change a single move.
+  int multipass_round_robin = 0;
+  for (const QueuePolicy policy :
+       {QueuePolicy::kMostImbalanced, QueuePolicy::kRoundRobin,
+        QueuePolicy::kSingleQueue}) {
+    for (const int m : {1, 3, 5}) {
+      for (const bool geometric : {false, true}) {
+        Graph g = geometric ? random_geometric(900, 0, 41, m)
+                            : grid2d(30, 30, m);
+        apply_type_s_weights(g, m, 12, 0, 19, 43);
+        for (const real_t ub : {1.02, 1.10}) {
+          for (const real_t f0 : {0.5, 0.35}) {
+            BisectionTargets t = even_targets(m, ub);
+            t.f0 = f0;
+            for (const std::uint64_t seed : {1ULL, 2ULL}) {
+              std::vector<idx_t> where(to_size(g.nvtxs));
+              if (geometric) {
+                Rng start(seed);
+                for (auto& s : where) {
+                  s = static_cast<idx_t>(start.next_below(2));
+                }
+              } else {
+                where = jagged_bisection(30, 30);
+              }
+              std::vector<idx_t> ref = where;
+              Rng r1(seed + 100), r2(seed + 100);
+              Refine2WayStats stats;
+              const sum_t cut =
+                  refine_2way(g, where, t, policy, 10, 0, r1, &stats);
+              const int ref_passes =
+                  reference_refine_2way(g, ref, t, policy, 10, r2);
+              SCOPED_TRACE(testing::Message()
+                           << "policy " << static_cast<int>(policy) << " m "
+                           << m << " geometric " << geometric << " ub " << ub
+                           << " f0 " << f0 << " seed " << seed);
+              ASSERT_EQ(where, ref);
+              EXPECT_EQ(cut, compute_cut_2way(g, ref));
+              EXPECT_EQ(stats.passes, ref_passes);
+              EXPECT_EQ(r1.next_u64(), r2.next_u64());  // same draws made
+              if (policy == QueuePolicy::kRoundRobin && m > 1 &&
+                  stats.passes > 2) {
+                ++multipass_round_robin;
+              }
+            }
+          }
+        }
+      }
+    }
+  }
+  // The cursor reset only matters from a call's second pass on.
+  EXPECT_GT(multipass_round_robin, 4);
 }
 
 }  // namespace
