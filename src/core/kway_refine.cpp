@@ -21,12 +21,6 @@
 
 namespace mcgp {
 
-std::vector<sum_t> compute_part_weights(const Graph& g,
-                                        const std::vector<idx_t>& where,
-                                        idx_t nparts) {
-  return part_weights(g, where, nparts);
-}
-
 bool kway_feasible(const Graph& g, const std::vector<sum_t>& pwgts,
                    idx_t nparts, const std::vector<real_t>& ub,
                    const std::vector<real_t>* tpwgts) {

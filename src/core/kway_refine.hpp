@@ -39,11 +39,6 @@ struct KWayRefineStats {
   bool feasible = false;
 };
 
-/// Per-part / per-constraint weight table, pwgts[p*ncon + i].
-std::vector<sum_t> compute_part_weights(const Graph& g,
-                                        const std::vector<idx_t>& where,
-                                        idx_t nparts);
-
 /// True iff every part is within tolerance on every constraint:
 /// pwgts[p][i] <= ub[i] * tpwgts[p] * tvwgt[i], where tpwgts defaults to
 /// the uniform 1/nparts when null.

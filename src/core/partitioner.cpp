@@ -326,10 +326,24 @@ const char* metrics_alg_name(Algorithm a) {
   return a == Algorithm::kKWay ? "kway" : "rb";
 }
 
-}  // namespace
-
-PartitionResult partition(const Graph& g, const Options& run_opts) {
+/// The setup and teardown partition() and refine_partition() share around
+/// their algorithm body: validation (of `start` too, when given), the
+/// auditor, the effective tolerances, the timer, RNG, metrics scope,
+/// profiler "run" scope, trace span `name` and pool; then the final
+/// quality, the `<name>.final` audits (an AuditFailure dumps the flight
+/// window), the final sample, counters and seconds. `body(opts, rng, pool,
+/// result)` fills result.part from the prepared options.
+template <class Body>
+PartitionResult run_entry(const Graph& g, const Options& run_opts,
+                          const char* name, const char* metrics_alg,
+                          const std::vector<idx_t>* start, Body&& body) {
   validate_options(g, run_opts);
+  if (start != nullptr) {
+    const std::string problem = validate_partition(g, *start, run_opts.nparts);
+    if (!problem.empty()) {
+      throw std::invalid_argument(std::string(name) + ": " + problem);
+    }
+  }
 
   // An externally supplied auditor is used as-is (its own level governs);
   // otherwise one is created here when the effective level asks for audits.
@@ -343,8 +357,8 @@ PartitionResult partition(const Graph& g, const Options& run_opts) {
     }
   }
 
-  // From here the whole pipeline refines toward the effective tolerances:
-  // the request clamped up to the instance's provable lower bound, so a
+  // From here the whole run refines toward the effective tolerances: the
+  // request clamped up to the instance's provable lower bound, so a
   // coarse-granularity graph pursues the best achievable balance instead
   // of an impossible one. validate_options already rejected explicit
   // requests below the bound; this clamp only adjusts the empty default.
@@ -356,7 +370,7 @@ PartitionResult partition(const Graph& g, const Options& run_opts) {
 
   // Cross-run aggregation: the scope baselines shared observers, bridges
   // the heartbeat, and folds this run's telemetry in at complete().
-  MetricsRunScope metrics_scope(opts, metrics_alg_name(opts.algorithm));
+  MetricsRunScope metrics_scope(opts, metrics_alg);
 
   // Whole-run measurement interval: every nested scope is inside it, so
   // the "run" bucket counts each cycle exactly once — the denominator for
@@ -365,51 +379,34 @@ PartitionResult partition(const Graph& g, const Options& run_opts) {
   ProfScope run_prof(opts.profile, "run");
   run_prof.work(g.nedges(), g.nvtxs);
 
-  TraceSpan run_span(opts.trace, "partition");
+  TraceSpan run_span(opts.trace, name);
   if (run_span.enabled()) {
     run_span.arg({"nvtxs", g.nvtxs});
     run_span.arg({"nedges", g.nedges()});
     run_span.arg({"ncon", g.ncon});
     run_span.arg({"nparts", opts.nparts});
     run_span.arg({"seed", static_cast<std::int64_t>(opts.seed)});
-    run_span.arg({"algorithm",
-                  static_cast<std::int64_t>(
-                      opts.algorithm == Algorithm::kKWay ? 1 : 0)});
+    if (start == nullptr) {  // refinement has no algorithm choice
+      run_span.arg({"algorithm",
+                    static_cast<std::int64_t>(
+                        opts.algorithm == Algorithm::kKWay ? 1 : 0)});
+    }
   }
 
   std::optional<ThreadPool> pool;
   if (opts.num_threads > 1) pool.emplace(opts.num_threads);
-  ThreadPool* pool_ptr = pool.has_value() ? &*pool : nullptr;
 
+  const std::string final_label = std::string(name) + ".final";
   try {
-    switch (opts.algorithm) {
-      case Algorithm::kRecursiveBisection: {
-        MlBisectStats stats;
-        result.part = partition_recursive_bisection(
-            g, opts, rng, &result.phases, &stats, pool_ptr);
-        result.coarsen_levels = stats.levels;
-        result.coarsest_nvtxs = stats.coarsest_nvtxs;
-        break;
-      }
-      case Algorithm::kKWay: {
-        KWayDriverStats stats;
-        result.part =
-            partition_kway(g, opts, rng, &result.phases, &stats, pool_ptr);
-        result.coarsen_levels = stats.levels;
-        result.coarsest_nvtxs = stats.coarsest_nvtxs;
-        break;
-      }
-    }
-
-    ensure_nonempty_parts(g, opts.nparts, result.part);
+    body(opts, rng, pool.has_value() ? &*pool : nullptr, result);
     fill_quality(g, opts, result);
     if (opts.audit != nullptr && opts.audit->boundaries()) {
       opts.audit->check_final_partition(g, result.part, opts.nparts,
-                                        result.cut, "partition.final");
+                                        result.cut, final_label.c_str());
       opts.audit->check_feasibility(
           g, result.part, opts.nparts, result.ubvec_used,
           opts.tpwgts.empty() ? nullptr : &opts.tpwgts, result.feasible,
-          "partition.final");
+          final_label.c_str());
     }
   } catch (const AuditFailure& e) {
     // The run is aborting; persist the retained sample window so the
@@ -435,97 +432,79 @@ PartitionResult partition(const Graph& g, const Options& run_opts) {
   return result;
 }
 
+}  // namespace
+
+PartitionResult partition(const Graph& g, const Options& run_opts) {
+  return run_entry(
+      g, run_opts, "partition", metrics_alg_name(run_opts.algorithm),
+      nullptr,
+      [&](const Options& opts, Rng& rng, ThreadPool* pool,
+          PartitionResult& result) {
+        switch (opts.algorithm) {
+          case Algorithm::kRecursiveBisection: {
+            MlBisectStats stats;
+            result.part = partition_recursive_bisection(
+                g, opts, rng, &result.phases, &stats, pool);
+            result.coarsen_levels = stats.levels;
+            result.coarsest_nvtxs = stats.coarsest_nvtxs;
+            break;
+          }
+          case Algorithm::kKWay: {
+            KWayDriverStats stats;
+            result.part =
+                partition_kway(g, opts, rng, &result.phases, &stats, pool);
+            result.coarsen_levels = stats.levels;
+            result.coarsest_nvtxs = stats.coarsest_nvtxs;
+            break;
+          }
+        }
+        ensure_nonempty_parts(g, opts.nparts, result.part);
+      });
+}
+
 PartitionResult refine_partition(const Graph& g, std::vector<idx_t> part,
                                  const Options& run_opts) {
-  validate_options(g, run_opts);
-  const std::string problem = validate_partition(g, part, run_opts.nparts);
-  if (!problem.empty()) {
-    throw std::invalid_argument("refine_partition: " + problem);
-  }
-
-  Options opts = run_opts;
-  std::optional<InvariantAuditor> local_audit;
-  if (opts.audit == nullptr) {
-    const AuditLevel lvl = effective_audit_level(opts.audit_level);
-    if (lvl != AuditLevel::kOff) {
-      local_audit.emplace(lvl);
-      opts.audit = &*local_audit;
-    }
-  }
-
-  // Same effective-tolerance contract as partition(): refine toward the
-  // request clamped up to the instance's provable lower bound.
-  opts.ubvec = effective_ubvec(g, opts);
-
-  WallTimer timer;
-  PartitionResult result;
-  Rng rng(opts.seed);
-
-  MetricsRunScope metrics_scope(opts, "refine");
-
-  if (opts.profile != nullptr) opts.profile->set_threads(opts.num_threads);
-  ProfScope run_prof(opts.profile, "run");
-  run_prof.work(g.nedges(), g.nvtxs);
-
-  // Standalone refinement drives the same parallel colored sweep as the
-  // full pipeline: its own pool + workspace pool, sized by num_threads.
-  std::optional<ThreadPool> pool;
-  if (opts.num_threads > 1) pool.emplace(opts.num_threads);
-  WorkspacePool wspool;
-
-  std::vector<real_t> ub(to_size(g.ncon));
-  for (int i = 0; i < g.ncon; ++i) {
-    ub[to_size(i)] = opts.ub_for(i);
-  }
-  const std::vector<real_t>* tp =
-      opts.tpwgts.empty() ? nullptr : &opts.tpwgts;
-
-  {
-    ScopedPhase sp(result.phases, "refine");
-    TraceSpan tsp(opts.trace, "refine_partition");
-    ProfScope ps(opts.profile,
-                 opts.kway_scheme == KWayRefineScheme::kPriorityQueue
-                     ? "kway_refine_pq"
-                     : "kway_refine",
-                 0);
-    ps.work(g.nedges(), g.nvtxs);
-    if (opts.kway_scheme == KWayRefineScheme::kPriorityQueue) {
-      kway_refine_pq(g, opts.nparts, part, ub, opts.kway_passes, rng, nullptr,
-                     tp, opts.trace, opts.audit, opts.flight);
-    } else {
-      KWayExec kexec;
-      kexec.pool = pool.has_value() ? &*pool : nullptr;
-      kexec.wspool = &wspool;
-      kexec.profile = opts.profile;
-      kexec.level = 0;
-      kway_refine(g, opts.nparts, part, ub, opts.kway_passes, rng, nullptr,
-                  tp, opts.trace, opts.audit, opts.flight, &kexec);
-    }
-    // The refiner's own balancer can exit with residual overload on tight
-    // instances; escalate to the dedicated rebalancer (greedy relief
-    // moves, swaps, bounded V-cycles) before declaring the result.
-    if (!kway_feasible(g, part_weights(g, part, opts.nparts), opts.nparts,
-                       ub, tp)) {
-      rebalance_partition(g, opts.nparts, part, ub, rng, tp, nullptr,
-                          opts.trace, opts.audit, opts.flight);
-    }
-  }
-
-  result.part = std::move(part);
-  fill_quality(g, opts, result);
-  if (opts.audit != nullptr && opts.audit->boundaries()) {
-    opts.audit->check_final_partition(g, result.part, opts.nparts, result.cut,
-                                      "refine_partition.final");
-    opts.audit->check_feasibility(g, result.part, opts.nparts,
-                                  result.ubvec_used, tp, result.feasible,
-                                  "refine_partition.final");
-  }
-  record_final_sample(g, opts, result);
-  if (opts.trace != nullptr) result.counters = opts.trace->merged_counters();
-  result.seconds = timer.seconds();
-  run_prof.finish();
-  metrics_scope.complete(result, timer.elapsed_ns());
-  return result;
+  return run_entry(
+      g, run_opts, "refine_partition", "refine", &part,
+      [&](const Options& opts, Rng& rng, ThreadPool* pool,
+          PartitionResult& result) {
+        std::vector<real_t> ub(to_size(g.ncon));
+        for (int i = 0; i < g.ncon; ++i) ub[to_size(i)] = opts.ub_for(i);
+        const std::vector<real_t>* tp =
+            opts.tpwgts.empty() ? nullptr : &opts.tpwgts;
+        ScopedPhase sp(result.phases, "refine");
+        ProfScope ps(opts.profile,
+                     opts.kway_scheme == KWayRefineScheme::kPriorityQueue
+                         ? "kway_refine_pq"
+                         : "kway_refine",
+                     0);
+        ps.work(g.nedges(), g.nvtxs);
+        if (opts.kway_scheme == KWayRefineScheme::kPriorityQueue) {
+          kway_refine_pq(g, opts.nparts, part, ub, opts.kway_passes, rng,
+                         nullptr, tp, opts.trace, opts.audit, opts.flight);
+        } else {
+          // Standalone refinement drives the same parallel colored sweep
+          // as the full pipeline, with its own workspace pool.
+          WorkspacePool wspool;
+          KWayExec kexec;
+          kexec.pool = pool;
+          kexec.wspool = &wspool;
+          kexec.profile = opts.profile;
+          kexec.level = 0;
+          kway_refine(g, opts.nparts, part, ub, opts.kway_passes, rng,
+                      nullptr, tp, opts.trace, opts.audit, opts.flight,
+                      &kexec);
+        }
+        // The refiner's own balancer can exit with residual overload on
+        // tight instances; escalate to the dedicated rebalancer before
+        // declaring the result.
+        if (!kway_feasible(g, part_weights(g, part, opts.nparts),
+                           opts.nparts, ub, tp)) {
+          rebalance_partition(g, opts.nparts, part, ub, rng, tp, nullptr,
+                              opts.trace, opts.audit, opts.flight);
+        }
+        result.part = std::move(part);
+      });
 }
 
 }  // namespace mcgp

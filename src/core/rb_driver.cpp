@@ -308,7 +308,7 @@ std::vector<idx_t> partition_recursive_bisection(const Graph& g,
   // a no-op whenever RB already met the tolerance).
   const std::vector<real_t>* tp =
       opts.tpwgts.empty() ? nullptr : &opts.tpwgts;
-  if (!kway_feasible(g, compute_part_weights(g, part, k), k, ub, tp)) {
+  if (!kway_feasible(g, part_weights(g, part, k), k, ub, tp)) {
     trace_count(opts.trace, "rb.fixup");
     ProfScope ps(opts.profile, "rb.fixup");
     ps.work(g.nedges(), g.nvtxs);
@@ -323,7 +323,7 @@ std::vector<idx_t> partition_recursive_bisection(const Graph& g,
     // Still overloaded: escalate to the dedicated rebalancer (greedy
     // relief moves, swaps on small graphs, bounded V-cycles). Serial, and
     // `part` is already thread-invariant here, so determinism holds.
-    if (!kway_feasible(g, compute_part_weights(g, part, k), k, ub, tp)) {
+    if (!kway_feasible(g, part_weights(g, part, k), k, ub, tp)) {
       rebalance_partition(g, k, part, ub, rng, tp, nullptr, opts.trace,
                           opts.audit, opts.flight);
     }

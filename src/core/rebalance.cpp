@@ -274,10 +274,6 @@ sum_t swap_escape(const Graph& g, KWayContext& ctx, idx_t nparts,
           best_v = v;
           best_u = u;
           best_after = after;
-        } else if (best_v < 0 && after < peak - kEps) {
-          best_v = v;
-          best_u = u;
-          best_after = after;
         }
       }
     }
@@ -432,86 +428,6 @@ sum_t swap_descent(const Graph& g, KWayContext& ctx,
   return swaps;
 }
 
-/// Two-move relay descent: v leaves an overloaded part q for p, while u
-/// leaves p for a third part r. A relay relieves q through a part that
-/// has no joint room of its own — the move it enables (u out of p) is
-/// exactly what single moves and pairwise swaps cannot see. Quadratic
-/// with a k factor, so gated to very small graphs; every committed relay
-/// strictly decreases the potential.
-constexpr idx_t kRelayMaxVtxs = 2048;
-
-sum_t relay_descent(const Graph& g, KWayContext& ctx, idx_t nparts,
-                    const std::vector<idx_t>& where) {
-  if (g.nvtxs > kRelayMaxVtxs) return 0;
-  sum_t relays = 0;
-  const sum_t relay_cap =
-      checked_mul(static_cast<sum_t>(2),
-                  static_cast<sum_t>(std::max<idx_t>(g.nvtxs, 1)));
-  const std::int64_t eval_budget = 1 << 24;
-  std::int64_t evals = 0;
-  bool changed = true;
-  while (changed && relays < relay_cap && evals < eval_budget) {
-    changed = false;
-    for (idx_t v = 0; v < g.nvtxs && relays < relay_cap; ++v) {
-      if (evals >= eval_budget) break;
-      const idx_t q = where[to_size(v)];
-      bool over = false;
-      for (int i = 0; i < g.ncon; ++i) {
-        if (ctx.overload(q, i) > 1.0 + kEps) over = true;
-      }
-      if (!over || !ctx.can_leave(q)) continue;
-      const wgt_t* wv = g.weights(v);
-      real_t q_relief = 0.0;  // shared by every (u, r) for this v
-      for (int i = 0; i < g.ncon; ++i) {
-        q_relief +=
-            std::max(0.0, ctx.load_with(q, i, static_cast<wgt_t>(-wv[i])) -
-                              1.0) -
-            std::max(0.0, ctx.overload(q, i) - 1.0);
-      }
-      idx_t best_u = -1;
-      idx_t best_r = -1;
-      real_t best_d = -kDescentMin;
-      for (idx_t u = 0; u < g.nvtxs; ++u) {
-        const idx_t p = where[to_size(u)];
-        if (p == q || u == v) continue;
-        const wgt_t* wu = g.weights(u);
-        real_t p_delta = 0.0;  // p nets +wv -wu
-        for (int i = 0; i < g.ncon; ++i) {
-          p_delta +=
-              std::max(0.0, ctx.load_with(
-                                p, i, static_cast<wgt_t>(wv[i] - wu[i])) -
-                                1.0) -
-              std::max(0.0, ctx.overload(p, i) - 1.0);
-        }
-        for (idx_t r = 0; r < nparts; ++r) {
-          // r == q is a plain swap (swap_descent's job); skipping it also
-          // keeps the three per-part deltas independent.
-          if (r == p || r == q) continue;
-          evals = checked_add(evals, 1);
-          real_t d = q_relief + p_delta;
-          for (int i = 0; i < g.ncon; ++i) {
-            d += std::max(0.0, ctx.load_with(r, i, wu[i]) - 1.0) -
-                 std::max(0.0, ctx.overload(r, i) - 1.0);
-          }
-          if (d < best_d - kEps) {
-            best_d = d;
-            best_u = u;
-            best_r = r;
-          }
-        }
-        if (evals >= eval_budget) break;
-      }
-      if (best_u >= 0) {
-        ctx.move(v, where[to_size(best_u)]);
-        ctx.move(best_u, best_r);
-        relays = checked_add(relays, 1);
-        changed = true;
-      }
-    }
-  }
-  return relays;
-}
-
 /// Summed relative overload over all (part, constraint) pairs — the
 /// potential both descent stages minimize. Zero iff feasible.
 real_t total_overload(const Graph& g, const KWayContext& ctx, idx_t nparts) {
@@ -537,13 +453,23 @@ void overload_sum_escape(const Graph& g, KWayContext& ctx, idx_t nparts,
     if (ctx.feasible()) break;
     const sum_t s = swap_descent(g, ctx, where);
     *swaps = checked_add(*swaps, s);
-    if (ctx.feasible()) break;
-    sum_t relays = 0;
-    if (m == 0 && s == 0) {
-      relays = relay_descent(g, ctx, nparts, where);
-      *moves = checked_add(*moves, checked_mul(2, relays));
-    }
-    if (ctx.feasible() || (m == 0 && s == 0 && relays == 0)) break;
+    if (ctx.feasible() || (m == 0 && s == 0)) break;
+  }
+}
+
+/// The descent chain run on every graph the pass balances: greedy
+/// episodes, then, while still infeasible, the pairwise-swap escape and
+/// the summed-overload descent. Counts into `st`.
+void descend(const Graph& g, KWayContext& ctx, idx_t nparts,
+             const std::vector<idx_t>& where, RebalanceStats& st) {
+  st.moves = checked_add(st.moves,
+                         greedy_episodes(g, ctx, nparts, &st.episodes));
+  if (!ctx.feasible()) {
+    st.swaps = checked_add(st.swaps, swap_escape(g, ctx, nparts, where));
+  }
+  if (!ctx.feasible()) {
+    overload_sum_escape(g, ctx, nparts, where, &st.moves, &st.swaps,
+                        &st.descent_evals);
   }
 }
 
@@ -632,13 +558,10 @@ bool run_vcycle(const Graph& g, idx_t nparts, std::vector<idx_t>& where,
     std::vector<idx_t>& cw = parts.back();
     kway_balance(cg, nparts, cw, ub, rng, tpwgts, trace, audit);
     KWayContext cctx(cg, nparts, cw, ub, tpwgts);
-    greedy_episodes(cg, cctx, nparts, nullptr);
-    if (!cctx.feasible()) swap_escape(cg, cctx, nparts, cw);
-    if (!cctx.feasible()) {
-      sum_t cm = 0;
-      sum_t cs = 0;
-      overload_sum_escape(cg, cctx, nparts, cw, &cm, &cs, descent_evals);
-    }
+    // Coarse moves are not the caller's moves: only the work count is kept.
+    RebalanceStats coarse;
+    descend(cg, cctx, nparts, cw, coarse);
+    *descent_evals = checked_add(*descent_evals, coarse.descent_evals);
     kway_refine(cg, nparts, cw, ub, /*max_passes=*/4, rng, nullptr, tpwgts,
                 trace, audit, nullptr, nullptr);
   }
@@ -779,15 +702,7 @@ bool rebalance_partition(const Graph& g, idx_t nparts,
     }
   };
 
-  st.moves = checked_add(st.moves,
-                         greedy_episodes(g, ctx, nparts, &st.episodes));
-  if (!ctx.feasible()) {
-    st.swaps = checked_add(st.swaps, swap_escape(g, ctx, nparts, where));
-  }
-  if (!ctx.feasible()) {
-    overload_sum_escape(g, ctx, nparts, where, &st.moves, &st.swaps,
-                          &st.descent_evals);
-  }
+  descend(g, ctx, nparts, where, st);
   note_state();
 
   for (int cycle = 0; cycle < max_vcycles && !ctx.feasible(); ++cycle) {
@@ -800,15 +715,7 @@ bool rebalance_partition(const Graph& g, idx_t nparts,
                     &st.descent_evals)) break;
     ctx.reload();
     ++st.vcycles;
-    st.moves = checked_add(
-        st.moves, greedy_episodes(g, ctx, nparts, &st.episodes));
-    if (!ctx.feasible()) {
-      st.swaps = checked_add(st.swaps, swap_escape(g, ctx, nparts, where));
-    }
-    if (!ctx.feasible()) {
-      overload_sum_escape(g, ctx, nparts, where, &st.moves, &st.swaps,
-                          &st.descent_evals);
-    }
+    descend(g, ctx, nparts, where, st);
     note_state();
     // A full cycle that moved neither the peak nor the summed overload
     // will not move them next time either (same deterministic pipeline,

@@ -2,10 +2,18 @@
 // plus a bounded restricted V-cycle (Sanders/Schulz iterated multilevel),
 // invoked whenever kway_balance exits with residual overload. This is the
 // feasibility backstop of the pipeline: kway_balance is a fast drain of the
-// current peak, while rebalance_partition keeps working the instance —
-// relief-ordered heap moves, pairwise swaps on small graphs, and
-// partition-restricted re-coarsening — until every constraint of every
-// part is within ubvec or the bounded effort is exhausted.
+// current peak, while rebalance_partition keeps working the instance until
+// every constraint of every part is within ubvec or the bounded effort is
+// exhausted. Its stages, each of which decides verdicts on some instance:
+//  - greedy episodes: relief-ordered heap moves out of the argmax
+//    overloaded (part, constraint);
+//  - swap escape (small graphs): pairwise swaps that lower the peak when
+//    no single move can;
+//  - summed-overload descent: single moves alternating with pairwise swaps
+//    (small graphs), each strictly lowering the summed relative overload;
+//  - partition-restricted V-cycles: re-coarsen merging only same-part
+//    vertices and run the same chain where whole clusters move;
+//  - random kicks with re-descent (small graphs) out of joint local minima.
 //
 // Determinism contract (PR 7): everything here is serial and derives every
 // ordering decision from vertex ids, edge weights, and the caller's Rng
@@ -66,10 +74,11 @@ std::vector<real_t> effective_ubvec(const Graph& g, const Options& opts);
 
 /// Drive `where` to feasibility under `ub`: greedy gain-to-relief episodes
 /// first (heap-ordered moves out of the argmax-overloaded part), pairwise
-/// swaps when single moves deadlock on small graphs, then up to
-/// `max_vcycles` partition-restricted V-cycles (re-coarsen merging only
+/// swaps and summed-overload descent when single moves deadlock, then up
+/// to `max_vcycles` partition-restricted V-cycles (re-coarsen merging only
 /// same-part vertices, rebalance the coarse problem where whole clusters
-/// move at once, project back with per-level refinement). Returns the final
+/// move at once, project back with per-level refinement), then random
+/// kicks on small graphs. Returns the final
 /// feasibility; `where` is left with the best (lowest max-overload) state
 /// reached, never a worse one than the input. Serial and deterministic for
 /// a fixed Rng stream.

@@ -166,9 +166,21 @@ bool FmRefiner::select(idx_t& v, int& from) {
   std::array<int, kMaxNcon> order{};
   std::iota(order.begin(), order.begin() + nq, 0);
   if (policy_ == QueuePolicy::kMostImbalanced) {
-    std::sort(order.begin(), order.begin() + nq, [&](int a, int b) {
-      return balance_.constraint_potential(a) > balance_.constraint_potential(b);
-    });
+    // Stable insertion sort by descending potential, ties in constraint
+    // order: the order std::sort yields at this size (it insertion-sorts
+    // up to 16 elements), without its GCC 12 -Warray-bounds false positive
+    // under the sanitizers.
+    for (int j = 1; j < nq; ++j) {
+      const int c = order[to_size(j)];
+      const real_t pc = balance_.constraint_potential(c);
+      int at = j;
+      for (; at > 0 &&
+             pc > balance_.constraint_potential(order[to_size(at - 1)]);
+           --at) {
+        order[to_size(at)] = order[to_size(at - 1)];
+      }
+      order[to_size(at)] = c;
+    }
   } else {
     std::rotate(order.begin(), order.begin() + (rr_next_ % nq),
                 order.begin() + nq);

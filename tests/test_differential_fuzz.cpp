@@ -11,23 +11,33 @@
 //    feasible bisections), which bounds what the multilevel 2-way
 //    pipeline may report.
 //
+//  * An exhaustive k-way oracle on tiny vector-weighted graphs: every
+//    assignment of n <= 10 vertices to k <= 4 parts is enumerated, which
+//    checks that the provable tolerance floors (min_feasible_ubvec) are
+//    sound and that a `feasible` verdict is never claimed where no
+//    feasible partition exists. How often the pipeline misses a feasible
+//    partition that does exist is printed, not gated.
+//
 // The case budget of the pipeline sweep is tunable via MCGP_FUZZ_CASES
 // (default 200) so CI can pin an exact budget.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cmath>
+#include <cstdio>
 #include <cstdlib>
 #include <optional>
 #include <vector>
 
 #include "core/audit.hpp"
 #include "core/bisection.hpp"
+#include "core/kway_refine.hpp"
 #include "core/partitioner.hpp"
 #include "core/rebalance.hpp"
 #include "gen/mesh_gen.hpp"
 #include "gen/weight_gen.hpp"
 #include "graph/metrics.hpp"
+#include "support/check.hpp"
 #include "support/random.hpp"
 
 namespace mcgp {
@@ -67,11 +77,13 @@ ExactBisection exact_best_bisection(const Graph& g,
   return out;
 }
 
-Graph random_tiny_graph(Rng& rng) {
-  const idx_t n = 4 + static_cast<idx_t>(rng.next_below(8));  // 4..11
+/// A connected tiny graph with n vertices and m weights per vertex, 1..5;
+/// with `zero_weights`, constraints beyond the first weigh 0..6 instead,
+/// so weights can be anti-correlated across constraints.
+Graph random_tiny_graph(Rng& rng, idx_t n, int m, bool zero_weights) {
   // Random spanning-tree backbone keeps the graph connected; extra random
   // edges with random weights make the cut structure non-trivial.
-  GraphBuilder b(n, 1 + static_cast<int>(rng.next_below(3)));
+  GraphBuilder b(n, m);
   for (idx_t v = 1; v < n; ++v) {
     const idx_t u = static_cast<idx_t>(rng.next_below(static_cast<std::uint64_t>(v)));
     b.add_edge(v, u, 1 + static_cast<wgt_t>(rng.next_below(9)));
@@ -83,11 +95,73 @@ Graph random_tiny_graph(Rng& rng) {
     if (v != u) b.add_edge(v, u, 1 + static_cast<wgt_t>(rng.next_below(9)));
   }
   for (idx_t v = 0; v < n; ++v) {
-    for (int i = 0; i < b.ncon(); ++i) {
-      b.set_weight(v, i, 1 + static_cast<wgt_t>(rng.next_below(5)));
+    for (int i = 0; i < m; ++i) {
+      b.set_weight(v, i,
+                   zero_weights && i > 0
+                       ? static_cast<wgt_t>(rng.next_below(7))
+                       : 1 + static_cast<wgt_t>(rng.next_below(5)));
     }
   }
   return b.build();
+}
+
+/// What exhaustive search over all k^n assignments of a tiny graph says:
+/// per constraint, the smallest tolerance any assignment needs (empty parts
+/// allowed — the floors must hold for those too), and whether some
+/// assignment with no empty part meets `ub`.
+struct ExactKWay {
+  std::vector<real_t> min_needed;
+  bool feasible_exists = false;
+};
+
+ExactKWay exact_kway(const Graph& g, idx_t k, const std::vector<real_t>& ub,
+                     const std::vector<real_t>* tpwgts) {
+  const auto ncon = to_size(g.ncon);
+  ExactKWay out;
+  out.min_needed.assign(ncon, 1e300);
+  std::vector<idx_t> where(to_size(g.nvtxs), 0);
+  std::vector<idx_t> count(to_size(k), 0);
+  count[0] = g.nvtxs;
+  std::vector<sum_t> pwgts = part_weights(g, where, k);
+  auto move = [&](idx_t v, idx_t to) {
+    const idx_t from = where[to_size(v)];
+    for (std::size_t i = 0; i < ncon; ++i) {
+      const wgt_t w = g.weight(v, static_cast<int>(i));
+      sum_t& out_w = pwgts[to_size(from) * ncon + i];
+      sum_t& in_w = pwgts[to_size(to) * ncon + i];
+      out_w = checked_sub(out_w, w);
+      in_w = checked_add(in_w, w);
+    }
+    --count[to_size(from)];
+    ++count[to_size(to)];
+    where[to_size(v)] = to;
+  };
+  while (true) {
+    for (std::size_t i = 0; i < ncon; ++i) {
+      const sum_t tv = g.tvwgt[i];
+      if (tv <= 0) continue;
+      real_t needed = 0.0;
+      for (idx_t p = 0; p < k; ++p) {
+        const real_t frac = tpwgts != nullptr ? (*tpwgts)[to_size(p)]
+                                              : 1.0 / static_cast<real_t>(k);
+        needed = std::max(
+            needed, static_cast<real_t>(pwgts[to_size(p) * ncon + i]) /
+                        (frac * static_cast<real_t>(tv)));
+      }
+      out.min_needed[i] = std::min(out.min_needed[i], needed);
+    }
+    if (!out.feasible_exists &&
+        std::find(count.begin(), count.end(), 0) == count.end() &&
+        kway_feasible(g, pwgts, k, ub, tpwgts)) {
+      out.feasible_exists = true;
+    }
+    // Odometer step over the assignment digits.
+    idx_t v = 0;
+    while (v < g.nvtxs && where[to_size(v)] == k - 1) move(v++, 0);
+    if (v == g.nvtxs) break;
+    move(v, where[to_size(v)] + 1);
+  }
+  return out;
 }
 
 Graph random_pipeline_graph(Rng& rng) {
@@ -161,7 +235,9 @@ TEST(DifferentialFuzz, TinyGraphsAgainstExactBisector) {
   for (int c = 0; c < cases; ++c) {
     const std::uint64_t replay_seed = rng.next_u64();
     Rng gen(replay_seed);
-    const Graph g = random_tiny_graph(gen);
+    const idx_t n = 4 + static_cast<idx_t>(gen.next_below(8));  // 4..11
+    const int m = 1 + static_cast<int>(gen.next_below(3));
+    const Graph g = random_tiny_graph(gen, n, m, false);
     ASSERT_TRUE(g.validate().empty()) << "seed " << replay_seed;
 
     // Clamped per constraint to the instance's provable floor (skewed
@@ -194,6 +270,75 @@ TEST(DifferentialFuzz, TinyGraphsAgainstExactBisector) {
       }
     }
   }
+}
+
+TEST(DifferentialFuzz, TinyKWayAgainstExhaustiveSearch) {
+  Rng rng(20261017);
+  const int cases = 300;
+  int runs = 0;
+  int feasible_exists = 0;
+  int missed = 0;  // infeasible verdicts where a feasible partition exists
+  for (int c = 0; c < cases; ++c) {
+    const std::uint64_t replay_seed = rng.next_u64();
+    Rng gen(replay_seed);
+    const idx_t k = 2 + c % 3;
+    const int m = 1 + (c / 3) % 3;
+    // k^n stays <= 4^9 = 262144 assignments per instance.
+    const idx_t n_max = k == 4 ? 9 : 10;
+    const idx_t n = k + 1 +
+                    static_cast<idx_t>(gen.next_below(
+                        static_cast<std::uint64_t>(n_max - k)));
+    const Graph g = random_tiny_graph(gen, n, m, true);
+    ASSERT_TRUE(g.validate().empty()) << "seed " << replay_seed;
+
+    Options opts;
+    opts.nparts = k;
+    opts.seed = gen.next_u64();
+    if (c % 4 == 3) {  // non-uniform targets
+      real_t total = 0.0;
+      for (idx_t p = 0; p < k; ++p) {
+        opts.tpwgts.push_back(1.0 + gen.next_real());
+        total += opts.tpwgts.back();
+      }
+      for (real_t& f : opts.tpwgts) f /= total;
+    }
+    const std::vector<real_t>* tp =
+        opts.tpwgts.empty() ? nullptr : &opts.tpwgts;
+    const std::vector<real_t> floor_ub = min_feasible_ubvec(g, k, tp);
+    if (gen.next_bool()) {  // explicit tolerances, clamped to the floor
+      for (int i = 0; i < m; ++i) {
+        opts.ubvec.push_back(
+            std::max(1.0 + 0.3 * gen.next_real(), floor_ub[to_size(i)]));
+      }
+    }
+    const std::vector<real_t> ub = effective_ubvec(g, opts);
+    const ExactKWay exact = exact_kway(g, k, ub, tp);
+
+    // Soundness of the floors: no assignment needs less, in any constraint.
+    for (int i = 0; i < m; ++i) {
+      if (g.tvwgt[to_size(i)] <= 0) continue;
+      EXPECT_GE(exact.min_needed[to_size(i)], floor_ub[to_size(i)] - 1e-9)
+          << "seed " << replay_seed << " constraint " << i;
+    }
+
+    for (const Algorithm alg :
+         {Algorithm::kRecursiveBisection, Algorithm::kKWay}) {
+      opts.algorithm = alg;
+      const PartitionResult r = partition(g, opts);
+      ++runs;
+      // The verdict is honest: a feasible claim needs a witness.
+      EXPECT_TRUE(!r.feasible || exact.feasible_exists)
+          << "seed " << replay_seed;
+      if (exact.feasible_exists) {
+        ++feasible_exists;
+        if (!r.feasible) ++missed;
+      }
+    }
+  }
+  std::printf(
+      "[ oracle   ] %d runs, %d with a feasible partition, %d of those "
+      "reported infeasible\n",
+      runs, feasible_exists, missed);
 }
 
 TEST(DifferentialFuzz, PipelineCasesStayInvariantClean) {

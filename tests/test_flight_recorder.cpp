@@ -251,35 +251,47 @@ TEST(FlightPipeline, AuditFailureDumpsPostmortem) {
   const Graph g = make_pipeline_graph();
   const std::string dump_path =
       ::testing::TempDir() + "mcgp_flight_dump_test.json";
-  std::remove(dump_path.c_str());
+  // Both entry points share the abort path: partition() and
+  // refine_partition() from a round-robin start.
+  std::vector<idx_t> start(to_size(g.nvtxs));
+  for (idx_t v = 0; v < g.nvtxs; ++v) start[to_size(v)] = v % 8;
+  for (const bool refine : {false, true}) {
+    SCOPED_TRACE(refine ? "refine_partition" : "partition");
+    std::remove(dump_path.c_str());
 
-  FlightRecorder fr;
-  fr.set_dump_path(dump_path);
-  InvariantAuditor auditor(AuditLevel::kBoundaries);
-  // Let a handful of checks pass so the ring holds real samples, then
-  // force the next one to throw mid-uncoarsening.
-  auditor.set_trip_after(5);
+    FlightRecorder fr;
+    fr.set_dump_path(dump_path);
+    InvariantAuditor auditor(AuditLevel::kBoundaries);
+    // Let a handful of checks pass so the ring holds real samples, then
+    // force the next one to throw: mid-uncoarsening in partition(), at the
+    // final audit in refine_partition() (which makes three checks).
+    auditor.set_trip_after(refine ? 2 : 5);
 
-  Options o;
-  o.nparts = 8;
-  o.flight = &fr;
-  o.audit = &auditor;
-  EXPECT_THROW(partition(g, o), AuditFailure);
+    Options o;
+    o.nparts = 8;
+    o.flight = &fr;
+    o.audit = &auditor;
+    if (refine) {
+      EXPECT_THROW(refine_partition(g, start, o), AuditFailure);
+    } else {
+      EXPECT_THROW(partition(g, o), AuditFailure);
+    }
 
-  std::ifstream in(dump_path);
-  ASSERT_TRUE(in.good()) << "no postmortem at " << dump_path;
-  std::stringstream buf;
-  buf << in.rdbuf();
-  const auto doc = testing::parse_json(buf.str());
-  ASSERT_TRUE(doc.has_value());
-  const auto* error = doc->find("error");
-  ASSERT_NE(error, nullptr);
-  EXPECT_NE(error->str.find("injected audit failure"), std::string::npos);
-  const auto* flight = doc->find("flight");
-  ASSERT_NE(flight, nullptr);
-  const auto* samples = flight->find("samples");
-  ASSERT_NE(samples, nullptr);
-  EXPECT_FALSE(samples->array.empty());
+    std::ifstream in(dump_path);
+    ASSERT_TRUE(in.good()) << "no postmortem at " << dump_path;
+    std::stringstream buf;
+    buf << in.rdbuf();
+    const auto doc = testing::parse_json(buf.str());
+    ASSERT_TRUE(doc.has_value());
+    const auto* error = doc->find("error");
+    ASSERT_NE(error, nullptr);
+    EXPECT_NE(error->str.find("injected audit failure"), std::string::npos);
+    const auto* flight = doc->find("flight");
+    ASSERT_NE(flight, nullptr);
+    const auto* samples = flight->find("samples");
+    ASSERT_NE(samples, nullptr);
+    EXPECT_FALSE(samples->array.empty());
+  }
   std::remove(dump_path.c_str());
 }
 

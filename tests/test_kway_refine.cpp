@@ -56,14 +56,12 @@ std::vector<idx_t> scrambled(idx_t n, idx_t k, std::uint64_t seed) {
 TEST(KWayFeasible, DetectsOverload) {
   Graph g = grid2d(4, 4);
   const auto balanced = round_robin(16, 4);
-  EXPECT_TRUE(kway_feasible(g, compute_part_weights(g, balanced, 4), 4,
-                            ubvec(1)));
+  EXPECT_TRUE(kway_feasible(g, part_weights(g, balanced, 4), 4, ubvec(1)));
   std::vector<idx_t> skewed(16, 0);
   skewed[0] = 1;
   skewed[1] = 2;
   skewed[2] = 3;
-  EXPECT_FALSE(kway_feasible(g, compute_part_weights(g, skewed, 4), 4,
-                             ubvec(1)));
+  EXPECT_FALSE(kway_feasible(g, part_weights(g, skewed, 4), 4, ubvec(1)));
 }
 
 TEST(KWayRefine, ImprovesScrambledCutMassively) {
@@ -76,7 +74,7 @@ TEST(KWayRefine, ImprovesScrambledCutMassively) {
   const sum_t after = kway_refine(g, 4, part, ubvec(1), 8, rng);
   EXPECT_LT(after, before / 2);
   EXPECT_EQ(after, edge_cut(g, part));
-  EXPECT_TRUE(kway_feasible(g, compute_part_weights(g, part, 4), 4, ubvec(1)));
+  EXPECT_TRUE(kway_feasible(g, part_weights(g, part, 4), 4, ubvec(1)));
 }
 
 TEST(KWayRefine, StripesAreAGreedyLocalMinimum) {
@@ -90,7 +88,7 @@ TEST(KWayRefine, StripesAreAGreedyLocalMinimum) {
   Rng rng(1);
   const sum_t after = kway_refine(g, 4, part, ubvec(1), 8, rng);
   EXPECT_LE(after, before);
-  EXPECT_TRUE(kway_feasible(g, compute_part_weights(g, part, 4), 4, ubvec(1)));
+  EXPECT_TRUE(kway_feasible(g, part_weights(g, part, 4), 4, ubvec(1)));
 }
 
 TEST(KWayRefine, NeverWorsensGoodPartition) {
@@ -320,8 +318,7 @@ TEST(KWayBalance, MatchesFullScanReference) {
         const std::vector<real_t>* tpwgts = variant == 2 ? &tp : nullptr;
         const std::uint64_t seed = 100u + static_cast<std::uint64_t>(k + m);
         std::vector<idx_t> expect = block_start(48, k);
-        if (!kway_feasible(g, compute_part_weights(g, expect, k), k, ub,
-                           tpwgts)) {
+        if (!kway_feasible(g, part_weights(g, expect, k), k, ub, tpwgts)) {
           ++unbalanced_starts;
         }
         std::vector<idx_t> got = expect;
@@ -614,7 +611,7 @@ TEST(KWayRefinePq, ImprovesScrambledCutMassively) {
   const sum_t after = kway_refine_pq(g, 4, part, ubvec(1), 8, rng);
   EXPECT_LT(after, before / 2);
   EXPECT_EQ(after, edge_cut(g, part));
-  EXPECT_TRUE(kway_feasible(g, compute_part_weights(g, part, 4), 4, ubvec(1)));
+  EXPECT_TRUE(kway_feasible(g, part_weights(g, part, 4), 4, ubvec(1)));
 }
 
 TEST(KWayRefinePq, NeverWorsensGoodPartition) {

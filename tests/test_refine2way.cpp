@@ -350,7 +350,10 @@ class ReferenceFmPass {
     std::array<int, kMaxNcon> order{};
     std::iota(order.begin(), order.begin() + nq, 0);
     if (policy_ == QueuePolicy::kMostImbalanced) {
-      std::sort(order.begin(), order.begin() + nq, [&](int a, int b) {
+      // Stable, as the library's insertion sort is (and std::sort is at
+      // this size); std::sort itself trips a GCC 12 -Warray-bounds false
+      // positive under the sanitizers.
+      std::stable_sort(order.begin(), order.begin() + nq, [&](int a, int b) {
         return balance_.constraint_potential(a) >
                balance_.constraint_potential(b);
       });
