@@ -94,7 +94,7 @@ void BM_MatchingParallel(benchmark::State& state) {
   const int threads = static_cast<int>(state.range(1));
   std::unique_ptr<ThreadPool> pool;
   if (threads > 1) pool = std::make_unique<ThreadPool>(threads);
-  MatchingExec exec;
+  PhaseExec exec;
   exec.pool = pool.get();
   Rng rng(1);
   Workspace ws;
@@ -120,7 +120,7 @@ void BM_ContractParallel(benchmark::State& state) {
   std::unique_ptr<ThreadPool> pool;
   if (threads > 1) pool = std::make_unique<ThreadPool>(threads);
   WorkspacePool wspool;
-  ContractExec exec;
+  PhaseExec exec;
   exec.pool = pool.get();
   exec.wspool = &wspool;
   Workspace ws;
@@ -146,7 +146,7 @@ void BM_KWaySweepParallel(benchmark::State& state) {
   std::unique_ptr<ThreadPool> pool;
   if (threads > 1) pool = std::make_unique<ThreadPool>(threads);
   WorkspacePool wspool;
-  KWayExec exec;
+  PhaseExec exec;
   exec.pool = pool.get();
   exec.wspool = &wspool;
   Rng rng(1);

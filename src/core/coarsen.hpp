@@ -11,30 +11,20 @@ namespace mcgp {
 
 class WorkspacePool;
 
-/// Execution context for parallel contraction. The chunked path builds
-/// coarse adjacency rows per coarse-vertex range into chunk-local buffers
-/// (each chunk leasing its own Workspace from `wspool` for the dense
-/// position map) and then merges them at deterministic offsets. Its output
-/// is bit-identical to the serial path's by construction — every row is
-/// built by the same first/second-constituent walk — so gating it on the
-/// pool cannot perturb partitions across `num_threads`.
-struct ContractExec {
-  ThreadPool* pool = nullptr;
-  WorkspacePool* wspool = nullptr;  ///< per-chunk scratch leases
-  Profiler* profile = nullptr;      ///< aux attribution of worker chunks
-  int level = -1;                   ///< hierarchy level for the bucket
-};
-
 /// Contract a graph according to a fine-to-coarse vertex map.
 /// Coarse vertex weights are the (vector) sums of their constituents;
 /// parallel coarse edges are merged by summing weights; edges internal to
 /// a coarse vertex vanish. A non-null `ws` supplies the constituent-list
 /// and dense position scratch buffers so repeated contractions allocate
 /// nothing beyond the coarse graph itself. A non-null `exec` with a pool
-/// builds the coarse rows in parallel for sufficiently large outputs.
+/// builds the coarse rows in parallel for sufficiently large outputs,
+/// each chunk leasing its dense position map from exec->wspool, and
+/// merges them at offsets fixed by chunk order: every row is built by the
+/// same first/second-constituent walk, so the output is bit-identical to
+/// the serial path's.
 Graph contract_graph(const Graph& g, const std::vector<idx_t>& cmap,
                      idx_t ncoarse, Workspace* ws = nullptr,
-                     const ContractExec* exec = nullptr);
+                     const PhaseExec* exec = nullptr);
 
 /// One level of the hierarchy below the finest graph.
 struct CoarseLevel {
@@ -82,6 +72,11 @@ struct CoarsenParams {
   /// chunked contraction path to avoid per-chunk map allocations).
   WorkspacePool* wspool = nullptr;
 };
+
+/// The CoarsenParams a driver runs with: opts' matching scheme, stall
+/// threshold and observers, the given target size, pool and scratch pool.
+CoarsenParams coarsen_params(const Options& opts, idx_t coarsen_to,
+                             ThreadPool* pool, WorkspacePool* wspool);
 
 /// Repeatedly match-and-contract until the graph is small enough or
 /// coarsening stalls. `g` must outlive the returned hierarchy. A non-null

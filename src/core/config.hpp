@@ -174,6 +174,18 @@ struct Options {
     if (ubvec.empty()) return 1.05;
     return ubvec[std::min(to_size(i), ubvec.size() - 1)];
   }
+
+  /// ub_for(i) for every constraint i < ncon.
+  std::vector<real_t> tolerances(int ncon) const {
+    std::vector<real_t> ub(to_size(ncon));
+    for (int i = 0; i < ncon; ++i) ub[to_size(i)] = ub_for(i);
+    return ub;
+  }
+
+  /// tpwgts as the refiners take it: null when empty (uniform targets).
+  const std::vector<real_t>* targets() const {
+    return tpwgts.empty() ? nullptr : &tpwgts;
+  }
 };
 
 /// Outcome of a partitioning run.

@@ -116,6 +116,51 @@ class KWayContext {
     return mx;
   }
 
+  /// The first (part, constraint), parts outer, whose overload is the
+  /// largest above 1 + 1e-12: the load a draining episode relieves.
+  /// Returns false when no load exceeds that.
+  bool overload_peak(idx_t& q, int& c) const {
+    q = -1;
+    c = 0;
+    real_t peak = 1.0 + 1e-12;
+    for (idx_t p = 0; p < nparts_; ++p) {
+      for (int i = 0; i < g_.ncon; ++i) {
+        const real_t l = overload(p, i);
+        if (l > peak) {
+          peak = l;
+          q = p;
+          c = i;
+        }
+      }
+    }
+    return q >= 0;
+  }
+
+  /// The progress measure of the draining episode loops: the peak
+  /// overload and how many (part, constraint) loads lie within 1e-9 of
+  /// it. Several loads can tie at the peak, so the peak alone is not the
+  /// right measure.
+  struct PeakState {
+    real_t peak = 0.0;
+    idx_t at_peak = 0;
+    /// Lexicographic progress: a peak lower by more than 1e-12, or fewer
+    /// loads at it.
+    bool improves_on(const PeakState& prev) const {
+      return peak < prev.peak - 1e-12 || at_peak < prev.at_peak;
+    }
+  };
+
+  PeakState peak_state() const {
+    const real_t peak = max_overload();
+    idx_t at_peak = 0;
+    for (idx_t p = 0; p < nparts_; ++p) {
+      for (int i = 0; i < g_.ncon; ++i) {
+        if (overload(p, i) > peak - 1e-9) ++at_peak;
+      }
+    }
+    return {peak, at_peak};
+  }
+
   /// Load of part p in constraint i after hypothetically adding `extra`.
   real_t load_with(idx_t p, int i, wgt_t extra) const {
     return static_cast<real_t>(checked_add(

@@ -19,20 +19,24 @@ namespace {
 
 idx_t kway_coarsen_to(const Options& opts, idx_t nparts, int ncon,
                       idx_t nvtxs) {
-  if (opts.coarsen_to > 0) return opts.coarsen_to;
   // A somewhat larger coarsest graph than single-constraint kmetis uses:
   // the greedy k-way refinement cannot hill-climb, so initial-partition
   // quality (RB on the coarsest) carries more of the final cut. Capped so
   // large graphs still coarsen deeply.
-  return std::max<idx_t>(
-      {30 * nparts, 40 * ncon, 200, std::min<idx_t>(nvtxs / 8, 3000)});
+  const idx_t target =
+      opts.coarsen_to > 0
+          ? opts.coarsen_to
+          : std::max<idx_t>({30 * nparts, 40 * ncon, 200,
+                             std::min<idx_t>(nvtxs / 8, 3000)});
+  // The coarsest graph must retain enough vertices to seed k parts.
+  return std::max<idx_t>(target, 4 * nparts);
 }
 
 }  // namespace
 
 std::vector<idx_t> partition_kway(const Graph& g, const Options& opts,
                                   Rng& rng, PhaseTimes* phases,
-                                  KWayDriverStats* stats, ThreadPool* pool) {
+                                  MlBisectStats* stats, ThreadPool* pool) {
   const idx_t k = std::max<idx_t>(opts.nparts, 1);
   if (k == 1 || g.nvtxs == 0) {
     return std::vector<idx_t>(to_size(g.nvtxs), 0);
@@ -49,18 +53,8 @@ std::vector<idx_t> partition_kway(const Graph& g, const Options& opts,
   {
     ScopedPhase sp(pt, "coarsen");
     WorkspacePool::Lease ws = wspool.acquire();
-    CoarsenParams cp;
-    cp.coarsen_to = kway_coarsen_to(opts, k, g.ncon, g.nvtxs);
-    cp.scheme = opts.matching;
-    cp.min_reduction = opts.min_coarsen_reduction;
-    cp.trace = opts.trace;
-    cp.audit = opts.audit;
-    cp.flight = opts.flight;
-    cp.profile = opts.profile;
-    cp.pool = pool;
-    cp.wspool = &wspool;
-    // The coarsest graph must retain enough vertices to seed k parts.
-    cp.coarsen_to = std::max<idx_t>(cp.coarsen_to, 4 * k);
+    const CoarsenParams cp = coarsen_params(
+        opts, kway_coarsen_to(opts, k, g.ncon, g.nvtxs), pool, &wspool);
     h = coarsen_graph(g, cp, rng, ws.get());
   }
 
@@ -96,9 +90,7 @@ std::vector<idx_t> partition_kway(const Graph& g, const Options& opts,
                                            nullptr, nullptr, pool);
   }
 
-  std::vector<real_t> ub(to_size(g.ncon));
-  for (int i = 0; i < g.ncon; ++i) ub[to_size(i)] = opts.ub_for(i);
-
+  const std::vector<real_t> ub = opts.tolerances(g.ncon);
   {
     ScopedPhase sp(pt, "refine");
     for (int l = h.num_levels(); l >= 0; --l) {
@@ -118,30 +110,15 @@ std::vector<idx_t> partition_kway(const Graph& g, const Options& opts,
       // Extra sweeps on the finest graph, where moves are cheapest in
       // balance terms and most plentiful.
       const int passes = l == 0 ? opts.kway_passes + 2 : opts.kway_passes;
-      const std::vector<real_t>* tp =
-          opts.tpwgts.empty() ? nullptr : &opts.tpwgts;
-      ProfScope ps(opts.profile,
-                   opts.kway_scheme == KWayRefineScheme::kPriorityQueue
-                       ? "kway_refine_pq"
-                       : "kway_refine",
-                   l);
-      ps.work(cur.nedges(), cur.nvtxs);
-      sum_t cut;
-      if (opts.kway_scheme == KWayRefineScheme::kPriorityQueue) {
-        cut = kway_refine_pq(cur, k, cwhere, ub, passes, rng, nullptr, tp,
-                             opts.trace, opts.audit, opts.flight);
-      } else {
-        KWayExec kexec;
-        kexec.pool = pool;
-        kexec.wspool = &wspool;
-        kexec.profile = opts.profile;
-        kexec.level = l;
-        cut = kway_refine(cur, k, cwhere, ub, passes, rng, nullptr, tp,
-                          opts.trace, opts.audit, opts.flight, &kexec);
-      }
-      ps.finish();
+      const sum_t cut = kway_refine_level(cur, cwhere, ub, passes, l, rng,
+                                          opts, pool, &wspool);
+      if (opts.flight == nullptr && !lvl.enabled()) continue;
+      if (opts.flight != nullptr) opts.flight->sample_memory();
+      const std::vector<real_t> lb =
+          opts.targets() != nullptr
+              ? target_imbalance(cur, cwhere, k, opts.tpwgts)
+              : imbalance(cur, cwhere, k);
       if (opts.flight != nullptr) {
-        opts.flight->sample_memory();
         FlightSample fs;
         fs.stage = FlightSample::Stage::kUncoarsenKWay;
         fs.level = l;
@@ -149,9 +126,6 @@ std::vector<idx_t> partition_kway(const Graph& g, const Options& opts,
         fs.nvtxs = cur.nvtxs;
         fs.nedges = cur.nedges();
         fs.cut = cut;
-        const std::vector<real_t> lb =
-            tp != nullptr ? target_imbalance(cur, cwhere, k, *tp)
-                          : imbalance(cur, cwhere, k);
         for (int i = 0; i < cur.ncon && i < kMaxNcon; ++i) {
           fs.imbalance[i] = lb[to_size(i)];
           fs.worst_imbalance = std::max(fs.worst_imbalance, lb[to_size(i)]);
@@ -159,9 +133,6 @@ std::vector<idx_t> partition_kway(const Graph& g, const Options& opts,
         opts.flight->record(fs);
       }
       if (lvl.enabled()) {
-        const std::vector<real_t> lb =
-            tp != nullptr ? target_imbalance(cur, cwhere, k, *tp)
-                          : imbalance(cur, cwhere, k);
         real_t worst = 1.0;
         for (const real_t x : lb) worst = std::max(worst, x);
         lvl.arg({"level", l});
@@ -171,24 +142,12 @@ std::vector<idx_t> partition_kway(const Graph& g, const Options& opts,
         lvl.arg({"max_imbalance", worst});
       }
     }
-  }
 
-  // The refiner's balancer can exit with residual overload on tight or
-  // coarse-granularity instances (the ledger's grid-13x13 k=64 case).
-  // Escalate to the dedicated rebalancer: greedy gain-to-relief moves,
-  // pairwise swaps on small graphs, then bounded partition-restricted
-  // V-cycles. Runs after all parallel phases on a thread-invariant
-  // `cwhere` and is itself serial, so determinism is preserved.
-  {
-    const std::vector<real_t>* tp =
-        opts.tpwgts.empty() ? nullptr : &opts.tpwgts;
-    if (!kway_feasible(g, part_weights(g, cwhere, k), k, ub, tp)) {
-      ScopedPhase sp(pt, "refine");
-      ProfScope ps(opts.profile, "rebalance", 0);
-      ps.work(g.nedges(), g.nvtxs);
-      rebalance_partition(g, k, cwhere, ub, rng, tp, nullptr, opts.trace,
-                          opts.audit, opts.flight);
-    }
+    // The refiner's balancer can exit with residual overload on tight or
+    // coarse-granularity instances (the ledger's grid-13x13 k=64 case).
+    // Runs after all parallel phases on a thread-invariant `cwhere` and
+    // is itself serial, so determinism is preserved.
+    rebalance_if_infeasible(g, cwhere, ub, rng, opts);
   }
 
   if (opts.flight != nullptr) {

@@ -8,6 +8,7 @@
 #include <vector>
 
 #include "core/config.hpp"
+#include "core/rb_driver.hpp"
 #include "graph/csr_graph.hpp"
 #include "support/random.hpp"
 #include "support/thread_pool.hpp"
@@ -15,16 +16,13 @@
 
 namespace mcgp {
 
-struct KWayDriverStats {
-  int levels = 0;
-  idx_t coarsest_nvtxs = 0;
-};
-
-/// `pool` (optional) parallelizes the RB initial partitioning of the
-/// coarsest graph; coarsening and k-way refinement remain serial.
+/// `stats` receives the hierarchy's levels and coarsest size (its `cut`
+/// stays 0). `pool` (optional) runs the data-parallel phases of
+/// coarsening and k-way refinement and the RB initial partitioning of the
+/// coarsest graph; the partition is the same at every thread count.
 std::vector<idx_t> partition_kway(const Graph& g, const Options& opts,
                                   Rng& rng, PhaseTimes* phases = nullptr,
-                                  KWayDriverStats* stats = nullptr,
+                                  MlBisectStats* stats = nullptr,
                                   ThreadPool* pool = nullptr);
 
 }  // namespace mcgp

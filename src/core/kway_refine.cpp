@@ -135,7 +135,7 @@ struct SweepState {
 /// class's movable list) — are put in a hashed order. Every other member
 /// would propose nothing, so leaving it out changes no move, and none of
 /// them is even looked at. The proposals are computed from the state
-/// frozen at the class's start (concurrently when exec has a pool — class
+/// frozen at the class's start (concurrently when `ex` has a pool — class
 /// members are pairwise non-adjacent, so proposals cannot interact) and
 /// then committed serially in the hashed order, re-validating
 /// can_leave/fits/zero-gain-balance against the live weights. A proposal's
@@ -143,12 +143,7 @@ struct SweepState {
 /// of them is adjacent to the proposer, so its connectivity is unchanged —
 /// which keeps the paranoid cut-delta audit exact.
 PassResult colored_sweep(KWayContext& ctx, const std::vector<idx_t>& where,
-                         SweepState& st, Rng& rng, const KWayExec* exec) {
-  ThreadPool* pool = exec != nullptr ? exec->pool : nullptr;
-  WorkspacePool* wspool = exec != nullptr ? exec->wspool : nullptr;
-  Profiler* profile = exec != nullptr ? exec->profile : nullptr;
-  const int level = exec != nullptr ? exec->level : -1;
-
+                         SweepState& st, Rng& rng, const PhaseExec& ex) {
   // One draw per pass: every ordering decision below derives from it by
   // vertex id, independent of threads and chunking.
   const std::uint64_t pass_seed = rng.next_u64();
@@ -174,13 +169,13 @@ PassResult colored_sweep(KWayContext& ctx, const std::vector<idx_t>& where,
     st.gains.resize(st.order.size());
 
     // Propose phase: reads the context frozen as of this class's start.
-    parallel_chunks(pool, seg_n, kSweepChunk, [&](idx_t b, idx_t e) {
-      ProfScope aux(profile, "kway_refine", level, /*aux=*/true);
+    parallel_chunks(ex.pool, seg_n, kSweepChunk, [&](idx_t b, idx_t e) {
+      ProfScope aux(ex.profile, "kway_refine", ex.level, /*aux=*/true);
       std::vector<sum_t> local_conn;
       std::vector<idx_t> local_touched;
       std::unique_ptr<WorkspacePool::Lease> lease;
-      if (wspool != nullptr) {
-        lease = std::make_unique<WorkspacePool::Lease>(wspool->acquire());
+      if (ex.wspool != nullptr) {
+        lease = std::make_unique<WorkspacePool::Lease>(ex.wspool->acquire());
       }
       std::vector<sum_t>& conn = lease != nullptr ? (*lease)->kconn
                                                   : local_conn;
@@ -239,21 +234,10 @@ struct BalanceScratch {
 idx_t balance_episode(const Graph& g, KWayContext& ctx, idx_t nparts,
                       const std::vector<idx_t>& where, Rng& rng,
                       BalanceScratch& s) {
-  // Locate the global maximum (part q, constraint c).
   idx_t q = -1;
   int c = 0;
-  real_t peak = 0.0;
-  for (idx_t p = 0; p < nparts; ++p) {
-    for (int i = 0; i < g.ncon; ++i) {
-      const real_t l = ctx.overload(p, i);
-      if (l > peak) {
-        peak = l;
-        q = p;
-        c = i;
-      }
-    }
-  }
-  if (q < 0 || peak <= 1.0 + 1e-12) return 0;
+  if (!ctx.overload_peak(q, c)) return 0;
+  const real_t peak = ctx.overload(q, c);
 
   // Candidates: vertices of q carrying weight in constraint c, boundary
   // first, higher (ed - id) first — cheapest cut damage first, ties in
@@ -529,17 +513,7 @@ bool kway_balance(const Graph& g, idx_t nparts, std::vector<idx_t>& where,
   // Why the loop stopped — traced so tight instances are diagnosable from
   // counters alone (kway.balance.bail.<reason>).
   const char* bail = "episode_cap";
-  auto progress_state = [&]() {
-    const real_t peak = ctx.max_overload();
-    idx_t at_peak = 0;
-    for (idx_t p = 0; p < nparts; ++p) {
-      for (int i = 0; i < g.ncon; ++i) {
-        if (ctx.overload(p, i) > peak - 1e-9) ++at_peak;
-      }
-    }
-    return std::make_pair(peak, at_peak);
-  };
-  auto prev = progress_state();
+  KWayContext::PeakState prev = ctx.peak_state();
   BalanceScratch scratch;
   for (int ep = 0; ep < max_episodes; ++ep) {
     if (ctx.feasible()) {
@@ -557,8 +531,8 @@ bool kway_balance(const Graph& g, idx_t nparts, std::vector<idx_t>& where,
     }
     total_moves = checked_add(total_moves, moves);
     ++episodes;
-    const auto cur = progress_state();
-    if (cur.first >= prev.first - 1e-12 && cur.second >= prev.second) {
+    const KWayContext::PeakState cur = ctx.peak_state();
+    if (!cur.improves_on(prev)) {
       bail = "no_progress";
       break;
     }
@@ -591,17 +565,18 @@ sum_t kway_refine(const Graph& g, idx_t nparts, std::vector<idx_t>& where,
                   const std::vector<real_t>& ub, int max_passes, Rng& rng,
                   KWayRefineStats* stats, const std::vector<real_t>* tpwgts,
                   TraceRecorder* trace, InvariantAuditor* audit,
-                  FlightRecorder* flight, const KWayExec* exec) {
+                  FlightRecorder* flight, const PhaseExec* exec) {
   const RefineHooks hooks{trace, audit, flight, "kway.sweep", "kway.refine"};
   KWayContext ctx(g, nparts, where, ub, tpwgts);
   balance_if_infeasible(g, ctx, nparts, where, ub, rng, tpwgts, hooks);
 
-  SweepState st(g, where, exec != nullptr ? exec->pool : nullptr);
+  const PhaseExec ex = exec != nullptr ? *exec : PhaseExec{};
+  SweepState st(g, where, ex.pool);
   const bool paranoid = audit != nullptr && audit->paranoid();
   return run_passes(g, ctx, nparts, where, ub, max_passes, rng, stats, tpwgts,
                     hooks, [&](Rng& r) {
                       const PassResult res =
-                          colored_sweep(ctx, where, st, r, exec);
+                          colored_sweep(ctx, where, st, r, ex);
                       if (paranoid) {
                         audit->check_kway_boundary(g, where, st.bnd,
                                                    hooks.pass_site);
@@ -625,6 +600,24 @@ sum_t kway_refine_pq(const Graph& g, idx_t nparts, std::vector<idx_t>& where,
                     hooks, [&](Rng& r) {
                       return pq_pass(g, ctx, where, queue, r);
                     });
+}
+
+sum_t kway_refine_level(const Graph& g, std::vector<idx_t>& where,
+                        const std::vector<real_t>& ub, int passes, int level,
+                        Rng& rng, const Options& opts, ThreadPool* pool,
+                        WorkspacePool* wspool) {
+  const bool pq = opts.kway_scheme == KWayRefineScheme::kPriorityQueue;
+  ProfScope ps(opts.profile, pq ? "kway_refine_pq" : "kway_refine", level);
+  ps.work(g.nedges(), g.nvtxs);
+  if (pq) {
+    return kway_refine_pq(g, opts.nparts, where, ub, passes, rng, nullptr,
+                          opts.targets(), opts.trace, opts.audit,
+                          opts.flight);
+  }
+  const PhaseExec exec{pool, wspool, opts.profile, level};
+  return kway_refine(g, opts.nparts, where, ub, passes, rng, nullptr,
+                     opts.targets(), opts.trace, opts.audit, opts.flight,
+                     &exec);
 }
 
 }  // namespace mcgp

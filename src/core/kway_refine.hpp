@@ -11,25 +11,15 @@
 #include <vector>
 
 #include "core/config.hpp"
+#include "core/exec.hpp"
 #include "graph/csr_graph.hpp"
 #include "support/random.hpp"
 
 namespace mcgp {
 
-class ThreadPool;
-class WorkspacePool;
-class Profiler;
-
-/// Execution context for the parallel colored k-way sweep. The sweep
-/// algorithm itself runs at EVERY thread count (colored propose/commit,
-/// hashed visit order) — a null exec or pool merely executes the chunk
-/// tasks inline — so partitions are bit-identical across `num_threads`.
-struct KWayExec {
-  ThreadPool* pool = nullptr;
-  WorkspacePool* wspool = nullptr;  ///< per-chunk connectivity scratch
-  Profiler* profile = nullptr;      ///< aux attribution of worker chunks
-  int level = -1;                   ///< hierarchy level for the bucket
-};
+/// The colored sweep's execution context under the name perfbench's
+/// replay gives it.
+using KWayExec = PhaseExec;
 
 struct KWayRefineStats {
   int passes = 0;
@@ -86,7 +76,7 @@ sum_t kway_refine(const Graph& g, idx_t nparts, std::vector<idx_t>& where,
                   TraceRecorder* trace = nullptr,
                   InvariantAuditor* audit = nullptr,
                   FlightRecorder* flight = nullptr,
-                  const KWayExec* exec = nullptr);
+                  const PhaseExec* exec = nullptr);
 
 /// Priority-queue k-way refinement: boundary vertices are kept in a gain
 /// bucket queue keyed by their best potential move (kmetis-style), so the
@@ -99,5 +89,15 @@ sum_t kway_refine_pq(const Graph& g, idx_t nparts, std::vector<idx_t>& where,
                      TraceRecorder* trace = nullptr,
                      InvariantAuditor* audit = nullptr,
                      FlightRecorder* flight = nullptr);
+
+/// One k-way refinement of `where` at hierarchy `level`, as the drivers
+/// run it: opts.kway_scheme picks the colored sweep (chunks on `pool`,
+/// scratch from `wspool`) or the priority-queue refiner, under a
+/// "kway_refine" / "kway_refine_pq" profiler bucket, with opts' nparts,
+/// tpwgts and observers. Returns the cut.
+sum_t kway_refine_level(const Graph& g, std::vector<idx_t>& where,
+                        const std::vector<real_t>& ub, int passes, int level,
+                        Rng& rng, const Options& opts, ThreadPool* pool,
+                        WorkspacePool* wspool);
 
 }  // namespace mcgp

@@ -145,11 +145,9 @@ idx_t handshake_propose(const Graph& g, MatchScheme scheme,
 /// scheduling — so partitions are bit-identical across `num_threads`.
 void handshake_match(const Graph& g, MatchScheme scheme, Rng& rng,
                      std::vector<idx_t>& match, Workspace* ws,
-                     const MatchingExec* exec) {
+                     const PhaseExec* exec) {
   const idx_t n = g.nvtxs;
-  ThreadPool* pool = exec != nullptr ? exec->pool : nullptr;
-  Profiler* profile = exec != nullptr ? exec->profile : nullptr;
-  const int level = exec != nullptr ? exec->level : -1;
+  const PhaseExec ex = exec != nullptr ? *exec : PhaseExec{};
 
   std::vector<idx_t> local_proposal;
   std::vector<idx_t>& proposal = ws != nullptr ? ws->proposal : local_proposal;
@@ -171,8 +169,8 @@ void handshake_match(const Graph& g, MatchScheme scheme, Rng& rng,
         mix_seed(mseed, static_cast<std::uint64_t>(round));
 
     // Propose: reads only the frozen `match`, writes only proposal[v].
-    parallel_chunks(pool, n, kMatchChunk, [&](idx_t b, idx_t e) {
-      ProfScope aux(profile, "coarsen.matching", level, /*aux=*/true);
+    parallel_chunks(ex.pool, n, kMatchChunk, [&](idx_t b, idx_t e) {
+      ProfScope aux(ex.profile, "coarsen.matching", ex.level, /*aux=*/true);
       for (idx_t v = b; v < e; ++v) {
         proposal[to_size(v)] =
             match[to_size(v)] >= 0
@@ -185,8 +183,8 @@ void handshake_match(const Graph& g, MatchScheme scheme, Rng& rng,
     // writes only match[v] (its partner writes match[u]), so the writes
     // are disjoint and the outcome is chunking-independent.
     std::fill(chunk_new.begin(), chunk_new.end(), 0);
-    parallel_chunks(pool, n, kMatchChunk, [&](idx_t b, idx_t e) {
-      ProfScope aux(profile, "coarsen.matching", level, /*aux=*/true);
+    parallel_chunks(ex.pool, n, kMatchChunk, [&](idx_t b, idx_t e) {
+      ProfScope aux(ex.profile, "coarsen.matching", ex.level, /*aux=*/true);
       idx_t matched = 0;
       for (idx_t v = b; v < e; ++v) {
         const idx_t u = proposal[to_size(v)];
@@ -245,7 +243,7 @@ std::vector<idx_t> compute_matching(const Graph& g, MatchScheme scheme,
 
 void compute_matching_into(const Graph& g, MatchScheme scheme, Rng& rng,
                            std::vector<idx_t>& match, TraceRecorder* trace,
-                           Workspace* ws, const MatchingExec* exec) {
+                           Workspace* ws, const PhaseExec* exec) {
   match.assign(to_size(g.nvtxs), -1);
 
   if (g.nvtxs >= kHandshakeMinVtxs) {

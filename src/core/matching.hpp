@@ -12,26 +12,12 @@
 #include <vector>
 
 #include "core/config.hpp"
+#include "core/exec.hpp"
 #include "graph/csr_graph.hpp"
 #include "support/random.hpp"
 #include "support/workspace.hpp"
 
 namespace mcgp {
-
-class ThreadPool;
-class Profiler;
-
-/// Execution context for parallel matching: where to run the handshake
-/// rounds' chunk tasks and how to attribute their on-CPU time. All fields
-/// optional; a null exec (or null pool) runs the identical algorithm
-/// inline — the ALGORITHM is selected by graph size alone, never by the
-/// pool or thread count, so partitions stay bit-identical across
-/// `num_threads`.
-struct MatchingExec {
-  ThreadPool* pool = nullptr;
-  Profiler* profile = nullptr;  ///< aux attribution of worker chunks
-  int level = -1;               ///< hierarchy level for the profile bucket
-};
 
 /// Compute a matching. match[v] == partner of v, or v itself if unmatched.
 /// The relation is symmetric (match[match[v]] == v) and only adjacent
@@ -62,7 +48,7 @@ void compute_matching_into(const Graph& g, MatchScheme scheme, Rng& rng,
                            std::vector<idx_t>& match,
                            TraceRecorder* trace = nullptr,
                            Workspace* ws = nullptr,
-                           const MatchingExec* exec = nullptr);
+                           const PhaseExec* exec = nullptr);
 
 /// Derive the fine-to-coarse vertex map from a matching. Coarse ids are
 /// assigned in order of the smaller endpoint. Returns the number of coarse

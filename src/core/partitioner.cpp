@@ -81,10 +81,8 @@ void validate_options(const Graph& g, const Options& opts) {
   // silently returns an "imbalanced" result no algorithm could avoid.
   // The empty default is instead clamped up by effective_ubvec.
   if (!opts.ubvec.empty()) {
-    const std::vector<real_t>* tp =
-        opts.tpwgts.empty() ? nullptr : &opts.tpwgts;
     const std::vector<real_t> bounds =
-        min_feasible_ubvec(g, opts.nparts, tp);
+        min_feasible_ubvec(g, opts.nparts, opts.targets());
     for (int i = 0; i < g.ncon; ++i) {
       const real_t ub = opts.ub_for(i);
       if (ub < bounds[to_size(i)] - 1e-9) {
@@ -152,12 +150,9 @@ void fill_quality(const Graph& g, const Options& opts, PartitionResult& r) {
           : *std::max_element(r.imbalance.begin(), r.imbalance.end());
   // The feasibility verdict is judged against the effective tolerances the
   // run refined toward (callers set opts.ubvec = effective_ubvec first).
-  r.ubvec_used.resize(to_size(g.ncon));
-  for (int i = 0; i < g.ncon; ++i) r.ubvec_used[to_size(i)] = opts.ub_for(i);
-  const std::vector<real_t>* tp =
-      opts.tpwgts.empty() ? nullptr : &opts.tpwgts;
+  r.ubvec_used = opts.tolerances(g.ncon);
   r.feasible = kway_feasible(g, part_weights(g, r.part, opts.nparts),
-                             opts.nparts, r.ubvec_used, tp);
+                             opts.nparts, r.ubvec_used, opts.targets());
 }
 
 /// Effective audit level: the MCGP_AUDIT environment variable (parsed once
@@ -404,9 +399,8 @@ PartitionResult run_entry(const Graph& g, const Options& run_opts,
       opts.audit->check_final_partition(g, result.part, opts.nparts,
                                         result.cut, final_label.c_str());
       opts.audit->check_feasibility(
-          g, result.part, opts.nparts, result.ubvec_used,
-          opts.tpwgts.empty() ? nullptr : &opts.tpwgts, result.feasible,
-          final_label.c_str());
+          g, result.part, opts.nparts, result.ubvec_used, opts.targets(),
+          result.feasible, final_label.c_str());
     }
   } catch (const AuditFailure& e) {
     // The run is aborting; persist the retained sample window so the
@@ -440,24 +434,14 @@ PartitionResult partition(const Graph& g, const Options& run_opts) {
       nullptr,
       [&](const Options& opts, Rng& rng, ThreadPool* pool,
           PartitionResult& result) {
-        switch (opts.algorithm) {
-          case Algorithm::kRecursiveBisection: {
-            MlBisectStats stats;
-            result.part = partition_recursive_bisection(
-                g, opts, rng, &result.phases, &stats, pool);
-            result.coarsen_levels = stats.levels;
-            result.coarsest_nvtxs = stats.coarsest_nvtxs;
-            break;
-          }
-          case Algorithm::kKWay: {
-            KWayDriverStats stats;
-            result.part =
-                partition_kway(g, opts, rng, &result.phases, &stats, pool);
-            result.coarsen_levels = stats.levels;
-            result.coarsest_nvtxs = stats.coarsest_nvtxs;
-            break;
-          }
-        }
+        MlBisectStats stats;
+        result.part =
+            opts.algorithm == Algorithm::kKWay
+                ? partition_kway(g, opts, rng, &result.phases, &stats, pool)
+                : partition_recursive_bisection(g, opts, rng, &result.phases,
+                                                &stats, pool);
+        result.coarsen_levels = stats.levels;
+        result.coarsest_nvtxs = stats.coarsest_nvtxs;
         ensure_nonempty_parts(g, opts.nparts, result.part);
       });
 }
@@ -468,41 +452,16 @@ PartitionResult refine_partition(const Graph& g, std::vector<idx_t> part,
       g, run_opts, "refine_partition", "refine", &part,
       [&](const Options& opts, Rng& rng, ThreadPool* pool,
           PartitionResult& result) {
-        std::vector<real_t> ub(to_size(g.ncon));
-        for (int i = 0; i < g.ncon; ++i) ub[to_size(i)] = opts.ub_for(i);
-        const std::vector<real_t>* tp =
-            opts.tpwgts.empty() ? nullptr : &opts.tpwgts;
+        const std::vector<real_t> ub = opts.tolerances(g.ncon);
         ScopedPhase sp(result.phases, "refine");
-        ProfScope ps(opts.profile,
-                     opts.kway_scheme == KWayRefineScheme::kPriorityQueue
-                         ? "kway_refine_pq"
-                         : "kway_refine",
-                     0);
-        ps.work(g.nedges(), g.nvtxs);
-        if (opts.kway_scheme == KWayRefineScheme::kPriorityQueue) {
-          kway_refine_pq(g, opts.nparts, part, ub, opts.kway_passes, rng,
-                         nullptr, tp, opts.trace, opts.audit, opts.flight);
-        } else {
-          // Standalone refinement drives the same parallel colored sweep
-          // as the full pipeline, with its own workspace pool.
-          WorkspacePool wspool;
-          KWayExec kexec;
-          kexec.pool = pool;
-          kexec.wspool = &wspool;
-          kexec.profile = opts.profile;
-          kexec.level = 0;
-          kway_refine(g, opts.nparts, part, ub, opts.kway_passes, rng,
-                      nullptr, tp, opts.trace, opts.audit, opts.flight,
-                      &kexec);
-        }
+        // Standalone refinement drives the same refiner as the full
+        // pipeline's finest level, with its own workspace pool.
+        WorkspacePool wspool;
+        kway_refine_level(g, part, ub, opts.kway_passes, 0, rng, opts, pool,
+                          &wspool);
         // The refiner's own balancer can exit with residual overload on
-        // tight instances; escalate to the dedicated rebalancer before
-        // declaring the result.
-        if (!kway_feasible(g, part_weights(g, part, opts.nparts),
-                           opts.nparts, ub, tp)) {
-          rebalance_partition(g, opts.nparts, part, ub, rng, tp, nullptr,
-                              opts.trace, opts.audit, opts.flight);
-        }
+        // tight instances; escalate before declaring the result.
+        rebalance_if_infeasible(g, part, ub, rng, opts);
         result.part = std::move(part);
       });
 }

@@ -173,17 +173,7 @@ sum_t multilevel_bisect(const Graph& g, std::vector<idx_t>& where,
   Hierarchy h;
   {
     ScopedPhase sp(pt, "coarsen");
-    CoarsenParams cp;
-    cp.coarsen_to = ct;
-    cp.scheme = opts.matching;
-    cp.min_reduction = opts.min_coarsen_reduction;
-    cp.trace = opts.trace;
-    cp.audit = opts.audit;
-    cp.flight = opts.flight;
-    cp.profile = opts.profile;
-    cp.pool = pool;
-    cp.wspool = wspool;
-    h = coarsen_graph(g, cp, rng, ws);
+    h = coarsen_graph(g, coarsen_params(opts, ct, pool, wspool), rng, ws);
   }
 
   const Graph& coarsest = h.coarsest();
@@ -279,8 +269,7 @@ std::vector<idx_t> partition_recursive_bisection(const Graph& g,
   std::vector<idx_t> part(to_size(g.nvtxs), 0);
   if (k == 1 || g.nvtxs == 0) return part;
 
-  std::vector<real_t> ub(to_size(g.ncon));
-  for (int i = 0; i < g.ncon; ++i) ub[to_size(i)] = opts.ub_for(i);
+  const std::vector<real_t> ub = opts.tolerances(g.ncon);
   const int depth =
       static_cast<int>(std::ceil(std::log2(static_cast<double>(k))));
   const std::vector<real_t> level_ub = per_bisection_ub(ub, depth);
@@ -306,27 +295,18 @@ std::vector<idx_t> partition_recursive_bisection(const Graph& g,
   // when every bisection was close to its own target. When that happens,
   // repair with the k-way balancer + a short greedy refinement (cheap, and
   // a no-op whenever RB already met the tolerance).
-  const std::vector<real_t>* tp =
-      opts.tpwgts.empty() ? nullptr : &opts.tpwgts;
+  const std::vector<real_t>* tp = opts.targets();
   if (!kway_feasible(g, part_weights(g, part, k), k, ub, tp)) {
     trace_count(opts.trace, "rb.fixup");
     ProfScope ps(opts.profile, "rb.fixup");
     ps.work(g.nedges(), g.nvtxs);
     kway_balance(g, k, part, ub, rng, tp, opts.trace, opts.audit);
-    KWayExec kexec;
-    kexec.pool = pool;
-    kexec.wspool = &wspool;
-    kexec.profile = opts.profile;
-    kexec.level = 0;
+    const PhaseExec exec{pool, &wspool, opts.profile, 0};
     kway_refine(g, k, part, ub, /*max_passes=*/3, rng, nullptr, tp,
-                opts.trace, opts.audit, opts.flight, &kexec);
-    // Still overloaded: escalate to the dedicated rebalancer (greedy
-    // relief moves, swaps on small graphs, bounded V-cycles). Serial, and
-    // `part` is already thread-invariant here, so determinism holds.
-    if (!kway_feasible(g, part_weights(g, part, k), k, ub, tp)) {
-      rebalance_partition(g, k, part, ub, rng, tp, nullptr, opts.trace,
-                          opts.audit, opts.flight);
-    }
+                opts.trace, opts.audit, opts.flight, &exec);
+    // Still overloaded: escalate to the dedicated rebalancer. `part` is
+    // already thread-invariant here, so determinism holds.
+    rebalance_if_infeasible(g, part, ub, rng, opts);
   }
   if (opts.flight != nullptr) {
     // All leases are back (rb_recurse joined its tasks), so the pool's

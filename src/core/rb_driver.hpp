@@ -26,6 +26,8 @@
 
 namespace mcgp {
 
+/// The top hierarchy of a multilevel run (either driver fills levels and
+/// coarsest_nvtxs) and, for one bisection, its cut.
 struct MlBisectStats {
   int levels = 0;
   idx_t coarsest_nvtxs = 0;

@@ -18,6 +18,7 @@
 #include "support/check.hpp"
 #include "support/flight_recorder.hpp"
 #include "support/indexed_heap.hpp"
+#include "support/perf_counters.hpp"
 #include "support/trace.hpp"
 
 namespace mcgp {
@@ -46,25 +47,6 @@ real_t relief_key(const Graph& g, const KWayContext& ctx, idx_t v, int c,
   }
   return static_cast<real_t>(checked_sub(edw, idw)) /
          static_cast<real_t>(std::max<wgt_t>(g.weight(v, c), 1));
-}
-
-/// Argmax overloaded (part, constraint); returns false when feasible.
-bool find_peak(const Graph& g, const KWayContext& ctx, idx_t nparts,
-               idx_t& q, int& c) {
-  q = -1;
-  c = 0;
-  real_t peak = 1.0 + kEps;
-  for (idx_t p = 0; p < nparts; ++p) {
-    for (int i = 0; i < g.ncon; ++i) {
-      const real_t l = ctx.overload(p, i);
-      if (l > peak) {
-        peak = l;
-        q = p;
-        c = i;
-      }
-    }
-  }
-  return q >= 0;
 }
 
 /// Best destination for moving v out of q: a part where v outright fits,
@@ -116,22 +98,6 @@ idx_t pick_destination(const KWayContext& ctx, idx_t nparts, idx_t v,
   return best;
 }
 
-/// (peak, #loads at the peak): the lexicographic progress measure of the
-/// episode loop — several parts can tie at the peak, so the peak alone is
-/// not the right measure.
-std::pair<real_t, idx_t> progress_state(const Graph& g,
-                                        const KWayContext& ctx,
-                                        idx_t nparts) {
-  const real_t peak = ctx.max_overload();
-  idx_t at_peak = 0;
-  for (idx_t p = 0; p < nparts; ++p) {
-    for (int i = 0; i < g.ncon; ++i) {
-      if (ctx.overload(p, i) > peak - 1e-9) ++at_peak;
-    }
-  }
-  return {peak, at_peak};
-}
-
 /// Greedy gain-to-relief episodes: repeatedly pick the argmax overloaded
 /// (part, constraint), drain it through a relief-ordered indexed heap with
 /// lazy key revalidation, and stop when feasible, deadlocked, or out of
@@ -153,11 +119,11 @@ sum_t greedy_episodes(const Graph& g, KWayContext& ctx, idx_t nparts,
   std::vector<sum_t> conn(to_size(nparts), 0);
   std::vector<idx_t> touched;
   touched.reserve(64);
-  auto prev = progress_state(g, ctx, nparts);
+  KWayContext::PeakState prev = ctx.peak_state();
   for (int ep = 0; ep < max_episodes; ++ep) {
     idx_t q;
     int c;
-    if (!find_peak(g, ctx, nparts, q, c)) break;
+    if (!ctx.overload_peak(q, c)) break;
     if (total >= move_cap) break;
 
     for (const idx_t v : ctx.members(q)) {
@@ -196,8 +162,8 @@ sum_t greedy_episodes(const Graph& g, KWayContext& ctx, idx_t nparts,
     if (ep_moves == 0) break;  // deadlocked — the caller escalates
     total = checked_add(total, ep_moves);
     ++episodes;
-    const auto cur = progress_state(g, ctx, nparts);
-    if (cur.first >= prev.first - kEps && cur.second >= prev.second) break;
+    const KWayContext::PeakState cur = ctx.peak_state();
+    if (!cur.improves_on(prev)) break;
     prev = cur;
   }
   if (episodes_out != nullptr) *episodes_out += episodes;
@@ -225,7 +191,7 @@ real_t load_after_swap(const Graph& g, const KWayContext& ctx, idx_t p,
 /// Commits swaps while each strictly reduces the lexicographic potential;
 /// every swap retires the current peak (part, constraint) pair, so the
 /// loop terminates without an explicit cap. Returns swaps committed.
-sum_t swap_escape(const Graph& g, KWayContext& ctx, idx_t nparts,
+sum_t swap_escape(const Graph& g, KWayContext& ctx,
                   const std::vector<idx_t>& where) {
   if (g.nvtxs > kSwapMaxVtxs) return 0;
   sum_t swaps = 0;
@@ -236,7 +202,7 @@ sum_t swap_escape(const Graph& g, KWayContext& ctx, idx_t nparts,
   while (swaps < swap_cap) {
     idx_t q;
     int c;
-    if (!find_peak(g, ctx, nparts, q, c)) break;
+    if (!ctx.overload_peak(q, c)) break;
     const real_t peak = ctx.max_overload();
 
     // Sources: heaviest-in-c vertices of q first (they buy the most
@@ -465,7 +431,7 @@ void descend(const Graph& g, KWayContext& ctx, idx_t nparts,
   st.moves = checked_add(st.moves,
                          greedy_episodes(g, ctx, nparts, &st.episodes));
   if (!ctx.feasible()) {
-    st.swaps = checked_add(st.swaps, swap_escape(g, ctx, nparts, where));
+    st.swaps = checked_add(st.swaps, swap_escape(g, ctx, where));
   }
   if (!ctx.feasible()) {
     overload_sum_escape(g, ctx, nparts, where, &st.moves, &st.swaps,
@@ -645,9 +611,7 @@ std::vector<real_t> min_feasible_ubvec(const Graph& g, idx_t nparts,
 }
 
 std::vector<real_t> effective_ubvec(const Graph& g, const Options& opts) {
-  const std::vector<real_t>* tp =
-      opts.tpwgts.empty() ? nullptr : &opts.tpwgts;
-  std::vector<real_t> eff = min_feasible_ubvec(g, opts.nparts, tp);
+  std::vector<real_t> eff = min_feasible_ubvec(g, opts.nparts, opts.targets());
   for (int i = 0; i < g.ncon; ++i) {
     eff[to_size(i)] = std::max(eff[to_size(i)], opts.ub_for(i));
   }
@@ -810,6 +774,19 @@ bool rebalance_partition(const Graph& g, idx_t nparts,
     flight->record(fs);
   }
   return st.feasible;
+}
+
+void rebalance_if_infeasible(const Graph& g, std::vector<idx_t>& where,
+                             const std::vector<real_t>& ub, Rng& rng,
+                             const Options& opts) {
+  const idx_t k = opts.nparts;
+  if (kway_feasible(g, part_weights(g, where, k), k, ub, opts.targets())) {
+    return;
+  }
+  ProfScope ps(opts.profile, "rebalance", 0);
+  ps.work(g.nedges(), g.nvtxs);
+  rebalance_partition(g, k, where, ub, rng, opts.targets(), nullptr,
+                      opts.trace, opts.audit, opts.flight);
 }
 
 }  // namespace mcgp

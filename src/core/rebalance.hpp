@@ -92,4 +92,13 @@ bool rebalance_partition(const Graph& g, idx_t nparts,
                          FlightRecorder* flight = nullptr,
                          int max_vcycles = 3);
 
+/// The rebalance stage every driver ends with (MC-KW after uncoarsening,
+/// MC-RB after its balance fix-up, refine_partition() after refinement):
+/// when `where` violates `ub`, rebalance_partition runs under a
+/// ("rebalance", 0) profiler bucket with opts' nparts, tpwgts and
+/// observers. A feasible partition is left untouched.
+void rebalance_if_infeasible(const Graph& g, std::vector<idx_t>& where,
+                             const std::vector<real_t>& ub, Rng& rng,
+                             const Options& opts);
+
 }  // namespace mcgp

@@ -187,12 +187,9 @@ class FlightRecorder {
   MetricsRegistry* metrics_ MCGP_GUARDED_BY(mu_) = nullptr;
 };
 
-/// Null-safe one-line helpers, mirroring trace_instant()/trace_count().
+/// Null-safe one-line helper, mirroring trace_instant()/trace_count().
 inline void flight_record(FlightRecorder* fr, const FlightSample& s) {
   if (fr != nullptr) fr->record(s);
-}
-inline void flight_sample_memory(FlightRecorder* fr) {
-  if (fr != nullptr) fr->sample_memory();
 }
 
 }  // namespace mcgp

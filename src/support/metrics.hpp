@@ -299,20 +299,4 @@ class MetricsFlusher {
   std::thread thread_;
 };
 
-/// Null-safe helpers, mirroring trace_count()/flight_record().
-inline void metrics_counter_add(MetricsRegistry* m, std::string_view name,
-                                std::vector<std::string> labels,
-                                sum_t delta = 1) {
-  if (m != nullptr) m->counter_add(name, std::move(labels), delta);
-}
-inline void metrics_gauge_set(MetricsRegistry* m, std::string_view name,
-                              std::vector<std::string> labels, double value) {
-  if (m != nullptr) m->gauge_set(name, std::move(labels), value);
-}
-inline void metrics_observe(MetricsRegistry* m, std::string_view name,
-                            std::vector<std::string> labels,
-                            std::int64_t value) {
-  if (m != nullptr) m->observe(name, std::move(labels), value);
-}
-
 }  // namespace mcgp

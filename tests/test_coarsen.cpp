@@ -95,7 +95,7 @@ TEST(ContractGraph, ChunkedParallelPathBitIdenticalToSerial) {
 
   ThreadPool pool(4);
   WorkspacePool wspool;
-  ContractExec exec;
+  PhaseExec exec;
   exec.pool = &pool;
   exec.wspool = &wspool;
   Workspace ws;

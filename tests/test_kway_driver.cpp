@@ -65,7 +65,7 @@ TEST(PartitionKWay, K1Trivial) {
 TEST(PartitionKWay, StatsPopulated) {
   Graph g = grid2d(60, 60);
   Rng rng(7);
-  KWayDriverStats stats;
+  MlBisectStats stats;
   PhaseTimes phases;
   partition_kway(g, kw_options(8), rng, &phases, &stats);
   EXPECT_GT(stats.levels, 0);
@@ -79,7 +79,7 @@ TEST(PartitionKWay, RespectsExplicitCoarsenTo) {
   Options o = kw_options(4);
   o.coarsen_to = 800;
   Rng rng(8);
-  KWayDriverStats stats;
+  MlBisectStats stats;
   partition_kway(g, o, rng, nullptr, &stats);
   EXPECT_GE(stats.coarsest_nvtxs, 700);
   EXPECT_LE(stats.coarsest_nvtxs, 1700);

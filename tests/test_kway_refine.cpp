@@ -410,7 +410,7 @@ TEST(KWayRefine, PooledColoredSweepBitIdenticalToInline) {
 
   ThreadPool pool(4);
   WorkspacePool wspool;
-  KWayExec exec;
+  PhaseExec exec;
   exec.pool = &pool;
   exec.wspool = &wspool;
   Rng b(4);

@@ -107,7 +107,7 @@ TEST_P(MatchingSchemes, PooledHandshakeBitIdenticalToInline) {
   compute_matching_into(g, GetParam(), a, inline_match);
 
   ThreadPool pool(4);
-  MatchingExec exec;
+  PhaseExec exec;
   exec.pool = &pool;
   Workspace ws;
   compute_matching_into(g, GetParam(), b, pooled_match, nullptr, &ws, &exec);

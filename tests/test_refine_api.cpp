@@ -3,11 +3,16 @@
 // the repartitioning metrics that support it.
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <string>
+
 #include "core/partitioner.hpp"
 #include "gen/mesh_gen.hpp"
 #include "gen/weight_gen.hpp"
 #include "graph/metrics.hpp"
+#include "support/perf_counters.hpp"
 #include "support/random.hpp"
+#include "support/trace.hpp"
 
 namespace mcgp {
 namespace {
@@ -98,6 +103,43 @@ TEST(RefinePartition, RespectsTpwgts) {
   const PartitionResult r = partition(g, o);
   const PartitionResult refined = refine_partition(g, r.part, o);
   EXPECT_LE(refined.max_imbalance, 1.05 + 0.02);
+}
+
+TEST(RefinePartition, EscalationHasItsOwnRebalanceBucket) {
+  // Grid 13x13 at k=64 leaves ~2.6 vertices per part; with three Type-S
+  // constraints the refiner's balancer exits overloaded from a stripe
+  // start, so the call escalates to the rebalancer. That time belongs in
+  // the ("rebalance", 0) bucket, as in MC-KW partition(), not folded into
+  // the refiner's.
+  Graph g = grid2d(13, 13, 3);
+  apply_type_s_weights(g, 3, 8, 0, 19, 3);
+  const idx_t k = 64;
+  std::vector<idx_t> start(to_size(g.nvtxs));
+  for (idx_t v = 0; v < g.nvtxs; ++v) start[to_size(v)] = v * k / g.nvtxs;
+  TraceRecorder trace;
+  Profiler prof;
+  Options o;
+  o.nparts = k;
+  o.trace = &trace;
+  o.profile = &prof;
+  refine_partition(g, start, o);
+
+  bool escalated = false;
+  for (const TraceEvent& e : trace.events()) {
+    if (std::string(e.name) == "rebalance") escalated = true;
+  }
+  ASSERT_TRUE(escalated) << "the start no longer needs the rebalancer";
+  std::int64_t refine_scopes = 0, rebalance_scopes = 0;
+  for (const ProfPhase& p : prof.snapshot()) {
+    if (p.phase == "kway_refine" && p.level == 0) {
+      refine_scopes = p.stats.scopes;
+    }
+    if (p.phase == "rebalance" && p.level == 0) {
+      rebalance_scopes = p.stats.scopes;
+    }
+  }
+  EXPECT_EQ(refine_scopes, 1);
+  EXPECT_EQ(rebalance_scopes, 1);
 }
 
 }  // namespace
