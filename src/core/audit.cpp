@@ -322,6 +322,33 @@ void InvariantAuditor::check_kway_boundary(const Graph& g,
   bump(AuditCheck::kKWayState);
 }
 
+void InvariantAuditor::check_fm_state(const Graph& g,
+                                      const std::vector<idx_t>& where,
+                                      const std::vector<sum_t>& id,
+                                      const std::vector<sum_t>& ed,
+                                      const BucketQueue& queued,
+                                      const char* site) {
+  for (idx_t v = 0; v < g.nvtxs; ++v) {
+    const idx_t pv = where[to_size(v)];
+    sum_t idw = 0, edw = 0;
+    for (idx_t e = g.xadj[to_size(v)]; e < g.xadj[to_size(v + 1)]; ++e) {
+      if (where[to_size(g.adjncy[to_size(e)])] == pv) {
+        idw = checked_add(idw, g.adjwgt[to_size(e)]);
+      } else {
+        edw = checked_add(edw, g.adjwgt[to_size(e)]);
+      }
+    }
+    MCGP_AUDIT_MSG(this, id[to_size(v)] == idw && ed[to_size(v)] == edw,
+                   site, ": vertex ", v, " bookkeeping says id=",
+                   id[to_size(v)], " ed=", ed[to_size(v)],
+                   ", recompute says id=", idw, " ed=", edw);
+    MCGP_AUDIT_MSG(this, (queued.owner(v) >= 0) == (edw > 0), site,
+                   ": vertex ", v, " queued ", queued.owner(v) >= 0,
+                   " but its external degree is ", edw);
+  }
+  bump(AuditCheck::kBisectionState);
+}
+
 void InvariantAuditor::check_gain(const Graph& g,
                                   const std::vector<idx_t>& where, idx_t v,
                                   sum_t claimed_gain, const char* site) {

@@ -32,6 +32,7 @@
 #include "core/config.hpp"
 #include "core/kway_boundary.hpp"
 #include "graph/csr_graph.hpp"
+#include "support/bucket_queue.hpp"
 #include "support/check.hpp"
 
 namespace mcgp {
@@ -146,6 +147,14 @@ class InvariantAuditor {
   /// its recorded position.
   void check_kway_boundary(const Graph& g, const std::vector<idx_t>& where,
                            const KWayBoundary& bnd, const char* site);
+
+  /// 2-way FM carried state: every vertex's maintained internal and
+  /// external degree (`id`, `ed`) equal a fresh recompute, and exactly the
+  /// boundary vertices (ed > 0) sit in one of `queued`'s queues.
+  void check_fm_state(const Graph& g, const std::vector<idx_t>& where,
+                      const std::vector<sum_t>& id,
+                      const std::vector<sum_t>& ed, const BucketQueue& queued,
+                      const char* site);
 
   /// Sampled FM gain: the queue's claimed gain for moving v off its side
   /// equals ext - int weighted degree recomputed from the adjacency list.

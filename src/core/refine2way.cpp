@@ -32,10 +32,15 @@ namespace {
 /// pass (see the exploration-envelope note in FmRefiner::run).
 constexpr real_t kBalanceExploreSlack = 0.10;
 
-/// The FM state of one refine_2way call, reused by all of its passes:
-/// per-vertex dominant constraints and the queues are set up once, and a
-/// pass only clears what the previous one left behind. Queues are indexed
-/// [side][constraint] (policy kSingleQueue uses constraint slot 0 only).
+/// The FM state of one refine_2way call, reused by all of its passes.
+/// What persists across passes is set up once per call: the dominant
+/// constraints, the internal and external degrees (kept exact through
+/// every move and every rollback) and one node array shared by all 2m gain
+/// queues, so the queue storage does not grow with the constraint count.
+/// A pass only undoes what the previous one left behind, so its own cost
+/// is its moves plus the RNG permutation that orders the boundary seeding.
+/// Queue (side, c) is index side * nqueues_ + c (policy kSingleQueue uses
+/// c = 0 only).
 class FmRefiner {
  public:
   FmRefiner(const Graph& g, std::vector<idx_t>& where,
@@ -45,20 +50,34 @@ class FmRefiner {
     // init serves every pass (the boundaries audit re-checks it per pass).
     balance_.init(g, where, targets);
     const auto n = to_size(g.nvtxs);
-    id_.assign(n, 0);
-    ed_.assign(n, 0);
+    id_.resize(n);
+    ed_.resize(n);
     moved_.assign(n, 0);
     dom_.resize(n);
+    sum_t cut2 = 0;
     for (idx_t v = 0; v < g.nvtxs; ++v) {
       dom_[to_size(v)] =
           policy == QueuePolicy::kSingleQueue ? 0 : dominant_constraint(g, v);
+      sum_t idw = 0, edw = 0;
+      const idx_t pv = where_[to_size(v)];
+      for (idx_t e = g.xadj[to_size(v)]; e < g.xadj[to_size(v + 1)]; ++e) {
+        if (where_[to_size(g.adjncy[to_size(e)])] == pv) {
+          idw = checked_add(idw, g.adjwgt[to_size(e)]);
+        } else {
+          edw = checked_add(edw, g.adjwgt[to_size(e)]);
+        }
+      }
+      id_[to_size(v)] = idw;
+      ed_[to_size(v)] = edw;
+      cut2 = checked_add(cut2, edw);
     }
-    const int nq = policy == QueuePolicy::kSingleQueue ? 1 : g.ncon;
-    for (int s = 0; s < 2; ++s) {
-      for (int c = 0; c < nq; ++c) queues_[to_size(s)][to_size(c)].reset(g.nvtxs);
-    }
-    nqueues_ = nq;
+    initial_cut_ = cut2 / 2;
+    nqueues_ = policy == QueuePolicy::kSingleQueue ? 1 : g.ncon;
+    queues_.reset(g.nvtxs, 64, 2 * nqueues_);
   }
+
+  /// The cut of the starting bisection, from the degrees just computed.
+  sum_t initial_cut() const { return initial_cut_; }
 
   /// Run one pass; returns true if it improved (cut or balance).
   bool run(sum_t& cut, idx_t move_limit, Refine2WayStats* stats,
@@ -72,7 +91,7 @@ class FmRefiner {
     sum_t cut_delta;
   };
 
-  void compute_degrees_and_seed_queues(sum_t& cut);
+  void seed_queues();
   bool select(idx_t& v, int& from);
   void commit_move(idx_t v, int from, sum_t& cut);
   void rollback_to(std::size_t best_prefix, sum_t& cut);
@@ -82,15 +101,20 @@ class FmRefiner {
         checked_sub(ed_[to_size(v)], id_[to_size(v)]));
   }
 
-  void enqueue(idx_t v) {
-    const int s = where_[to_size(v)];
-    queues_[to_size(s)][to_size(dom_[to_size(v)])].insert(v, gain(v));
+  int queue_of(idx_t v) const {
+    return where_[to_size(v)] * nqueues_ + dom_[to_size(v)];
   }
 
-  void dequeue_if_present(idx_t v) {
-    const int s = where_[to_size(v)];
-    auto& q = queues_[to_size(s)][to_size(dom_[to_size(v)])];
-    if (q.contains(v)) q.remove(v);
+  /// Account for a neighbour of u, across an edge of weight w, having just
+  /// joined (`joined`) or left u's side.
+  void shift_degree(std::size_t su, wgt_t w, bool joined) {
+    if (joined) {
+      id_[su] = checked_add(id_[su], w);
+      ed_[su] = checked_sub(ed_[su], w);
+    } else {
+      id_[su] = checked_sub(id_[su], w);
+      ed_[su] = checked_add(ed_[su], w);
+    }
   }
 
   const Graph& g_;
@@ -100,44 +124,30 @@ class FmRefiner {
   BisectionBalance balance_;
 
   std::vector<sum_t> id_, ed_;  // internal/external weighted degree
+  sum_t initial_cut_ = 0;
   std::vector<char> moved_;
+  std::vector<idx_t> popped_;  // the vertices moved_ marks this pass
   std::vector<int> dom_;
-  std::array<std::array<BucketQueue, kMaxNcon>, 2> queues_;
-  int nqueues_ = 1;
+  BucketQueue queues_;
+  int nqueues_ = 1;  // queues per side
   int rr_next_ = 0;  // round-robin cursor (kRoundRobin policy)
+  std::vector<idx_t> perm_;
   std::vector<MoveRecord> log_;
 };
 
-void FmRefiner::compute_degrees_and_seed_queues(sum_t& cut) {
+void FmRefiner::seed_queues() {
   // Forget the previous pass: what it left queued, what it popped, and
   // where the round-robin cursor stopped (every pass starts at constraint 0).
-  for (int s = 0; s < 2; ++s) {
-    for (int c = 0; c < nqueues_; ++c) queues_[to_size(s)][to_size(c)].clear();
-  }
-  std::fill(moved_.begin(), moved_.end(), 0);
+  // The degrees need no refresh: commits and rollbacks kept them exact.
+  queues_.clear();
+  for (const idx_t v : popped_) moved_[to_size(v)] = 0;
+  popped_.clear();
   rr_next_ = 0;
-  sum_t cut2 = 0;
-  for (idx_t v = 0; v < g_.nvtxs; ++v) {
-    sum_t idw = 0, edw = 0;
-    const idx_t pv = where_[to_size(v)];
-    for (idx_t e = g_.xadj[to_size(v)]; e < g_.xadj[to_size(v + 1)]; ++e) {
-      if (where_[to_size(g_.adjncy[to_size(e)])] == pv) {
-        idw = checked_add(idw, g_.adjwgt[to_size(e)]);
-      } else {
-        edw = checked_add(edw, g_.adjwgt[to_size(e)]);
-      }
-    }
-    id_[to_size(v)] = idw;
-    ed_[to_size(v)] = edw;
-    cut2 = checked_add(cut2, edw);
-  }
-  cut = cut2 / 2;
   // Seed queues with boundary vertices in random order (randomized
   // insertion breaks ties inside equal-gain buckets differently per seed).
-  std::vector<idx_t> perm;
-  random_permutation(g_.nvtxs, perm, rng_);
-  for (const idx_t v : perm) {
-    if (ed_[to_size(v)] > 0) enqueue(v);
+  random_permutation(g_.nvtxs, perm_, rng_);
+  for (const idx_t v : perm_) {
+    if (ed_[to_size(v)] > 0) queues_.insert(v, gain(v), queue_of(v));
   }
 }
 
@@ -151,8 +161,8 @@ bool FmRefiner::select(idx_t& v, int& from) {
             ? 0
             : 1;
     for (const int s : {heavy, 1 - heavy}) {
-      if (!queues_[to_size(s)][0].empty()) {
-        v = queues_[to_size(s)][0].pop_max();
+      if (!queues_.empty(s)) {
+        v = queues_.pop_max(s);
         from = s;
         return true;
       }
@@ -190,8 +200,9 @@ bool FmRefiner::select(idx_t& v, int& from) {
   for (int oi = 0; oi < nq; ++oi) {
     const int c = order[to_size(oi)];
     const int heavy = balance_.heavy_side(c);
-    if (!queues_[to_size(heavy)][to_size(c)].empty()) {
-      v = queues_[to_size(heavy)][to_size(c)].pop_max();
+    const int q = heavy * nqueues_ + c;
+    if (!queues_.empty(q)) {
+      v = queues_.pop_max(q);
       from = heavy;
       return true;
     }
@@ -199,21 +210,18 @@ bool FmRefiner::select(idx_t& v, int& from) {
   // All heavy-side queues empty: fall back to the best-gain vertex across
   // every remaining queue so pure cut improvement can continue.
   wgt_t best_gain = 0;
-  int bs = -1, bc = -1;
-  for (int s = 0; s < 2; ++s) {
-    for (int c = 0; c < nqueues_; ++c) {
-      if (queues_[to_size(s)][to_size(c)].empty()) continue;
-      const wgt_t gq = queues_[to_size(s)][to_size(c)].max_key();
-      if (bs < 0 || gq > best_gain) {
-        best_gain = gq;
-        bs = s;
-        bc = c;
-      }
+  int bq = -1;
+  for (int q = 0; q < 2 * nqueues_; ++q) {
+    if (queues_.empty(q)) continue;
+    const wgt_t gq = queues_.max_key(q);
+    if (bq < 0 || gq > best_gain) {
+      best_gain = gq;
+      bq = q;
     }
   }
-  if (bs < 0) return false;
-  v = queues_[to_size(bs)][to_size(bc)].pop_max();
-  from = bs;
+  if (bq < 0) return false;
+  v = queues_.pop_max(bq);
+  from = bq / nqueues_;
   return true;
 }
 
@@ -230,27 +238,20 @@ void FmRefiner::commit_move(idx_t v, int from, sum_t& cut) {
   for (idx_t e = g_.xadj[to_size(v)]; e < g_.xadj[to_size(v + 1)]; ++e) {
     const idx_t u = g_.adjncy[to_size(e)];
     const wgt_t w = g_.adjwgt[to_size(e)];
-    const bool u_with_v_now = where_[to_size(u)] == to;
-    // v left u's side (u_with_v_now == false) or joined it (true).
     const std::size_t su = to_size(u);
-    if (u_with_v_now) {
-      id_[su] = checked_add(id_[su], w);
-      ed_[su] = checked_sub(ed_[su], w);
-    } else {
-      id_[su] = checked_sub(id_[su], w);
-      ed_[su] = checked_add(ed_[su], w);
-    }
+    shift_degree(su, w, where_[su] == to);
     if (moved_[su]) continue;
-    const int s = where_[su];
-    auto& q = queues_[to_size(s)][to_size(dom_[su])];
+    // An unmoved vertex is queued by its own side and dominant constraint,
+    // so being in any queue means being in its own.
+    const bool queued = queues_.owner(u) >= 0;
     if (ed_[su] > 0) {
-      if (q.contains(u)) {
-        q.update(u, gain(u));
+      if (queued) {
+        queues_.update(u, gain(u));
       } else {
-        q.insert(u, gain(u));
+        queues_.insert(u, gain(u), queue_of(u));
       }
-    } else if (q.contains(u)) {
-      q.remove(u);
+    } else if (queued) {
+      queues_.remove(u);
     }
   }
 }
@@ -262,6 +263,14 @@ void FmRefiner::rollback_to(std::size_t best_prefix, sum_t& cut) {
     where_[to_size(r.v)] = r.from;
     balance_.apply_move(r.v, 1 - r.from);
     cut = checked_sub(cut, r.cut_delta);
+    // The inverse of commit_move's degree updates, so the next pass starts
+    // from exact degrees without rescanning the graph.
+    std::swap(id_[to_size(r.v)], ed_[to_size(r.v)]);
+    for (idx_t e = g_.xadj[to_size(r.v)]; e < g_.xadj[to_size(r.v + 1)];
+         ++e) {
+      const std::size_t su = to_size(g_.adjncy[to_size(e)]);
+      shift_degree(su, g_.adjwgt[to_size(e)], where_[su] == r.from);
+    }
   }
 }
 
@@ -272,8 +281,14 @@ bool FmRefiner::run(sum_t& cut, idx_t move_limit, Refine2WayStats* stats,
   Histogram* gain_hist =
       trace != nullptr ? &trace->hist("gain.histogram") : nullptr;
 
-  compute_degrees_and_seed_queues(cut);
+  seed_queues();
   log_.clear();
+
+  // The degrees and the seeding carry over from earlier passes; a slip in
+  // commit_move's or rollback_to's updates shows here, at the pass after it.
+  if (audit != nullptr && audit->paranoid()) {
+    audit->check_fm_state(g_, where_, id_, ed_, queues_, "refine2way.seed");
+  }
 
   const sum_t start_cut = cut;
   const real_t start_potential = balance_.potential();
@@ -300,6 +315,7 @@ bool FmRefiner::run(sum_t& cut, idx_t move_limit, Refine2WayStats* stats,
   int from;
   while (bad_streak < move_limit && select(v, from)) {
     moved_[to_size(v)] = 1;
+    popped_.push_back(v);
 
     // The popped gain is the incrementally maintained ed - id; a drift in
     // either degree array corrupts every later selection, so paranoid
@@ -392,10 +408,10 @@ sum_t refine_2way(const Graph& g, std::vector<idx_t>& where,
                   InvariantAuditor* audit, FlightRecorder* flight) {
   if (move_limit <= 0) move_limit = std::max<idx_t>(64, g.nvtxs / 100);
 
-  sum_t cut = compute_cut_2way(g, where);
-  if (stats != nullptr) stats->initial_cut = cut;
-
   FmRefiner fm(g, where, targets, policy, rng);
+  trace_count(trace, "fm.degree_scans", g.nvtxs);
+  sum_t cut = fm.initial_cut();
+  if (stats != nullptr) stats->initial_cut = cut;
   for (int pass = 0; pass < max_passes; ++pass) {
     const bool improved =
         fm.run(cut, move_limit, stats, trace, audit, flight, pass);

@@ -31,12 +31,20 @@ struct Refine2WayStats {
 /// Returns the final cut. Guarantees: the final cut is never worse than
 /// the initial cut unless the initial bisection was infeasible and
 /// feasibility required cut-increasing moves; the balance potential never
-/// ends worse than it started. A non-null `trace` records one "fm.pass"
-/// span per pass plus the fm.moves / fm.rollbacks counters and the
-/// gain.histogram of committed move gains. A non-null `audit` verifies
-/// the incremental side-weight/cut bookkeeping against fresh recomputes
-/// after every pass (kBoundaries) and cross-checks sampled queue gains
-/// against recomputed gains (kParanoid).
+/// ends worse than it started.
+/// Cost: one O(n + edges) setup per call, independent of ncon (degrees,
+/// dominant constraints, one node array for all queues), then per pass
+/// the RNG permutation that orders the boundary seeding plus the moves
+/// and their rollback. Degrees are kept exact across passes by the
+/// rollback's inverse updates instead of being recomputed.
+/// A non-null `trace` records one "fm.pass" span per pass plus the
+/// fm.passes / fm.moves / fm.rollbacks counters, the fm.degree_scans
+/// counter (vertices whose degrees were computed from their adjacency:
+/// nvtxs per call) and the gain.histogram of committed move gains. A
+/// non-null `audit` verifies the incremental side-weight/cut bookkeeping
+/// against fresh recomputes after every pass (kBoundaries); at kParanoid
+/// it also checks every carried degree and the seeded boundary at each
+/// pass start and cross-checks sampled queue gains.
 /// A non-null `flight` appends one telemetry sample per pass (cut
 /// before/after, committed moves) to its bounded ring.
 sum_t refine_2way(const Graph& g, std::vector<idx_t>& where,

@@ -2,13 +2,18 @@
 
 #include <fstream>
 #include <istream>
+#include <limits>
 #include <ostream>
 #include <sstream>
 #include <stdexcept>
+#include <string>
 
 namespace mcgp {
 
 namespace {
+
+constexpr long long kIdxMax = std::numeric_limits<idx_t>::max();
+constexpr long long kWgtMax = std::numeric_limits<wgt_t>::max();
 
 [[noreturn]] void parse_error(std::size_t line_no, const std::string& what) {
   std::ostringstream oss;
@@ -16,12 +21,17 @@ namespace {
   throw std::runtime_error(oss.str());
 }
 
-/// Fetch the next non-comment, non-blank line. Returns false on EOF.
-bool next_data_line(std::istream& in, std::string& line, std::size_t& line_no) {
+}  // namespace
+
+bool next_metis_line(std::istream& in, std::string& line,
+                     std::size_t& line_no) {
   while (std::getline(in, line)) {
     ++line_no;
     std::size_t i = 0;
-    while (i < line.size() && (line[i] == ' ' || line[i] == '\t' || line[i] == '\r')) ++i;
+    while (i < line.size() &&
+           (line[i] == ' ' || line[i] == '\t' || line[i] == '\r')) {
+      ++i;
+    }
     if (i == line.size()) continue;  // blank
     if (line[i] == '%') continue;    // comment
     return true;
@@ -29,12 +39,12 @@ bool next_data_line(std::istream& in, std::string& line, std::size_t& line_no) {
   return false;
 }
 
-}  // namespace
-
 Graph read_metis_graph(std::istream& in) {
   std::string line;
   std::size_t line_no = 0;
-  if (!next_data_line(in, line, line_no)) parse_error(line_no, "missing header");
+  if (!next_metis_line(in, line, line_no)) {
+    parse_error(line_no, "missing header");
+  }
 
   long long nvtxs = 0, nedges = 0;
   std::string fmt = "000";
@@ -55,6 +65,17 @@ Graph read_metis_graph(std::istream& in) {
       if (ncon < 1 || ncon > kMaxNcon) parse_error(line_no, "ncon out of range");
     }
     if (nvtxs < 0 || nedges < 0) parse_error(line_no, "negative counts");
+    if (nvtxs > kIdxMax) {
+      parse_error(line_no, "nvtxs " + std::to_string(nvtxs) +
+                               " overflows idx_t (max " +
+                               std::to_string(kIdxMax) + ")");
+    }
+    if (nedges > kIdxMax / 2) {
+      parse_error(line_no, "nedges " + std::to_string(nedges) +
+                               " overflows idx_t (2 * nedges directed "
+                               "entries, max " +
+                               std::to_string(kIdxMax) + ")");
+    }
   }
   while (fmt.size() < 3) fmt.insert(fmt.begin(), '0');
   const bool has_vsize = fmt[fmt.size() - 3] == '1';
@@ -65,13 +86,11 @@ Graph read_metis_graph(std::istream& in) {
   Graph g;
   g.nvtxs = static_cast<idx_t>(nvtxs);
   g.ncon = ncon;
-  g.xadj.assign(to_size(nvtxs) + 1, 0);
-  g.adjncy.reserve(to_size(2 * nedges));
-  g.adjwgt.reserve(to_size(2 * nedges));
-  g.vwgt.assign(to_size(nvtxs) * to_size(ncon), 1);
+  // The arrays grow as vertex lines arrive (xadj starts as {0}): the
+  // header's counts are not backed by any data yet, so they size nothing.
 
   for (long long v = 0; v < nvtxs; ++v) {
-    if (!next_data_line(in, line, line_no))
+    if (!next_metis_line(in, line, line_no))
       parse_error(line_no, "unexpected EOF (fewer vertex lines than nvtxs)");
     std::istringstream ls(line);
     if (has_vsize) {
@@ -79,13 +98,14 @@ Graph read_metis_graph(std::istream& in) {
       if (!(ls >> vs)) parse_error(line_no, "missing vertex size");
       if (vs < 0) parse_error(line_no, "negative vertex size");
     }
-    if (has_vwgt) {
-      for (int i = 0; i < ncon; ++i) {
-        long long w;
+    for (int i = 0; i < ncon; ++i) {
+      long long w = 1;
+      if (has_vwgt) {
         if (!(ls >> w)) parse_error(line_no, "missing vertex weight");
         if (w < 0) parse_error(line_no, "negative vertex weight");
-        g.vwgt[to_size(v) * to_size(ncon) + to_size(i)] = static_cast<wgt_t>(w);
+        if (w > kWgtMax) parse_error(line_no, "vertex weight overflows wgt_t");
       }
+      g.vwgt.push_back(static_cast<wgt_t>(w));
     }
     long long u;
     while (ls >> u) {
@@ -95,12 +115,16 @@ Graph read_metis_graph(std::istream& in) {
         long long ew;
         if (!(ls >> ew)) parse_error(line_no, "missing edge weight");
         if (ew < 1) parse_error(line_no, "edge weight must be >= 1");
+        if (ew > kWgtMax) parse_error(line_no, "edge weight overflows wgt_t");
         w = static_cast<wgt_t>(ew);
+      }
+      if (g.adjncy.size() >= to_size(kIdxMax)) {
+        parse_error(line_no, "adjacency entries overflow idx_t");
       }
       g.adjncy.push_back(static_cast<idx_t>(u - 1));
       g.adjwgt.push_back(w);
     }
-    g.xadj[to_size(v) + 1] = static_cast<idx_t>(g.adjncy.size());
+    g.xadj.push_back(static_cast<idx_t>(g.adjncy.size()));
   }
 
   if (g.adjncy.size() != to_size(2 * nedges)) {

@@ -11,6 +11,7 @@
 // Partition files contain one 0-based part id per line.
 #pragma once
 
+#include <cstddef>
 #include <iosfwd>
 #include <string>
 #include <vector>
@@ -18,6 +19,12 @@
 #include "graph/csr_graph.hpp"
 
 namespace mcgp {
+
+/// Fetch the next line of a METIS-format file that is neither blank nor a
+/// '%' comment, counting every line read in `line_no`. Returns false at
+/// EOF. Shared by the graph and mesh readers.
+bool next_metis_line(std::istream& in, std::string& line,
+                     std::size_t& line_no);
 
 /// Parse a METIS-format graph from a stream. Throws std::runtime_error on
 /// malformed input (with a line number in the message).

@@ -4,9 +4,13 @@
 #include <array>
 #include <fstream>
 #include <istream>
+#include <limits>
 #include <ostream>
 #include <sstream>
 #include <stdexcept>
+#include <string>
+
+#include "graph/graph_io.hpp"
 
 namespace mcgp {
 
@@ -35,55 +39,61 @@ std::string Mesh::validate() const {
 
 namespace {
 
-bool next_data_line(std::istream& in, std::string& line) {
-  while (std::getline(in, line)) {
-    std::size_t i = 0;
-    while (i < line.size() && (line[i] == ' ' || line[i] == '\t' || line[i] == '\r')) ++i;
-    if (i == line.size()) continue;
-    if (line[i] == '%') continue;
-    return true;
-  }
-  return false;
+constexpr long long kIdxMax = std::numeric_limits<idx_t>::max();
+
+[[noreturn]] void parse_error(std::size_t line_no, const std::string& what) {
+  throw std::runtime_error("mesh parse error at line " +
+                           std::to_string(line_no) + ": " + what);
 }
 
 }  // namespace
 
 Mesh read_metis_mesh(std::istream& in) {
   std::string line;
-  if (!next_data_line(in, line))
-    throw std::runtime_error("mesh parse error: missing header");
+  std::size_t line_no = 0;
+  if (!next_metis_line(in, line, line_no)) {
+    parse_error(line_no, "missing header");
+  }
   long long ne = 0, nn = -1;
   {
     std::istringstream hs(line);
-    if (!(hs >> ne)) throw std::runtime_error("mesh parse error: bad header");
+    if (!(hs >> ne)) parse_error(line_no, "bad header");
     hs >> nn;  // optional
-    if (ne < 0) throw std::runtime_error("mesh parse error: negative nelems");
+    if (ne < 0) parse_error(line_no, "negative nelems");
+    if (ne > kIdxMax || nn > kIdxMax) {
+      parse_error(line_no, "nelems/nnodes " + std::to_string(ne) + "/" +
+                               std::to_string(nn) + " overflow idx_t (max " +
+                               std::to_string(kIdxMax) + ")");
+    }
   }
 
+  // eptr grows as element lines arrive: the header's count is not backed
+  // by any data yet, so it sizes nothing.
   Mesh m;
   m.nelems = static_cast<idx_t>(ne);
-  m.eptr.reserve(to_size(ne) + 1);
   idx_t max_node = -1;
   for (long long e = 0; e < ne; ++e) {
-    if (!next_data_line(in, line))
-      throw std::runtime_error("mesh parse error: fewer element lines than nelems");
+    if (!next_metis_line(in, line, line_no))
+      parse_error(line_no, "unexpected EOF (fewer element lines than nelems)");
     std::istringstream ls(line);
     long long node;
     idx_t count = 0;
     while (ls >> node) {
-      if (node < 1)
-        throw std::runtime_error("mesh parse error: node id must be >= 1");
+      if (node < 1) parse_error(line_no, "node id must be >= 1");
+      if (node > kIdxMax) parse_error(line_no, "node id overflows idx_t");
+      if (m.eind.size() >= to_size(kIdxMax)) {
+        parse_error(line_no, "element entries overflow idx_t");
+      }
       m.eind.push_back(static_cast<idx_t>(node - 1));
       max_node = std::max(max_node, static_cast<idx_t>(node - 1));
       ++count;
     }
-    if (count == 0)
-      throw std::runtime_error("mesh parse error: empty element line");
+    if (count == 0) parse_error(line_no, "empty element line");
     m.eptr.push_back(static_cast<idx_t>(m.eind.size()));
   }
   m.nnodes = nn >= 0 ? static_cast<idx_t>(nn) : max_node + 1;
   if (max_node >= m.nnodes)
-    throw std::runtime_error("mesh parse error: node id exceeds declared nnodes");
+    parse_error(line_no, "node id exceeds declared nnodes");
 
   const std::string problem = m.validate();
   if (!problem.empty()) throw std::runtime_error("mesh invalid: " + problem);

@@ -2,44 +2,51 @@
 
 #include <algorithm>
 #include <cassert>
+#include <limits>
 
 namespace mcgp {
 
-void BucketQueue::reset(idx_t n, wgt_t expected_max_gain) {
+void BucketQueue::reset(idx_t n, wgt_t expected_max_gain, int nqueues) {
+  assert(nqueues >= 1 && nqueues <= std::numeric_limits<std::int16_t>::max());
   const auto un = to_size(n);
   next_.assign(un, kNil);
   prev_.assign(un, kNil);
   keys_.assign(un, 0);
-  in_queue_.assign(un, 0);
-  const long long span = 2LL * std::max<wgt_t>(expected_max_gain, 1) + 1;
-  buckets_.assign(to_size(span), kNil);
-  initial_span_ = span;
-  offset_ = span / 2;
-  max_bucket_ = -1;
-  count_ = 0;
+  owner_.assign(un, kNone);
+  initial_span_ = 2LL * std::max<wgt_t>(expected_max_gain, 1) + 1;
+  lists_.assign(to_size(nqueues), Buckets{});
+  for (Buckets& b : lists_) {
+    b.heads.assign(to_size(initial_span_), kNil);
+    b.offset = initial_span_ / 2;
+  }
 }
 
 void BucketQueue::clear() {
-  // Only buckets at or below max_bucket_ can be non-empty.
-  for (long long b = 0; b <= max_bucket_; ++b) {
-    for (idx_t id = buckets_[to_size(b)]; id != kNil; id = next_[to_size(id)]) {
-      in_queue_[to_size(id)] = 0;
-    }
-    buckets_[to_size(b)] = kNil;
-  }
-  if (static_cast<long long>(buckets_.size()) != initial_span_) {
-    buckets_.assign(to_size(initial_span_), kNil);
-  }
-  offset_ = initial_span_ / 2;
-  max_bucket_ = -1;
-  count_ = 0;
+  for (int q = 0; q < num_queues(); ++q) clear(q);
 }
 
-void BucketQueue::grow_range(wgt_t gain) {
+void BucketQueue::clear(int q) {
+  Buckets& b = lists_[to_size(q)];
+  // Only buckets at or below max_bucket can be non-empty.
+  for (long long i = 0; i <= b.max_bucket; ++i) {
+    for (idx_t id = b.heads[to_size(i)]; id != kNil; id = next_[to_size(id)]) {
+      owner_[to_size(id)] = kNone;
+    }
+    b.heads[to_size(i)] = kNil;
+  }
+  if (static_cast<long long>(b.heads.size()) != initial_span_) {
+    b.heads.assign(to_size(initial_span_), kNil);
+  }
+  b.offset = initial_span_ / 2;
+  b.max_bucket = -1;
+  b.count = 0;
+}
+
+void BucketQueue::grow_range(Buckets& b, wgt_t gain) {
   // Double the range until `gain` fits, preserving bucket contents.
-  long long lo = -offset_;
-  long long hi = static_cast<long long>(buckets_.size()) - offset_ - 1;
-  long long span = static_cast<long long>(buckets_.size());
+  long long lo = -b.offset;
+  long long hi = static_cast<long long>(b.heads.size()) - b.offset - 1;
+  long long span = static_cast<long long>(b.heads.size());
   while (gain < lo || gain > hi) {
     span *= 2;
     lo = -span / 2;
@@ -47,28 +54,29 @@ void BucketQueue::grow_range(wgt_t gain) {
   }
   std::vector<idx_t> nb(to_size(span), kNil);
   const long long new_offset = span / 2;
-  for (std::size_t b = 0; b < buckets_.size(); ++b) {
-    if (buckets_[b] == kNil) continue;
-    const long long g = static_cast<long long>(b) - offset_;
-    nb[to_size(g + new_offset)] = buckets_[b];
+  for (std::size_t i = 0; i < b.heads.size(); ++i) {
+    if (b.heads[i] == kNil) continue;
+    const long long g = static_cast<long long>(i) - b.offset;
+    nb[to_size(g + new_offset)] = b.heads[i];
   }
-  buckets_ = std::move(nb);
-  if (max_bucket_ >= 0) max_bucket_ += new_offset - offset_;
-  offset_ = new_offset;
+  b.heads = std::move(nb);
+  if (b.max_bucket >= 0) b.max_bucket += new_offset - b.offset;
+  b.offset = new_offset;
 }
 
 void BucketQueue::link(idx_t id, wgt_t gain) {
-  const long long lo = -offset_;
-  const long long hi = static_cast<long long>(buckets_.size()) - offset_ - 1;
-  if (gain < lo || gain > hi) grow_range(gain);
-  const std::size_t b = bucket_of(gain);
-  const idx_t head = buckets_[b];
+  Buckets& b = lists_[to_size(owner_[to_size(id)])];
+  const long long lo = -b.offset;
+  const long long hi = static_cast<long long>(b.heads.size()) - b.offset - 1;
+  if (gain < lo || gain > hi) grow_range(b, gain);
+  const std::size_t i = b.of(gain);
+  const idx_t head = b.heads[i];
   next_[to_size(id)] = head;
   prev_[to_size(id)] = kNil;
   if (head != kNil) prev_[to_size(head)] = id;
-  buckets_[b] = id;
+  b.heads[i] = id;
   keys_[to_size(id)] = gain;
-  max_bucket_ = std::max(max_bucket_, static_cast<long long>(b));
+  b.max_bucket = std::max(b.max_bucket, static_cast<long long>(i));
 }
 
 void BucketQueue::unlink(idx_t id) {
@@ -78,42 +86,49 @@ void BucketQueue::unlink(idx_t id) {
   if (pv != kNil) {
     next_[to_size(pv)] = nx;
   } else {
-    buckets_[bucket_of(keys_[uid])] = nx;
+    Buckets& b = lists_[to_size(owner_[uid])];
+    b.heads[b.of(keys_[uid])] = nx;
   }
   if (nx != kNil) prev_[to_size(nx)] = pv;
 }
 
-void BucketQueue::insert(idx_t id, wgt_t gain) {
-  assert(!contains(id));
+void BucketQueue::insert(idx_t id, wgt_t gain, int q) {
+  assert(owner(id) == kNone);
+  owner_[to_size(id)] = static_cast<std::int16_t>(q);
   link(id, gain);
-  in_queue_[to_size(id)] = 1;
-  ++count_;
+  ++lists_[to_size(q)].count;
 }
 
 void BucketQueue::remove(idx_t id) {
-  assert(contains(id));
+  assert(owner(id) != kNone);
   unlink(id);
-  in_queue_[to_size(id)] = 0;
-  --count_;
+  --lists_[to_size(owner_[to_size(id)])].count;
+  owner_[to_size(id)] = kNone;
 }
 
 void BucketQueue::update(idx_t id, wgt_t new_gain) {
-  assert(contains(id));
+  assert(owner(id) != kNone);
   if (keys_[to_size(id)] == new_gain) return;
   unlink(id);
   link(id, new_gain);
 }
 
-wgt_t BucketQueue::max_key() {
-  assert(!empty());
-  while (buckets_[to_size(max_bucket_)] == kNil) --max_bucket_;
-  return static_cast<wgt_t>(max_bucket_ - offset_);
+void BucketQueue::top(Buckets& b) {
+  while (b.heads[to_size(b.max_bucket)] == kNil) --b.max_bucket;
 }
 
-idx_t BucketQueue::pop_max() {
-  assert(!empty());
-  while (buckets_[to_size(max_bucket_)] == kNil) --max_bucket_;
-  const idx_t id = buckets_[to_size(max_bucket_)];
+wgt_t BucketQueue::max_key(int q) {
+  assert(!empty(q));
+  Buckets& b = lists_[to_size(q)];
+  top(b);
+  return static_cast<wgt_t>(b.max_bucket - b.offset);
+}
+
+idx_t BucketQueue::pop_max(int q) {
+  assert(!empty(q));
+  Buckets& b = lists_[to_size(q)];
+  top(b);
+  const idx_t id = b.heads[to_size(b.max_bucket)];
   remove(id);
   return id;
 }

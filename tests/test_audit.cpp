@@ -205,6 +205,43 @@ TEST(InvariantAuditor, DetectsStaleKWayBoundary) {
   EXPECT_EQ(aud.count(AuditCheck::kKWayState), 2u);
 }
 
+TEST(InvariantAuditor, DetectsStaleFmDegreesAndSeeding) {
+  const Graph g = test_graph();
+  std::vector<idx_t> where(to_size(g.nvtxs));
+  for (idx_t v = 0; v < g.nvtxs; ++v) {
+    where[to_size(v)] = v < 32 ? 0 : 1;  // two halves of the 8x8 grid
+  }
+  std::vector<sum_t> id(to_size(g.nvtxs), 0), ed(to_size(g.nvtxs), 0);
+  BucketQueue queued;
+  queued.reset(g.nvtxs, 64, 2);
+  for (idx_t v = 0; v < g.nvtxs; ++v) {
+    for (idx_t e = g.xadj[to_size(v)]; e < g.xadj[to_size(v + 1)]; ++e) {
+      sum_t& d = where[to_size(g.adjncy[to_size(e)])] == where[to_size(v)]
+                     ? id[to_size(v)]
+                     : ed[to_size(v)];
+      d = checked_add(d, g.adjwgt[to_size(e)]);
+    }
+    if (ed[to_size(v)] > 0) queued.insert(v, 0, where[to_size(v)]);
+  }
+  InvariantAuditor aud(AuditLevel::kParanoid);
+  aud.check_fm_state(g, where, id, ed, queued, "test");
+
+  id[40] = checked_add(id[40], 1);  // a missed inverse update
+  EXPECT_THROW(aud.check_fm_state(g, where, id, ed, queued, "test"),
+               AuditFailure);
+  id[40] = checked_sub(id[40], 1);
+  queued.remove(30);  // a boundary vertex (row 3) left unseeded
+  EXPECT_THROW(aud.check_fm_state(g, where, id, ed, queued, "test"),
+               AuditFailure);
+  queued.insert(30, 0, 0);
+  queued.insert(0, 0, 0);  // an interior vertex seeded
+  EXPECT_THROW(aud.check_fm_state(g, where, id, ed, queued, "test"),
+               AuditFailure);
+  queued.remove(0);
+  aud.check_fm_state(g, where, id, ed, queued, "test");
+  EXPECT_EQ(aud.count(AuditCheck::kBisectionState), 2u);
+}
+
 TEST(InvariantAuditor, DetectsStaleGainAndCutDelta) {
   const Graph g = test_graph();
   std::vector<idx_t> where(to_size(g.nvtxs));

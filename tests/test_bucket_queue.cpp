@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <array>
 #include <map>
 #include <set>
 
@@ -190,6 +191,127 @@ TEST(BucketQueue, ClearThenReuse) {
   used.clear();  // clearing an empty queue is a no-op
   used.insert(7, 2);
   EXPECT_EQ(used.pop_max(), 7);
+}
+
+/// Randomized stress test of several queues sharing one node array, each
+/// checked against its own reference.
+TEST(BucketQueue, MultiQueueStressAgainstReference) {
+  constexpr idx_t kN = 200;
+  constexpr int kQueues = 4;
+  BucketQueue q;
+  q.reset(kN, 64, kQueues);
+  ASSERT_EQ(q.num_queues(), kQueues);
+  std::array<std::map<idx_t, wgt_t>, kQueues> ref;
+  std::vector<int> home(kN, -1);  // reference owner of each id
+  Rng rng(123);
+
+  for (int step = 0; step < 40000; ++step) {
+    const int op = static_cast<int>(rng.next_below(4));
+    const idx_t id = static_cast<idx_t>(rng.next_below(kN));
+    const int qi = static_cast<int>(rng.next_below(kQueues));
+    const wgt_t key = static_cast<wgt_t>(rng.next_in(-50, 50));
+    int& h = home[to_size(id)];
+    if (op == 0) {  // insert into a random queue
+      if (h < 0) {
+        ref[to_size(qi)][id] = key;
+        h = qi;
+        q.insert(id, key, qi);
+      }
+    } else if (op == 1) {  // remove from whichever queue holds it
+      if (h >= 0) {
+        ref[to_size(h)].erase(id);
+        h = -1;
+        q.remove(id);
+      }
+    } else if (op == 2) {  // update within its queue
+      if (h >= 0) {
+        ref[to_size(h)][id] = key;
+        q.update(id, key);
+      }
+    } else {  // pop max of a random queue
+      auto& r = ref[to_size(qi)];
+      if (!r.empty()) {
+        ASSERT_FALSE(q.empty(qi));
+        wgt_t expect_max = -1000;
+        for (const auto& [i, k] : r) expect_max = std::max(expect_max, k);
+        ASSERT_EQ(q.max_key(qi), expect_max);
+        const idx_t popped = q.pop_max(qi);
+        ASSERT_EQ(r.count(popped), 1u);
+        ASSERT_EQ(r[popped], expect_max);
+        r.erase(popped);
+        home[to_size(popped)] = -1;
+      } else {
+        ASSERT_TRUE(q.empty(qi));
+      }
+    }
+    for (int c = 0; c < kQueues; ++c) {
+      ASSERT_EQ(q.size(c), static_cast<idx_t>(ref[to_size(c)].size()));
+    }
+    ASSERT_EQ(q.owner(id), home[to_size(id)]);
+  }
+}
+
+TEST(BucketQueue, MovedBetweenQueuesKeepsLifoOrder) {
+  BucketQueue q;
+  q.reset(4, 64, 2);
+  q.insert(0, 5, 0);
+  q.insert(1, 5, 1);
+  q.insert(2, 5, 1);
+  // Vertex 0 moves to queue 1, the way FM requeues a vertex that changed
+  // sides: it is the most recent insertion into that bucket.
+  q.remove(0);
+  q.insert(0, 5, 1);
+  q.insert(3, 5, 0);
+  EXPECT_EQ(q.pop_max(1), 0);
+  EXPECT_EQ(q.pop_max(1), 2);
+  EXPECT_EQ(q.pop_max(1), 1);
+  EXPECT_EQ(q.pop_max(0), 3);
+  EXPECT_TRUE(q.empty(0));
+  EXPECT_TRUE(q.empty(1));
+}
+
+TEST(BucketQueue, ContainsAnswersPerQueue) {
+  BucketQueue q;
+  q.reset(3, 64, 3);
+  q.insert(1, 4, 2);
+  EXPECT_TRUE(q.contains(1, 2));
+  EXPECT_FALSE(q.contains(1, 0));
+  EXPECT_FALSE(q.contains(1, 1));
+  EXPECT_FALSE(q.contains(1));  // the single-queue form asks about queue 0
+  EXPECT_EQ(q.owner(1), 2);
+  EXPECT_EQ(q.owner(0), -1);
+  q.update(1, -7);
+  EXPECT_TRUE(q.contains(1, 2));
+  EXPECT_EQ(q.key(1), -7);
+  q.remove(1);
+  EXPECT_FALSE(q.contains(1, 2));
+  EXPECT_EQ(q.owner(1), -1);
+}
+
+TEST(BucketQueue, ClearOneQueueLeavesOthersIntact) {
+  BucketQueue q;
+  q.reset(10, 4, 3);
+  for (idx_t v = 0; v < 9; ++v) {
+    const wgt_t key = static_cast<wgt_t>(v % 4) * 1000 - 1500;
+    q.insert(v, key, static_cast<int>(v % 3));
+  }
+  q.clear(1);  // queue 1 had grown its bucket range
+  EXPECT_TRUE(q.empty(1));
+  for (const idx_t v : {1, 4, 7}) EXPECT_EQ(q.owner(v), -1);
+  EXPECT_EQ(q.size(0), 3);
+  EXPECT_EQ(q.size(2), 3);
+  // Queue 0 holds 0, 3, 6 with keys -1500, 1500, 500.
+  EXPECT_EQ(q.pop_max(0), 3);
+  EXPECT_EQ(q.pop_max(0), 6);
+  EXPECT_EQ(q.pop_max(0), 0);
+  // Queue 2 holds 2, 5, 8 with keys 500, -500, -1500.
+  EXPECT_EQ(q.pop_max(2), 2);
+  EXPECT_EQ(q.pop_max(2), 5);
+  EXPECT_EQ(q.pop_max(2), 8);
+  // The cleared queue is reusable.
+  q.insert(4, 9, 1);
+  EXPECT_EQ(q.max_key(1), 9);
+  EXPECT_EQ(q.pop_max(1), 4);
 }
 
 }  // namespace

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <sstream>
+#include <string>
 
 #include "gen/mesh_gen.hpp"
 #include "gen/weight_gen.hpp"
@@ -145,6 +146,42 @@ TEST(GraphIo, EdgeCountMismatchMessageUsesIntegers) {
     EXPECT_NE(msg.find("3"), std::string::npos) << msg;
     EXPECT_NE(msg.find("-1"), std::string::npos) << msg;
   }
+}
+
+std::string graph_parse_error(const std::string& text) {
+  std::istringstream in(text);
+  try {
+    read_metis_graph(in);
+  } catch (const std::runtime_error& e) {
+    return e.what();
+  }
+  return "<no error>";
+}
+
+TEST(GraphIo, HeaderCountsAloneAllocateNothing) {
+  // 13 bytes claiming two billion vertices: the parser must run out of
+  // lines, not of memory, since nothing backs the header's counts.
+  const std::string msg = graph_parse_error("2000000000 1\n");
+  EXPECT_NE(msg.find("at line 1: unexpected EOF"), std::string::npos) << msg;
+}
+
+TEST(GraphIo, RejectsCountsAndWeightsThatOverflow) {
+  std::string msg = graph_parse_error("3000000000 1\n");
+  EXPECT_NE(msg.find("at line 1: nvtxs 3000000000 overflows idx_t"),
+            std::string::npos)
+      << msg;
+  msg = graph_parse_error("% comment\n4 1500000000\n");
+  EXPECT_NE(msg.find("at line 2: nedges 1500000000 overflows idx_t"),
+            std::string::npos)
+      << msg;
+  msg = graph_parse_error("2 1 011\n3000000000 2 1\n1 1 1\n");
+  EXPECT_NE(msg.find("at line 2: vertex weight overflows wgt_t"),
+            std::string::npos)
+      << msg;
+  msg = graph_parse_error("2 1 001\n2 1\n1 3000000000\n");
+  EXPECT_NE(msg.find("at line 3: edge weight overflows wgt_t"),
+            std::string::npos)
+      << msg;
 }
 
 TEST(GraphIo, ErrorsOnNegativeVertexSize) {

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <sstream>
+#include <string>
 
 #include "gen/mesh_gen.hpp"
 #include "graph/graph_ops.hpp"
@@ -87,6 +88,29 @@ TEST(MeshIo, Errors) {
     EXPECT_THROW(read_metis_mesh(in), std::runtime_error);  // id > nnodes
   }
   EXPECT_THROW(read_metis_mesh_file("/nonexistent.mesh"), std::runtime_error);
+}
+
+TEST(MeshIo, HostileHeaderCounts) {
+  const auto error_of = [](const std::string& text) -> std::string {
+    std::istringstream in(text);
+    try {
+      read_metis_mesh(in);
+    } catch (const std::runtime_error& e) {
+      return e.what();
+    }
+    return "<no error>";
+  };
+  // Nothing backs the header's element count, so nothing is sized by it.
+  std::string msg = error_of("2000000000\n");
+  EXPECT_NE(msg.find("at line 1: unexpected EOF"), std::string::npos) << msg;
+  msg = error_of("3000000000\n");
+  EXPECT_NE(msg.find("at line 1: nelems/nnodes"), std::string::npos) << msg;
+  EXPECT_NE(msg.find("overflow idx_t"), std::string::npos) << msg;
+  msg = error_of("1 3000000000\n1 2\n");
+  EXPECT_NE(msg.find("overflow idx_t"), std::string::npos) << msg;
+  msg = error_of("1\n1 3000000000\n");
+  EXPECT_NE(msg.find("at line 2: node id overflows idx_t"), std::string::npos)
+      << msg;
 }
 
 TEST(MeshToDual, QuadDualIsGrid) {

@@ -6,12 +6,14 @@
 #include <array>
 #include <numeric>
 
+#include "core/audit.hpp"
 #include "core/balance2way.hpp"
 #include "gen/mesh_gen.hpp"
 #include "gen/weight_gen.hpp"
 #include "support/bucket_queue.hpp"
 #include "support/check.hpp"
 #include "support/random.hpp"
+#include "support/trace.hpp"
 
 namespace mcgp {
 namespace {
@@ -507,6 +509,70 @@ TEST(Refine2Way, MatchesPerPassReference) {
   }
   // The cursor reset only matters from a call's second pass on.
   EXPECT_GT(multipass_round_robin, 4);
+}
+
+TEST(Refine2Way, ParanoidAuditCleanOnReferenceMatrix) {
+  // The MatchesPerPassReference matrix again, under a paranoid auditor:
+  // it re-derives the carried degrees and the seeded boundary at every
+  // pass start, so a slip in the rollback's inverse updates throws at the
+  // pass after it. Auditing must not change a move either.
+  InvariantAuditor audit(AuditLevel::kParanoid);
+  for (const QueuePolicy policy :
+       {QueuePolicy::kMostImbalanced, QueuePolicy::kRoundRobin,
+        QueuePolicy::kSingleQueue}) {
+    for (const int m : {1, 3, 5}) {
+      for (const bool geometric : {false, true}) {
+        Graph g = geometric ? random_geometric(900, 0, 41, m)
+                            : grid2d(30, 30, m);
+        apply_type_s_weights(g, m, 12, 0, 19, 43);
+        for (const real_t ub : {1.02, 1.10}) {
+          for (const real_t f0 : {0.5, 0.35}) {
+            BisectionTargets t = even_targets(m, ub);
+            t.f0 = f0;
+            for (const std::uint64_t seed : {1ULL, 2ULL}) {
+              std::vector<idx_t> where(to_size(g.nvtxs));
+              if (geometric) {
+                Rng start(seed);
+                for (auto& s : where) {
+                  s = static_cast<idx_t>(start.next_below(2));
+                }
+              } else {
+                where = jagged_bisection(30, 30);
+              }
+              std::vector<idx_t> ref = where;
+              Rng r1(seed + 100), r2(seed + 100);
+              SCOPED_TRACE(testing::Message()
+                           << "policy " << static_cast<int>(policy) << " m "
+                           << m << " geometric " << geometric << " ub " << ub
+                           << " f0 " << f0 << " seed " << seed);
+              ASSERT_NO_THROW(refine_2way(g, where, t, policy, 10, 0, r1,
+                                          nullptr, nullptr, &audit));
+              reference_refine_2way(g, ref, t, policy, 10, r2);
+              ASSERT_EQ(where, ref);
+            }
+          }
+        }
+      }
+    }
+  }
+  EXPECT_GT(audit.count(AuditCheck::kBisectionState), 0u) << audit.summary();
+  EXPECT_GT(audit.count(AuditCheck::kGainSample), 0u) << audit.summary();
+}
+
+TEST(Refine2Way, DegreesScannedOncePerCall) {
+  // Degrees are computed from the adjacency once, in setup; later passes
+  // inherit them exact from the moves and rollbacks.
+  Graph g = grid2d(30, 30, 3);
+  apply_type_s_weights(g, 3, 12, 0, 19, 43);
+  std::vector<idx_t> where = jagged_bisection(30, 30);
+  TraceRecorder trace;
+  Rng rng(5);
+  Refine2WayStats stats;
+  refine_2way(g, where, even_targets(3), QueuePolicy::kMostImbalanced, 10, 0,
+              rng, &stats, &trace);
+  ASSERT_GE(stats.passes, 2);
+  EXPECT_EQ(trace.counters().get("fm.degree_scans"), g.nvtxs);
+  EXPECT_EQ(trace.counters().get("fm.passes"), stats.passes);
 }
 
 }  // namespace
