@@ -49,7 +49,7 @@ void BM_MatchingWorkspace(benchmark::State& state) {
   std::vector<idx_t> match;
   for (auto _ : state) {
     compute_matching_into(g, MatchScheme::kHeavyEdgeBalanced, rng, match,
-                          nullptr, &ws);
+                          &ws);
     benchmark::DoNotOptimize(match.data());
   }
   state.SetItemsProcessed(state.iterations() * g.nvtxs);
@@ -94,14 +94,14 @@ void BM_MatchingParallel(benchmark::State& state) {
   const int threads = static_cast<int>(state.range(1));
   std::unique_ptr<ThreadPool> pool;
   if (threads > 1) pool = std::make_unique<ThreadPool>(threads);
-  PhaseExec exec;
+  RunContext exec;
   exec.pool = pool.get();
   Rng rng(1);
   Workspace ws;
   std::vector<idx_t> match;
   for (auto _ : state) {
     compute_matching_into(g, MatchScheme::kHeavyEdgeBalanced, rng, match,
-                          nullptr, &ws, &exec);
+                          &ws, exec);
     benchmark::DoNotOptimize(match.data());
   }
   state.SetItemsProcessed(state.iterations() * g.nvtxs);
@@ -120,12 +120,12 @@ void BM_ContractParallel(benchmark::State& state) {
   std::unique_ptr<ThreadPool> pool;
   if (threads > 1) pool = std::make_unique<ThreadPool>(threads);
   WorkspacePool wspool;
-  PhaseExec exec;
+  RunContext exec;
   exec.pool = pool.get();
   exec.wspool = &wspool;
   Workspace ws;
   for (auto _ : state) {
-    Graph c = contract_graph(g, cmap, nc, &ws, &exec);
+    Graph c = contract_graph(g, cmap, nc, &ws, exec);
     benchmark::DoNotOptimize(c.adjncy.data());
   }
   state.SetItemsProcessed(state.iterations() * g.nedges());
@@ -146,14 +146,14 @@ void BM_KWaySweepParallel(benchmark::State& state) {
   std::unique_ptr<ThreadPool> pool;
   if (threads > 1) pool = std::make_unique<ThreadPool>(threads);
   WorkspacePool wspool;
-  PhaseExec exec;
+  RunContext exec;
   exec.pool = pool.get();
   exec.wspool = &wspool;
   Rng rng(1);
   for (auto _ : state) {
     std::vector<idx_t> where = start;
-    const sum_t cut = kway_refine(g, k, where, ub, 2, rng, nullptr, nullptr,
-                                  nullptr, nullptr, nullptr, &exec);
+    const sum_t cut =
+        kway_refine(g, k, where, ub, 2, rng, nullptr, nullptr, exec);
     benchmark::DoNotOptimize(cut);
   }
   state.SetItemsProcessed(state.iterations() * g.nvtxs);

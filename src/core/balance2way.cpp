@@ -10,7 +10,7 @@ namespace mcgp {
 
 bool balance_2way(const Graph& g, std::vector<idx_t>& where,
                   const BisectionTargets& targets, Rng& rng,
-                  InvariantAuditor* audit) {
+                  const RunContext& run) {
   BisectionBalance balance;
   balance.init(g, where, targets);
   if (balance.feasible()) return true;
@@ -77,8 +77,8 @@ bool balance_2way(const Graph& g, std::vector<idx_t>& where,
     }
     if (!progressed) break;
   }
-  if (audit != nullptr && audit->boundaries()) {
-    audit->check_bisection_weights(g, where, balance, "balance2way");
+  if (run.audit != nullptr && run.audit->boundaries()) {
+    run.audit->check_bisection_weights(g, where, balance, "balance2way");
   }
   return balance.feasible();
 }

@@ -10,19 +10,18 @@
 #include <vector>
 
 #include "core/bisection.hpp"
+#include "core/run_context.hpp"
 #include "support/random.hpp"
 
 namespace mcgp {
 
-class InvariantAuditor;
-
 /// Greedily move vertices from overloaded sides until every constraint is
 /// within tolerance or no move reduces the balance potential. Returns true
-/// if the final bisection is feasible. A non-null `audit` verifies the
+/// if the final bisection is feasible. A non-null `run.audit` verifies the
 /// incremental side-weight bookkeeping against a fresh recompute when the
 /// pass finishes.
 bool balance_2way(const Graph& g, std::vector<idx_t>& where,
                   const BisectionTargets& targets, Rng& rng,
-                  InvariantAuditor* audit = nullptr);
+                  const RunContext& run = {});
 
 }  // namespace mcgp

@@ -59,7 +59,7 @@ void build_rows(const Graph& g, const std::vector<idx_t>& cmap,
 }  // namespace
 
 Graph contract_graph(const Graph& g, const std::vector<idx_t>& cmap,
-                     idx_t ncoarse, Workspace* ws, const PhaseExec* exec) {
+                     idx_t ncoarse, Workspace* ws, const RunContext& run) {
   Graph c;
   c.nvtxs = ncoarse;
   c.ncon = g.ncon;
@@ -81,13 +81,11 @@ Graph contract_graph(const Graph& g, const std::vector<idx_t>& cmap,
     }
   }
 
-  const PhaseExec ex = exec != nullptr ? *exec : PhaseExec{};
-
   // Sum constituent weight vectors from the lists: each chunk writes only
   // its own coarse vertices' weights (disjoint), and per-vertex sums add
   // first then second exactly like the serial fine-vertex sweep did.
-  parallel_chunks(ex.pool, ncoarse, kContractChunk, [&](idx_t b, idx_t e) {
-    ProfScope aux(ex.profile, "coarsen.contract", ex.level, /*aux=*/true);
+  parallel_chunks(run.pool, ncoarse, kContractChunk, [&](idx_t b, idx_t e) {
+    ProfScope aux(run.profile, "coarsen.contract", run.level, /*aux=*/true);
     for (idx_t cv = b; cv < e; ++cv) {
       wgt_t* out = &c.vwgt[to_size(cv) * to_size(g.ncon)];
       for (const idx_t v : {first[to_size(cv)],
@@ -99,7 +97,7 @@ Graph contract_graph(const Graph& g, const std::vector<idx_t>& cmap,
     }
   });
 
-  if (ex.pool == nullptr || ncoarse <= kContractChunk) {
+  if (run.pool == nullptr || ncoarse <= kContractChunk) {
     // Serial rows straight into the output graph.
     c.adjncy.reserve(g.adjncy.size());
     c.adjwgt.reserve(g.adjwgt.size());
@@ -117,15 +115,15 @@ Graph contract_graph(const Graph& g, const std::vector<idx_t>& cmap,
     const idx_t nchunks = (ncoarse + kContractChunk - 1) / kContractChunk;
     std::vector<std::vector<idx_t>> chunk_adjncy(to_size(nchunks));
     std::vector<std::vector<wgt_t>> chunk_adjwgt(to_size(nchunks));
-    parallel_chunks(ex.pool, ncoarse, kContractChunk, [&](idx_t b, idx_t e) {
-      ProfScope aux(ex.profile, "coarsen.contract", ex.level, /*aux=*/true);
+    parallel_chunks(run.pool, ncoarse, kContractChunk, [&](idx_t b, idx_t e) {
+      ProfScope aux(run.profile, "coarsen.contract", run.level, /*aux=*/true);
       const idx_t chunk = b / kContractChunk;
       std::vector<idx_t>& adjncy = chunk_adjncy[to_size(chunk)];
       std::vector<wgt_t>& adjwgt = chunk_adjwgt[to_size(chunk)];
       std::vector<idx_t> local_pos;
       std::unique_ptr<WorkspacePool::Lease> lease;
-      if (ex.wspool != nullptr) {
-        lease = std::make_unique<WorkspacePool::Lease>(ex.wspool->acquire());
+      if (run.wspool != nullptr) {
+        lease = std::make_unique<WorkspacePool::Lease>(run.wspool->acquire());
       } else {
         local_pos.assign(to_size(ncoarse), -1);
       }
@@ -147,8 +145,8 @@ Graph contract_graph(const Graph& g, const std::vector<idx_t>& cmap,
     }
     c.adjncy.resize(total);
     c.adjwgt.resize(total);
-    parallel_chunks(ex.pool, ncoarse, kContractChunk, [&](idx_t b, idx_t e) {
-      ProfScope aux(ex.profile, "coarsen.contract", ex.level, /*aux=*/true);
+    parallel_chunks(run.pool, ncoarse, kContractChunk, [&](idx_t b, idx_t e) {
+      ProfScope aux(run.profile, "coarsen.contract", run.level, /*aux=*/true);
       const idx_t chunk = b / kContractChunk;
       const std::size_t base = chunk_base[to_size(chunk)];
       const std::vector<idx_t>& adjncy = chunk_adjncy[to_size(chunk)];
@@ -170,17 +168,12 @@ Graph contract_graph(const Graph& g, const std::vector<idx_t>& cmap,
 }
 
 CoarsenParams coarsen_params(const Options& opts, idx_t coarsen_to,
-                             ThreadPool* pool, WorkspacePool* wspool) {
+                             const RunContext& run) {
   CoarsenParams cp;
+  static_cast<RunContext&>(cp) = run;
   cp.coarsen_to = coarsen_to;
   cp.scheme = opts.matching;
   cp.min_reduction = opts.min_coarsen_reduction;
-  cp.trace = opts.trace;
-  cp.audit = opts.audit;
-  cp.flight = opts.flight;
-  cp.profile = opts.profile;
-  cp.pool = pool;
-  cp.wspool = wspool;
   return cp;
 }
 
@@ -199,11 +192,11 @@ Hierarchy coarsen_graph(const Graph& g, const CoarsenParams& params, Rng& rng,
     if (cur->nvtxs <= params.coarsen_to) break;
 
     TraceSpan sp(params.trace, "coarsen.level");
-    const PhaseExec exec{params.pool, params.wspool, params.profile, level};
+    RunContext run = params;
+    run.level = level;
     ProfScope match_scope(params.profile, "coarsen.matching", level);
     match_scope.work(cur->nedges(), cur->nvtxs);
-    compute_matching_into(*cur, params.scheme, rng, match, params.trace, ws,
-                          &exec);
+    compute_matching_into(*cur, params.scheme, rng, match, ws, run);
     std::vector<idx_t> cmap;  // kept by the hierarchy: allocated fresh
     const idx_t ncoarse = build_coarse_map(*cur, match, cmap);
     match_scope.finish();
@@ -234,7 +227,7 @@ Hierarchy coarsen_graph(const Graph& g, const CoarsenParams& params, Rng& rng,
 
     ProfScope contract_scope(params.profile, "coarsen.contract", level);
     contract_scope.work(cur->nedges(), cur->nvtxs);
-    Graph coarse = contract_graph(*cur, cmap, ncoarse, ws, &exec);
+    Graph coarse = contract_graph(*cur, cmap, ncoarse, ws, run);
     contract_scope.finish();
     if (params.audit != nullptr && params.audit->boundaries()) {
       params.audit->check_coarse_level(*cur, coarse, cmap, "coarsen.level");

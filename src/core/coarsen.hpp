@@ -9,22 +9,20 @@
 
 namespace mcgp {
 
-class WorkspacePool;
-
 /// Contract a graph according to a fine-to-coarse vertex map.
 /// Coarse vertex weights are the (vector) sums of their constituents;
 /// parallel coarse edges are merged by summing weights; edges internal to
 /// a coarse vertex vanish. A non-null `ws` supplies the constituent-list
 /// and dense position scratch buffers so repeated contractions allocate
-/// nothing beyond the coarse graph itself. A non-null `exec` with a pool
-/// builds the coarse rows in parallel for sufficiently large outputs,
-/// each chunk leasing its dense position map from exec->wspool, and
+/// nothing beyond the coarse graph itself. A non-null `run.pool` builds
+/// the coarse rows in parallel for sufficiently large outputs, each chunk
+/// leasing its dense position map from `run.wspool`, and
 /// merges them at offsets fixed by chunk order: every row is built by the
 /// same first/second-constituent walk, so the output is bit-identical to
 /// the serial path's.
 Graph contract_graph(const Graph& g, const std::vector<idx_t>& cmap,
                      idx_t ncoarse, Workspace* ws = nullptr,
-                     const PhaseExec* exec = nullptr);
+                     const RunContext& run = {});
 
 /// One level of the hierarchy below the finest graph.
 struct CoarseLevel {
@@ -49,34 +47,22 @@ struct Hierarchy {
   }
 };
 
-struct CoarsenParams {
+/// The run context coarsening runs in plus its own knobs. Per level the
+/// trace gets a span, the auditor checks the contraction's conservation,
+/// the flight recorder gets one sample, the profiler measures matching and
+/// contraction, and the pool runs their chunk tasks on `wspool` scratch.
+/// `level` is ignored: each level sets its own.
+struct CoarsenParams : RunContext {
   idx_t coarsen_to = 100;
   MatchScheme scheme = MatchScheme::kHeavyEdgeBalanced;
   real_t min_reduction = 0.95;  ///< stop if ncoarse > min_reduction * n
   int max_levels = 60;
-  TraceRecorder* trace = nullptr;  ///< optional per-level span recording
-  /// Optional invariant auditor: verifies weight/edge conservation of
-  /// every contraction (see core/audit.hpp). Null = no checks.
-  InvariantAuditor* audit = nullptr;
-  /// Optional flight recorder: one telemetry sample (level, coarse
-  /// nvtxs/nedges, memory high-water) per contraction. Null = no samples.
-  FlightRecorder* flight = nullptr;
-  /// Optional hardware-counter profiler: one measured interval per level
-  /// for matching and for contraction. Null = one pointer test per level.
-  Profiler* profile = nullptr;
-  /// Optional thread pool: runs the handshake-matching and contraction
-  /// chunk tasks. The algorithms are selected by graph size only, so a
-  /// null pool executes the identical work inline (bit-identical output).
-  ThreadPool* pool = nullptr;
-  /// Scratch leases for parallel contraction chunks (required for the
-  /// chunked contraction path to avoid per-chunk map allocations).
-  WorkspacePool* wspool = nullptr;
 };
 
-/// The CoarsenParams a driver runs with: opts' matching scheme, stall
-/// threshold and observers, the given target size, pool and scratch pool.
+/// The CoarsenParams a driver runs with: `run` plus opts' matching scheme
+/// and stall threshold and the given target size.
 CoarsenParams coarsen_params(const Options& opts, idx_t coarsen_to,
-                             ThreadPool* pool, WorkspacePool* wspool);
+                             const RunContext& run);
 
 /// Repeatedly match-and-contract until the graph is small enough or
 /// coarsening stalls. `g` must outlive the returned hierarchy. A non-null

@@ -8,6 +8,7 @@
 #include "core/refine2way.hpp"
 #include "support/indexed_heap.hpp"
 #include "support/perf_counters.hpp"
+#include "support/thread_pool.hpp"
 #include "support/trace.hpp"
 
 namespace mcgp {
@@ -162,10 +163,12 @@ struct InitTrial {
 sum_t init_bisection(const Graph& g, std::vector<idx_t>& where,
                      const BisectionTargets& targets, InitScheme scheme,
                      int trials, QueuePolicy policy, Rng& rng,
-                     TraceRecorder* trace, ThreadPool* pool,
-                     InvariantAuditor* audit, Profiler* profile) {
+                     const RunContext& run) {
   trials = std::max(trials, 1);
-  TraceSpan span(trace, "initpart");
+  TraceSpan span(run.trace, "initpart");
+  // Polishing is audited but untraced: the trials report as instants.
+  RunContext polish;
+  polish.audit = run.audit;
 
   // One seed value feeds every trial's private stream; results land in a
   // per-trial slot and the winner is picked serially in trial order, so
@@ -174,7 +177,7 @@ sum_t init_bisection(const Graph& g, std::vector<idx_t>& where,
   std::vector<InitTrial> results(to_size(trials));
 
   auto run_trial = [&](int t) {
-    ProfScope aux(profile, "initpart", /*level=*/-1, /*aux=*/true);
+    ProfScope aux(run.profile, "initpart", /*level=*/-1, /*aux=*/true);
     InitTrial& out = results[to_size(t)];
     Rng trng(mix_seed(base_seed, static_cast<std::uint64_t>(t)));
     const bool use_grow = scheme == InitScheme::kGreedyGrow ||
@@ -184,10 +187,10 @@ sum_t init_bisection(const Graph& g, std::vector<idx_t>& where,
     } else {
       binpack_bisection(g, out.where, targets, trng);
     }
-    balance_2way(g, out.where, targets, trng, audit);
+    balance_2way(g, out.where, targets, trng, polish);
     refine_2way(g, out.where, targets, policy, /*max_passes=*/4,
                 /*move_limit=*/std::max<idx_t>(32, g.nvtxs / 10), trng,
-                /*stats=*/nullptr, /*trace=*/nullptr, audit);
+                /*stats=*/nullptr, polish);
 
     BisectionBalance balance;
     balance.init(g, out.where, targets);
@@ -195,9 +198,9 @@ sum_t init_bisection(const Graph& g, std::vector<idx_t>& where,
     out.feasible = out.pot <= 1.0 + 1e-12;
     out.cut = compute_cut_2way(g, out.where);
 
-    trace_count(trace, "initpart.trials");
+    trace_count(run.trace, "initpart.trials");
     trace_instant(
-        trace, "initpart.trial",
+        run.trace, "initpart.trial",
         {{"trial", t},
          {"grow", static_cast<std::int64_t>(use_grow ? 1 : 0)},
          {"cut", out.cut},
@@ -205,8 +208,8 @@ sum_t init_bisection(const Graph& g, std::vector<idx_t>& where,
          {"feasible", static_cast<std::int64_t>(out.feasible ? 1 : 0)}});
   };
 
-  if (pool != nullptr && trials > 1) {
-    TaskGroup group(pool);
+  if (run.pool != nullptr && trials > 1) {
+    TaskGroup group(run.pool);
     for (int t = 1; t < trials; ++t) {
       group.run([&run_trial, t] { run_trial(t); });
     }

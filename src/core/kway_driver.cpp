@@ -49,12 +49,13 @@ std::vector<idx_t> partition_kway(const Graph& g, const Options& opts,
   // workspace below, and the parallel matching / contraction / sweep
   // chunks lease their own, so footprint telemetry sees every buffer.
   WorkspacePool wspool;
+  RunContext run = run_context(opts, pool, &wspool);
   Hierarchy h;
   {
     ScopedPhase sp(pt, "coarsen");
     WorkspacePool::Lease ws = wspool.acquire();
     const CoarsenParams cp = coarsen_params(
-        opts, kway_coarsen_to(opts, k, g.ncon, g.nvtxs), pool, &wspool);
+        opts, kway_coarsen_to(opts, k, g.ncon, g.nvtxs), run);
     h = coarsen_graph(g, cp, rng, ws.get());
   }
 
@@ -69,8 +70,8 @@ std::vector<idx_t> partition_kway(const Graph& g, const Options& opts,
   std::vector<idx_t> cwhere;
   {
     ScopedPhase sp(pt, "initpart");
-    TraceSpan tsp(opts.trace, "initpart.kway");
-    ProfScope ps(opts.profile, "initpart");
+    TraceSpan tsp(run.trace, "initpart.kway");
+    ProfScope ps(run.profile, "initpart");
     ps.work(h.coarsest().nedges(), h.coarsest().nvtxs);
     Options init_opts = opts;
     // The nested recursive bisection of the coarsest graph runs its own
@@ -100,37 +101,27 @@ std::vector<idx_t> partition_kway(const Graph& g, const Options& opts,
             h.levels[to_size(l)].cmap;
         std::vector<idx_t> fine_where;
         project_partition(cmap, cwhere, fine_where);
-        if (opts.audit != nullptr && opts.audit->boundaries()) {
-          opts.audit->check_projection(cur, h.graph_at(l + 1), cmap, cwhere,
-                                       fine_where, "kway.uncoarsen");
+        if (run.audit != nullptr && run.audit->boundaries()) {
+          run.audit->check_projection(cur, h.graph_at(l + 1), cmap, cwhere,
+                                      fine_where, "kway.uncoarsen");
         }
         cwhere = std::move(fine_where);
       }
-      TraceSpan lvl(opts.trace, "uncoarsen.level");
+      run.level = l;
+      TraceSpan lvl(run.trace, "uncoarsen.level");
       // Extra sweeps on the finest graph, where moves are cheapest in
       // balance terms and most plentiful.
       const int passes = l == 0 ? opts.kway_passes + 2 : opts.kway_passes;
-      const sum_t cut = kway_refine_level(cur, cwhere, ub, passes, l, rng,
-                                          opts, pool, &wspool);
-      if (opts.flight == nullptr && !lvl.enabled()) continue;
-      if (opts.flight != nullptr) opts.flight->sample_memory();
+      const sum_t cut =
+          kway_refine_level(cur, cwhere, ub, passes, rng, opts, run);
+      if (run.flight == nullptr && !lvl.enabled()) continue;
       const std::vector<real_t> lb =
           opts.targets() != nullptr
               ? target_imbalance(cur, cwhere, k, opts.tpwgts)
               : imbalance(cur, cwhere, k);
-      if (opts.flight != nullptr) {
-        FlightSample fs;
-        fs.stage = FlightSample::Stage::kUncoarsenKWay;
-        fs.level = l;
-        fs.ncon = cur.ncon;
-        fs.nvtxs = cur.nvtxs;
-        fs.nedges = cur.nedges();
-        fs.cut = cut;
-        for (int i = 0; i < cur.ncon && i < kMaxNcon; ++i) {
-          fs.imbalance[i] = lb[to_size(i)];
-          fs.worst_imbalance = std::max(fs.worst_imbalance, lb[to_size(i)]);
-        }
-        opts.flight->record(fs);
+      if (run.flight != nullptr) {
+        record_level_sample(*run.flight, FlightSample::Stage::kUncoarsenKWay,
+                            l, cur, cut, lb);
       }
       if (lvl.enabled()) {
         real_t worst = 1.0;
@@ -147,11 +138,11 @@ std::vector<idx_t> partition_kway(const Graph& g, const Options& opts,
     // coarse-granularity instances (the ledger's grid-13x13 k=64 case).
     // Runs after all parallel phases on a thread-invariant `cwhere` and
     // is itself serial, so determinism is preserved.
-    rebalance_if_infeasible(g, cwhere, ub, rng, opts);
+    rebalance_if_infeasible(g, cwhere, ub, rng, opts, run);
   }
 
-  if (opts.flight != nullptr) {
-    opts.flight->note_workspace(wspool.footprint_bytes(), wspool.size());
+  if (run.flight != nullptr) {
+    run.flight->note_workspace(wspool.footprint_bytes(), wspool.size());
   }
   return cwhere;
 }

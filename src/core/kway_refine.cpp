@@ -135,7 +135,7 @@ struct SweepState {
 /// class's movable list) — are put in a hashed order. Every other member
 /// would propose nothing, so leaving it out changes no move, and none of
 /// them is even looked at. The proposals are computed from the state
-/// frozen at the class's start (concurrently when `ex` has a pool — class
+/// frozen at the class's start (concurrently when `run` has a pool — class
 /// members are pairwise non-adjacent, so proposals cannot interact) and
 /// then committed serially in the hashed order, re-validating
 /// can_leave/fits/zero-gain-balance against the live weights. A proposal's
@@ -143,7 +143,7 @@ struct SweepState {
 /// of them is adjacent to the proposer, so its connectivity is unchanged —
 /// which keeps the paranoid cut-delta audit exact.
 PassResult colored_sweep(KWayContext& ctx, const std::vector<idx_t>& where,
-                         SweepState& st, Rng& rng, const PhaseExec& ex) {
+                         SweepState& st, Rng& rng, const RunContext& run) {
   // One draw per pass: every ordering decision below derives from it by
   // vertex id, independent of threads and chunking.
   const std::uint64_t pass_seed = rng.next_u64();
@@ -169,13 +169,13 @@ PassResult colored_sweep(KWayContext& ctx, const std::vector<idx_t>& where,
     st.gains.resize(st.order.size());
 
     // Propose phase: reads the context frozen as of this class's start.
-    parallel_chunks(ex.pool, seg_n, kSweepChunk, [&](idx_t b, idx_t e) {
-      ProfScope aux(ex.profile, "kway_refine", ex.level, /*aux=*/true);
+    parallel_chunks(run.pool, seg_n, kSweepChunk, [&](idx_t b, idx_t e) {
+      ProfScope aux(run.profile, "kway_refine", run.level, /*aux=*/true);
       std::vector<sum_t> local_conn;
       std::vector<idx_t> local_touched;
       std::unique_ptr<WorkspacePool::Lease> lease;
-      if (ex.wspool != nullptr) {
-        lease = std::make_unique<WorkspacePool::Lease>(ex.wspool->acquire());
+      if (run.wspool != nullptr) {
+        lease = std::make_unique<WorkspacePool::Lease>(run.wspool->acquire());
       }
       std::vector<sum_t>& conn = lease != nullptr ? (*lease)->kconn
                                                   : local_conn;
@@ -398,22 +398,13 @@ PassResult pq_pass(const Graph& g, KWayContext& ctx,
   return res;
 }
 
-/// Observers and audit sites of one refinement call.
-struct RefineHooks {
-  TraceRecorder* trace;
-  InvariantAuditor* audit;
-  FlightRecorder* flight;
-  const char* pass_site;  ///< audit site of every pass
-  const char* site;       ///< audit site of the finished refinement
-};
-
 void balance_if_infeasible(const Graph& g, KWayContext& ctx, idx_t nparts,
                            std::vector<idx_t>& where,
                            const std::vector<real_t>& ub, Rng& rng,
                            const std::vector<real_t>* tpwgts,
-                           const RefineHooks& hooks) {
+                           const RunContext& run) {
   if (ctx.feasible()) return;
-  kway_balance(g, nparts, where, ub, rng, tpwgts, hooks.trace, hooks.audit);
+  kway_balance(g, nparts, where, ub, rng, tpwgts, run);
   ctx.reload();
 }
 
@@ -422,27 +413,26 @@ void balance_if_infeasible(const Graph& g, KWayContext& ctx, idx_t nparts,
 /// jiggling alone is not progress), bounded by a generous multiple of the
 /// configured pass count as a safety net against oscillation, then
 /// balances again if the passes could not keep the partition feasible.
+/// `pass_site` names every pass's audits, `site` the finished refinement's.
 template <class Pass>
 sum_t run_passes(const Graph& g, KWayContext& ctx, idx_t nparts,
                  std::vector<idx_t>& where, const std::vector<real_t>& ub,
                  int max_passes, Rng& rng, KWayRefineStats* stats,
-                 const std::vector<real_t>* tpwgts, const RefineHooks& hooks,
-                 Pass&& pass) {
-  TraceRecorder* trace = hooks.trace;
-  InvariantAuditor* audit = hooks.audit;
-  const bool delta_audit = audit != nullptr && audit->paranoid();
+                 const std::vector<real_t>* tpwgts, const RunContext& run,
+                 const char* pass_site, const char* site, Pass&& pass) {
+  const bool delta_audit = run.audit != nullptr && run.audit->paranoid();
   const int pass_cap = 4 * max_passes;
   for (int p = 0; p < pass_cap; ++p) {
-    TraceSpan span(trace, "kway.pass");
+    TraceSpan span(run.trace, "kway.pass");
     const sum_t cut_before = delta_audit ? edge_cut(g, where) : 0;
     const PassResult r = pass(rng);
     if (delta_audit) {
       // Every accepted move's gain was exact at commit time, so the sum
       // must account for the pass's cut change to the last unit.
-      audit->check_cut_delta(cut_before, r.gain, edge_cut(g, where),
-                             hooks.pass_site);
-      audit->check_kway_state(g, where, nparts, ctx.pwgts(), &ctx.vcounts(),
-                              hooks.pass_site);
+      run.audit->check_cut_delta(cut_before, r.gain, edge_cut(g, where),
+                                 pass_site);
+      run.audit->check_kway_state(g, where, nparts, ctx.pwgts(),
+                                  &ctx.vcounts(), pass_site);
     }
     if (stats != nullptr) {
       ++stats->passes;
@@ -450,16 +440,16 @@ sum_t run_passes(const Graph& g, KWayContext& ctx, idx_t nparts,
       stats->proposed += r.proposed;
     }
     if (span.enabled()) {
-      trace_count(trace, "kway.passes");
-      trace_count(trace, "kway.moves", r.moves);
-      trace_count(trace, "kway.proposed", r.proposed);
+      trace_count(run.trace, "kway.passes");
+      trace_count(run.trace, "kway.moves", r.moves);
+      trace_count(run.trace, "kway.proposed", r.proposed);
       span.arg({"pass", p});
       span.arg({"moves", r.moves});
       span.arg({"proposed", r.proposed});
       span.arg({"gain", r.gain});
       span.arg({"max_overload", ctx.max_overload()});
     }
-    if (hooks.flight != nullptr) {
+    if (run.flight != nullptr) {
       FlightSample fs;
       fs.stage = FlightSample::Stage::kKWayPass;
       fs.pass = p;
@@ -468,16 +458,16 @@ sum_t run_passes(const Graph& g, KWayContext& ctx, idx_t nparts,
       fs.moves = r.moves;
       fs.gain = r.gain;
       fs.worst_imbalance = ctx.max_overload();
-      hooks.flight->record(fs);
+      run.flight->record(fs);
     }
     if (r.moves == 0 || (r.gain == 0 && p + 1 >= max_passes)) break;
   }
 
-  if (audit != nullptr && audit->boundaries()) {
-    audit->check_kway_state(g, where, nparts, ctx.pwgts(), &ctx.vcounts(),
-                            hooks.site);
+  if (run.audit != nullptr && run.audit->boundaries()) {
+    run.audit->check_kway_state(g, where, nparts, ctx.pwgts(), &ctx.vcounts(),
+                                site);
   }
-  balance_if_infeasible(g, ctx, nparts, where, ub, rng, tpwgts, hooks);
+  balance_if_infeasible(g, ctx, nparts, where, ub, rng, tpwgts, run);
 
   const sum_t cut = edge_cut(g, where);
   if (stats != nullptr) {
@@ -491,12 +481,11 @@ sum_t run_passes(const Graph& g, KWayContext& ctx, idx_t nparts,
 
 bool kway_balance(const Graph& g, idx_t nparts, std::vector<idx_t>& where,
                   const std::vector<real_t>& ub, Rng& rng,
-                  const std::vector<real_t>* tpwgts, TraceRecorder* trace,
-                  InvariantAuditor* audit) {
+                  const std::vector<real_t>* tpwgts, const RunContext& run) {
   KWayContext ctx(g, nparts, where, ub, tpwgts);
   if (ctx.feasible()) return true;
 
-  TraceSpan span(trace, "kway.balance");
+  TraceSpan span(run.trace, "kway.balance");
   sum_t total_moves = 0;
   int episodes = 0;
   // Each episode drains the current argmax part, so (peak, #loads at the
@@ -541,17 +530,17 @@ bool kway_balance(const Graph& g, idx_t nparts, std::vector<idx_t>& where,
   if (ctx.feasible()) bail = "feasible";
 
   // The episodes mutated pwgts/vcount incrementally across many moves.
-  if (audit != nullptr && audit->boundaries()) {
-    audit->check_kway_state(g, where, nparts, ctx.pwgts(), &ctx.vcounts(),
-                            "kway.balance");
+  if (run.audit != nullptr && run.audit->boundaries()) {
+    run.audit->check_kway_state(g, where, nparts, ctx.pwgts(), &ctx.vcounts(),
+                                "kway.balance");
   }
 
   const bool ok = ctx.feasible();
   if (span.enabled()) {
-    trace_count(trace, "kway.balance.moves", total_moves);
-    trace_count(trace, "kway.balance.episodes", episodes);
-    trace_count(trace, "kway.balance.scanned", scratch.scanned);
-    trace_count(trace, std::string("kway.balance.bail.") + bail);
+    trace_count(run.trace, "kway.balance.moves", total_moves);
+    trace_count(run.trace, "kway.balance.episodes", episodes);
+    trace_count(run.trace, "kway.balance.scanned", scratch.scanned);
+    trace_count(run.trace, std::string("kway.balance.bail.") + bail);
     span.arg({"moves", total_moves});
     span.arg({"episodes", episodes});
     span.arg({"scanned", scratch.scanned});
@@ -564,60 +553,62 @@ bool kway_balance(const Graph& g, idx_t nparts, std::vector<idx_t>& where,
 sum_t kway_refine(const Graph& g, idx_t nparts, std::vector<idx_t>& where,
                   const std::vector<real_t>& ub, int max_passes, Rng& rng,
                   KWayRefineStats* stats, const std::vector<real_t>* tpwgts,
-                  TraceRecorder* trace, InvariantAuditor* audit,
-                  FlightRecorder* flight, const PhaseExec* exec) {
-  const RefineHooks hooks{trace, audit, flight, "kway.sweep", "kway.refine"};
+                  const RunContext& run) {
   KWayContext ctx(g, nparts, where, ub, tpwgts);
-  balance_if_infeasible(g, ctx, nparts, where, ub, rng, tpwgts, hooks);
+  balance_if_infeasible(g, ctx, nparts, where, ub, rng, tpwgts, run);
 
-  const PhaseExec ex = exec != nullptr ? *exec : PhaseExec{};
-  SweepState st(g, where, ex.pool);
-  const bool paranoid = audit != nullptr && audit->paranoid();
+  SweepState st(g, where, run.pool);
+  const bool paranoid = run.audit != nullptr && run.audit->paranoid();
   return run_passes(g, ctx, nparts, where, ub, max_passes, rng, stats, tpwgts,
-                    hooks, [&](Rng& r) {
+                    run, "kway.sweep", "kway.refine", [&](Rng& r) {
                       const PassResult res =
-                          colored_sweep(ctx, where, st, r, ex);
+                          colored_sweep(ctx, where, st, r, run);
                       if (paranoid) {
-                        audit->check_kway_boundary(g, where, st.bnd,
-                                                   hooks.pass_site);
+                        run.audit->check_kway_boundary(g, where, st.bnd,
+                                                       "kway.sweep");
                       }
                       return res;
                     });
 }
 
+sum_t kway_refine(const Graph& g, idx_t nparts, std::vector<idx_t>& where,
+                  const std::vector<real_t>& ub, int max_passes, Rng& rng,
+                  KWayRefineStats* stats, const std::vector<real_t>* tpwgts,
+                  TraceRecorder* trace, InvariantAuditor* audit,
+                  FlightRecorder* flight, const KWayExec* exec) {
+  RunContext run = exec != nullptr ? *exec : RunContext{};
+  run.trace = trace;
+  run.audit = audit;
+  run.flight = flight;
+  return kway_refine(g, nparts, where, ub, max_passes, rng, stats, tpwgts,
+                     run);
+}
+
 sum_t kway_refine_pq(const Graph& g, idx_t nparts, std::vector<idx_t>& where,
                      const std::vector<real_t>& ub, int max_passes, Rng& rng,
                      KWayRefineStats* stats,
-                     const std::vector<real_t>* tpwgts, TraceRecorder* trace,
-                     InvariantAuditor* audit, FlightRecorder* flight) {
-  const RefineHooks hooks{trace, audit, flight, "kway.pq_pass",
-                          "kway.refine_pq"};
+                     const std::vector<real_t>* tpwgts,
+                     const RunContext& run) {
   KWayContext ctx(g, nparts, where, ub, tpwgts);
-  balance_if_infeasible(g, ctx, nparts, where, ub, rng, tpwgts, hooks);
+  balance_if_infeasible(g, ctx, nparts, where, ub, rng, tpwgts, run);
 
   BucketQueue queue;
   return run_passes(g, ctx, nparts, where, ub, max_passes, rng, stats, tpwgts,
-                    hooks, [&](Rng& r) {
+                    run, "kway.pq_pass", "kway.refine_pq", [&](Rng& r) {
                       return pq_pass(g, ctx, where, queue, r);
                     });
 }
 
 sum_t kway_refine_level(const Graph& g, std::vector<idx_t>& where,
-                        const std::vector<real_t>& ub, int passes, int level,
-                        Rng& rng, const Options& opts, ThreadPool* pool,
-                        WorkspacePool* wspool) {
+                        const std::vector<real_t>& ub, int passes, Rng& rng,
+                        const Options& opts, const RunContext& run) {
   const bool pq = opts.kway_scheme == KWayRefineScheme::kPriorityQueue;
-  ProfScope ps(opts.profile, pq ? "kway_refine_pq" : "kway_refine", level);
+  ProfScope ps(run.profile, pq ? "kway_refine_pq" : "kway_refine", run.level);
   ps.work(g.nedges(), g.nvtxs);
-  if (pq) {
-    return kway_refine_pq(g, opts.nparts, where, ub, passes, rng, nullptr,
-                          opts.targets(), opts.trace, opts.audit,
-                          opts.flight);
-  }
-  const PhaseExec exec{pool, wspool, opts.profile, level};
-  return kway_refine(g, opts.nparts, where, ub, passes, rng, nullptr,
-                     opts.targets(), opts.trace, opts.audit, opts.flight,
-                     &exec);
+  return pq ? kway_refine_pq(g, opts.nparts, where, ub, passes, rng, nullptr,
+                             opts.targets(), run)
+            : kway_refine(g, opts.nparts, where, ub, passes, rng, nullptr,
+                          opts.targets(), run);
 }
 
 }  // namespace mcgp

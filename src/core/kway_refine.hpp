@@ -11,15 +11,14 @@
 #include <vector>
 
 #include "core/config.hpp"
-#include "core/exec.hpp"
+#include "core/run_context.hpp"
 #include "graph/csr_graph.hpp"
 #include "support/random.hpp"
 
 namespace mcgp {
 
-/// The colored sweep's execution context under the name perfbench's
-/// replay gives it.
-using KWayExec = PhaseExec;
+/// The run context under the name perfbench's replay gives it.
+using KWayExec = RunContext;
 
 struct KWayRefineStats {
   int passes = 0;
@@ -39,16 +38,17 @@ bool kway_feasible(const Graph& g, const std::vector<sum_t>& pwgts,
 /// Balancing sweeps: move weight out of overloaded parts with the least
 /// cut damage until feasible or stuck. Returns true when feasible.
 /// `tpwgts` (optional) gives per-part target fractions; null = uniform.
+/// Of `run`, the trace gets a "kway.balance" span and counters and the
+/// auditor checks the part weights when the sweeps finish.
 bool kway_balance(const Graph& g, idx_t nparts, std::vector<idx_t>& where,
                   const std::vector<real_t>& ub, Rng& rng,
                   const std::vector<real_t>* tpwgts = nullptr,
-                  TraceRecorder* trace = nullptr,
-                  InvariantAuditor* audit = nullptr);
+                  const RunContext& run = {});
 
 /// Greedy refinement. Runs up to `max_passes` sweeps (plus balancing when
 /// needed) and returns the final cut. `tpwgts` (optional) gives per-part
-/// target fractions; null = uniform. A non-null `trace` records one
-/// "kway.pass" span per sweep plus the kway.moves / kway.passes /
+/// target fractions; null = uniform. Of `run`: a non-null `trace` records
+/// one "kway.pass" span per sweep plus the kway.moves / kway.passes /
 /// kway.proposed counters. A non-null `audit` verifies the incrementally
 /// maintained part weights and vertex counts against fresh recomputes when
 /// refinement finishes (kBoundaries) and, per sweep, that the accumulated
@@ -63,41 +63,45 @@ bool kway_balance(const Graph& g, idx_t nparts, std::vector<idx_t>& where,
 /// same-color vertices are pairwise non-adjacent, so no proposal can
 /// change another's connectivity — and then COMMITTED serially in the
 /// fixed order, re-validating balance against the live state. A non-null
-/// `exec` runs the propose phases on its pool; the result is bit-identical
-/// at every thread count. The boundary and every vertex's internal and
-/// external degree are maintained across commits (core/kway_boundary.hpp),
-/// so a sweep neither rescans the graph nor proposes a vertex whose
-/// external degree is below its internal one; edge weights must be
-/// non-negative for that skip to be exact.
+/// `run.pool` runs the propose phases, each chunk attributing its on-CPU
+/// time to `run.profile`'s bucket at `run.level`; the result is
+/// bit-identical at every thread count. The boundary and every vertex's
+/// internal and external degree are maintained across commits
+/// (core/kway_boundary.hpp), so a sweep neither rescans the graph nor
+/// proposes a vertex whose external degree is below its internal one;
+/// edge weights must be non-negative for that skip to be exact.
 sum_t kway_refine(const Graph& g, idx_t nparts, std::vector<idx_t>& where,
                   const std::vector<real_t>& ub, int max_passes, Rng& rng,
                   KWayRefineStats* stats = nullptr,
                   const std::vector<real_t>* tpwgts = nullptr,
-                  TraceRecorder* trace = nullptr,
-                  InvariantAuditor* audit = nullptr,
-                  FlightRecorder* flight = nullptr,
-                  const PhaseExec* exec = nullptr);
+                  const RunContext& run = {});
+
+/// kway_refine with the observers spelled out, as perfbench's replay
+/// calls it: `exec` (optional) supplies the pool, workspace pool, profiler
+/// and level, and the three observer arguments replace its observers.
+sum_t kway_refine(const Graph& g, idx_t nparts, std::vector<idx_t>& where,
+                  const std::vector<real_t>& ub, int max_passes, Rng& rng,
+                  KWayRefineStats* stats, const std::vector<real_t>* tpwgts,
+                  TraceRecorder* trace, InvariantAuditor* audit,
+                  FlightRecorder* flight, const KWayExec* exec);
 
 /// Priority-queue k-way refinement: boundary vertices are kept in a gain
 /// bucket queue keyed by their best potential move (kmetis-style), so the
 /// highest-gain moves commit first and newly exposed gains are picked up
-/// within the same pass. Same admissibility rules as the sweep variant.
+/// within the same pass. Same admissibility rules and observers as the
+/// sweep variant; serial, so `run`'s pool goes unused.
 sum_t kway_refine_pq(const Graph& g, idx_t nparts, std::vector<idx_t>& where,
                      const std::vector<real_t>& ub, int max_passes, Rng& rng,
                      KWayRefineStats* stats = nullptr,
                      const std::vector<real_t>* tpwgts = nullptr,
-                     TraceRecorder* trace = nullptr,
-                     InvariantAuditor* audit = nullptr,
-                     FlightRecorder* flight = nullptr);
+                     const RunContext& run = {});
 
-/// One k-way refinement of `where` at hierarchy `level`, as the drivers
-/// run it: opts.kway_scheme picks the colored sweep (chunks on `pool`,
-/// scratch from `wspool`) or the priority-queue refiner, under a
-/// "kway_refine" / "kway_refine_pq" profiler bucket, with opts' nparts,
-/// tpwgts and observers. Returns the cut.
+/// One k-way refinement of `where` at hierarchy level `run.level`, as the
+/// drivers run it: opts.kway_scheme picks the colored sweep or the
+/// priority-queue refiner, under a "kway_refine" / "kway_refine_pq"
+/// profiler bucket, with opts' nparts and tpwgts. Returns the cut.
 sum_t kway_refine_level(const Graph& g, std::vector<idx_t>& where,
-                        const std::vector<real_t>& ub, int passes, int level,
-                        Rng& rng, const Options& opts, ThreadPool* pool,
-                        WorkspacePool* wspool);
+                        const std::vector<real_t>& ub, int passes, Rng& rng,
+                        const Options& opts, const RunContext& run);
 
 }  // namespace mcgp

@@ -145,9 +145,8 @@ idx_t handshake_propose(const Graph& g, MatchScheme scheme,
 /// scheduling — so partitions are bit-identical across `num_threads`.
 void handshake_match(const Graph& g, MatchScheme scheme, Rng& rng,
                      std::vector<idx_t>& match, Workspace* ws,
-                     const PhaseExec* exec) {
+                     const RunContext& run) {
   const idx_t n = g.nvtxs;
-  const PhaseExec ex = exec != nullptr ? *exec : PhaseExec{};
 
   std::vector<idx_t> local_proposal;
   std::vector<idx_t>& proposal = ws != nullptr ? ws->proposal : local_proposal;
@@ -169,8 +168,8 @@ void handshake_match(const Graph& g, MatchScheme scheme, Rng& rng,
         mix_seed(mseed, static_cast<std::uint64_t>(round));
 
     // Propose: reads only the frozen `match`, writes only proposal[v].
-    parallel_chunks(ex.pool, n, kMatchChunk, [&](idx_t b, idx_t e) {
-      ProfScope aux(ex.profile, "coarsen.matching", ex.level, /*aux=*/true);
+    parallel_chunks(run.pool, n, kMatchChunk, [&](idx_t b, idx_t e) {
+      ProfScope aux(run.profile, "coarsen.matching", run.level, /*aux=*/true);
       for (idx_t v = b; v < e; ++v) {
         proposal[to_size(v)] =
             match[to_size(v)] >= 0
@@ -183,8 +182,8 @@ void handshake_match(const Graph& g, MatchScheme scheme, Rng& rng,
     // writes only match[v] (its partner writes match[u]), so the writes
     // are disjoint and the outcome is chunking-independent.
     std::fill(chunk_new.begin(), chunk_new.end(), 0);
-    parallel_chunks(ex.pool, n, kMatchChunk, [&](idx_t b, idx_t e) {
-      ProfScope aux(ex.profile, "coarsen.matching", ex.level, /*aux=*/true);
+    parallel_chunks(run.pool, n, kMatchChunk, [&](idx_t b, idx_t e) {
+      ProfScope aux(run.profile, "coarsen.matching", run.level, /*aux=*/true);
       idx_t matched = 0;
       for (idx_t v = b; v < e; ++v) {
         const idx_t u = proposal[to_size(v)];
@@ -235,19 +234,19 @@ real_t balanced_edge_score(const Graph& g, idx_t v, idx_t u) {
 }
 
 std::vector<idx_t> compute_matching(const Graph& g, MatchScheme scheme,
-                                    Rng& rng, TraceRecorder* trace) {
+                                    Rng& rng, const RunContext& run) {
   std::vector<idx_t> match;
-  compute_matching_into(g, scheme, rng, match, trace);
+  compute_matching_into(g, scheme, rng, match, nullptr, run);
   return match;
 }
 
 void compute_matching_into(const Graph& g, MatchScheme scheme, Rng& rng,
-                           std::vector<idx_t>& match, TraceRecorder* trace,
-                           Workspace* ws, const PhaseExec* exec) {
+                           std::vector<idx_t>& match, Workspace* ws,
+                           const RunContext& run) {
   match.assign(to_size(g.nvtxs), -1);
 
   if (g.nvtxs >= kHandshakeMinVtxs) {
-    handshake_match(g, scheme, rng, match, ws, exec);
+    handshake_match(g, scheme, rng, match, ws, run);
   } else {
     std::vector<idx_t> local_perm;
     std::vector<idx_t>& perm = ws != nullptr ? ws->perm : local_perm;
@@ -255,7 +254,7 @@ void compute_matching_into(const Graph& g, MatchScheme scheme, Rng& rng,
     greedy_pass(g, scheme, rng, match, perm);
   }
 
-  if (trace != nullptr) {
+  if (run.trace != nullptr) {
     idx_t pairs = 0, failed = 0;
     for (idx_t v = 0; v < g.nvtxs; ++v) {
       if (match[to_size(v)] != v) {
@@ -264,8 +263,8 @@ void compute_matching_into(const Graph& g, MatchScheme scheme, Rng& rng,
         ++failed;  // had neighbors but every one was already taken
       }
     }
-    trace_count(trace, "match.pairs", pairs / 2);
-    trace_count(trace, "match.failed", failed);
+    trace_count(run.trace, "match.pairs", pairs / 2);
+    trace_count(run.trace, "match.failed", failed);
   }
 }
 

@@ -12,7 +12,7 @@
 #include <vector>
 
 #include "core/config.hpp"
-#include "core/exec.hpp"
+#include "core/run_context.hpp"
 #include "graph/csr_graph.hpp"
 #include "support/random.hpp"
 #include "support/workspace.hpp"
@@ -21,7 +21,7 @@ namespace mcgp {
 
 /// Compute a matching. match[v] == partner of v, or v itself if unmatched.
 /// The relation is symmetric (match[match[v]] == v) and only adjacent
-/// vertices are matched. A non-null `trace` accumulates the
+/// vertices are matched. A non-null `run.trace` accumulates the
 /// `match.pairs` / `match.failed` counters (failed = vertices left
 /// unmatched although they had neighbors).
 ///
@@ -32,7 +32,7 @@ namespace mcgp {
 /// fixed total order, never arrival order) followed by a serial greedy
 /// cleanup that restores maximality.
 std::vector<idx_t> compute_matching(const Graph& g, MatchScheme scheme,
-                                    Rng& rng, TraceRecorder* trace = nullptr);
+                                    Rng& rng, const RunContext& run = {});
 
 /// Vertex count at or above which compute_matching switches from the
 /// serial greedy visitor to handshake rounds (whose propose phases can
@@ -42,13 +42,11 @@ inline constexpr idx_t kHandshakeMinVtxs = 8192;
 
 /// As compute_matching, but fills a caller-owned `match` vector and, when
 /// `ws` is non-null, reuses ws->perm / ws->proposal so repeated coarsening
-/// levels allocate nothing. A non-null `exec` lets the handshake propose
-/// and accept phases run as chunk tasks on exec->pool.
+/// levels allocate nothing. A non-null `run.pool` runs the handshake
+/// propose and accept phases as chunk tasks.
 void compute_matching_into(const Graph& g, MatchScheme scheme, Rng& rng,
-                           std::vector<idx_t>& match,
-                           TraceRecorder* trace = nullptr,
-                           Workspace* ws = nullptr,
-                           const PhaseExec* exec = nullptr);
+                           std::vector<idx_t>& match, Workspace* ws = nullptr,
+                           const RunContext& run = {});
 
 /// Derive the fine-to-coarse vertex map from a matching. Coarse ids are
 /// assigned in order of the smaller endpoint. Returns the number of coarse

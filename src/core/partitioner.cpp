@@ -12,6 +12,7 @@
 #include "core/audit.hpp"
 #include "core/kway_driver.hpp"
 #include "core/kway_refine.hpp"
+#include "core/project.hpp"
 #include "core/rb_driver.hpp"
 #include "core/rebalance.hpp"
 #include "graph/metrics.hpp"
@@ -168,26 +169,6 @@ AuditLevel effective_audit_level(AuditLevel opt_level) {
     return -1;  // unset or unrecognized: no override
   }();
   return env_level >= 0 ? static_cast<AuditLevel>(env_level) : opt_level;
-}
-
-/// End-of-run summary sample: final cut, per-constraint imbalances, and a
-/// last memory reading folded into the high-water marks.
-void record_final_sample(const Graph& g, const Options& opts,
-                         const PartitionResult& r) {
-  if (opts.flight == nullptr) return;
-  opts.flight->sample_memory();
-  FlightSample fs;
-  fs.stage = FlightSample::Stage::kFinal;
-  fs.ncon = g.ncon;
-  fs.nvtxs = g.nvtxs;
-  fs.nedges = g.nedges();
-  fs.cut = r.cut;
-  fs.worst_imbalance = r.max_imbalance;
-  fs.feasible = r.feasible ? 1 : 0;
-  for (int i = 0; i < g.ncon && i < kMaxNcon; ++i) {
-    fs.imbalance[i] = r.imbalance[to_size(i)];
-  }
-  opts.flight->record(fs);
 }
 
 /// Brackets one partition()/refine_partition() call against the
@@ -411,7 +392,10 @@ PartitionResult run_entry(const Graph& g, const Options& run_opts,
     }
     throw;
   }
-  record_final_sample(g, opts, result);
+  if (opts.flight != nullptr) {  // the end-of-run summary sample
+    record_level_sample(*opts.flight, FlightSample::Stage::kFinal, -1, g,
+                        result.cut, result.imbalance, result.feasible ? 1 : 0);
+  }
   if (run_span.enabled()) {
     run_span.arg({"cut", result.cut});
     run_span.arg({"max_imbalance", result.max_imbalance});
@@ -457,11 +441,11 @@ PartitionResult refine_partition(const Graph& g, std::vector<idx_t> part,
         // Standalone refinement drives the same refiner as the full
         // pipeline's finest level, with its own workspace pool.
         WorkspacePool wspool;
-        kway_refine_level(g, part, ub, opts.kway_passes, 0, rng, opts, pool,
-                          &wspool);
+        const RunContext run = run_context(opts, pool, &wspool);
+        kway_refine_level(g, part, ub, opts.kway_passes, rng, opts, run);
         // The refiner's own balancer can exit with residual overload on
         // tight instances; escalate before declaring the result.
-        rebalance_if_infeasible(g, part, ub, rng, opts);
+        rebalance_if_infeasible(g, part, ub, rng, opts, run);
         result.part = std::move(part);
       });
 }

@@ -67,8 +67,7 @@ struct RbContext {
   const std::vector<real_t>& level_ub;
   std::vector<idx_t>& out_part;  ///< subtrees write disjoint entries
   std::uint64_t root_seed = 0;
-  ThreadPool* pool = nullptr;        ///< null = fully serial
-  WorkspacePool* wspool = nullptr;
+  RunContext run;  ///< null pool = fully serial; wspool always set
   PhaseTimes* phases = nullptr;
 };
 
@@ -91,7 +90,7 @@ void rb_recurse(const RbContext& ctx, const Graph& sub,
     return;
   }
 
-  TraceSpan span(ctx.opts.trace, "rb.split");
+  TraceSpan span(ctx.run.trace, "rb.split");
   if (span.enabled()) {
     span.arg({"k", k});
     span.arg({"part0", part0});
@@ -119,12 +118,12 @@ void rb_recurse(const RbContext& ctx, const Graph& sub,
     // Scratch is leased only for this serial stretch and returned before
     // any task boundary: wait() below may run OTHER queued tasks on this
     // thread, and those must be free to lease the same workspace.
-    WorkspacePool::Lease lease = ctx.wspool->acquire();
+    WorkspacePool::Lease lease = ctx.run.wspool->acquire();
     Workspace& ws = *lease;
 
     std::vector<idx_t> where;
     multilevel_bisect(sub, where, targets, ctx.opts, rng, stats, ctx.phases,
-                      ctx.pool, &ws, ctx.wspool);
+                      &ws, &ctx.run);
     ensure_nonempty_sides(sub, where);
 
     std::vector<char>& select = ws.select;
@@ -147,7 +146,7 @@ void rb_recurse(const RbContext& ctx, const Graph& sub,
   // Fork: side 1 goes to the pool (or runs inline when there is none),
   // side 0 runs here. Both halves live on this frame, which outlives the
   // tasks because wait() joins them before returning.
-  TaskGroup group(ctx.pool);
+  TaskGroup group(ctx.run.pool);
   group.run([&ctx, &half, &half_to_global, k, k_left, part0] {
     rb_recurse(ctx, half[1], half_to_global[1], k - k_left, part0 + k_left,
                nullptr);
@@ -161,19 +160,20 @@ void rb_recurse(const RbContext& ctx, const Graph& sub,
 sum_t multilevel_bisect(const Graph& g, std::vector<idx_t>& where,
                         const BisectionTargets& targets, const Options& opts,
                         Rng& rng, MlBisectStats* stats, PhaseTimes* phases,
-                        ThreadPool* pool, Workspace* ws,
-                        WorkspacePool* wspool) {
+                        Workspace* ws, const RunContext* parent) {
   const idx_t ct = bisect_coarsen_to(opts, g.ncon);
 
   PhaseTimes local_phases;
   PhaseTimes& pt = phases != nullptr ? *phases : local_phases;
 
-  TraceSpan bisect_span(opts.trace, "bisect");
+  const RunContext run =
+      parent != nullptr ? *parent : run_context(opts, nullptr, nullptr);
+  TraceSpan bisect_span(run.trace, "bisect");
 
   Hierarchy h;
   {
     ScopedPhase sp(pt, "coarsen");
-    h = coarsen_graph(g, coarsen_params(opts, ct, pool, wspool), rng, ws);
+    h = coarsen_graph(g, coarsen_params(opts, ct, run), rng, ws);
   }
 
   const Graph& coarsest = h.coarsest();
@@ -185,11 +185,10 @@ sum_t multilevel_bisect(const Graph& g, std::vector<idx_t>& where,
   std::vector<idx_t> cwhere;
   {
     ScopedPhase sp(pt, "initpart");
-    ProfScope ps(opts.profile, "initpart");
+    ProfScope ps(run.profile, "initpart");
     ps.work(coarsest.nedges(), coarsest.nvtxs);
     init_bisection(coarsest, cwhere, targets, opts.init_scheme,
-                   opts.init_trials, opts.queue_policy, rng, opts.trace,
-                   pool, opts.audit, opts.profile);
+                   opts.init_trials, opts.queue_policy, rng, run);
   }
 
   sum_t cut = 0;
@@ -204,36 +203,24 @@ sum_t multilevel_bisect(const Graph& g, std::vector<idx_t>& where,
         const std::vector<idx_t>& cmap =
             h.levels[to_size(l)].cmap;
         project_partition(cmap, cwhere, proj);
-        if (opts.audit != nullptr && opts.audit->boundaries()) {
+        if (run.audit != nullptr && run.audit->boundaries()) {
           // cwhere still holds the coarse assignment; proj the projection.
-          opts.audit->check_projection(cur, h.graph_at(l + 1), cmap, cwhere,
-                                       proj, "rb.uncoarsen");
+          run.audit->check_projection(cur, h.graph_at(l + 1), cmap, cwhere,
+                                      proj, "rb.uncoarsen");
         }
         std::swap(cwhere, proj);  // ping-pong: both buffers stay warm
       }
-      TraceSpan lvl(opts.trace, "uncoarsen.level");
-      ProfScope ps(opts.profile, "refine2way", l);
+      TraceSpan lvl(run.trace, "uncoarsen.level");
+      ProfScope ps(run.profile, "refine2way", l);
       ps.work(cur.nedges(), cur.nvtxs);
-      balance_2way(cur, cwhere, targets, rng, opts.audit);
+      balance_2way(cur, cwhere, targets, rng, run);
       cut = refine_2way(cur, cwhere, targets, opts.queue_policy,
                         opts.refine_passes, opts.fm_move_limit, rng,
-                        nullptr, opts.trace, opts.audit, opts.flight);
+                        nullptr, run);
       ps.finish();
-      if (opts.flight != nullptr) {
-        opts.flight->sample_memory();
-        FlightSample fs;
-        fs.stage = FlightSample::Stage::kUncoarsen2Way;
-        fs.level = l;
-        fs.ncon = cur.ncon;
-        fs.nvtxs = cur.nvtxs;
-        fs.nedges = cur.nedges();
-        fs.cut = cut;
-        const std::vector<real_t> lb = imbalance(cur, cwhere, 2);
-        for (int i = 0; i < cur.ncon && i < kMaxNcon; ++i) {
-          fs.imbalance[i] = lb[to_size(i)];
-          fs.worst_imbalance = std::max(fs.worst_imbalance, lb[to_size(i)]);
-        }
-        opts.flight->record(fs);
+      if (run.flight != nullptr) {
+        record_level_sample(*run.flight, FlightSample::Stage::kUncoarsen2Way,
+                            l, cur, cut, imbalance(cur, cwhere, 2));
       }
       if (lvl.enabled()) {
         BisectionBalance bal;
@@ -284,8 +271,9 @@ std::vector<idx_t> partition_recursive_bisection(const Graph& g,
   }
 
   WorkspacePool wspool;
-  RbContext ctx{opts,     level_ub, part,  /*root_seed=*/rng.next_u64(),
-                pool,     &wspool,  phases};
+  const RunContext run = run_context(opts, pool, &wspool);
+  const std::uint64_t root_seed = rng.next_u64();
+  RbContext ctx{opts, level_ub, part, root_seed, run, phases};
   // The root call fills top_stats from the first (top) bisection's real
   // hierarchy — no separate probe coarsening needed.
   rb_recurse(ctx, g, identity, k, 0, top_stats);
@@ -297,21 +285,19 @@ std::vector<idx_t> partition_recursive_bisection(const Graph& g,
   // a no-op whenever RB already met the tolerance).
   const std::vector<real_t>* tp = opts.targets();
   if (!kway_feasible(g, part_weights(g, part, k), k, ub, tp)) {
-    trace_count(opts.trace, "rb.fixup");
-    ProfScope ps(opts.profile, "rb.fixup");
+    trace_count(run.trace, "rb.fixup");
+    ProfScope ps(run.profile, "rb.fixup");
     ps.work(g.nedges(), g.nvtxs);
-    kway_balance(g, k, part, ub, rng, tp, opts.trace, opts.audit);
-    const PhaseExec exec{pool, &wspool, opts.profile, 0};
-    kway_refine(g, k, part, ub, /*max_passes=*/3, rng, nullptr, tp,
-                opts.trace, opts.audit, opts.flight, &exec);
+    kway_balance(g, k, part, ub, rng, tp, run);
+    kway_refine(g, k, part, ub, /*max_passes=*/3, rng, nullptr, tp, run);
     // Still overloaded: escalate to the dedicated rebalancer. `part` is
     // already thread-invariant here, so determinism holds.
-    rebalance_if_infeasible(g, part, ub, rng, opts);
+    rebalance_if_infeasible(g, part, ub, rng, opts, run);
   }
-  if (opts.flight != nullptr) {
+  if (run.flight != nullptr) {
     // All leases are back (rb_recurse joined its tasks), so the pool's
     // footprint is a stable high-water observation.
-    opts.flight->note_workspace(wspool.footprint_bytes(), wspool.size());
+    run.flight->note_workspace(wspool.footprint_bytes(), wspool.size());
   }
   return part;
 }

@@ -35,15 +35,15 @@ struct MlBisectStats {
 };
 
 /// One multilevel bisection of g according to `targets`. Fills `where`
-/// with a 0/1 assignment and returns the cut. A non-null `pool` runs the
-/// initial-bisection trials concurrently; a non-null `ws` supplies scratch
-/// buffers for coarsening and projection.
+/// with a 0/1 assignment and returns the cut. A non-null `ws` supplies
+/// scratch buffers for coarsening and projection. `parent` is the context
+/// of the enclosing MC-RB run (its pool runs the initial-bisection trials
+/// concurrently); null runs serially with opts' observers.
 sum_t multilevel_bisect(const Graph& g, std::vector<idx_t>& where,
                         const BisectionTargets& targets, const Options& opts,
                         Rng& rng, MlBisectStats* stats = nullptr,
-                        PhaseTimes* phases = nullptr,
-                        ThreadPool* pool = nullptr, Workspace* ws = nullptr,
-                        WorkspacePool* wspool = nullptr);
+                        PhaseTimes* phases = nullptr, Workspace* ws = nullptr,
+                        const RunContext* parent = nullptr);
 
 /// Full MC-RB k-way partitioning. Returns the part vector (size g.nvtxs,
 /// ids in [0, opts.nparts)). Runs on `pool` when non-null; otherwise

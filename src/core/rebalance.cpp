@@ -476,12 +476,13 @@ idx_t restricted_match(const Graph& g, const std::vector<idx_t>& where,
 /// re-coarsen merging only same-part vertices (the partition projects to
 /// every level exactly), rebalance the coarsest problem — where a single
 /// move shifts a whole cluster, escaping granularity deadlocks the finest
-/// level cannot — and project back up with per-level refinement. Serial.
+/// level cannot — and project back up with per-level refinement. Serial,
+/// and of `run` only the trace and the auditor reach its refiners.
 /// Returns false when the graph would not shrink (nothing to do).
 bool run_vcycle(const Graph& g, idx_t nparts, std::vector<idx_t>& where,
                 const std::vector<real_t>& ub, Rng& rng,
-                const std::vector<real_t>* tpwgts, TraceRecorder* trace,
-                InvariantAuditor* audit, sum_t* descent_evals) {
+                const std::vector<real_t>* tpwgts, const RunContext& run,
+                sum_t* descent_evals) {
   // Restricted matching never merges across parts, so the coarse graph
   // keeps >= nparts vertices; a floor above nparts would refuse to engage
   // exactly on the tiny tight instances that need cluster-granularity
@@ -515,6 +516,9 @@ bool run_vcycle(const Graph& g, idx_t nparts, std::vector<idx_t>& where,
     cur_where = &parts.back();
   }
   if (levels.empty()) return false;
+  RunContext refine;
+  refine.trace = run.trace;
+  refine.audit = run.audit;
 
   // Coarsest problem: balance + greedy relief + swaps + refine. Clusters
   // move as units here, which is exactly the strength single-vertex moves
@@ -522,14 +526,14 @@ bool run_vcycle(const Graph& g, idx_t nparts, std::vector<idx_t>& where,
   {
     Graph& cg = levels.back().graph;
     std::vector<idx_t>& cw = parts.back();
-    kway_balance(cg, nparts, cw, ub, rng, tpwgts, trace, audit);
+    kway_balance(cg, nparts, cw, ub, rng, tpwgts, refine);
     KWayContext cctx(cg, nparts, cw, ub, tpwgts);
     // Coarse moves are not the caller's moves: only the work count is kept.
     RebalanceStats coarse;
     descend(cg, cctx, nparts, cw, coarse);
     *descent_evals = checked_add(*descent_evals, coarse.descent_evals);
     kway_refine(cg, nparts, cw, ub, /*max_passes=*/4, rng, nullptr, tpwgts,
-                trace, audit, nullptr, nullptr);
+                refine);
   }
 
   // Project up, refining at every level so the cut recovers while the
@@ -540,7 +544,7 @@ bool run_vcycle(const Graph& g, idx_t nparts, std::vector<idx_t>& where,
     std::vector<idx_t>& fine_w = l == 0 ? where : parts[l - 1];
     project_partition(levels[l].cmap, parts[l], fine_w);
     kway_refine(fine_g, nparts, fine_w, ub, /*max_passes=*/2, rng, nullptr,
-                tpwgts, trace, audit, nullptr, nullptr);
+                tpwgts, refine);
   }
   return true;
 }
@@ -622,8 +626,7 @@ bool rebalance_partition(const Graph& g, idx_t nparts,
                          std::vector<idx_t>& where,
                          const std::vector<real_t>& ub, Rng& rng,
                          const std::vector<real_t>* tpwgts,
-                         RebalanceStats* stats, TraceRecorder* trace,
-                         InvariantAuditor* audit, FlightRecorder* flight,
+                         RebalanceStats* stats, const RunContext& run,
                          int max_vcycles) {
   KWayContext ctx(g, nparts, where, ub, tpwgts);
   RebalanceStats local;
@@ -635,7 +638,7 @@ bool rebalance_partition(const Graph& g, idx_t nparts,
     return true;
   }
 
-  TraceSpan span(trace, "rebalance");
+  TraceSpan span(run.trace, "rebalance");
 
   // Best-state tracking: the pass must never return a worse assignment
   // than its input. Better = feasible first, then lower max overload,
@@ -675,7 +678,7 @@ bool rebalance_partition(const Graph& g, idx_t nparts,
     // The V-cycle's coarse graphs are this pass's memory peak; the member
     // index is rebuilt afterwards anyway (reload below), so free it now.
     ctx.drop_members();
-    if (!run_vcycle(g, nparts, where, ub, rng, tpwgts, trace, audit,
+    if (!run_vcycle(g, nparts, where, ub, rng, tpwgts, run,
                     &st.descent_evals)) break;
     ctx.reload();
     ++st.vcycles;
@@ -738,22 +741,22 @@ bool rebalance_partition(const Graph& g, idx_t nparts,
     ctx.reload();
   }
 
-  if (audit != nullptr && audit->boundaries()) {
-    audit->check_kway_state(g, where, nparts, ctx.pwgts(), &ctx.vcounts(),
-                            "rebalance");
+  if (run.audit != nullptr && run.audit->boundaries()) {
+    run.audit->check_kway_state(g, where, nparts, ctx.pwgts(), &ctx.vcounts(),
+                                "rebalance");
   }
 
   st.feasible = ctx.feasible();
   st.max_overload = ctx.max_overload();
 
   if (span.enabled()) {
-    trace_count(trace, "rebalance.moves", st.moves);
-    trace_count(trace, "rebalance.swaps", st.swaps);
-    trace_count(trace, "rebalance.episodes", st.episodes);
-    trace_count(trace, "rebalance.vcycles", st.vcycles);
-    trace_count(trace, "rebalance.descent.evals", st.descent_evals);
-    trace_count(trace, st.feasible ? "rebalance.feasible"
-                                   : "rebalance.infeasible");
+    trace_count(run.trace, "rebalance.moves", st.moves);
+    trace_count(run.trace, "rebalance.swaps", st.swaps);
+    trace_count(run.trace, "rebalance.episodes", st.episodes);
+    trace_count(run.trace, "rebalance.vcycles", st.vcycles);
+    trace_count(run.trace, "rebalance.descent.evals", st.descent_evals);
+    trace_count(run.trace, st.feasible ? "rebalance.feasible"
+                                       : "rebalance.infeasible");
     span.arg({"moves", st.moves});
     span.arg({"swaps", st.swaps});
     span.arg({"episodes", st.episodes});
@@ -762,7 +765,7 @@ bool rebalance_partition(const Graph& g, idx_t nparts,
     span.arg({"max_overload", st.max_overload});
     span.arg({"feasible", static_cast<std::int64_t>(st.feasible ? 1 : 0)});
   }
-  if (flight != nullptr) {
+  if (run.flight != nullptr) {
     FlightSample fs;
     fs.stage = FlightSample::Stage::kRebalance;
     fs.nvtxs = g.nvtxs;
@@ -771,22 +774,21 @@ bool rebalance_partition(const Graph& g, idx_t nparts,
         st.moves, static_cast<sum_t>(std::numeric_limits<idx_t>::max())));
     fs.worst_imbalance = st.max_overload;
     fs.feasible = st.feasible ? 1 : 0;
-    flight->record(fs);
+    run.flight->record(fs);
   }
   return st.feasible;
 }
 
 void rebalance_if_infeasible(const Graph& g, std::vector<idx_t>& where,
                              const std::vector<real_t>& ub, Rng& rng,
-                             const Options& opts) {
+                             const Options& opts, const RunContext& run) {
   const idx_t k = opts.nparts;
   if (kway_feasible(g, part_weights(g, where, k), k, ub, opts.targets())) {
     return;
   }
-  ProfScope ps(opts.profile, "rebalance", 0);
+  ProfScope ps(run.profile, "rebalance", 0);
   ps.work(g.nedges(), g.nvtxs);
-  rebalance_partition(g, k, where, ub, rng, opts.targets(), nullptr,
-                      opts.trace, opts.audit, opts.flight);
+  rebalance_partition(g, k, where, ub, rng, opts.targets(), nullptr, run);
 }
 
 }  // namespace mcgp

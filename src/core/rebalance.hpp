@@ -25,15 +25,12 @@
 #include <vector>
 
 #include "core/config.hpp"
+#include "core/run_context.hpp"
 #include "graph/csr_graph.hpp"
 #include "support/random.hpp"
 #include "support/types.hpp"
 
 namespace mcgp {
-
-class TraceRecorder;
-class InvariantAuditor;
-class FlightRecorder;
 
 /// Outcome of a rebalance_partition call.
 struct RebalanceStats {
@@ -81,24 +78,23 @@ std::vector<real_t> effective_ubvec(const Graph& g, const Options& opts);
 /// kicks on small graphs. Returns the final
 /// feasibility; `where` is left with the best (lowest max-overload) state
 /// reached, never a worse one than the input. Serial and deterministic for
-/// a fixed Rng stream.
+/// a fixed Rng stream. Of `run`, the trace gets a "rebalance" span and
+/// counters, the auditor checks the final part weights, and the flight
+/// recorder one sample; the V-cycles' refiners see the trace and auditor.
 bool rebalance_partition(const Graph& g, idx_t nparts,
                          std::vector<idx_t>& where,
                          const std::vector<real_t>& ub, Rng& rng,
                          const std::vector<real_t>* tpwgts = nullptr,
                          RebalanceStats* stats = nullptr,
-                         TraceRecorder* trace = nullptr,
-                         InvariantAuditor* audit = nullptr,
-                         FlightRecorder* flight = nullptr,
-                         int max_vcycles = 3);
+                         const RunContext& run = {}, int max_vcycles = 3);
 
 /// The rebalance stage every driver ends with (MC-KW after uncoarsening,
 /// MC-RB after its balance fix-up, refine_partition() after refinement):
-/// when `where` violates `ub`, rebalance_partition runs under a
-/// ("rebalance", 0) profiler bucket with opts' nparts, tpwgts and
-/// observers. A feasible partition is left untouched.
+/// when `where` violates `ub`, rebalance_partition runs in `run` under a
+/// ("rebalance", 0) profiler bucket with opts' nparts and tpwgts. A
+/// feasible partition is left untouched.
 void rebalance_if_infeasible(const Graph& g, std::vector<idx_t>& where,
                              const std::vector<real_t>& ub, Rng& rng,
-                             const Options& opts);
+                             const Options& opts, const RunContext& run);
 
 }  // namespace mcgp

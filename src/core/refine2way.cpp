@@ -81,8 +81,7 @@ class FmRefiner {
 
   /// Run one pass; returns true if it improved (cut or balance).
   bool run(sum_t& cut, idx_t move_limit, Refine2WayStats* stats,
-           TraceRecorder* trace, InvariantAuditor* audit,
-           FlightRecorder* flight, int pass_index);
+           const RunContext& run, int pass_index);
 
  private:
   struct MoveRecord {
@@ -275,19 +274,18 @@ void FmRefiner::rollback_to(std::size_t best_prefix, sum_t& cut) {
 }
 
 bool FmRefiner::run(sum_t& cut, idx_t move_limit, Refine2WayStats* stats,
-                    TraceRecorder* trace, InvariantAuditor* audit,
-                    FlightRecorder* flight, int pass_index) {
-  TraceSpan span(trace, "fm.pass");
+                    const RunContext& run, int pass_index) {
+  TraceSpan span(run.trace, "fm.pass");
   Histogram* gain_hist =
-      trace != nullptr ? &trace->hist("gain.histogram") : nullptr;
+      run.trace != nullptr ? &run.trace->hist("gain.histogram") : nullptr;
 
   seed_queues();
   log_.clear();
 
   // The degrees and the seeding carry over from earlier passes; a slip in
   // commit_move's or rollback_to's updates shows here, at the pass after it.
-  if (audit != nullptr && audit->paranoid()) {
-    audit->check_fm_state(g_, where_, id_, ed_, queues_, "refine2way.seed");
+  if (run.audit != nullptr && run.audit->paranoid()) {
+    run.audit->check_fm_state(g_, where_, id_, ed_, queues_, "refine2way.seed");
   }
 
   const sum_t start_cut = cut;
@@ -320,8 +318,9 @@ bool FmRefiner::run(sum_t& cut, idx_t move_limit, Refine2WayStats* stats,
     // The popped gain is the incrementally maintained ed - id; a drift in
     // either degree array corrupts every later selection, so paranoid
     // audits recompute it from the adjacency list for sampled pops.
-    if (audit != nullptr && audit->paranoid() && audit->sample_gain()) {
-      audit->check_gain(g_, where_, v, gain(v), "refine2way.select");
+    if (run.audit != nullptr && run.audit->paranoid() &&
+        run.audit->sample_gain()) {
+      run.audit->check_gain(g_, where_, v, gain(v), "refine2way.select");
     }
 
     const real_t pot = balance_.potential();
@@ -360,15 +359,15 @@ bool FmRefiner::run(sum_t& cut, idx_t move_limit, Refine2WayStats* stats,
 
   // The pass mutated where_/balance_/cut through committed moves and the
   // rollback; all three must still agree with a from-scratch recompute.
-  if (audit != nullptr && audit->boundaries()) {
-    audit->check_bisection_weights(g_, where_, balance_, "refine2way.pass");
-    audit->check_bisection_cut(g_, where_, cut, "refine2way.pass");
+  if (run.audit != nullptr && run.audit->boundaries()) {
+    run.audit->check_bisection_weights(g_, where_, balance_, "refine2way.pass");
+    run.audit->check_bisection_cut(g_, where_, cut, "refine2way.pass");
   }
 
   if (span.enabled()) {
-    trace_count(trace, "fm.passes");
-    trace_count(trace, "fm.moves", static_cast<std::int64_t>(best_prefix));
-    trace_count(trace, "fm.rollbacks",
+    trace_count(run.trace, "fm.passes");
+    trace_count(run.trace, "fm.moves", static_cast<std::int64_t>(best_prefix));
+    trace_count(run.trace, "fm.rollbacks",
                 static_cast<std::int64_t>(total_moves - best_prefix));
     span.arg({"pass", pass_index});
     span.arg({"cut_before", start_cut});
@@ -380,7 +379,7 @@ bool FmRefiner::run(sum_t& cut, idx_t move_limit, Refine2WayStats* stats,
     span.arg({"feasible", static_cast<std::int64_t>(best_feasible ? 1 : 0)});
   }
 
-  if (flight != nullptr) {
+  if (run.flight != nullptr) {
     FlightSample fs;
     fs.stage = FlightSample::Stage::kFmPass;
     fs.pass = pass_index;
@@ -390,7 +389,7 @@ bool FmRefiner::run(sum_t& cut, idx_t move_limit, Refine2WayStats* stats,
     fs.gain = checked_sub(start_cut, cut);
     fs.moves = static_cast<std::int64_t>(best_prefix);
     fs.worst_imbalance = best_potential;
-    flight->record(fs);
+    run.flight->record(fs);
   }
 
   const bool improved =
@@ -404,17 +403,16 @@ bool FmRefiner::run(sum_t& cut, idx_t move_limit, Refine2WayStats* stats,
 sum_t refine_2way(const Graph& g, std::vector<idx_t>& where,
                   const BisectionTargets& targets, QueuePolicy policy,
                   int max_passes, idx_t move_limit, Rng& rng,
-                  Refine2WayStats* stats, TraceRecorder* trace,
-                  InvariantAuditor* audit, FlightRecorder* flight) {
+                  Refine2WayStats* stats, const RunContext& run) {
   if (move_limit <= 0) move_limit = std::max<idx_t>(64, g.nvtxs / 100);
 
   FmRefiner fm(g, where, targets, policy, rng);
-  trace_count(trace, "fm.degree_scans", g.nvtxs);
+  trace_count(run.trace, "fm.degree_scans", g.nvtxs);
   sum_t cut = fm.initial_cut();
   if (stats != nullptr) stats->initial_cut = cut;
   for (int pass = 0; pass < max_passes; ++pass) {
     const bool improved =
-        fm.run(cut, move_limit, stats, trace, audit, flight, pass);
+        fm.run(cut, move_limit, stats, run, pass);
     if (stats != nullptr) ++stats->passes;
     if (!improved) break;
   }

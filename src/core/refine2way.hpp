@@ -16,6 +16,7 @@
 
 #include "core/bisection.hpp"
 #include "core/config.hpp"
+#include "core/run_context.hpp"
 #include "support/random.hpp"
 
 namespace mcgp {
@@ -37,7 +38,7 @@ struct Refine2WayStats {
 /// the RNG permutation that orders the boundary seeding plus the moves
 /// and their rollback. Degrees are kept exact across passes by the
 /// rollback's inverse updates instead of being recomputed.
-/// A non-null `trace` records one "fm.pass" span per pass plus the
+/// Of `run`: a non-null `trace` records one "fm.pass" span per pass plus the
 /// fm.passes / fm.moves / fm.rollbacks counters, the fm.degree_scans
 /// counter (vertices whose degrees were computed from their adjacency:
 /// nvtxs per call) and the gain.histogram of committed move gains. A
@@ -51,9 +52,7 @@ sum_t refine_2way(const Graph& g, std::vector<idx_t>& where,
                   const BisectionTargets& targets, QueuePolicy policy,
                   int max_passes, idx_t move_limit, Rng& rng,
                   Refine2WayStats* stats = nullptr,
-                  TraceRecorder* trace = nullptr,
-                  InvariantAuditor* audit = nullptr,
-                  FlightRecorder* flight = nullptr);
+                  const RunContext& run = {});
 
 /// Dominant constraint of vertex v: index of its largest normalized weight
 /// component (ties to the lower index). Exposed for testing.

@@ -1,5 +1,7 @@
 #include "graph/graph_io.hpp"
 
+#include <algorithm>
+#include <charconv>
 #include <fstream>
 #include <istream>
 #include <limits>
@@ -7,6 +9,7 @@
 #include <sstream>
 #include <stdexcept>
 #include <string>
+#include <system_error>
 
 namespace mcgp {
 
@@ -15,9 +18,10 @@ namespace {
 constexpr long long kIdxMax = std::numeric_limits<idx_t>::max();
 constexpr long long kWgtMax = std::numeric_limits<wgt_t>::max();
 
-[[noreturn]] void parse_error(std::size_t line_no, const std::string& what) {
+[[noreturn]] void parse_error(std::size_t line_no, const std::string& what,
+                              const char* kind = "METIS graph") {
   std::ostringstream oss;
-  oss << "METIS graph parse error at line " << line_no << ": " << what;
+  oss << kind << " parse error at line " << line_no << ": " << what;
   throw std::runtime_error(oss.str());
 }
 
@@ -204,8 +208,24 @@ void write_metis_graph_file(const std::string& path, const Graph& g) {
 
 std::vector<idx_t> read_partition(std::istream& in) {
   std::vector<idx_t> part;
-  long long p;
-  while (in >> p) part.push_back(static_cast<idx_t>(p));
+  std::string line;
+  std::size_t line_no = 0;
+  while (next_metis_line(in, line, line_no)) {
+    const char* b = line.data() + line.find_first_not_of(" \t\r");
+    const char* e = line.data() + line.find_last_not_of(" \t\r") + 1;
+    idx_t p = 0;
+    const auto [end, ec] = std::from_chars(b, e, p);
+    if (ec != std::errc{} || end != e) {
+      // Quote at most 32 characters of the offending entry.
+      const std::string tok(b, std::min<std::size_t>(to_size(e - b), 32));
+      parse_error(line_no,
+                  ec == std::errc::result_out_of_range
+                      ? "part id " + tok + " overflows idx_t"
+                      : "expected one integer part id, got \"" + tok + "\"",
+                  "partition");
+    }
+    part.push_back(p);
+  }
   return part;
 }
 

@@ -39,7 +39,9 @@ Graph read_metis_graph_file(const std::string& path);
 void write_metis_graph(std::ostream& out, const Graph& g);
 void write_metis_graph_file(const std::string& path, const Graph& g);
 
-/// Read / write a partition vector (one part id per line).
+/// Read / write a partition vector (one part id per line). Blank and '%'
+/// lines are skipped; a line holding anything but one integer that fits
+/// idx_t throws std::runtime_error naming the line.
 std::vector<idx_t> read_partition(std::istream& in);
 std::vector<idx_t> read_partition_file(const std::string& path);
 

@@ -95,11 +95,11 @@ TEST(ContractGraph, ChunkedParallelPathBitIdenticalToSerial) {
 
   ThreadPool pool(4);
   WorkspacePool wspool;
-  PhaseExec exec;
+  RunContext exec;
   exec.pool = &pool;
   exec.wspool = &wspool;
   Workspace ws;
-  const Graph chunked = contract_graph(g, cmap, nc, &ws, &exec);
+  const Graph chunked = contract_graph(g, cmap, nc, &ws, exec);
 
   EXPECT_EQ(chunked.xadj, serial.xadj);
   EXPECT_EQ(chunked.adjncy, serial.adjncy);

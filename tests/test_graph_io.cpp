@@ -284,6 +284,53 @@ TEST(PartitionIo, ValidatingReadRejectsOutOfRangeIds) {
   EXPECT_THROW(read_partition(too_big, 3, 2), std::runtime_error);
 }
 
+// The three inputs the whitespace-token reader used to get wrong: an entry
+// past idx_t was narrowed into range, a trailing word ended the read
+// silently, and a word mid-file surfaced only as a size mismatch.
+TEST(PartitionIo, RejectsEntryOverflowingIdx) {
+  std::istringstream in("0\n4294967297\n1\n0\n");
+  try {
+    read_partition(in, 4, 2);
+    FAIL() << "an entry past idx_t must be rejected";
+  } catch (const std::runtime_error& e) {
+    EXPECT_NE(std::string(e.what()).find("at line 2"), std::string::npos)
+        << e.what();
+    EXPECT_NE(std::string(e.what()).find("overflows idx_t"),
+              std::string::npos)
+        << e.what();
+  }
+}
+
+TEST(PartitionIo, RejectsTrailingWord) {
+  std::istringstream in("0\n1\n1\n0\nbogus\n");
+  try {
+    read_partition(in);
+    FAIL() << "a trailing non-integer line must be rejected";
+  } catch (const std::runtime_error& e) {
+    EXPECT_NE(std::string(e.what()).find("at line 5"), std::string::npos)
+        << e.what();
+  }
+}
+
+TEST(PartitionIo, RejectsWordMidFileNamingItsLine) {
+  std::istringstream in("0\n1\nx\n0\n");
+  try {
+    read_partition(in, 4, 2);
+    FAIL() << "a non-integer entry must be rejected";
+  } catch (const std::runtime_error& e) {
+    const std::string what = e.what();
+    EXPECT_NE(what.find("at line 3"), std::string::npos) << what;
+    EXPECT_EQ(what.find("entries"), std::string::npos) << what;
+  }
+}
+
+TEST(PartitionIo, RejectsExtraTokensAndSkipsBlankLines) {
+  std::istringstream two("0\n1 1\n");
+  EXPECT_THROW(read_partition(two), std::runtime_error);
+  std::istringstream blanks("0\n\n  \n1\r\n");
+  EXPECT_EQ(read_partition(blanks), (std::vector<idx_t>{0, 1}));
+}
+
 TEST(PartitionIo, ValidatingFileReadRejectsBadFile) {
   const std::vector<idx_t> part = {1, 0, 5};
   const std::string path = testing::TempDir() + "/mcgp_part_bad.part";

@@ -12,6 +12,7 @@
 #include "gen/mesh_gen.hpp"
 #include "gen/weight_gen.hpp"
 #include "graph/metrics.hpp"
+#include "support/flight_recorder.hpp"
 #include "support/thread_pool.hpp"
 #include "support/trace.hpp"
 #include "support/workspace.hpp"
@@ -342,8 +343,10 @@ TEST(KWayBalance, ScansOnlyTheDrainedParts) {
   const idx_t k = 16;
   std::vector<idx_t> where = block_start(48, k);
   TraceRecorder trace;
+  RunContext traced;
+  traced.trace = &trace;
   Rng rng(9);
-  kway_balance(g, k, where, ubvec(3), rng, nullptr, &trace);
+  kway_balance(g, k, where, ubvec(3), rng, nullptr, traced);
   const std::int64_t episodes = trace.counters().get("kway.balance.episodes");
   const std::int64_t scanned = trace.counters().get("kway.balance.scanned");
   ASSERT_GT(episodes, 0);
@@ -395,6 +398,65 @@ TEST(KWayRefine, StatsConsistent) {
   EXPECT_GT(stats.moves, 0);
 }
 
+// The benchmark's replay calls kway_refine with its observers spelled out
+// (12 arguments); that overload must be exactly the RunContext form:
+// same partition and stats, same kway.* counters, same flight samples.
+TEST(KWayRefine, PinnedOverloadMatchesContextForm) {
+  Graph g = grid2d(40, 40);
+  apply_type_s_weights(g, 3, 12, 0, 19, 5);
+  const std::vector<idx_t> start = scrambled(g.nvtxs, 8, 13);
+  ThreadPool pool(2);
+  WorkspacePool wspool;
+
+  struct Run {
+    std::vector<idx_t> where;
+    KWayRefineStats stats;
+    std::vector<std::pair<std::string, std::int64_t>> kway_counters;
+    std::size_t flight_samples = 0;
+  };
+  auto run = [&](bool pinned) {
+    Run r;
+    r.where = start;
+    TraceRecorder trace;
+    FlightRecorder flight;
+    InvariantAuditor audit(AuditLevel::kParanoid);
+    KWayExec exec;
+    exec.pool = &pool;
+    exec.wspool = &wspool;
+    Rng rng(9);
+    if (pinned) {
+      kway_refine(g, 8, r.where, ubvec(3), 6, rng, &r.stats, nullptr, &trace,
+                  &audit, &flight, &exec);
+    } else {
+      RunContext ctx = exec;
+      ctx.trace = &trace;
+      ctx.audit = &audit;
+      ctx.flight = &flight;
+      kway_refine(g, 8, r.where, ubvec(3), 6, rng, &r.stats, nullptr, ctx);
+    }
+    const CounterRegistry counters = trace.merged_counters();
+    for (const auto& c : counters.counters()) {
+      if (c.first.rfind("kway.", 0) == 0) r.kway_counters.push_back(c);
+    }
+    r.flight_samples = flight.snapshot().size();
+    EXPECT_GT(audit.count(AuditCheck::kCutDelta), 0u) << audit.summary();
+    return r;
+  };
+
+  const Run pinned = run(true);
+  const Run context = run(false);
+  EXPECT_EQ(pinned.where, context.where);
+  EXPECT_EQ(pinned.stats.passes, context.stats.passes);
+  EXPECT_EQ(pinned.stats.moves, context.stats.moves);
+  EXPECT_EQ(pinned.stats.proposed, context.stats.proposed);
+  EXPECT_EQ(pinned.stats.final_cut, context.stats.final_cut);
+  EXPECT_EQ(pinned.stats.feasible, context.stats.feasible);
+  EXPECT_EQ(pinned.kway_counters, context.kway_counters);
+  EXPECT_FALSE(pinned.kway_counters.empty());
+  EXPECT_EQ(pinned.flight_samples, context.flight_samples);
+  EXPECT_GT(pinned.flight_samples, 0u);
+}
+
 // The colored sweep's propose phases are chunk tasks; attaching a pool
 // must not change a single move — the partition after refinement is bit-
 // identical to the inline execution at every seed.
@@ -410,13 +472,13 @@ TEST(KWayRefine, PooledColoredSweepBitIdenticalToInline) {
 
   ThreadPool pool(4);
   WorkspacePool wspool;
-  PhaseExec exec;
+  RunContext exec;
   exec.pool = &pool;
   exec.wspool = &wspool;
   Rng b(4);
   const sum_t pooled_cut =
       kway_refine(g, 16, pooled_part, ubvec(2, 1.10), 8, b, nullptr, nullptr,
-                  nullptr, nullptr, nullptr, &exec);
+                  exec);
 
   EXPECT_EQ(pooled_part, inline_part);
   EXPECT_EQ(pooled_cut, inline_cut);

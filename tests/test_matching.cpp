@@ -107,10 +107,10 @@ TEST_P(MatchingSchemes, PooledHandshakeBitIdenticalToInline) {
   compute_matching_into(g, GetParam(), a, inline_match);
 
   ThreadPool pool(4);
-  PhaseExec exec;
+  RunContext exec;
   exec.pool = &pool;
   Workspace ws;
-  compute_matching_into(g, GetParam(), b, pooled_match, nullptr, &ws, &exec);
+  compute_matching_into(g, GetParam(), b, pooled_match, &ws, exec);
   EXPECT_EQ(pooled_match, inline_match);
 }
 

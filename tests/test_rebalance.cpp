@@ -150,7 +150,9 @@ TEST(RebalancePartition, TracesDeterministicWorkCounts) {
   auto run = [&](TraceRecorder* trace, RebalanceStats& stats) {
     std::vector<idx_t> w = where;
     Rng rng(5);
-    rebalance_partition(g, k, w, ub, rng, nullptr, &stats, trace);
+    RunContext traced;
+    traced.trace = trace;
+    rebalance_partition(g, k, w, ub, rng, nullptr, &stats, traced);
     return w;
   };
   TraceRecorder trace;
@@ -412,8 +414,8 @@ TEST(RebalancePartition, MatchesFullScanReference) {
         std::vector<idx_t> got = start;
         Rng rng(4);
         RebalanceStats st;
-        rebalance_partition(g, k, got, ub, rng, nullptr, &st, nullptr,
-                            nullptr, nullptr, /*max_vcycles=*/0);
+        rebalance_partition(g, k, got, ub, rng, nullptr, &st, {},
+                            /*max_vcycles=*/0);
         EXPECT_EQ(got, expect) << "m=" << m << " k=" << k << " ub=" << ub_value;
         EXPECT_EQ(st.moves, ref.moves);
         EXPECT_EQ(st.episodes, ref.episodes);

@@ -517,6 +517,8 @@ TEST(Refine2Way, ParanoidAuditCleanOnReferenceMatrix) {
   // pass start, so a slip in the rollback's inverse updates throws at the
   // pass after it. Auditing must not change a move either.
   InvariantAuditor audit(AuditLevel::kParanoid);
+  RunContext audited;
+  audited.audit = &audit;
   for (const QueuePolicy policy :
        {QueuePolicy::kMostImbalanced, QueuePolicy::kRoundRobin,
         QueuePolicy::kSingleQueue}) {
@@ -546,7 +548,7 @@ TEST(Refine2Way, ParanoidAuditCleanOnReferenceMatrix) {
                            << m << " geometric " << geometric << " ub " << ub
                            << " f0 " << f0 << " seed " << seed);
               ASSERT_NO_THROW(refine_2way(g, where, t, policy, 10, 0, r1,
-                                          nullptr, nullptr, &audit));
+                                          nullptr, audited));
               reference_refine_2way(g, ref, t, policy, 10, r2);
               ASSERT_EQ(where, ref);
             }
@@ -566,10 +568,12 @@ TEST(Refine2Way, DegreesScannedOncePerCall) {
   apply_type_s_weights(g, 3, 12, 0, 19, 43);
   std::vector<idx_t> where = jagged_bisection(30, 30);
   TraceRecorder trace;
+  RunContext traced;
+  traced.trace = &trace;
   Rng rng(5);
   Refine2WayStats stats;
   refine_2way(g, where, even_targets(3), QueuePolicy::kMostImbalanced, 10, 0,
-              rng, &stats, &trace);
+              rng, &stats, traced);
   ASSERT_GE(stats.passes, 2);
   EXPECT_EQ(trace.counters().get("fm.degree_scans"), g.nvtxs);
   EXPECT_EQ(trace.counters().get("fm.passes"), stats.passes);
