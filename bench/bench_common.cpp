@@ -12,8 +12,7 @@
 #include "gen/mesh_gen.hpp"
 #include "graph/part_report.hpp"
 #include "support/flight_recorder.hpp"
-#include "support/metrics.hpp"
-#include "support/perf_counters.hpp"
+#include "support/profiler.hpp"
 #include "support/run_ledger.hpp"
 #include "support/trace.hpp"
 
@@ -21,32 +20,9 @@ namespace mcgp::bench {
 
 namespace {
 bool g_profile_requested = false;
-
-std::string metrics_sidecar_path(const std::string& ledger_path) {
-  return ledger_path + ".metrics.json";
-}
 }  // namespace
 
 bool profile_requested() { return g_profile_requested; }
-
-MetricsRegistry& bench_metrics() {
-  static MetricsRegistry registry;
-  return registry;
-}
-
-bool write_metrics_sidecar(const std::string& ledger_path) {
-  if (ledger_path.empty()) return false;
-  const std::string path = metrics_sidecar_path(ledger_path);
-  std::ofstream out(path);
-  if (out) bench_metrics().write_json(out);
-  if (!out) {
-    std::cerr << "warning: could not write metrics snapshot to " << path
-              << "\n";
-    return false;
-  }
-  std::printf("wrote metrics snapshot to %s\n", path.c_str());
-  return true;
-}
 
 Args parse_args(int argc, char** argv) {
   Args args;
@@ -168,13 +144,10 @@ RunSummary run_average(const Graph& g, Options opts, int reps,
                        const LedgerSink* sink,
                        const std::string& graph_name) {
   RunSummary s;
-  // One process-lifetime registry across every rep and configuration: its
-  // end-of-bench sidecar is the cross-run aggregate view.
-  opts.metrics = &bench_metrics();
   for (int r = 0; r < reps; ++r) {
     opts.seed = static_cast<std::uint64_t>(r + 1);
     // One profiler per rep so each ledger record carries that rep's own
-    // counters rather than a running sum across seeds.
+    // profile rather than a running sum across seeds.
     std::optional<Profiler> prof;
     if (profile_requested()) {
       prof.emplace();
@@ -186,12 +159,9 @@ RunSummary run_average(const Graph& g, Options opts, int reps,
     s.feasible_rate += res.feasible ? 1.0 : 0.0;
     s.seconds += res.seconds;
     if (sink != nullptr && !sink->path.empty()) {
-      RunRecord rec = make_run_record(sink->experiment, graph_name, g, opts,
-                                      res, opts.profile);
-      // The sidecar is written once at bench exit; records point at it so
-      // ledger consumers can find the aggregate without globbing.
-      rec.metrics_snapshot = metrics_sidecar_path(sink->path);
-      append_run_record(sink->path, rec);
+      append_run_record(sink->path,
+                        make_run_record(sink->experiment, graph_name, g, opts,
+                                        res, opts.profile));
     }
     opts.profile = nullptr;
   }
@@ -212,7 +182,6 @@ bool emit_trace_artifacts(const Args& args, const std::string& name,
   FlightRecorder flight;
   opts.trace = &recorder;
   opts.flight = &flight;
-  opts.metrics = &bench_metrics();
   std::optional<Profiler> prof;
   if (args.profile || profile_requested()) {
     prof.emplace();

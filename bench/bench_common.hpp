@@ -27,9 +27,9 @@ struct Args {
   /// Run-ledger path override (--ledger=<path>). Empty = each bench's
   /// default ledger file (e.g. BENCH_runtime.json). "none" disables.
   std::string ledger_path;
-  /// Attach a hardware-counter profiler (--profile) to every partition
-  /// run_average / emit_trace_artifacts performs; ledger records and
-  /// report artifacts then carry "profile" sections.
+  /// Attach a profiler (--profile) to every partition run_average /
+  /// emit_trace_artifacts performs; ledger records and report artifacts
+  /// then carry "profile" sections.
   bool profile = false;
 };
 
@@ -41,18 +41,6 @@ Args parse_args(int argc, char** argv);
 /// True once parse_args saw --profile (module-level so run_average picks
 /// it up without threading Args through every bench call site).
 bool profile_requested();
-
-/// The bench process's lifetime metrics registry (support/metrics.hpp).
-/// run_average and emit_trace_artifacts attach it to every partition()
-/// call, so one registry accumulates run counts, latency histograms, and
-/// quality gauges across the whole parameter grid — the cross-run
-/// aggregate a single ledger record cannot carry.
-MetricsRegistry& bench_metrics();
-
-/// Write the registry's JSON snapshot to `<ledger_path>.metrics.json`
-/// (the sidecar RunRecord::metrics_snapshot points at). No-op returning
-/// false when `ledger_path` is empty; prints the sidecar path on success.
-bool write_metrics_sidecar(const std::string& ledger_path);
 
 /// Where a bench appends its per-run ledger records: --ledger wins, then
 /// the bench's default file; --ledger=none (empty result) disables.

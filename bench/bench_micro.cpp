@@ -14,8 +14,7 @@
 #include "gen/weight_gen.hpp"
 #include "graph/graph_ops.hpp"
 #include "support/flight_recorder.hpp"
-#include "support/metrics.hpp"
-#include "support/perf_counters.hpp"
+#include "support/profiler.hpp"
 #include "support/thread_pool.hpp"
 #include "support/workspace.hpp"
 
@@ -294,10 +293,10 @@ BENCHMARK(BM_PartitionFlightRecorder)
     ->Args({1, 0})
     ->Args({1, 1});
 
-// Cost of the hardware-counter profiler per partition call: detached
-// (null Options::profile, one pointer test per scope) must be within
-// noise of no profiler at all — the PR's 1%-overhead gate; attached pays
-// two counter-group reads plus one mutex-guarded fold per scope.
+// Cost of the profiler per partition call: detached (null
+// Options::profile, one pointer test per scope) must be within noise of
+// no profiler at all; attached pays two reads of each clock plus one
+// mutex-guarded fold per scope.
 void BM_PartitionProfiled(benchmark::State& state) {
   const Graph g = make_bench_graph(150, 3);
   Options o;
@@ -316,33 +315,6 @@ void BM_PartitionProfiled(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * g.nvtxs);
 }
 BENCHMARK(BM_PartitionProfiled)
-    ->Args({0, 0})
-    ->Args({0, 1})
-    ->Args({1, 0})
-    ->Args({1, 1});
-
-// Cost of the metrics registry per partition call: detached (null
-// Options::metrics, one pointer test per instrumentation point) must be
-// within 1% of no registry at all — this PR's overhead gate; attached
-// pays the run bracket, progress stamps, and one fold of histograms and
-// gauges at run end.
-void BM_PartitionMetrics(benchmark::State& state) {
-  const Graph g = make_bench_graph(150, 3);
-  Options o;
-  o.nparts = 32;
-  o.algorithm = state.range(0) == 0 ? Algorithm::kRecursiveBisection
-                                    : Algorithm::kKWay;
-  MetricsRegistry metrics;
-  o.metrics = state.range(1) != 0 ? &metrics : nullptr;
-  std::uint64_t seed = 1;
-  for (auto _ : state) {
-    o.seed = seed++;
-    const PartitionResult r = partition(g, o);
-    benchmark::DoNotOptimize(r.cut);
-  }
-  state.SetItemsProcessed(state.iterations() * g.nvtxs);
-}
-BENCHMARK(BM_PartitionMetrics)
     ->Args({0, 0})
     ->Args({0, 1})
     ->Args({1, 0})

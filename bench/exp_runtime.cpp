@@ -96,7 +96,6 @@ int main(int argc, char** argv) {
 
   if (!ledger_path.empty()) {
     std::printf("appended run records to %s\n", ledger_path.c_str());
-    write_metrics_sidecar(ledger_path);
     std::printf("\n");
   }
 

@@ -70,7 +70,6 @@ void run_quality_experiment(Algorithm alg, const char* title,
   t.print();
   if (!ledger_path.empty()) {
     std::printf("\nappended run records to %s\n", ledger_path.c_str());
-    write_metrics_sidecar(ledger_path);
   }
 }
 

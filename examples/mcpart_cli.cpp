@@ -24,22 +24,22 @@
 //   --refine=<partfile>  refine an existing partition instead of partitioning
 //   --progress           live per-level progress lines on stderr
 //   --ledger=<path>      append one JSONL run record to <path>
-//   --profile            hardware-counter profiling (perf_event_open)
+//   --profile            per-phase wall and thread CPU time
 //   --report-json=<path> write the machine-readable run report to <path>
-//   --metrics-out=<path> write the process metrics snapshot to <path>
-//                        (.json -> JSON document, else OpenMetrics text)
-//   --metrics-interval=<s>      rewrite --metrics-out every <s> seconds
-//   --metrics-stall-timeout=<s> flag a stall (mcgp_stalled gauge +
-//                        postmortem dump) after <s> seconds without
-//                        pipeline progress (default off)
-#include <algorithm>
+//
+// Numeric values must be one whole number (k, --seed, --threads,
+// --ncommon) or one finite decimal (--ub); anything else exits with
+// status 2 and a message naming the argument.
+#include <charconv>
+#include <cmath>
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
 #include <fstream>
 #include <iostream>
 #include <optional>
 #include <string>
+#include <string_view>
+#include <system_error>
+#include <type_traits>
 
 #include "core/audit.hpp"
 #include "core/partitioner.hpp"
@@ -48,8 +48,7 @@
 #include "graph/part_report.hpp"
 #include "mesh/mesh.hpp"
 #include "support/flight_recorder.hpp"
-#include "support/metrics.hpp"
-#include "support/perf_counters.hpp"
+#include "support/profiler.hpp"
 #include "support/run_ledger.hpp"
 
 namespace {
@@ -97,20 +96,31 @@ void usage(const char* argv0) {
       << "                      instead of partitioning from scratch\n"
       << "  --progress          live per-level progress lines on stderr\n"
       << "  --ledger=<path>     append one JSONL run record to <path>\n"
-      << "  --profile           per-phase hardware counters via\n"
-      << "                      perf_event_open (degrades gracefully when\n"
-      << "                      the kernel refuses; see README Profiling)\n"
+      << "  --profile           per-phase wall and thread CPU time\n"
+      << "                      (see README Profiling)\n"
       << "  --report-json=<path> write the machine-readable run report\n"
       << "                      (with timeline/profile sections when\n"
-      << "                      attached) to <path>\n"
-      << "  --metrics-out=<path> write the process metrics snapshot to\n"
-      << "                      <path> (.json suffix selects the JSON\n"
-      << "                      document, anything else OpenMetrics text)\n"
-      << "  --metrics-interval=<s>  rewrite --metrics-out every <s>\n"
-      << "                      seconds while running (atomic replace)\n"
-      << "  --metrics-stall-timeout=<s>  raise the mcgp_stalled gauge and\n"
-      << "                      dump a postmortem after <s> seconds\n"
-      << "                      without pipeline progress (default off)\n";
+      << "                      attached) to <path>\n";
+}
+
+/// Parse `value`, the text of argument `name`, as one T over its whole
+/// length with std::from_chars; a floating-point value must also be
+/// finite. Prints a message naming the argument and returns false when
+/// the text is not such a number or is below `lo`.
+template <class T>
+bool parse_number(const char* name, std::string_view value, T lo, T& out) {
+  T v{};
+  const char* end = value.data() + value.size();
+  const auto [ptr, ec] = std::from_chars(value.data(), end, v);
+  bool ok = !value.empty() && ec == std::errc() && ptr == end && v >= lo;
+  if constexpr (std::is_floating_point_v<T>) ok = ok && std::isfinite(v);
+  if (!ok) {
+    std::cerr << "error: " << name << " expects a number >= " << lo
+              << ", got \"" << value << "\"\n";
+    return false;
+  }
+  out = v;
+  return true;
 }
 
 }  // namespace
@@ -122,11 +132,8 @@ int main(int argc, char** argv) {
     return 2;
   }
   const std::string graph_path = argv[1];
-  const idx_t nparts = std::atoi(argv[2]);
-  if (nparts < 1) {
-    std::cerr << "error: nparts must be >= 1\n";
-    return 2;
-  }
+  idx_t nparts = 0;
+  if (!parse_number<idx_t>("nparts", argv[2], 1, nparts)) return 2;
 
   Options opts;
   opts.nparts = nparts;
@@ -142,22 +149,25 @@ int main(int argc, char** argv) {
   std::string ledger_path;
   bool profile = false;
   std::string report_json_path;
-  std::string metrics_out;
-  double metrics_interval = 0.0;
-  double metrics_stall_timeout = 0.0;
 
   for (int i = 3; i < argc; ++i) {
     const std::string a = argv[i];
+    const std::string_view arg = a;
     if (a == "--alg=rb") {
       opts.algorithm = Algorithm::kRecursiveBisection;
     } else if (a == "--alg=kway") {
       opts.algorithm = Algorithm::kKWay;
     } else if (a.rfind("--ub=", 0) == 0) {
-      ub = std::atof(a.c_str() + 5);
+      if (!parse_number("--ub", arg.substr(5), 1.0, ub)) return 2;
     } else if (a.rfind("--seed=", 0) == 0) {
-      opts.seed = static_cast<std::uint64_t>(std::atoll(a.c_str() + 7));
+      if (!parse_number<std::uint64_t>("--seed", arg.substr(7), 0,
+                                       opts.seed)) {
+        return 2;
+      }
     } else if (a.rfind("--threads=", 0) == 0) {
-      opts.num_threads = std::max(1, std::atoi(a.c_str() + 10));
+      if (!parse_number("--threads", arg.substr(10), 1, opts.num_threads)) {
+        return 2;
+      }
     } else if (a == "--match=rm") {
       opts.matching = MatchScheme::kRandom;
     } else if (a == "--match=hem") {
@@ -171,7 +181,9 @@ int main(int argc, char** argv) {
     } else if (a == "--mesh") {
       is_mesh = true;
     } else if (a.rfind("--ncommon=", 0) == 0) {
-      ncommon = std::atoi(a.c_str() + 10);
+      if (!parse_number<idx_t>("--ncommon", arg.substr(10), 1, ncommon)) {
+        return 2;
+      }
     } else if (a == "--report") {
       report = true;
     } else if (a.rfind("--audit=", 0) == 0) {
@@ -202,16 +214,6 @@ int main(int argc, char** argv) {
         std::cerr << "error: --report-json needs a file path\n";
         return 2;
       }
-    } else if (a.rfind("--metrics-out=", 0) == 0) {
-      metrics_out = a.substr(14);
-      if (metrics_out.empty()) {
-        std::cerr << "error: --metrics-out needs a file path\n";
-        return 2;
-      }
-    } else if (a.rfind("--metrics-interval=", 0) == 0) {
-      metrics_interval = std::atof(a.c_str() + 19);
-    } else if (a.rfind("--metrics-stall-timeout=", 0) == 0) {
-      metrics_stall_timeout = std::atof(a.c_str() + 24);
     } else {
       std::cerr << "unknown option: " << a << "\n";
       usage(argv[0]);
@@ -242,37 +244,11 @@ int main(int argc, char** argv) {
     if (progress) flight.set_on_sample(&print_progress);
 
     // The profiler likewise only observes; partitions are bit-identical
-    // with or without it. When the kernel refuses the counters it stays
-    // attached and reports "available": false instead of failing the run.
+    // with or without it.
     std::optional<Profiler> prof;
     if (profile) {
       prof.emplace();
       opts.profile = &*prof;
-      if (!prof->counters_available()) {
-        std::cerr << "mcpart: hardware counters unavailable ("
-                  << prof->status() << "); profiling degrades to "
-                  << "wall-clock only\n";
-      }
-    }
-
-    // Process-lifetime metrics: attached for --metrics-* and, so the
-    // ledger record can point at its snapshot sidecar, for --ledger too.
-    // Observe-only like the recorder and profiler.
-    std::optional<MetricsRegistry> metrics;
-    std::optional<MetricsFlusher> flusher;
-    if (!metrics_out.empty() || metrics_stall_timeout > 0 ||
-        !ledger_path.empty()) {
-      metrics.emplace();
-      opts.metrics = &*metrics;
-    }
-    if (!metrics_out.empty() || metrics_stall_timeout > 0) {
-      MetricsFlusher::Config mcfg;
-      mcfg.out_path = metrics_out;
-      // Without --metrics-interval only the final stop() snapshot is
-      // written; 1h stands in for "never" during the run itself.
-      mcfg.interval_s = metrics_interval > 0 ? metrics_interval : 3600.0;
-      mcfg.stall_timeout_s = metrics_stall_timeout;
-      flusher.emplace(*metrics, mcfg);
     }
 
     PartitionResult r;
@@ -309,29 +285,14 @@ int main(int argc, char** argv) {
     }
     std::cout << "\n";
 
-    if (prof.has_value() && prof->counters_available()) {
+    if (prof.has_value()) {
       const ProfBucket run = prof->phase_total("run");
-      std::cout << "profile:";
-      const std::int64_t cycles =
-          run.counters[static_cast<int>(PerfCounter::kCycles)];
-      const std::int64_t instr =
-          run.counters[static_cast<int>(PerfCounter::kInstructions)];
-      if (prof->counter_open(PerfCounter::kCycles)) {
-        std::cout << " cycles=" << cycles;
-      }
-      if (prof->counter_open(PerfCounter::kInstructions)) {
-        std::cout << " instructions=" << instr;
-      }
-      if (cycles > 0 && prof->counter_open(PerfCounter::kInstructions)) {
-        std::cout << " ipc="
-                  << static_cast<double>(instr) / static_cast<double>(cycles);
-      }
-      if (prof->counter_open(PerfCounter::kTaskClock)) {
-        std::cout << " task_clock="
-                  << static_cast<double>(run.counters[static_cast<int>(
-                         PerfCounter::kTaskClock)]) *
-                         1e-9
-                  << "s";
+      std::cout << "profile: task_clock="
+                << static_cast<double>(run.task_clock_ns) * 1e-9 << "s";
+      if (run.wall_ns > 0) {
+        std::cout << " parallelism="
+                  << static_cast<double>(run.task_clock_ns) /
+                         static_cast<double>(run.wall_ns);
       }
       std::cout << "\n";
     }
@@ -367,27 +328,9 @@ int main(int argc, char** argv) {
       std::cout << "wrote:   " << out_path << "\n";
     }
 
-    if (flusher.has_value()) {
-      flusher->stop();
-      if (!metrics_out.empty()) {
-        std::cout << "metrics: wrote " << metrics_out << "\n";
-      }
-    }
-
     if (!ledger_path.empty()) {
-      RunRecord rec =
+      const RunRecord rec =
           make_run_record("mcpart", graph_path, g, opts, r, opts.profile);
-      // Final snapshot sidecar next to the ledger; the record points at
-      // it so a ledger reader can find the cross-run aggregates.
-      if (metrics.has_value()) {
-        const std::string sidecar = ledger_path + ".metrics.json";
-        std::ofstream ms(sidecar);
-        if (ms) {
-          metrics->write_json(ms);
-          rec.metrics_snapshot = sidecar;
-          std::cout << "metrics: wrote " << sidecar << "\n";
-        }
-      }
       if (append_run_record(ledger_path, rec)) {
         std::cout << "ledger:  appended to " << ledger_path << "\n";
       }

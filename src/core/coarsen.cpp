@@ -6,7 +6,7 @@
 
 #include "core/audit.hpp"
 #include "support/flight_recorder.hpp"
-#include "support/perf_counters.hpp"
+#include "support/profiler.hpp"
 #include "support/thread_pool.hpp"
 #include "support/trace.hpp"
 

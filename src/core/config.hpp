@@ -18,7 +18,6 @@ class TraceRecorder;
 class InvariantAuditor;
 class FlightRecorder;
 class Profiler;
-class MetricsRegistry;
 
 /// How aggressively the pipeline verifies its own bookkeeping invariants
 /// at runtime (see core/audit.hpp). Violations raise AuditFailure.
@@ -140,27 +139,14 @@ struct Options {
   /// results; it must outlive the run and may be shared across threads.
   FlightRecorder* flight = nullptr;
 
-  /// Optional hardware-counter profiler (see support/perf_counters.hpp).
-  /// When non-null the pipeline measures cycles / instructions / LLC /
-  /// branch counters (plus wall time and work items) over every phase at
-  /// every hierarchy level and aggregates them into the profiler's
-  /// (phase, level) buckets; null (the default) costs one pointer test
-  /// per site. Where perf_event_open is unavailable the profiler still
-  /// aggregates wall time and reports itself as counters-unavailable.
-  /// Attaching a profiler never changes results; it must outlive the run
-  /// and may be shared across the run's worker threads.
+  /// Optional profiler (see support/profiler.hpp). When non-null the
+  /// pipeline measures wall time, thread CPU time and work items over
+  /// every phase at every hierarchy level and aggregates them into the
+  /// profiler's (phase, level) buckets; null (the default) costs one
+  /// pointer test per site. Attaching a profiler never changes results;
+  /// it must outlive the run and may be shared across the run's worker
+  /// threads.
   Profiler* profile = nullptr;
-
-  /// Optional process-lifetime metrics registry (see support/metrics.hpp).
-  /// When non-null each partition()/refine_partition() call folds its
-  /// telemetry into the registry's cross-run aggregates: run/phase latency
-  /// histograms, cut/imbalance/feasibility gauges, audit and rebalance
-  /// event counters, memory high-water gauges, and the heartbeat progress
-  /// stamps the stall detector watches. Null (the default) costs one
-  /// pointer test per site. Attaching a registry never changes results;
-  /// it must outlive the run and is safe to share across concurrent runs
-  /// and with a scraping thread.
-  MetricsRegistry* metrics = nullptr;
 
   /// Optional externally owned auditor. When non-null it is used directly
   /// (its own level governs, letting callers read check counters after the

@@ -7,7 +7,7 @@
 #include "core/balance2way.hpp"
 #include "core/refine2way.hpp"
 #include "support/indexed_heap.hpp"
-#include "support/perf_counters.hpp"
+#include "support/profiler.hpp"
 #include "support/thread_pool.hpp"
 #include "support/trace.hpp"
 

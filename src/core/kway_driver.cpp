@@ -10,7 +10,7 @@
 #include "core/rebalance.hpp"
 #include "graph/metrics.hpp"
 #include "support/flight_recorder.hpp"
-#include "support/perf_counters.hpp"
+#include "support/profiler.hpp"
 #include "support/trace.hpp"
 
 namespace mcgp {

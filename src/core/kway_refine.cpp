@@ -14,7 +14,7 @@
 #include "graph/metrics.hpp"
 #include "support/bucket_queue.hpp"
 #include "support/flight_recorder.hpp"
-#include "support/perf_counters.hpp"
+#include "support/profiler.hpp"
 #include "support/thread_pool.hpp"
 #include "support/trace.hpp"
 #include "support/workspace.hpp"

@@ -3,7 +3,7 @@
 #include <algorithm>
 #include <cassert>
 
-#include "support/perf_counters.hpp"
+#include "support/profiler.hpp"
 #include "support/thread_pool.hpp"
 #include "support/trace.hpp"
 

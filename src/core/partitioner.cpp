@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdlib>
-#include <map>
 #include <optional>
 #include <stdexcept>
 #include <string>
@@ -17,8 +16,7 @@
 #include "core/rebalance.hpp"
 #include "graph/metrics.hpp"
 #include "support/flight_recorder.hpp"
-#include "support/metrics.hpp"
-#include "support/perf_counters.hpp"
+#include "support/profiler.hpp"
 #include "support/random.hpp"
 #include "support/thread_pool.hpp"
 #include "support/timer.hpp"
@@ -27,6 +25,27 @@
 namespace mcgp {
 
 namespace {
+
+/// Reject an enum value outside [0, last]: a value cast from an unchecked
+/// integer would otherwise fall through to whichever branch handles
+/// "anything else".
+template <class E>
+void check_enum(const char* field, E value, E last) {
+  const int v = static_cast<int>(value);
+  if (v < 0 || v > static_cast<int>(last)) {
+    throw std::invalid_argument(
+        std::string("partition: ") + field + " " + std::to_string(v) +
+        " out of range [0, " + std::to_string(static_cast<int>(last)) + "]");
+  }
+}
+
+void check_at_least(const char* field, int value, int lo) {
+  if (value < lo) {
+    throw std::invalid_argument(std::string("partition: ") + field + " = " +
+                                std::to_string(value) + " must be >= " +
+                                std::to_string(lo));
+  }
+}
 
 void validate_options(const Graph& g, const Options& opts) {
   if (opts.nparts < 1) throw std::invalid_argument("partition: nparts < 1");
@@ -46,12 +65,23 @@ void validate_options(const Graph& g, const Options& opts) {
           std::to_string(ub) + " — every tolerance must be finite and >= 1.0");
     }
   }
-  const int audit_level = static_cast<int>(opts.audit_level);
-  if (audit_level < static_cast<int>(AuditLevel::kOff) ||
-      audit_level > static_cast<int>(AuditLevel::kParanoid)) {
+  check_enum("audit_level", opts.audit_level, AuditLevel::kParanoid);
+  check_enum("algorithm", opts.algorithm, Algorithm::kKWay);
+  check_enum("matching", opts.matching, MatchScheme::kHeavyEdgeBalanced);
+  check_enum("queue_policy", opts.queue_policy, QueuePolicy::kSingleQueue);
+  check_enum("init_scheme", opts.init_scheme, InitScheme::kBinPack);
+  check_enum("kway_scheme", opts.kway_scheme, KWayRefineScheme::kPriorityQueue);
+  check_at_least("init_trials", opts.init_trials, 1);
+  check_at_least("refine_passes", opts.refine_passes, 0);
+  check_at_least("kway_passes", opts.kway_passes, 0);
+  // 0 means automatic for both.
+  check_at_least("coarsen_to", opts.coarsen_to, 0);
+  check_at_least("fm_move_limit", opts.fm_move_limit, 0);
+  // Written so that NaN fails too.
+  if (!(opts.min_coarsen_reduction > 0 && opts.min_coarsen_reduction <= 1)) {
     throw std::invalid_argument(
-        "partition: audit_level " + std::to_string(audit_level) +
-        " out of range [0, 2]");
+        "partition: min_coarsen_reduction = " +
+        std::to_string(opts.min_coarsen_reduction) + " must lie in (0, 1]");
   }
   if (!opts.tpwgts.empty()) {
     if (opts.tpwgts.size() != to_size(opts.nparts)) {
@@ -63,14 +93,15 @@ void validate_options(const Graph& g, const Options& opts) {
     real_t total = 0;
     for (std::size_t p = 0; p < opts.tpwgts.size(); ++p) {
       const real_t f = opts.tpwgts[p];
-      if (f <= 0) {
+      if (!std::isfinite(f) || f <= 0) {
         throw std::invalid_argument(
             "partition: tpwgts[" + std::to_string(p) + "] = " +
-            std::to_string(f) + " — every target fraction must be > 0");
+            std::to_string(f) +
+            " — every target fraction must be finite and > 0");
       }
       total += f;
     }
-    if (total < 0.999 || total > 1.001) {
+    if (!(total >= 0.999 && total <= 1.001)) {
       throw std::invalid_argument(
           "partition: tpwgts must sum to 1 (got " + std::to_string(total) +
           ")");
@@ -171,148 +202,17 @@ AuditLevel effective_audit_level(AuditLevel opt_level) {
   return env_level >= 0 ? static_cast<AuditLevel>(env_level) : opt_level;
 }
 
-/// Brackets one partition()/refine_partition() call against the
-/// process-lifetime metrics registry (Options::metrics): run_begin/run_end
-/// for the inflight gauge, baselines of the shared auditor/profiler so
-/// only THIS run's deltas are folded in (observers shared across runs
-/// must not double-count), the heartbeat bridge through the flight
-/// recorder (a local recorder is attached when the caller has none, so
-/// progress stamps and workspace gauges always flow), and — on the
-/// completion path — the latency histograms and quality gauges. A scope
-/// destroyed without complete() counts the run as failed.
-class MetricsRunScope {
- public:
-  MetricsRunScope(Options& opts, const char* alg) : opts_(opts), alg_(alg) {
-    MetricsRegistry* m = opts_.metrics;
-    if (m == nullptr) return;
-    m->run_begin();
-    if (opts_.flight == nullptr) {
-      local_flight_.emplace();
-      opts_.flight = &*local_flight_;
-    }
-    opts_.flight->set_metrics(m);
-    if (opts_.audit != nullptr) {
-      for (int c = 0; c < kAuditCategories; ++c) {
-        audit_baseline_[to_size(c)] =
-            opts_.audit->count(static_cast<AuditCheck>(c));
-      }
-    }
-    if (opts_.profile != nullptr) prof_baseline_ = opts_.profile->snapshot();
-  }
-
-  MetricsRunScope(const MetricsRunScope&) = delete;
-  MetricsRunScope& operator=(const MetricsRunScope&) = delete;
-
-  ~MetricsRunScope() {
-    MetricsRegistry* m = opts_.metrics;
-    if (m == nullptr) return;
-    // The caller's recorder outlives this run; the registry might not.
-    opts_.flight->set_metrics(nullptr);
-    if (!completed_) m->counter_add("mcgp_partitions_failed", {alg_});
-    m->run_end();
-  }
-
-  /// Fold the finished run in. `run_ns` is the same WallTimer interval
-  /// that becomes PartitionResult::seconds.
-  void complete(const PartitionResult& r, std::int64_t run_ns) {
-    MetricsRegistry* m = opts_.metrics;
-    if (m == nullptr) return;
-    completed_ = true;
-    m->counter_add("mcgp_partitions", {alg_});
-    if (!r.feasible) m->counter_add("mcgp_partitions_infeasible", {alg_});
-    m->observe("mcgp_run_ns", {alg_}, run_ns);
-    for (const auto& [phase, seconds] : r.phases.entries()) {
-      m->observe("mcgp_phase_ns", {phase, alg_},
-                 static_cast<std::int64_t>(seconds * 1e9));
-    }
-    m->gauge_set("mcgp_last_cut", {alg_}, static_cast<double>(r.cut));
-    for (std::size_t i = 0; i < r.imbalance.size(); ++i) {
-      m->gauge_set("mcgp_last_imbalance", {std::to_string(i)},
-                   r.imbalance[i]);
-    }
-    m->gauge_set("mcgp_last_feasible", {}, r.feasible ? 1.0 : 0.0);
-    const FlightRecorder* fr = opts_.flight;
-    if (fr->peak_rss_bytes() >= 0) {
-      m->gauge_set("mcgp_peak_rss_bytes", {},
-                   static_cast<double>(fr->peak_rss_bytes()));
-    }
-    if (fr->workspace_bytes() >= 0) {
-      m->gauge_set("mcgp_workspace_bytes", {},
-                   static_cast<double>(fr->workspace_bytes()));
-    }
-    if (fr->workspace_count() >= 0) {
-      m->gauge_set("mcgp_workspace_count", {},
-                   static_cast<double>(fr->workspace_count()));
-    }
-    if (opts_.audit != nullptr) {
-      for (int c = 0; c < kAuditCategories; ++c) {
-        const std::uint64_t now =
-            opts_.audit->count(static_cast<AuditCheck>(c));
-        const std::uint64_t was = audit_baseline_[to_size(c)];
-        if (now > was) {
-          m->counter_add("mcgp_audit_checks",
-                         {audit_check_name(static_cast<AuditCheck>(c))},
-                         static_cast<sum_t>(now - was));
-        }
-      }
-    }
-    if (opts_.profile != nullptr) fold_profile(*m);
-  }
-
- private:
-  static constexpr int kAuditCategories =
-      static_cast<int>(AuditCheck::kCount_);
-
-  /// Per-(phase, level) wall and per-phase cycle deltas vs the baseline
-  /// snapshot, each observed as one histogram sample for this run.
-  void fold_profile(MetricsRegistry& m) const {
-    std::map<std::pair<std::string, int>, std::int64_t> wall_base;
-    std::map<std::string, std::int64_t> cycles_base;
-    for (const ProfPhase& p : prof_baseline_) {
-      wall_base[{p.phase, p.level}] += p.stats.wall_ns;
-      cycles_base[p.phase] +=
-          p.stats.counters[static_cast<int>(PerfCounter::kCycles)];
-    }
-    std::map<std::string, std::int64_t> cycles_now;
-    for (const ProfPhase& p : opts_.profile->snapshot()) {
-      const std::int64_t wall = p.stats.wall_ns - wall_base[{p.phase, p.level}];
-      if (wall > 0) {
-        m.observe("mcgp_level_wall_ns",
-                  {p.phase, p.level < 0 ? "all" : std::to_string(p.level)},
-                  wall);
-      }
-      cycles_now[p.phase] +=
-          p.stats.counters[static_cast<int>(PerfCounter::kCycles)];
-    }
-    for (const auto& [phase, cyc] : cycles_now) {
-      const std::int64_t delta = cyc - cycles_base[phase];
-      if (delta > 0) m.observe("mcgp_phase_cycles", {phase}, delta);
-    }
-  }
-
-  Options& opts_;
-  const char* alg_;
-  bool completed_ = false;
-  std::optional<FlightRecorder> local_flight_;
-  std::uint64_t audit_baseline_[to_size(AuditCheck::kCount_)] = {};
-  std::vector<ProfPhase> prof_baseline_;
-};
-
-const char* metrics_alg_name(Algorithm a) {
-  return a == Algorithm::kKWay ? "kway" : "rb";
-}
-
 /// The setup and teardown partition() and refine_partition() share around
 /// their algorithm body: validation (of `start` too, when given), the
-/// auditor, the effective tolerances, the timer, RNG, metrics scope,
-/// profiler "run" scope, trace span `name` and pool; then the final
+/// auditor, the effective tolerances, the timer, RNG, profiler "run"
+/// scope, trace span `name` and pool; then the final
 /// quality, the `<name>.final` audits (an AuditFailure dumps the flight
 /// window), the final sample, counters and seconds. `body(opts, rng, pool,
 /// result)` fills result.part from the prepared options.
 template <class Body>
 PartitionResult run_entry(const Graph& g, const Options& run_opts,
-                          const char* name, const char* metrics_alg,
-                          const std::vector<idx_t>* start, Body&& body) {
+                          const char* name, const std::vector<idx_t>* start,
+                          Body&& body) {
   validate_options(g, run_opts);
   if (start != nullptr) {
     const std::string problem = validate_partition(g, *start, run_opts.nparts);
@@ -343,10 +243,6 @@ PartitionResult run_entry(const Graph& g, const Options& run_opts,
   WallTimer timer;
   PartitionResult result;
   Rng rng(opts.seed);
-
-  // Cross-run aggregation: the scope baselines shared observers, bridges
-  // the heartbeat, and folds this run's telemetry in at complete().
-  MetricsRunScope metrics_scope(opts, metrics_alg);
 
   // Whole-run measurement interval: every nested scope is inside it, so
   // the "run" bucket counts each cycle exactly once — the denominator for
@@ -403,10 +299,7 @@ PartitionResult run_entry(const Graph& g, const Options& run_opts,
     result.counters = opts.trace->merged_counters();
   }
   result.seconds = timer.seconds();
-  // Fold the profiler's "run" bucket before the metrics delta is taken so
-  // this run's whole-run interval reaches the level histograms too.
   run_prof.finish();
-  metrics_scope.complete(result, timer.elapsed_ns());
   return result;
 }
 
@@ -414,8 +307,7 @@ PartitionResult run_entry(const Graph& g, const Options& run_opts,
 
 PartitionResult partition(const Graph& g, const Options& run_opts) {
   return run_entry(
-      g, run_opts, "partition", metrics_alg_name(run_opts.algorithm),
-      nullptr,
+      g, run_opts, "partition", nullptr,
       [&](const Options& opts, Rng& rng, ThreadPool* pool,
           PartitionResult& result) {
         MlBisectStats stats;
@@ -433,7 +325,7 @@ PartitionResult partition(const Graph& g, const Options& run_opts) {
 PartitionResult refine_partition(const Graph& g, std::vector<idx_t> part,
                                  const Options& run_opts) {
   return run_entry(
-      g, run_opts, "refine_partition", "refine", &part,
+      g, run_opts, "refine_partition", &part,
       [&](const Options& opts, Rng& rng, ThreadPool* pool,
           PartitionResult& result) {
         const std::vector<real_t> ub = opts.tolerances(g.ncon);

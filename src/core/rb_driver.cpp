@@ -14,7 +14,7 @@
 #include "graph/graph_ops.hpp"
 #include "graph/metrics.hpp"
 #include "support/flight_recorder.hpp"
-#include "support/perf_counters.hpp"
+#include "support/profiler.hpp"
 #include "support/trace.hpp"
 
 namespace mcgp {

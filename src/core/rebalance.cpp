@@ -18,7 +18,7 @@
 #include "support/check.hpp"
 #include "support/flight_recorder.hpp"
 #include "support/indexed_heap.hpp"
-#include "support/perf_counters.hpp"
+#include "support/profiler.hpp"
 #include "support/trace.hpp"
 
 namespace mcgp {

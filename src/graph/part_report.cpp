@@ -9,7 +9,7 @@
 #include "support/check.hpp"
 #include "support/flight_recorder.hpp"
 #include "support/json_writer.hpp"
-#include "support/perf_counters.hpp"
+#include "support/profiler.hpp"
 #include "support/schema.hpp"
 
 namespace mcgp {

@@ -50,8 +50,7 @@ void print_report(std::ostream& out, const PartitionReport& report);
 /// field as one JSON object (stamped with "schema_version"). A non-null
 /// `flight` additionally embeds its retained sample window plus memory
 /// high-water marks as a "timeline" section; a non-null `prof` embeds its
-/// per-phase hardware-counter aggregates as a "profile" section (emitted
-/// with "available": false when the kernel refused the counters).
+/// per-(phase, level) wall and thread CPU time as a "profile" section.
 void write_report_json(std::ostream& out, const PartitionReport& report,
                        const FlightRecorder* flight = nullptr,
                        const Profiler* prof = nullptr);

@@ -64,42 +64,6 @@ inline sum_t checked_mul(sum_t a, sum_t b) {
   return r;
 }
 
-/// a + b clamped to the sum_t range instead of throwing. For telemetry
-/// accumulators (metrics counters, histogram sums) that must never abort
-/// the run they observe: on overflow the result pins at the numeric rail
-/// and the caller records the saturation as an explicit fact (the metrics
-/// registry raises a `saturated` flag on the affected series).
-inline sum_t saturating_add(sum_t a, sum_t b) {
-  sum_t r;
-  if (__builtin_add_overflow(a, b, &r)) {
-    return b >= 0 ? std::numeric_limits<sum_t>::max()
-                  : std::numeric_limits<sum_t>::min();
-  }
-  return r;
-}
-
-/// saturating_add that additionally latches `saturated` to true when the
-/// rail was hit (never resets it — callers accumulate the flag).
-inline sum_t saturating_add(sum_t a, sum_t b, bool& saturated) {
-  sum_t r;
-  if (__builtin_add_overflow(a, b, &r)) {
-    saturated = true;
-    return b >= 0 ? std::numeric_limits<sum_t>::max()
-                  : std::numeric_limits<sum_t>::min();
-  }
-  return r;
-}
-
-/// a - b clamped to the sum_t range instead of throwing; see saturating_add.
-inline sum_t saturating_sub(sum_t a, sum_t b) {
-  sum_t r;
-  if (__builtin_sub_overflow(a, b, &r)) {
-    return b < 0 ? std::numeric_limits<sum_t>::max()
-                 : std::numeric_limits<sum_t>::min();
-  }
-  return r;
-}
-
 /// Narrow a wide accumulator to a smaller integer type (idx_t, wgt_t) with
 /// a range check. This is the only sanctioned way to go from sum_t back to
 /// the narrow graph types — mcgp-lint's `narrowing` rule rejects raw

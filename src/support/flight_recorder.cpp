@@ -8,7 +8,6 @@
 
 #include "support/json_writer.hpp"
 #include "support/memory.hpp"
-#include "support/metrics.hpp"
 #include "support/schema.hpp"
 #include "support/timer.hpp"
 
@@ -27,6 +26,8 @@ const char* flight_stage_name(FlightSample::Stage s) {
   return "?";
 }
 
+namespace {
+
 std::string resolve_postmortem_path(const std::string& path) {
   // Relative paths land in whatever directory the process happens to be
   // in, which for a test harness or daemon is rarely where anyone looks.
@@ -41,6 +42,8 @@ std::string resolve_postmortem_path(const std::string& path) {
   out += path;
   return out;
 }
+
+}  // namespace
 
 FlightRecorder::FlightRecorder(std::size_t capacity)
     : capacity_(std::max<std::size_t>(capacity, 1)),
@@ -69,7 +72,6 @@ void FlightRecorder::record(FlightSample s) {
     ring_[static_cast<std::size_t>(s.seq) % capacity_] = s;
   }
   if (on_sample_) on_sample_(s);
-  if (metrics_ != nullptr) metrics_->note_progress(flight_stage_name(s.stage));
 }
 
 void FlightRecorder::sample_memory() {
@@ -116,11 +118,6 @@ void FlightRecorder::set_on_sample(
     std::function<void(const FlightSample&)> cb) {
   MutexLock lk(mu_);
   on_sample_ = std::move(cb);
-}
-
-void FlightRecorder::set_metrics(MetricsRegistry* registry) {
-  MutexLock lk(mu_);
-  metrics_ = registry;
 }
 
 void FlightRecorder::set_dump_path(std::string path) {

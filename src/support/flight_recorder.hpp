@@ -74,16 +74,6 @@ struct FlightSample {
 /// Stable name of a sample stage (JSON exports and tests).
 const char* flight_stage_name(FlightSample::Stage s);
 
-/// Resolve a postmortem artifact path against the MCGP_POSTMORTEM_DIR
-/// environment variable: relative paths are prefixed with the directory
-/// when it is set and non-empty (falling back to the working directory),
-/// absolute paths pass through as-is. Shared by the flight recorder's
-/// failure dump and the metrics flusher's stall dump so one variable
-/// redirects every postmortem artifact.
-std::string resolve_postmortem_path(const std::string& path);
-
-class MetricsRegistry;
-
 class FlightRecorder {
  public:
   static constexpr std::size_t kDefaultCapacity = 4096;
@@ -127,13 +117,6 @@ class FlightRecorder {
   /// sample, under the recorder lock (keep it cheap; do not re-enter the
   /// recorder). Set before the run starts; null disables.
   void set_on_sample(std::function<void(const FlightSample&)> cb);
-
-  /// Heartbeat bridge: every record() additionally calls
-  /// registry->note_progress(stage name), making each pipeline sample a
-  /// liveness proof for the metrics stall detector. Null detaches. The
-  /// registry must not call back into this recorder (lock order is
-  /// recorder -> registry).
-  void set_metrics(MetricsRegistry* registry);
 
   /// Where dump_on_failure() writes its postmortem JSON. Relative paths
   /// (the default is one) are resolved against the MCGP_POSTMORTEM_DIR
@@ -184,7 +167,6 @@ class FlightRecorder {
   std::vector<FlightSample> ring_ MCGP_GUARDED_BY(mu_);
   std::uint64_t next_seq_ MCGP_GUARDED_BY(mu_) = 0;
   std::function<void(const FlightSample&)> on_sample_ MCGP_GUARDED_BY(mu_);
-  MetricsRegistry* metrics_ MCGP_GUARDED_BY(mu_) = nullptr;
 };
 
 /// Null-safe one-line helper, mirroring trace_instant()/trace_count().

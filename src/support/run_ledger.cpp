@@ -8,7 +8,7 @@
 #include "graph/csr_graph.hpp"
 #include "support/json_writer.hpp"
 #include "support/memory.hpp"
-#include "support/perf_counters.hpp"
+#include "support/profiler.hpp"
 #include "support/schema.hpp"
 #include "support/sysinfo.hpp"
 
@@ -49,18 +49,10 @@ RunRecord make_run_record(std::string experiment, std::string graph_name,
   rec.cpu = hi.cpu_model;
   rec.cores = hi.cores;
   if (prof != nullptr) {
+    const ProfBucket run = prof->phase_total("run");
     rec.profile_attached = true;
-    rec.profile_available = prof->counters_available();
-    rec.profile_status = prof->status();
-    if (rec.profile_available) {
-      const ProfBucket run = prof->phase_total("run");
-      for (int c = 0; c < kNumPerfCounters; ++c) {
-        const auto pc = static_cast<PerfCounter>(c);
-        if (!prof->counter_open(pc)) continue;
-        rec.profile_counters.emplace_back(perf_counter_name(pc),
-                                          run.counters[c]);
-      }
-    }
+    rec.profile_wall_ns = run.wall_ns;
+    rec.profile_task_clock_ns = run.task_clock_ns;
   }
   return rec;
 }
@@ -92,20 +84,14 @@ void write_run_record(std::ostream& out, const RunRecord& rec) {
   if (rec.peak_rss_bytes >= 0) {
     w.member("peak_rss_bytes", rec.peak_rss_bytes);
   }
-  if (!rec.metrics_snapshot.empty()) {
-    w.member("metrics_snapshot", rec.metrics_snapshot);
-  }
   if (!rec.host.empty()) w.member("host", rec.host);
   if (!rec.cpu.empty()) w.member("cpu", rec.cpu);
   if (rec.cores > 0) w.member("cores", static_cast<std::int64_t>(rec.cores));
   if (rec.profile_attached) {
     w.key("profile");
     w.begin_object();
-    w.member("available", rec.profile_available);
-    w.member("status", rec.profile_status);
-    for (const auto& [name, value] : rec.profile_counters) {
-      w.member(name, value);
-    }
+    w.member("wall_ns", rec.profile_wall_ns);
+    w.member("task_clock_ns", rec.profile_task_clock_ns);
     w.end_object();
   }
   w.end_object();

@@ -55,19 +55,11 @@ struct RunRecord {
   std::string cpu;        ///< CPU model string; empty = unknown
   int cores = 0;          ///< logical cores; 0 = unknown
 
-  /// Path of the process-lifetime metrics snapshot written next to this
-  /// ledger (see support/metrics.hpp); empty = none. A sidecar pointer,
-  /// not a metric: diff.py ignores unknown keys, so old baselines stay
-  /// comparable.
-  std::string metrics_snapshot;
-
-  // Headline hardware counters for the whole run (the profiler's "run"
-  // phase), present only when a profiler was attached.
+  // Headline of the whole run (the profiler's "run" phase), present only
+  // when a profiler was attached.
   bool profile_attached = false;
-  bool profile_available = false;
-  std::string profile_status;
-  /// (counter name, multiplexing-scaled value) for every open counter.
-  std::vector<std::pair<std::string, std::int64_t>> profile_counters;
+  std::int64_t profile_wall_ns = 0;
+  std::int64_t profile_task_clock_ns = 0;  ///< on-CPU time of all threads
 };
 
 /// The `git describe --always --dirty` of the build (baked in at
@@ -81,8 +73,7 @@ const char* algorithm_ledger_name(const Options& opts);
 /// (experiment, graph_name, g, opts), metrics (cut, imbalances, wall and
 /// phase times) from `r`, peak RSS read from the kernel now, host identity
 /// from support/sysinfo. A non-null `prof` additionally stamps the record
-/// with the run's headline hardware counters (or its unavailability
-/// status when the kernel refused the counters).
+/// with the run's wall and thread CPU time.
 RunRecord make_run_record(std::string experiment, std::string graph_name,
                           const Graph& g, const Options& opts,
                           const PartitionResult& r,

@@ -14,10 +14,10 @@ namespace mcgp {
 
 /// Nanoseconds on the process-wide monotonic clock. Every wall-clock
 /// consumer (WallTimer/PhaseTimes, the profiler's ProfScope, the flight
-/// recorder's sample timestamps, the metrics registry) reads this one
-/// helper, so their numbers are subtractable against each other: a phase
-/// duration in a histogram and the same phase in a ledger record come
-/// from the same clock by construction.
+/// recorder's sample timestamps) reads this one helper, so their numbers
+/// are subtractable against each other: a phase's profile row and the
+/// same phase in a ledger record come from the same clock by
+/// construction.
 inline std::int64_t monotonic_now_ns() {
   return std::chrono::duration_cast<std::chrono::nanoseconds>(
              std::chrono::steady_clock::now().time_since_epoch())
@@ -35,9 +35,6 @@ class WallTimer {
   double seconds() const {
     return static_cast<double>(monotonic_now_ns() - start_ns_) * 1e-9;
   }
-
-  /// Nanoseconds elapsed since construction or last restart().
-  std::int64_t elapsed_ns() const { return monotonic_now_ns() - start_ns_; }
 
  private:
   std::int64_t start_ns_;

@@ -16,7 +16,7 @@
 #include "graph/metrics.hpp"
 #include "json_test_util.hpp"
 #include "support/flight_recorder.hpp"
-#include "support/perf_counters.hpp"
+#include "support/profiler.hpp"
 #include "support/trace.hpp"
 
 namespace mcgp {

@@ -2,6 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
+#include <stdexcept>
+#include <string>
+#include <utility>
+#include <vector>
+
 #include "gen/mesh_gen.hpp"
 #include "gen/weight_gen.hpp"
 #include "graph/metrics.hpp"
@@ -48,6 +54,65 @@ TEST(Partition, RejectsBadOptions) {
   EXPECT_THROW(partition(g, o), std::invalid_argument);
   o.ubvec = {1.05, 1.05};  // arity mismatch for ncon == 1... allowed? no:
   EXPECT_THROW(partition(g, o), std::invalid_argument);
+}
+
+// Every Options field a caller can set out of range is rejected by both
+// entry points with a message naming the field, instead of silently
+// running some default branch.
+TEST(Partition, RejectsHostileOptions) {
+  // (field the message must name, options with that field out of range)
+  std::vector<std::pair<const char*, Options>> cases;
+  auto add = [&cases](const char* field) -> Options& {
+    cases.emplace_back(field, Options{});
+    cases.back().second.nparts = 4;
+    return cases.back().second;
+  };
+  add("algorithm").algorithm = static_cast<Algorithm>(99);
+  add("algorithm").algorithm = static_cast<Algorithm>(-1);
+  add("matching").matching = static_cast<MatchScheme>(99);
+  add("kway_scheme").kway_scheme = static_cast<KWayRefineScheme>(99);
+  add("init_scheme").init_scheme = static_cast<InitScheme>(99);
+  add("queue_policy").queue_policy = static_cast<QueuePolicy>(99);
+  add("audit_level").audit_level = static_cast<AuditLevel>(99);
+  add("init_trials").init_trials = 0;
+  add("init_trials").init_trials = -5;
+  add("refine_passes").refine_passes = -1;
+  add("kway_passes").kway_passes = -1;
+  add("coarsen_to").coarsen_to = -1;
+  add("fm_move_limit").fm_move_limit = -1;
+  add("min_coarsen_reduction").min_coarsen_reduction =
+      std::numeric_limits<real_t>::quiet_NaN();
+  add("min_coarsen_reduction").min_coarsen_reduction = 0.0;
+  add("min_coarsen_reduction").min_coarsen_reduction = 1.5;
+
+  Graph g = grid2d(12, 12);
+  const std::vector<idx_t> start(to_size(g.nvtxs), 0);
+  for (const auto& [field, o] : cases) {
+    for (const bool refine : {false, true}) {
+      try {
+        if (refine) {
+          refine_partition(g, start, o);
+        } else {
+          partition(g, o);
+        }
+        ADD_FAILURE() << field << " accepted (refine=" << refine << ")";
+      } catch (const std::invalid_argument& e) {
+        EXPECT_NE(std::string(e.what()).find(field), std::string::npos)
+            << e.what();
+      }
+    }
+  }
+  // The in-range edges stay accepted: 0 = automatic for coarsen_to and
+  // fm_move_limit, zero passes, and a reduction factor of exactly 1.
+  Options o;
+  o.nparts = 4;
+  o.coarsen_to = 0;
+  o.fm_move_limit = 0;
+  o.refine_passes = 0;
+  o.kway_passes = 0;
+  o.min_coarsen_reduction = 1.0;
+  EXPECT_NO_THROW(partition(g, o));
+  EXPECT_NO_THROW(refine_partition(g, start, o));
 }
 
 TEST(Partition, SingleUbBroadcasts) {

@@ -10,7 +10,7 @@
 #include "gen/mesh_gen.hpp"
 #include "gen/weight_gen.hpp"
 #include "graph/metrics.hpp"
-#include "support/perf_counters.hpp"
+#include "support/profiler.hpp"
 #include "support/random.hpp"
 #include "support/trace.hpp"
 

@@ -11,7 +11,7 @@
 #include "gen/mesh_gen.hpp"
 #include "json_test_util.hpp"
 #include "support/memory.hpp"
-#include "support/perf_counters.hpp"
+#include "support/profiler.hpp"
 #include "support/schema.hpp"
 #include "support/sysinfo.hpp"
 
@@ -126,9 +126,12 @@ TEST(RunLedger, ProfiledRecordCarriesHeadlineCounters) {
   const PartitionResult r = partition(g, o);
   const RunRecord rec = make_run_record("unit", "g", g, o, r, &prof);
 
+  // The headline is the profiler's whole-run bucket.
+  const ProfBucket run = prof.phase_total("run");
   EXPECT_TRUE(rec.profile_attached);
-  EXPECT_EQ(rec.profile_available, prof.counters_available());
-  EXPECT_EQ(rec.profile_status, prof.status());
+  EXPECT_EQ(rec.profile_wall_ns, run.wall_ns);
+  EXPECT_EQ(rec.profile_task_clock_ns, run.task_clock_ns);
+  EXPECT_GT(rec.profile_task_clock_ns, 0);
 
   std::ostringstream out;
   write_run_record(out, rec);
@@ -137,26 +140,15 @@ TEST(RunLedger, ProfiledRecordCarriesHeadlineCounters) {
   const auto* profile = doc->find("profile");
   ASSERT_NE(profile, nullptr);
   ASSERT_TRUE(profile->is_object());
-  ASSERT_NE(profile->find("available"), nullptr);
-  ASSERT_NE(profile->find("status"), nullptr);
-  if (prof.counters_available()) {
-    EXPECT_TRUE(profile->find("available")->boolean);
-    EXPECT_FALSE(rec.profile_counters.empty());
-    // Every headline counter is a member of the profile object, its
-    // value matching the profiler's whole-run bucket.
-    const ProfBucket run = prof.phase_total("run");
-    for (int c = 0; c < kNumPerfCounters; ++c) {
-      const auto pc = static_cast<PerfCounter>(c);
-      if (!prof.counter_open(pc)) continue;
-      const auto* member = profile->find(perf_counter_name(pc));
-      ASSERT_NE(member, nullptr) << perf_counter_name(pc);
-      EXPECT_EQ(member->number, static_cast<double>(run.counters[c]))
-          << perf_counter_name(pc);
-    }
-  } else {
-    EXPECT_FALSE(profile->find("available")->boolean);
-    EXPECT_FALSE(profile->find("status")->str.empty());
-  }
+  ASSERT_NE(profile->find("wall_ns"), nullptr);
+  EXPECT_EQ(profile->find("wall_ns")->number,
+            static_cast<double>(run.wall_ns));
+  ASSERT_NE(profile->find("task_clock_ns"), nullptr);
+  EXPECT_EQ(profile->find("task_clock_ns")->number,
+            static_cast<double>(run.task_clock_ns));
+  // Schema 2 dropped the hardware-counter status members.
+  EXPECT_EQ(profile->find("available"), nullptr);
+  EXPECT_EQ(profile->find("status"), nullptr);
 }
 
 TEST(RunLedger, AppendAccumulatesOneLinePerRun) {

@@ -2,6 +2,9 @@
 // constraint balanced against the prescribed fractions.
 #include <gtest/gtest.h>
 
+#include <limits>
+#include <vector>
+
 #include "core/partitioner.hpp"
 #include "gen/mesh_gen.hpp"
 #include "gen/weight_gen.hpp"
@@ -87,6 +90,32 @@ TEST(Tpwgts, ValidationRejectsBadVectors) {
   EXPECT_THROW(partition(g, o), std::invalid_argument);
   o.tpwgts = {1.2, -0.1, -0.1};  // non-positive entries
   EXPECT_THROW(partition(g, o), std::invalid_argument);
+}
+
+// NaN compares false both ways, so a check written as `f <= 0` or
+// `total < 0.999 || total > 1.001` lets it through and the run reports a
+// feasible verdict against a meaningless target. Every non-finite entry
+// must be rejected by both entry points.
+TEST(Tpwgts, NonFiniteTargetsRejected) {
+  Graph g = grid2d(40, 40);
+  apply_type_s_weights(g, 3, 8, 0, 19, 7);
+  const idx_t k = 8;
+  std::vector<idx_t> start(to_size(g.nvtxs));
+  for (idx_t v = 0; v < g.nvtxs; ++v) start[to_size(v)] = v * k / g.nvtxs;
+  for (const real_t bad : {std::numeric_limits<real_t>::quiet_NaN(),
+                           std::numeric_limits<real_t>::infinity()}) {
+    for (const Algorithm alg :
+         {Algorithm::kRecursiveBisection, Algorithm::kKWay}) {
+      Options o;
+      o.nparts = k;
+      o.algorithm = alg;
+      o.tpwgts.assign(to_size(k), 0.125);
+      o.tpwgts[0] = bad;
+      EXPECT_THROW(partition(g, o), std::invalid_argument) << bad;
+      EXPECT_THROW(refine_partition(g, start, o), std::invalid_argument)
+          << bad;
+    }
+  }
 }
 
 TEST(Tpwgts, UniformExplicitMatchesDefaultQuality) {

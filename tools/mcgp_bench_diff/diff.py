@@ -39,7 +39,7 @@ import sys
 # Ledger schema this gate understands (mirrors kMcgpSchemaVersion in
 # src/support/schema.hpp). Newer majors fail loudly instead of silently
 # comparing fields whose meaning may have changed.
-SUPPORTED_SCHEMA = 1
+SUPPORTED_SCHEMA = 2
 
 KEY_FIELDS = ("experiment", "algorithm", "graph", "nparts", "ncon",
               "threads", "seed")

@@ -12,10 +12,10 @@ Drives the gate in-process over the committed fixtures:
    0.01s quality run stays exempt (scheduler noise, not signal).
 3. Duplicate baseline records for one key merge best-of (min time/RSS).
 4. --require-all turns a missing baseline key into a failure.
-5. Records carrying keys the gate does not know (host identity, profile
-   sections from profiler-attached runs, metrics_snapshot sidecar
-   pointers) compare cleanly against an old baseline that lacks them,
-   even with the .metrics.json sidecar sitting next to the ledger — new
+5. Schema-2 records carrying keys the gate does not know (host
+   identity, profile sections from profiler-attached runs) compare
+   cleanly against a schema-1 baseline that lacks them, and the
+   committed schema-1 baselines in bench/baselines/ still load — new
    telemetry must never invalidate committed baselines.
 6. --feasibility flags a feasible->infeasible flip as a regression, stays
    quiet without the flag, and skips records lacking the field (old
@@ -39,6 +39,7 @@ import diff  # noqa: E402
 
 FIXTURES = Path(__file__).resolve().parent / "fixtures"
 BASELINE = str(FIXTURES / "baseline.jsonl")
+BASELINES = Path(__file__).resolve().parents[2] / "bench" / "baselines"
 
 
 def run_gate(argv):
@@ -105,38 +106,33 @@ def main():
     if code == 0:
         errors.append("partial with --require-all: expected nonzero exit")
 
-    # Newer ledgers stamp host identity, (with --profile) a profile
-    # object, and (with a metrics registry attached) a metrics_snapshot
-    # sidecar pointer onto every record; the gate must ignore keys it
-    # does not know so old baselines keep gating new binaries.
+    # Schema-2 ledgers stamp host identity and (with --profile) a
+    # profile object onto every record; the gate must ignore keys it does
+    # not know so schema-1 baselines keep gating new binaries.
     enriched_lines = []
     for line in Path(FIXTURES / "current_ok.jsonl").read_text().splitlines():
         rec = json.loads(line)
+        rec["schema_version"] = 2
         rec["host"] = "ci-runner"
         rec["cpu"] = "Fixture CPU @ 2.70GHz"
         rec["cores"] = 8
-        rec["profile"] = {"available": True, "status": "ok",
-                          "cycles": 123456789, "task_clock_ns": 42000000}
+        rec["profile"] = {"wall_ns": 43000000, "task_clock_ns": 42000000}
         enriched_lines.append(json.dumps(rec))
     with tempfile.NamedTemporaryFile("w", suffix=".jsonl",
                                      delete=False) as tmp:
         tmp.write("\n".join(enriched_lines) + "\n")
         enriched = tmp.name
-    # The benches drop a <ledger>.metrics.json aggregate next to the
-    # ledger and point every record at it; neither the sidecar file nor
-    # the pointer key may perturb the gate.
-    sidecar = enriched + ".metrics.json"
-    Path(sidecar).write_text(json.dumps(
-        {"schema_version": 1, "kind": "mcgp_metrics", "families": []}))
-    enriched_lines = [json.dumps({**json.loads(line),
-                                  "metrics_snapshot": sidecar})
-                      for line in enriched_lines]
-    Path(enriched).write_text("\n".join(enriched_lines) + "\n")
     code, out = run_gate(["--baseline", BASELINE, "--current", enriched])
     if code != 0:
-        errors.append(f"extra keys: records with host/profile/"
-                      f"metrics_snapshot fields must compare cleanly "
-                      f"against an old baseline, got exit {code}\n{out}")
+        errors.append(f"extra keys: schema-2 records with host/profile "
+                      f"fields must compare cleanly against a schema-1 "
+                      f"baseline, got exit {code}\n{out}")
+    for committed in sorted(BASELINES.glob("*.json")):
+        try:
+            diff.read_ledger(str(committed))
+        except SystemExit as e:
+            errors.append(f"committed baseline {committed.name} no longer "
+                          f"loads: {e}")
 
     # Feasibility gate: a baseline-feasible key turning infeasible must
     # fail under --feasibility, pass without it, and records lacking the

@@ -1,26 +1,26 @@
 #!/usr/bin/env python3
-"""Hardware-counter profile reader for mcgp run reports.
+"""Profile reader for mcgp run reports.
 
 Consumes the "profile" section a profiler-attached run embeds in its JSON
 run report (mcpart --profile --report-json=..., or a bench --trace-dir
 report.json) and renders the three views a performance investigation
 actually starts from:
 
-  top     the phases that ate the run, ranked by a counter
-          (top-N by cycles, with each phase's share of the whole run)
+  top     the phases that ate the run, ranked by a field
+          (top-N by thread CPU time, with each phase's share of the run)
   levels  the per-hierarchy-level trend of one derived metric for one
-          phase (e.g. cycles-per-edge of coarsen.matching by level —
-          the curve the ROADMAP-5 memory-layout work wants as baseline)
+          phase (e.g. CPU ns per edge of coarsen.matching by level)
   diff    A/B comparison of two reports, per matching phase
-          (report.py diff before.json after.json --metric=llc_miss_rate)
+          (report.py diff before.json after.json --metric=parallelism)
 
-Reports where the kernel refused the counters carry
-"available": false; every subcommand then says so and exits 0 — an
-unavailable profile is a fact, not an error.
+Schema-1 reports (which also carried hardware-counter fields) still load;
+fields this reader does not know are ignored, and a schema-1 report whose
+kernel refused the counters has no task_clock_ns, so `top` falls back to
+wall_ns.
 
 Dependency-free by design: stdlib only, same as tools/mcgp_bench_diff.
 
-Exit codes: 0 = ok (including counters-unavailable), 2 = bad input.
+Exit codes: 0 = ok, 2 = bad input.
 """
 
 from __future__ import annotations
@@ -32,25 +32,15 @@ import sys
 # Profile schema this reader understands (kMcgpSchemaVersion in
 # src/support/schema.hpp). Newer majors fail loudly instead of silently
 # misreading fields whose meaning may have changed.
-SUPPORTED_SCHEMA = 1
+SUPPORTED_SCHEMA = 2
 
-# Raw per-phase fields (multiplexing-scaled counter sums plus the scope
-# bookkeeping the C++ side always writes).
-RAW_FIELDS = ("scopes", "edges", "vtxs", "wall_ns", "cycles", "instructions",
-              "task_clock_ns", "llc_loads", "llc_misses", "branches",
-              "branch_misses")
+# Raw per-phase fields the C++ side writes (summed per bucket).
+RAW_FIELDS = ("scopes", "edges", "vtxs", "wall_ns", "task_clock_ns")
 
 # metric name -> (numerator field, denominator field). Recomputed here
 # from the raw sums rather than trusting the report's per-phase derived
 # values, so diff ratios aggregate correctly across levels.
 DERIVED = {
-    "ipc": ("instructions", "cycles"),
-    "llc_miss_rate": ("llc_misses", "llc_loads"),
-    "branch_miss_rate": ("branch_misses", "branches"),
-    "cycles_per_edge": ("cycles", "edges"),
-    "cycles_per_vtx": ("cycles", "vtxs"),
-    "branches_per_vtx": ("branches", "vtxs"),
-    "instructions_per_edge": ("instructions", "edges"),
     "wall_ns_per_edge": ("wall_ns", "edges"),
     "task_clock_per_edge": ("task_clock_ns", "edges"),
     # On-CPU time over wall time: 1.0 = one busy core, `threads` = perfect
@@ -74,7 +64,7 @@ def load_profile(path):
         raise SystemExit(f"error: {path}: not valid JSON: {e}")
     if isinstance(doc, dict) and isinstance(doc.get("profile"), dict):
         prof = doc["profile"]
-    elif isinstance(doc, dict) and "available" in doc and "phases" in doc:
+    elif isinstance(doc, dict) and "schema_version" in doc and "phases" in doc:
         prof = doc  # a bare profile object
     else:
         raise SystemExit(
@@ -86,15 +76,6 @@ def load_profile(path):
             f"error: {path}: profile schema_version {schema!r} not "
             f"supported (this reader understands <= {SUPPORTED_SCHEMA})")
     return prof
-
-
-def check_available(prof, path):
-    """True when the profile carries counters; otherwise explain why not."""
-    if prof.get("available"):
-        return True
-    print(f"{path}: hardware counters unavailable "
-          f"({prof.get('status', 'no status recorded')})")
-    return False
 
 
 def metric_value(row, metric):
@@ -144,26 +125,26 @@ def fmt(v):
     return f"{v:,}"
 
 
+def check_metric(metric):
+    if metric not in METRICS:
+        raise SystemExit(
+            f"error: unknown metric {metric!r} (choose from "
+            f"{', '.join(METRICS)})")
+
+
 def pick_rank_field(prof, requested):
-    """The field `top` ranks by: the requested one if the report carries
-    it, else the first of cycles / task_clock_ns / wall_ns present."""
-    counters = set(prof.get("counters", [])) | {"wall_ns"}
+    """The field `top` ranks by: the requested one, else task_clock_ns
+    when the report carries it, else wall_ns."""
     if requested:
-        if requested not in METRICS:
-            raise SystemExit(
-                f"error: unknown metric {requested!r} (choose from "
-                f"{', '.join(METRICS)})")
+        check_metric(requested)
         return requested
-    for cand in ("cycles", "task_clock_ns", "wall_ns"):
-        if cand in counters:
-            return cand
+    if any("task_clock_ns" in row for row in prof.get("phases", [])):
+        return "task_clock_ns"
     return "wall_ns"
 
 
 def cmd_top(args):
     prof = load_profile(args.report)
-    if not check_available(prof, args.report):
-        return 0
     rank = pick_rank_field(prof, args.by)
     phases, run = by_phase(prof)
     rows = []
@@ -176,17 +157,15 @@ def cmd_top(args):
     print(f"top {min(args.n, len(rows))} phases by {rank} "
           f"({args.report})")
     header = (f"{'phase':<22} {rank:>16} {'share':>7}  "
-              f"{'thr':>3} {'par':>5}  ipc     llc_miss")
+              f"{'thr':>3} {'par':>5}")
     print(header)
     print("-" * len(header))
     for v, name, acc in rows[:args.n]:
         share = f"{v / total:7.1%}" if total else "      -"
         thr = acc.get("threads")
         par = metric_value(acc, "parallelism")
-        ipc = fmt(metric_value(acc, "ipc"))
-        llc = fmt(metric_value(acc, "llc_miss_rate"))
         print(f"{name:<22} {fmt(v):>16} {share}  "
-              f"{fmt(thr):>3} {fmt(par):>5}  {ipc:<7} {llc}")
+              f"{fmt(thr):>3} {fmt(par):>5}")
     if total is not None:
         print(f"{'(whole run)':<22} {fmt(total):>16}")
     return 0
@@ -194,12 +173,7 @@ def cmd_top(args):
 
 def cmd_levels(args):
     prof = load_profile(args.report)
-    if not check_available(prof, args.report):
-        return 0
-    if args.metric not in METRICS:
-        raise SystemExit(
-            f"error: unknown metric {args.metric!r} (choose from "
-            f"{', '.join(METRICS)})")
+    check_metric(args.metric)
     rows = [r for r in prof.get("phases", [])
             if r.get("phase") == args.phase and "level" in r]
     if not rows:
@@ -223,14 +197,7 @@ def cmd_levels(args):
 def cmd_diff(args):
     before = load_profile(args.before)
     after = load_profile(args.after)
-    ok_b = check_available(before, args.before)
-    ok_a = check_available(after, args.after)
-    if not (ok_b and ok_a):
-        return 0
-    if args.metric not in METRICS:
-        raise SystemExit(
-            f"error: unknown metric {args.metric!r} (choose from "
-            f"{', '.join(METRICS)})")
+    check_metric(args.metric)
     phases_b, run_b = by_phase(before)
     phases_a, run_a = by_phase(after)
     if run_b:
@@ -266,29 +233,29 @@ def main(argv=None):
         description="read the profile section of mcgp run reports")
     sub = p.add_subparsers(dest="cmd", required=True)
 
-    p_top = sub.add_parser("top", help="phases ranked by a counter")
+    p_top = sub.add_parser("top", help="phases ranked by a field")
     p_top.add_argument("report", help="run report JSON with a profile "
                                       "section")
     p_top.add_argument("--n", type=int, default=10,
                        help="rows to show (default 10)")
     p_top.add_argument("--by", default=None,
-                       help="ranking field (default: cycles, falling back "
-                            "to task_clock_ns then wall_ns)")
+                       help="ranking field (default: task_clock_ns, "
+                            "falling back to wall_ns)")
     p_top.set_defaults(fn=cmd_top)
 
     p_lv = sub.add_parser("levels", help="per-level trend of one metric")
     p_lv.add_argument("report")
     p_lv.add_argument("--phase", default="coarsen.matching",
                       help="leveled phase (default coarsen.matching)")
-    p_lv.add_argument("--metric", default="cycles_per_edge",
-                      help="metric to trend (default cycles_per_edge)")
+    p_lv.add_argument("--metric", default="task_clock_per_edge",
+                      help="metric to trend (default task_clock_per_edge)")
     p_lv.set_defaults(fn=cmd_levels)
 
     p_df = sub.add_parser("diff", help="A/B compare two reports")
     p_df.add_argument("before")
     p_df.add_argument("after")
-    p_df.add_argument("--metric", default="cycles",
-                      help="metric to compare (default cycles)")
+    p_df.add_argument("--metric", default="task_clock_ns",
+                      help="metric to compare (default task_clock_ns)")
     p_df.add_argument("--phase", default=None,
                       help="restrict to one phase (default: all)")
     p_df.set_defaults(fn=cmd_diff)
