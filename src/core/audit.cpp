@@ -1,6 +1,9 @@
 #include "core/audit.hpp"
 
+#include <algorithm>
 #include <sstream>
+#include <utility>
+#include <vector>
 
 #include "core/kway_refine.hpp"
 
@@ -281,6 +284,7 @@ void InvariantAuditor::check_kway_boundary(const Graph& g,
                                            const KWayBoundary& bnd,
                                            const char* site) {
   idx_t listed = 0;
+  std::vector<std::pair<idx_t, wgt_t>> conn;  // (part, edge weight)
   for (idx_t v = 0; v < g.nvtxs; ++v) {
     const idx_t pv = where[to_size(v)];
     sum_t id = 0;
@@ -303,6 +307,26 @@ void InvariantAuditor::check_kway_boundary(const Graph& g,
                    " external edges=", bnd.external_edges(v),
                    ", recompute says id=", id, " ed=", ed,
                    " external edges=", next);
+    if (bnd.dead(v)) {
+      // A dead mark claims no part's connectivity reaches v's internal
+      // degree; sum v's edges part by part to check.
+      conn.clear();
+      for (idx_t e = g.xadj[to_size(v)]; e < g.xadj[to_size(v + 1)]; ++e) {
+        const idx_t pu = where[to_size(g.adjncy[to_size(e)])];
+        if (pu != pv) conn.emplace_back(pu, g.adjwgt[to_size(e)]);
+      }
+      std::sort(conn.begin(), conn.end());
+      for (std::size_t i = 0; i < conn.size();) {
+        const idx_t p = conn[i].first;
+        sum_t w = 0;
+        for (; i < conn.size() && conn[i].first == p; ++i) {
+          w = checked_add(w, conn[i].second);
+        }
+        MCGP_AUDIT_MSG(this, w < id, site, ": vertex ", v,
+                       " is marked dead but part ", p, " has connectivity ",
+                       w, " >= its internal degree ", id);
+      }
+    }
     const bool movable = next > 0 && ed >= id;
     const idx_t pos = bnd.position(v);
     MCGP_AUDIT_MSG(this, (pos >= 0) == movable, site, ": vertex ", v,

@@ -144,7 +144,8 @@ class InvariantAuditor {
   /// external degree and external edge count equal a fresh recompute, and
   /// the movable lists hold exactly the boundary vertices whose external
   /// degree reaches their internal one, each once, in its class's list at
-  /// its recorded position.
+  /// its recorded position; and no dead-marked vertex has a part whose
+  /// connectivity reaches its internal degree.
   void check_kway_boundary(const Graph& g, const std::vector<idx_t>& where,
                            const KWayBoundary& bnd, const char* site);
 

@@ -46,6 +46,7 @@ KWayBoundary::KWayBoundary(const Graph& g, const std::vector<idx_t>& where,
   pos_.assign(n, -1);
   stamp_.assign(n, -1);
   start_bnd_.assign(n, 0);
+  dead_.assign(n, 0);
   for (idx_t v = 0; v < g.nvtxs; ++v) refresh(v, next_[to_size(v)] > 0);
 }
 
@@ -58,6 +59,7 @@ void KWayBoundary::moved(idx_t v, idx_t from) {
     const idx_t u = g_.adjncy[to_size(j)];
     const idx_t pu = where_[to_size(u)];
     const wgt_t w = g_.adjwgt[to_size(j)];
+    dead_[to_size(u)] = 0;
     if (pu == from) {  // the edge u–v leaves u's part
       id_[to_size(u)] = checked_sub(id_[to_size(u)], w);
       ed_[to_size(u)] = checked_add(ed_[to_size(u)], w);
@@ -76,6 +78,7 @@ void KWayBoundary::moved(idx_t v, idx_t from) {
   id_[to_size(v)] = to_weight;
   ed_[to_size(v)] = checked_sub(total, to_weight);
   next_[to_size(v)] += from_edges - to_edges;
+  dead_[to_size(v)] = 0;
   refresh(v, was_bnd);
 }
 

@@ -7,7 +7,10 @@
 // whose external degree is below its internal one is never a candidate: its
 // connectivity to any single part is at most its external degree, so every
 // move it has loses cut, and the sweep would propose nothing for it anyway.
-// Keeping the degrees and lists costs O(deg v) per committed move.
+// The same holds for a listed vertex whose connectivity to every single
+// part is below its internal degree; the sweep marks such a vertex dead
+// when it finds one, and the mark lasts until v or a neighbor moves.
+// Keeping the degrees, lists and marks costs O(deg v) per committed move.
 #pragma once
 
 #include <vector>
@@ -58,6 +61,15 @@ class KWayBoundary {
                                        : next_[to_size(v)] > 0;
   }
 
+  /// Whether v is marked dead: when its move was last evaluated, no part
+  /// had connectivity reaching its internal degree, so it has no move of
+  /// non-negative gain whatever the part loads are, and it keeps none
+  /// until v or a neighbor moves. moved() clears the mark on both.
+  bool dead(idx_t v) const { return dead_[to_size(v)] != 0; }
+  /// Mark v dead (see dead()). Writes only v's slot, so concurrent calls
+  /// for distinct vertices do not race.
+  void mark_dead(idx_t v) { dead_[to_size(v)] = 1; }
+
   /// Update after v was moved out of part `from` (where[v] already holds
   /// its new part). O(deg v).
   void moved(idx_t v, idx_t from);
@@ -79,6 +91,7 @@ class KWayBoundary {
   /// was on the boundary before it.
   std::vector<idx_t> stamp_;
   std::vector<char> start_bnd_;
+  std::vector<char> dead_;
   idx_t pass_ = 0;
 };
 

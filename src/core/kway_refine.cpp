@@ -47,10 +47,6 @@ namespace {
 // The shared bookkeeping (part weights, counts, limits, connectivity
 // scratch) lives in core/kway_context.hpp so the rebalancer can reuse it.
 
-/// Vertex-range grain of the colored sweep's parallel propose phase. Fixed
-/// boundaries: the decomposition depends only on sizes, never on the pool.
-constexpr idx_t kSweepChunk = 4096;
-
 /// Greedy vertex coloring in ascending id order: each vertex takes the
 /// smallest color absent among its already-colored neighbors. Adjacent
 /// vertices never share a color, so same-color boundary vertices cannot
@@ -76,32 +72,42 @@ std::vector<idx_t> color_graph(const Graph& g) {
 /// Best admissible move of v under the sweep rules, evaluated against the
 /// (frozen) context state using caller-owned connectivity scratch. Pure
 /// per-vertex function of that state: concurrent evaluation over any
-/// chunking yields identical proposals.
-void propose_move(const KWayContext& ctx, const std::vector<idx_t>& where,
-                  idx_t v, std::vector<sum_t>& conn,
+/// chunking yields identical proposals. `load`, when non-null, holds
+/// ctx.part_load(p) for every part as of that frozen state; null reads the
+/// live loads. Returns false when no part's connectivity reaches v's
+/// internal degree: then v has no move of non-negative gain whatever the
+/// loads are, and dest is -1.
+bool propose_move(const KWayContext& ctx, const std::vector<idx_t>& where,
+                  idx_t v, const real_t* load, std::vector<sum_t>& conn,
                   std::vector<idx_t>& touched, idx_t& dest, sum_t& gain) {
   dest = -1;
   gain = 0;
   const idx_t own = where[to_size(v)];
-  if (!ctx.can_leave(own)) return;
+  if (!ctx.can_leave(own)) return true;
   const sum_t idw = ctx.gather_connectivity_into(v, conn, touched);
+  auto load_of = [&](idx_t p) {
+    return load != nullptr ? load[to_size(p)] : ctx.part_load(p);
+  };
+  bool reachable = false;
   real_t best_load = 0.0;
   for (const idx_t p : touched) {
-    if (!ctx.fits(v, p)) continue;
     const sum_t g2 = checked_sub(conn[to_size(p)], idw);
     if (g2 < 0) continue;
-    const real_t load = ctx.part_load(p);
+    reachable = true;
+    if (!ctx.fits(v, p)) continue;
+    const real_t pl = load_of(p);
     // Prefer higher gain; among equal gains prefer the lighter part.
-    if (dest < 0 || g2 > gain || (g2 == gain && load < best_load)) {
+    if (dest < 0 || g2 > gain || (g2 == gain && pl < best_load)) {
       dest = p;
       gain = g2;
-      best_load = load;
+      best_load = pl;
     }
   }
-  if (dest < 0) return;
+  if (dest < 0) return reachable;
   // Zero-gain moves are only worthwhile when they shift weight from a
   // more loaded part to a less loaded one.
-  if (gain == 0 && best_load >= ctx.part_load(own) - 1e-12) dest = -1;
+  if (gain == 0 && best_load >= load_of(own) - 1e-12) dest = -1;
+  return true;
 }
 
 /// What one refinement pass did.
@@ -109,11 +115,22 @@ struct PassResult {
   idx_t moves = 0;
   sum_t gain = 0;      ///< total cut improvement of the moves
   idx_t proposed = 0;  ///< vertices whose best move was evaluated
+  idx_t skipped = 0;   ///< dead candidates left unevaluated
+  idx_t widest_class = 0;  ///< most candidates one color class proposed
+};
+
+/// One candidate's proposal; `key` orders the commits.
+struct Proposal {
+  std::uint64_t key = 0;  ///< mix_seed(pass seed, v), set once dest >= 0
+  idx_t v = -1;
+  idx_t dest = -1;
+  sum_t gain = 0;
 };
 
 /// Colored-sweep state that lives across the passes of one kway_refine()
 /// call: the coloring (the graph is static, so one serves every pass), the
-/// maintained boundary and degrees, and scratch reused by every pass.
+/// maintained boundary, degrees and dead marks, and scratch reused by
+/// every pass.
 struct SweepState {
   SweepState(const Graph& g, const std::vector<idx_t>& where,
              ThreadPool* pool)
@@ -121,27 +138,29 @@ struct SweepState {
 
   std::vector<idx_t> color;
   KWayBoundary bnd;
-  /// The current class's candidates, as (hash key, vertex).
-  std::vector<std::pair<std::uint64_t, idx_t>> order;
-  std::vector<idx_t> dest;
-  std::vector<sum_t> gains;
+  std::vector<Proposal> props;  ///< the current class's candidates
+  std::vector<real_t> load;     ///< part loads frozen at the class's start
 };
 
 /// One cut-driven colored sweep over the boundary as it stands at the
 /// pass's start (vertices that join it during the pass wait for the next
 /// one). Boundary vertices are visited color class by color class. At a
 /// class's start, the members that could move — their part can spare a
-/// vertex and their external degree reaches their internal one (the
-/// class's movable list) — are put in a hashed order. Every other member
-/// would propose nothing, so leaving it out changes no move, and none of
-/// them is even looked at. The proposals are computed from the state
-/// frozen at the class's start (concurrently when `run` has a pool — class
-/// members are pairwise non-adjacent, so proposals cannot interact) and
-/// then committed serially in the hashed order, re-validating
-/// can_leave/fits/zero-gain-balance against the live weights. A proposal's
-/// GAIN needs no re-validation: only same-class commits intervene and none
-/// of them is adjacent to the proposer, so its connectivity is unchanged —
-/// which keeps the paranoid cut-delta audit exact.
+/// vertex, their external degree reaches their internal one (the class's
+/// movable list) and they are not marked dead — become the candidates.
+/// Every other member would propose nothing, so leaving it out changes no
+/// move. The proposals are computed from the state frozen at the class's
+/// start (concurrently when `run` has a pool — class members are pairwise
+/// non-adjacent, so proposals cannot interact); a candidate found to have
+/// no part reaching its internal degree is marked dead. The proposals with
+/// a destination are then sorted by the per-pass hash of their vertex and
+/// committed serially in that order, re-validating can_leave/fits/zero-
+/// gain-balance against the live weights. Only proposals with a
+/// destination can commit, so sorting just those gives the commit
+/// sequence a sort of every candidate would. A proposal's GAIN needs no
+/// re-validation: only same-class commits intervene and none of them is
+/// adjacent to the proposer, so its connectivity is unchanged — which
+/// keeps the paranoid cut-delta audit exact.
 PassResult colored_sweep(KWayContext& ctx, const std::vector<idx_t>& where,
                          SweepState& st, Rng& rng, const RunContext& run) {
   // One draw per pass: every ordering decision below derives from it by
@@ -152,23 +171,26 @@ PassResult colored_sweep(KWayContext& ctx, const std::vector<idx_t>& where,
 
   PassResult res;
   for (idx_t c = 0; c < st.bnd.ncolors(); ++c) {
-    // Candidates in the visit order: the hashed shuffle inside a class is
-    // the parallel replacement for the serial sweep's rng shuffle.
-    st.order.clear();
+    st.props.clear();
     for (const idx_t v : st.bnd.movable(c)) {
       if (!st.bnd.was_on_boundary(v) || !ctx.can_leave(where[to_size(v)])) {
         continue;
       }
-      st.order.emplace_back(
-          mix_seed(pass_seed, static_cast<std::uint64_t>(v)), v);
+      if (st.bnd.dead(v)) {
+        ++res.skipped;
+        continue;
+      }
+      st.props.push_back({0, v, -1, 0});
     }
-    if (st.order.empty()) continue;
-    std::sort(st.order.begin(), st.order.end());
-    const idx_t seg_n = static_cast<idx_t>(st.order.size());
-    st.dest.resize(st.order.size());
-    st.gains.resize(st.order.size());
+    if (st.props.empty()) continue;
+    const idx_t seg_n = static_cast<idx_t>(st.props.size());
+    st.load.resize(to_size(ctx.nparts()));
+    for (idx_t p = 0; p < ctx.nparts(); ++p) {
+      st.load[to_size(p)] = ctx.part_load(p);
+    }
 
-    // Propose phase: reads the context frozen as of this class's start.
+    // Propose phase: reads the context frozen as of this class's start;
+    // each candidate writes only its own proposal and its own dead mark.
     parallel_chunks(run.pool, seg_n, kSweepChunk, [&](idx_t b, idx_t e) {
       ProfScope aux(run.profile, "kway_refine", run.level, /*aux=*/true);
       std::vector<sum_t> local_conn;
@@ -186,28 +208,40 @@ PassResult colored_sweep(KWayContext& ctx, const std::vector<idx_t>& where,
       conn.assign(to_size(ctx.nparts()), 0);
       touched.clear();
       for (idx_t i = b; i < e; ++i) {
-        propose_move(ctx, where, st.order[to_size(i)].second, conn, touched,
-                     st.dest[to_size(i)], st.gains[to_size(i)]);
+        Proposal& pr = st.props[to_size(i)];
+        if (!propose_move(ctx, where, pr.v, st.load.data(), conn, touched,
+                          pr.dest, pr.gain)) {
+          st.bnd.mark_dead(pr.v);
+        }
       }
     });
     res.proposed += seg_n;
+    res.widest_class = std::max(res.widest_class, seg_n);
 
-    // Commit phase: serial, in the class's fixed order, against the live
-    // state (earlier commits of THIS class shift weights and counts).
-    for (std::size_t i = 0; i < st.order.size(); ++i) {
-      const idx_t v = st.order[i].second;
-      const idx_t d = st.dest[i];
-      if (d < 0) continue;
-      const idx_t own = where[to_size(v)];
+    // Commit order: the would-be moves by (per-pass hash, id) — the
+    // parallel replacement for the serial sweep's rng shuffle.
+    std::erase_if(st.props, [](const Proposal& pr) { return pr.dest < 0; });
+    for (Proposal& pr : st.props) {
+      pr.key = mix_seed(pass_seed, static_cast<std::uint64_t>(pr.v));
+    }
+    std::sort(st.props.begin(), st.props.end(),
+              [](const Proposal& a, const Proposal& b) {
+                return a.key != b.key ? a.key < b.key : a.v < b.v;
+              });
+
+    // Commit phase: serial, in that order, against the live state
+    // (earlier commits of THIS class shift weights and counts).
+    for (const Proposal& m : st.props) {
+      const idx_t own = where[to_size(m.v)];
       if (!ctx.can_leave(own)) continue;
-      if (!ctx.fits(v, d)) continue;
-      if (st.gains[i] == 0 &&
-          ctx.part_load(d) >= ctx.part_load(own) - 1e-12) {
+      if (!ctx.fits(m.v, m.dest)) continue;
+      if (m.gain == 0 &&
+          ctx.part_load(m.dest) >= ctx.part_load(own) - 1e-12) {
         continue;
       }
-      ctx.move(v, d);
-      st.bnd.moved(v, own);
-      res.gain = checked_add(res.gain, st.gains[i]);
+      ctx.move(m.v, m.dest);
+      st.bnd.moved(m.v, own);
+      res.gain = checked_add(res.gain, m.gain);
       ++res.moves;
     }
   }
@@ -367,7 +401,7 @@ PassResult pq_pass(const Graph& g, KWayContext& ctx,
     popped[to_size(v)] = 1;  // each vertex moves at most once per pass
     idx_t dest;
     sum_t gain;
-    propose_move(ctx, where, v, conn, touched, dest, gain);
+    propose_move(ctx, where, v, nullptr, conn, touched, dest, gain);
     ++res.proposed;
     if (dest < 0) continue;
     ctx.move(v, dest);
@@ -438,14 +472,18 @@ sum_t run_passes(const Graph& g, KWayContext& ctx, idx_t nparts,
       ++stats->passes;
       stats->moves += r.moves;
       stats->proposed += r.proposed;
+      stats->skipped += r.skipped;
+      stats->widest_class = std::max(stats->widest_class, r.widest_class);
     }
     if (span.enabled()) {
       trace_count(run.trace, "kway.passes");
       trace_count(run.trace, "kway.moves", r.moves);
       trace_count(run.trace, "kway.proposed", r.proposed);
+      trace_count(run.trace, "kway.skipped", r.skipped);
       span.arg({"pass", p});
       span.arg({"moves", r.moves});
       span.arg({"proposed", r.proposed});
+      span.arg({"skipped", r.skipped});
       span.arg({"gain", r.gain});
       span.arg({"max_overload", ctx.max_overload()});
     }

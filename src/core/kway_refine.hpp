@@ -24,6 +24,8 @@ struct KWayRefineStats {
   int passes = 0;
   idx_t moves = 0;
   idx_t proposed = 0;  ///< vertices whose best move was evaluated
+  idx_t skipped = 0;   ///< dead candidates not re-proposed
+  idx_t widest_class = 0;  ///< most candidates one color class proposed
   sum_t final_cut = 0;
   bool feasible = false;
 };
@@ -34,6 +36,12 @@ struct KWayRefineStats {
 bool kway_feasible(const Graph& g, const std::vector<sum_t>& pwgts,
                    idx_t nparts, const std::vector<real_t>& ub,
                    const std::vector<real_t>* tpwgts = nullptr);
+
+/// Candidate-range grain of the colored sweep's parallel propose phase.
+/// Small enough that a finest-level class (a few thousand candidates on
+/// the benchmark grids) splits across threads; fixed, so the chunk
+/// boundaries depend only on sizes, never on the pool.
+inline constexpr idx_t kSweepChunk = 512;
 
 /// Balancing sweeps: move weight out of overloaded parts with the least
 /// cut damage until feasible or stuck. Returns true when feasible.
@@ -49,7 +57,7 @@ bool kway_balance(const Graph& g, idx_t nparts, std::vector<idx_t>& where,
 /// needed) and returns the final cut. `tpwgts` (optional) gives per-part
 /// target fractions; null = uniform. Of `run`: a non-null `trace` records
 /// one "kway.pass" span per sweep plus the kway.moves / kway.passes /
-/// kway.proposed counters. A non-null `audit` verifies the incrementally
+/// kway.proposed / kway.skipped counters. A non-null `audit` verifies the incrementally
 /// maintained part weights and vertex counts against fresh recomputes when
 /// refinement finishes (kBoundaries) and, per sweep, that the accumulated
 /// move gains account exactly for the cut change and that the maintained
@@ -58,18 +66,20 @@ bool kway_balance(const Graph& g, idx_t nparts, std::vector<idx_t>& where,
 ///
 /// Each sweep is a colored sweep: boundary vertices are bucketed by a
 /// greedy vertex coloring (adjacent vertices never share a color) and
-/// visited color by color in a per-pass hashed order. Within one color
-/// the best moves are PROPOSED concurrently from a frozen snapshot —
-/// same-color vertices are pairwise non-adjacent, so no proposal can
-/// change another's connectivity — and then COMMITTED serially in the
-/// fixed order, re-validating balance against the live state. A non-null
+/// visited color by color. Within one color the best moves are PROPOSED
+/// concurrently from a frozen snapshot — same-color vertices are pairwise
+/// non-adjacent, so no proposal can change another's connectivity — and
+/// the proposals that found a destination are then COMMITTED serially in
+/// a per-pass hashed order, re-validating balance against the live state. A non-null
 /// `run.pool` runs the propose phases, each chunk attributing its on-CPU
 /// time to `run.profile`'s bucket at `run.level`; the result is
 /// bit-identical at every thread count. The boundary and every vertex's
 /// internal and external degree are maintained across commits
 /// (core/kway_boundary.hpp), so a sweep neither rescans the graph nor
 /// proposes a vertex whose external degree is below its internal one;
-/// edge weights must be non-negative for that skip to be exact.
+/// edge weights must be non-negative for that skip to be exact. Nor is a
+/// vertex proposed again once a proposal found no part whose connectivity
+/// reaches its internal degree, until it or a neighbor moves.
 sum_t kway_refine(const Graph& g, idx_t nparts, std::vector<idx_t>& where,
                   const std::vector<real_t>& ub, int max_passes, Rng& rng,
                   KWayRefineStats* stats = nullptr,

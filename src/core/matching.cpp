@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cassert>
 
+#include "support/check.hpp"
 #include "support/profiler.hpp"
 #include "support/thread_pool.hpp"
 #include "support/trace.hpp"
@@ -10,11 +11,6 @@
 namespace mcgp {
 
 namespace {
-
-/// Vertex-range chunk for the parallel handshake phases. The boundaries
-/// depend only on nvtxs, so the work decomposition — and with it every
-/// result — is independent of the pool's thread count.
-constexpr idx_t kMatchChunk = 8192;
 
 /// Handshake rounds before falling back to the serial cleanup. Random
 /// graphs converge in a handful of rounds; the cap bounds adversarial
@@ -143,21 +139,34 @@ idx_t handshake_propose(const Graph& g, MatchScheme scheme,
 /// ascending vertex order for maximality. Every phase's output depends
 /// only on the graph, the scheme, and the seed — never on thread count or
 /// scheduling — so partitions are bit-identical across `num_threads`.
-void handshake_match(const Graph& g, MatchScheme scheme, Rng& rng,
-                     std::vector<idx_t>& match, Workspace* ws,
-                     const RunContext& run) {
+///
+/// A round visits only the active list: the vertices still unmatched that
+/// have not yet proposed -1. Matching is monotone, so a vertex that found
+/// no unmatched neighbor never finds one again and drops out for good, as
+/// does a vertex once matched. A mutual proposal pairs two active
+/// vertices, so every proposal the accept step reads is this round's.
+/// Returns the number of proposals evaluated, summed over the rounds.
+sum_t handshake_match(const Graph& g, MatchScheme scheme, Rng& rng,
+                      std::vector<idx_t>& match, Workspace* ws,
+                      const RunContext& run) {
   const idx_t n = g.nvtxs;
 
   std::vector<idx_t> local_proposal;
   std::vector<idx_t>& proposal = ws != nullptr ? ws->proposal : local_proposal;
   proposal.assign(to_size(n), -1);
+  // The active list, ascending; the cleanup below reuses it for its visit
+  // order once the rounds are done.
+  std::vector<idx_t> local_active;
+  std::vector<idx_t>& active = ws != nullptr ? ws->perm : local_active;
+  active.resize(to_size(n));
+  for (idx_t v = 0; v < n; ++v) active[to_size(v)] = v;
 
   // One draw per call: the per-round seeds derive from it by position, so
   // the stream is identical no matter how the rounds' chunks execute.
   const std::uint64_t mseed = rng.next_u64();
 
-  const idx_t nchunks = (n + kMatchChunk - 1) / kMatchChunk;
-  std::vector<idx_t> chunk_new(to_size(nchunks), 0);
+  std::vector<idx_t> chunk_new;
+  sum_t proposals = 0;
 
   idx_t unmatched = n;
   for (int round = 0; round < kMaxHandshakeRounds; ++round) {
@@ -166,26 +175,28 @@ void handshake_match(const Graph& g, MatchScheme scheme, Rng& rng,
     if (unmatched < kHandshakeMinVtxs) break;
     const std::uint64_t round_seed =
         mix_seed(mseed, static_cast<std::uint64_t>(round));
+    const idx_t nactive = static_cast<idx_t>(active.size());
+    proposals = checked_add(proposals, static_cast<sum_t>(nactive));
 
     // Propose: reads only the frozen `match`, writes only proposal[v].
-    parallel_chunks(run.pool, n, kMatchChunk, [&](idx_t b, idx_t e) {
+    parallel_chunks(run.pool, nactive, kMatchChunk, [&](idx_t b, idx_t e) {
       ProfScope aux(run.profile, "coarsen.matching", run.level, /*aux=*/true);
-      for (idx_t v = b; v < e; ++v) {
+      for (idx_t i = b; i < e; ++i) {
+        const idx_t v = active[to_size(i)];
         proposal[to_size(v)] =
-            match[to_size(v)] >= 0
-                ? idx_t{-1}
-                : handshake_propose(g, scheme, match, v, round_seed);
+            handshake_propose(g, scheme, match, v, round_seed);
       }
     });
 
     // Accept: v and u marry iff they proposed to each other. Each vertex
     // writes only match[v] (its partner writes match[u]), so the writes
     // are disjoint and the outcome is chunking-independent.
-    std::fill(chunk_new.begin(), chunk_new.end(), 0);
-    parallel_chunks(run.pool, n, kMatchChunk, [&](idx_t b, idx_t e) {
+    chunk_new.assign(to_size((nactive + kMatchChunk - 1) / kMatchChunk), 0);
+    parallel_chunks(run.pool, nactive, kMatchChunk, [&](idx_t b, idx_t e) {
       ProfScope aux(run.profile, "coarsen.matching", run.level, /*aux=*/true);
       idx_t matched = 0;
-      for (idx_t v = b; v < e; ++v) {
+      for (idx_t i = b; i < e; ++i) {
+        const idx_t v = active[to_size(i)];
         const idx_t u = proposal[to_size(v)];
         if (u >= 0 && proposal[to_size(u)] == v) {
           match[to_size(v)] = u;
@@ -202,18 +213,21 @@ void handshake_match(const Graph& g, MatchScheme scheme, Rng& rng,
     // (same frozen state, new seeds only reshuffle rejected proposals for
     // isolated-in-the-unmatched-subgraph vertices). Hand off to cleanup.
     if (newly == 0) break;
+
+    std::erase_if(active, [&](idx_t v) {
+      return match[to_size(v)] >= 0 || proposal[to_size(v)] < 0;
+    });
   }
 
   // Maximality cleanup: greedy over the leftovers in ascending id order.
   // Serial and state-dependent, but the state it sees is already
   // thread-count-independent.
-  std::vector<idx_t> local_order;
-  std::vector<idx_t>& order = ws != nullptr ? ws->perm : local_order;
-  order.clear();
+  active.clear();
   for (idx_t v = 0; v < n; ++v) {
-    if (match[to_size(v)] < 0) order.push_back(v);
+    if (match[to_size(v)] < 0) active.push_back(v);
   }
-  greedy_pass(g, scheme, rng, match, order);
+  greedy_pass(g, scheme, rng, match, active);
+  return proposals;
 }
 
 }  // namespace
@@ -245,8 +259,9 @@ void compute_matching_into(const Graph& g, MatchScheme scheme, Rng& rng,
                            const RunContext& run) {
   match.assign(to_size(g.nvtxs), -1);
 
+  sum_t proposals = 0;
   if (g.nvtxs >= kHandshakeMinVtxs) {
-    handshake_match(g, scheme, rng, match, ws, run);
+    proposals = handshake_match(g, scheme, rng, match, ws, run);
   } else {
     std::vector<idx_t> local_perm;
     std::vector<idx_t>& perm = ws != nullptr ? ws->perm : local_perm;
@@ -265,6 +280,7 @@ void compute_matching_into(const Graph& g, MatchScheme scheme, Rng& rng,
     }
     trace_count(run.trace, "match.pairs", pairs / 2);
     trace_count(run.trace, "match.failed", failed);
+    trace_count(run.trace, "match.proposals", proposals);
   }
 }
 

@@ -22,12 +22,14 @@ namespace mcgp {
 /// Compute a matching. match[v] == partner of v, or v itself if unmatched.
 /// The relation is symmetric (match[match[v]] == v) and only adjacent
 /// vertices are matched. A non-null `run.trace` accumulates the
-/// `match.pairs` / `match.failed` counters (failed = vertices left
-/// unmatched although they had neighbors).
+/// `match.pairs` / `match.failed` / `match.proposals` counters (failed =
+/// vertices left unmatched although they had neighbors; proposals =
+/// handshake proposals evaluated, summed over the rounds).
 ///
 /// Small graphs use a serial greedy visitor in random order; graphs of at
 /// least kHandshakeMinVtxs vertices use deterministic handshake rounds
-/// (parallel propose over vertex ranges from a frozen state, mutual
+/// (parallel propose from a frozen state over the vertices still
+/// unmatched that found an unmatched neighbor last round, mutual
 /// proposals accepted — conflicts resolved by hashed per-round keys, a
 /// fixed total order, never arrival order) followed by a serial greedy
 /// cleanup that restores maximality.
@@ -39,6 +41,11 @@ std::vector<idx_t> compute_matching(const Graph& g, MatchScheme scheme,
 /// run on a pool). Size-based only: the same graph takes the same path at
 /// every thread count.
 inline constexpr idx_t kHandshakeMinVtxs = 8192;
+
+/// Range grain of the handshake rounds' parallel propose and accept
+/// phases over the active list. The boundaries depend only on the list's
+/// length, so every result is independent of the pool's thread count.
+inline constexpr idx_t kMatchChunk = 8192;
 
 /// As compute_matching, but fills a caller-owned `match` vector and, when
 /// `ws` is non-null, reuses ws->perm / ws->proposal so repeated coarsening

@@ -7,14 +7,6 @@ namespace mcgp {
 
 namespace {
 
-inline std::uint64_t splitmix64(std::uint64_t& x) {
-  x += 0x9e3779b97f4a7c15ULL;
-  std::uint64_t z = x;
-  z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ULL;
-  z = (z ^ (z >> 27)) * 0x94d049bb133111ebULL;
-  return z ^ (z >> 31);
-}
-
 inline std::uint64_t rotl(std::uint64_t x, int k) {
   return (x << k) | (x >> (64 - k));
 }
@@ -23,7 +15,7 @@ inline std::uint64_t rotl(std::uint64_t x, int k) {
 
 void Rng::reseed(std::uint64_t seed) {
   std::uint64_t x = seed;
-  for (auto& s : s_) s = splitmix64(x);
+  for (auto& s : s_) s = detail::splitmix64(x);
   // Guard against an all-zero state (never happens with splitmix64, but
   // keep the invariant explicit).
   if ((s_[0] | s_[1] | s_[2] | s_[3]) == 0) s_[0] = 1;
@@ -69,15 +61,6 @@ double Rng::next_real() {
 bool Rng::next_bool(double p) { return next_real() < p; }
 
 Rng Rng::split() { return Rng(next_u64()); }
-
-std::uint64_t mix_seed(std::uint64_t a, std::uint64_t b) {
-  // Golden-ratio combine, then one SplitMix64 finalizer round on each
-  // word so low-entropy inputs (small structural ids) diffuse fully.
-  std::uint64_t x = b + 0x9e3779b97f4a7c15ULL;
-  const std::uint64_t mixed_b = splitmix64(x);
-  std::uint64_t y = a ^ mixed_b;
-  return splitmix64(y);
-}
 
 void random_permutation(idx_t n, std::vector<idx_t>& perm, Rng& rng) {
   perm.resize(to_size(n));

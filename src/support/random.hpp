@@ -44,14 +44,36 @@ class Rng {
   std::uint64_t s_[4];
 };
 
+namespace detail {
+
+/// One SplitMix64 step: advance `x` by the golden-ratio increment and
+/// return the finalized value.
+inline std::uint64_t splitmix64(std::uint64_t& x) {
+  x += 0x9e3779b97f4a7c15ULL;
+  std::uint64_t z = x;
+  z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ULL;
+  z = (z ^ (z >> 27)) * 0x94d049bb133111ebULL;
+  return z ^ (z >> 31);
+}
+
+}  // namespace detail
+
 /// Combine two 64-bit words into a well-mixed derived seed (SplitMix64
 /// finalizer over a golden-ratio combination). Used to give every
 /// independent subproblem of a run its own deterministic RNG stream:
 /// seeding Rng(mix_seed(root, structural_id)) yields identical streams
 /// regardless of how many threads execute the subproblems or in which
 /// order, because the derivation depends only on the subproblem's
-/// position, never on a shared generator's consumption history.
-std::uint64_t mix_seed(std::uint64_t a, std::uint64_t b);
+/// position, never on a shared generator's consumption history. Inline:
+/// handshake matching hashes every neighbor of every proposal with it.
+inline std::uint64_t mix_seed(std::uint64_t a, std::uint64_t b) {
+  // Golden-ratio combine, then one SplitMix64 finalizer round on each
+  // word so low-entropy inputs (small structural ids) diffuse fully.
+  std::uint64_t x = b + 0x9e3779b97f4a7c15ULL;
+  const std::uint64_t mixed_b = detail::splitmix64(x);
+  std::uint64_t y = a ^ mixed_b;
+  return detail::splitmix64(y);
+}
 
 /// Fill `perm` with the identity permutation of size n and Fisher-Yates
 /// shuffle it in place.

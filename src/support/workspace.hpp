@@ -26,7 +26,7 @@
 namespace mcgp {
 
 struct Workspace {
-  std::vector<idx_t> perm;    ///< matching visit order
+  std::vector<idx_t> perm;    ///< matching visit order / active list
   std::vector<idx_t> match;   ///< matching scratch of coarsen_graph
   std::vector<idx_t> first;   ///< constituent lists of contract_graph
   std::vector<idx_t> second;

@@ -205,6 +205,40 @@ TEST(InvariantAuditor, DetectsStaleKWayBoundary) {
   EXPECT_EQ(aud.count(AuditCheck::kKWayState), 2u);
 }
 
+TEST(InvariantAuditor, DetectsStaleDeadCandidate) {
+  const Graph g = test_graph();
+  std::vector<idx_t> where(to_size(g.nvtxs));
+  for (idx_t v = 0; v < g.nvtxs; ++v) {
+    where[to_size(v)] = v < 32 ? 0 : 1;  // two halves of the 8x8 grid
+  }
+  const std::vector<idx_t> color(to_size(g.nvtxs), 0);
+  KWayBoundary bnd(g, where, color);
+  InvariantAuditor aud(AuditLevel::kParanoid);
+
+  // Vertex 28 (row 3) has internal degree 3 and one edge into part 1: a
+  // true dead mark.
+  bnd.mark_dead(28);
+  aud.check_kway_boundary(g, where, bnd, "test");
+
+  // Its neighbor 27 leaves for part 2. The move clears 28's mark; with
+  // internal degree 2 against connectivity 1 and 1 it is dead again —
+  // its external degree reaches its internal one, but no single part's
+  // connectivity does.
+  where[27] = 2;
+  bnd.moved(27, 0);
+  EXPECT_FALSE(bnd.dead(28));
+  bnd.mark_dead(28);
+  aud.check_kway_boundary(g, where, bnd, "test");
+
+  // Neighbor 20 joins part 1: connectivity 2 to part 1 now reaches the
+  // internal degree 1, so a mark planted after the move is stale.
+  where[20] = 1;
+  bnd.moved(20, 0);
+  bnd.mark_dead(28);
+  EXPECT_THROW(aud.check_kway_boundary(g, where, bnd, "test"), AuditFailure);
+  EXPECT_EQ(aud.count(AuditCheck::kKWayState), 2u);
+}
+
 TEST(InvariantAuditor, DetectsStaleFmDegreesAndSeeding) {
   const Graph g = test_graph();
   std::vector<idx_t> where(to_size(g.nvtxs));

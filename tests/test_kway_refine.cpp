@@ -476,13 +476,18 @@ TEST(KWayRefine, PooledColoredSweepBitIdenticalToInline) {
   exec.pool = &pool;
   exec.wspool = &wspool;
   Rng b(4);
+  KWayRefineStats stats;
   const sum_t pooled_cut =
-      kway_refine(g, 16, pooled_part, ubvec(2, 1.10), 8, b, nullptr, nullptr,
+      kway_refine(g, 16, pooled_part, ubvec(2, 1.10), 8, b, &stats, nullptr,
                   exec);
 
   EXPECT_EQ(pooled_part, inline_part);
   EXPECT_EQ(pooled_cut, inline_cut);
   EXPECT_GT(wspool.footprint_bytes(), 0);  // chunk leases were accounted
+  // Some class spans several propose chunks, so the pooled run writes
+  // proposals and dead marks concurrently.
+  EXPECT_GT(stats.widest_class, kSweepChunk);
+  EXPECT_GT(stats.skipped, 0);
 }
 
 /// The colored sweep as it ran before the boundary and the degrees were
@@ -660,6 +665,33 @@ TEST(KWayBoundary, MovesKeepDegreesExact) {
   const KWayBoundary whole(g, one, color);
   for (idx_t c = 0; c < whole.ncolors(); ++c) {
     EXPECT_TRUE(whole.movable(c).empty());
+  }
+}
+
+// A dead mark lasts exactly until the vertex or one of its neighbors
+// moves.
+TEST(KWayBoundary, MovesClearDeadMarks) {
+  Graph g = grid_with_zero_edges(20, 20);
+  std::vector<idx_t> where = scrambled(g.nvtxs, 5, 11);
+  std::vector<idx_t> color(to_size(g.nvtxs));
+  for (idx_t v = 0; v < g.nvtxs; ++v) color[to_size(v)] = v % 3;
+  KWayBoundary bnd(g, where, color);
+  Rng rng(13);
+  for (int i = 0; i < 200; ++i) {
+    for (idx_t v = 0; v < g.nvtxs; v += 3) bnd.mark_dead(v);
+    const idx_t v = static_cast<idx_t>(
+        rng.next_below(static_cast<std::uint64_t>(g.nvtxs)));
+    const idx_t from = where[to_size(v)];
+    where[to_size(v)] = (from + 1 + static_cast<idx_t>(rng.next_below(4))) % 5;
+    bnd.moved(v, from);
+    std::vector<char> near(to_size(g.nvtxs), 0);
+    near[to_size(v)] = 1;
+    for (idx_t e = g.xadj[to_size(v)]; e < g.xadj[to_size(v + 1)]; ++e) {
+      near[to_size(g.adjncy[to_size(e)])] = 1;
+    }
+    for (idx_t u = 0; u < g.nvtxs; ++u) {
+      EXPECT_EQ(bnd.dead(u), u % 3 == 0 && near[to_size(u)] == 0) << u;
+    }
   }
 }
 

@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <vector>
+
 #include "gen/mesh_gen.hpp"
 #include "gen/weight_gen.hpp"
 #include "support/thread_pool.hpp"
@@ -102,6 +105,9 @@ TEST_P(MatchingSchemes, HandshakePathValidAndMaximal) {
 TEST_P(MatchingSchemes, PooledHandshakeBitIdenticalToInline) {
   Graph g = grid2d(96, 96);
   apply_type_s_weights(g, 2, 8, 0, 9, 5);
+  // The first round's active list is every vertex: at least two chunks,
+  // so the pooled run proposes and accepts concurrently.
+  ASSERT_GT(g.nvtxs, kMatchChunk);
   Rng a(5), b(5);
   std::vector<idx_t> inline_match, pooled_match;
   compute_matching_into(g, GetParam(), a, inline_match);
@@ -112,6 +118,168 @@ TEST_P(MatchingSchemes, PooledHandshakeBitIdenticalToInline) {
   Workspace ws;
   compute_matching_into(g, GetParam(), b, pooled_match, &ws, exec);
   EXPECT_EQ(pooled_match, inline_match);
+}
+
+/// compute_matching() as it ran before the handshake rounds kept an
+/// active list: every round proposes for every vertex (a matched vertex
+/// proposes -1) and accepts over every vertex, then the serial greedy
+/// cleanup visits the leftovers in ascending order.
+idx_t reference_propose(const Graph& g, MatchScheme scheme,
+                        const std::vector<idx_t>& match, idx_t v,
+                        std::uint64_t round_seed) {
+  const std::uint64_t vseed =
+      mix_seed(round_seed, static_cast<std::uint64_t>(v));
+  idx_t best = -1;
+  wgt_t best_w = -1;
+  real_t best_score = 1e300;
+  std::uint64_t best_key = ~0ULL;
+  for (idx_t e = g.xadj[to_size(v)]; e < g.xadj[to_size(v + 1)]; ++e) {
+    const idx_t u = g.adjncy[to_size(e)];
+    if (match[to_size(u)] >= 0) continue;
+    const std::uint64_t key = mix_seed(vseed, static_cast<std::uint64_t>(u));
+    const wgt_t w = g.adjwgt[to_size(e)];
+    switch (scheme) {
+      case MatchScheme::kRandom:
+        if (key < best_key) {
+          best_key = key;
+          best = u;
+        }
+        break;
+      case MatchScheme::kHeavyEdge:
+        if (w > best_w || (w == best_w && key < best_key)) {
+          best_w = w;
+          best_key = key;
+          best = u;
+        }
+        break;
+      case MatchScheme::kHeavyEdgeBalanced: {
+        if (w < best_w) break;
+        const real_t score = balanced_edge_score(g, v, u);
+        if (w > best_w || score < best_score ||
+            (score == best_score && key < best_key)) {
+          best_w = w;
+          best_score = score;
+          best_key = key;
+          best = u;
+        }
+        break;
+      }
+    }
+  }
+  return best;
+}
+
+void reference_greedy(const Graph& g, MatchScheme scheme, Rng& rng,
+                      std::vector<idx_t>& match,
+                      const std::vector<idx_t>& order) {
+  for (const idx_t v : order) {
+    if (match[to_size(v)] >= 0) continue;
+    idx_t best = -1;
+    wgt_t best_w = -1;
+    real_t best_score = 1e300;
+    idx_t seen = 0;
+    for (idx_t e = g.xadj[to_size(v)]; e < g.xadj[to_size(v + 1)]; ++e) {
+      const idx_t u = g.adjncy[to_size(e)];
+      if (match[to_size(u)] >= 0) continue;
+      const wgt_t w = g.adjwgt[to_size(e)];
+      switch (scheme) {
+        case MatchScheme::kRandom:
+          ++seen;
+          if (rng.next_below(static_cast<std::uint64_t>(seen)) == 0) best = u;
+          break;
+        case MatchScheme::kHeavyEdge:
+          if (w > best_w) {
+            best_w = w;
+            best = u;
+          }
+          break;
+        case MatchScheme::kHeavyEdgeBalanced: {
+          if (w < best_w) break;
+          const real_t score = balanced_edge_score(g, v, u);
+          if (w > best_w || score < best_score) {
+            best_w = w;
+            best_score = score;
+            best = u;
+          }
+          break;
+        }
+      }
+    }
+    if (best >= 0) {
+      match[to_size(v)] = best;
+      match[to_size(best)] = v;
+    } else {
+      match[to_size(v)] = v;
+    }
+  }
+}
+
+std::vector<idx_t> reference_handshake(const Graph& g, MatchScheme scheme,
+                                       Rng& rng) {
+  const idx_t n = g.nvtxs;
+  std::vector<idx_t> match(to_size(n), -1);
+  std::vector<idx_t> proposal(to_size(n), -1);
+  const std::uint64_t mseed = rng.next_u64();
+  idx_t unmatched = n;
+  for (int round = 0; round < 48; ++round) {
+    if (unmatched < kHandshakeMinVtxs) break;
+    const std::uint64_t round_seed =
+        mix_seed(mseed, static_cast<std::uint64_t>(round));
+    for (idx_t v = 0; v < n; ++v) {
+      proposal[to_size(v)] =
+          match[to_size(v)] >= 0
+              ? idx_t{-1}
+              : reference_propose(g, scheme, match, v, round_seed);
+    }
+    idx_t newly = 0;
+    for (idx_t v = 0; v < n; ++v) {
+      const idx_t u = proposal[to_size(v)];
+      if (u >= 0 && proposal[to_size(u)] == v) {
+        match[to_size(v)] = u;
+        ++newly;
+      }
+    }
+    unmatched -= newly;
+    if (newly == 0) break;
+  }
+  std::vector<idx_t> order;
+  for (idx_t v = 0; v < n; ++v) {
+    if (match[to_size(v)] < 0) order.push_back(v);
+  }
+  reference_greedy(g, scheme, rng, match, order);
+  return match;
+}
+
+// Rounds over the active list must reproduce the full-sweep rounds match
+// for match, inline and on a pool, and leave the rng where they did.
+TEST_P(MatchingSchemes, HandshakeMatchesFullSweepReference) {
+  std::vector<Graph> graphs;
+  graphs.push_back(grid2d(200, 200));
+  graphs.push_back(random_geometric(20000, 0, 3, 3));
+  graphs.push_back(fe_mesh(15000, 4));
+  apply_type_s_weights(graphs[1], 3, 16, 0, 19, 7);
+  apply_type_s_weights(graphs[2], 2, 12, 0, 9, 8);
+  ThreadPool pool(4);
+  for (const Graph& g : graphs) {
+    ASSERT_GE(g.nvtxs, kHandshakeMinVtxs);
+    for (const std::uint64_t seed : {1u, 2u, 3u}) {
+      Rng r_ref(seed);
+      const std::vector<idx_t> expect =
+          reference_handshake(g, GetParam(), r_ref);
+      const std::uint64_t ref_next = r_ref.next_u64();
+      for (const int threads : {1, 4}) {
+        RunContext exec;
+        exec.pool = threads > 1 ? &pool : nullptr;
+        Workspace ws;
+        Rng rng(seed);
+        std::vector<idx_t> got;
+        compute_matching_into(g, GetParam(), rng, got, &ws, exec);
+        EXPECT_EQ(got, expect) << "n=" << g.nvtxs << " seed=" << seed
+                               << " threads=" << threads;
+        EXPECT_EQ(rng.next_u64(), ref_next);
+      }
+    }
+  }
 }
 
 INSTANTIATE_TEST_SUITE_P(AllSchemes, MatchingSchemes,

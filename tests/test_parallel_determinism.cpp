@@ -4,6 +4,7 @@
 // cannot influence the result.
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <map>
 #include <sstream>
 #include <string>
@@ -122,6 +123,36 @@ TEST(ParallelDeterminismLarge, KWayParallelPhasesBitIdenticalUnderObservers) {
             << "ncon=" << ncon << " threads=" << threads;
         EXPECT_EQ(r.cut, reference_cut);
       }
+    }
+  }
+}
+
+// The dead candidates the k-way sweep skips and the proposals the
+// handshake rounds evaluate are deterministic work counts: equal at every
+// thread count, and pinned exactly on fixed instances (MC-KW, k=16, Type-S
+// m=3, seed 1). The 60x60 grid is below kHandshakeMinVtxs, so its
+// matchings take the serial greedy path and evaluate no handshake
+// proposal; the 120x120 grid's finest level runs handshake rounds.
+TEST(WorkCounters, SkippedAndProposalsThreadInvariantAndPinned) {
+  struct Case {
+    idx_t side;
+    std::int64_t skipped;
+    std::int64_t proposals;
+  };
+  for (const Case& c : {Case{60, 4103, 0}, Case{120, 3127, 25038}}) {
+    Graph g = grid2d(c.side, c.side);
+    apply_type_s_weights(g, 3, 16, 0, 19, 2003);
+    for (const int threads : {1, 2, 4}) {
+      TraceRecorder trace;
+      Options o = base_options(Algorithm::kKWay, 16, /*seed=*/1);
+      o.num_threads = threads;
+      o.trace = &trace;
+      partition(g, o);
+      const CounterRegistry counters = trace.merged_counters();
+      EXPECT_EQ(counters.get("kway.skipped"), c.skipped)
+          << "side=" << c.side << " threads=" << threads;
+      EXPECT_EQ(counters.get("match.proposals"), c.proposals)
+          << "side=" << c.side << " threads=" << threads;
     }
   }
 }
