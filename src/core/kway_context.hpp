@@ -6,6 +6,7 @@
 // assignment — the colored sweep, the PQ pass, the balancer, and the
 // greedy multi-constraint rebalancer (core/rebalance.hpp) — shares one
 // bookkeeping implementation and therefore one definition of feasibility.
+// The peak drain both balancers run, drain_peaks(), is declared here too.
 #pragma once
 
 #include <algorithm>
@@ -136,7 +137,7 @@ class KWayContext {
     return q >= 0;
   }
 
-  /// The progress measure of the draining episode loops: the peak
+  /// The progress measure of the draining episode loop: the peak
   /// overload and how many (part, constraint) loads lie within 1e-9 of
   /// it. Several loads can tie at the peak, so the peak alone is not the
   /// right measure.
@@ -299,5 +300,32 @@ class KWayContext {
   std::vector<std::vector<idx_t>> members_;
   bool members_built_ = false;
 };
+
+/// What one drain_peaks() call did.
+struct DrainStats {
+  sum_t moves = 0;
+  int episodes = 0;  ///< episodes that committed a move
+  /// Live members of the drained parts examined (Σ|drained part|).
+  sum_t scanned = 0;
+  /// Why the episode loop ended: "feasible" (no load above 1 + 1e-12),
+  /// "move_cap", "no_moves", "no_progress" or "episode_cap".
+  const char* stop = "episode_cap";
+};
+
+/// The one peak-draining balancer, shared by kway_balance and the
+/// rebalancer's descent and kicks: greedy gain-to-relief episodes (Maas et
+/// al.). Each episode takes the overload_peak() (part q, constraint c),
+/// fills an indexed max-heap with q's members that weigh in c, keyed by cut
+/// gain per unit of c removed, and pops them (a key gone stale is requeued
+/// once) into the best admissible destination among v's adjacent parts and
+/// the globally lightest part: one v fits outright, or else one whose
+/// post-move load stays strictly below the global peak; among those, fits >
+/// cut gain > lower post-move load > smaller id. An episode ends when c of
+/// q is within tolerance, q can spare no vertex, or the heap runs dry. The
+/// loop ends when no load is above 1, an episode moves nothing or fails to
+/// improve the PeakState, or a cap (16·ncon·nparts episodes, 8n moves) is
+/// reached. Candidates come from the member index, so an episode costs what
+/// q costs, not n. Draws no random numbers. Defined in kway_refine.cpp.
+DrainStats drain_peaks(KWayContext& ctx);
 
 }  // namespace mcgp

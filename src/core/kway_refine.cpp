@@ -5,15 +5,15 @@
 #include <cstdint>
 #include <memory>
 #include <string>
-#include <utility>
 
 #include "core/audit.hpp"
 #include "core/kway_boundary.hpp"
 #include "core/kway_context.hpp"
-#include "support/check.hpp"
 #include "graph/metrics.hpp"
 #include "support/bucket_queue.hpp"
+#include "support/check.hpp"
 #include "support/flight_recorder.hpp"
+#include "support/indexed_heap.hpp"
 #include "support/profiler.hpp"
 #include "support/thread_pool.hpp"
 #include "support/trace.hpp"
@@ -248,134 +248,74 @@ PassResult colored_sweep(KWayContext& ctx, const std::vector<idx_t>& where,
   return res;
 }
 
-/// Scratch one kway_balance call reuses across its episodes.
-struct BalanceScratch {
-  std::vector<idx_t> cand;
-  std::vector<std::pair<real_t, idx_t>> order;  ///< (key, vertex)
-  std::vector<real_t> load;  ///< part_load by part, as of the last commit
-  sum_t scanned = 0;  ///< live members of the drained parts examined
-};
+constexpr real_t kEps = 1e-12;
 
-/// One balancing episode: drain the part attaining the current global
-/// maximum load. Strict `fits()` acceptance deadlocks when every part with
-/// slack in one constraint is itself overloaded in another (complementary
-/// overloads — common after a granular coarse-level initial partition), so
-/// acceptance is potential-reducing instead: a destination is admissible
-/// whenever its post-move load stays strictly below the current global
-/// maximum. Candidates come from the drained part's member list, so an
-/// episode costs what that part costs, not n. Returns the number of moves
-/// performed.
-idx_t balance_episode(const Graph& g, KWayContext& ctx, idx_t nparts,
-                      const std::vector<idx_t>& where, Rng& rng,
-                      BalanceScratch& s) {
-  idx_t q = -1;
-  int c = 0;
-  if (!ctx.overload_peak(q, c)) return 0;
-  const real_t peak = ctx.overload(q, c);
+/// Relief-ordered key of moving v out of its part: cut gain per unit of
+/// weight removed in the drained constraint c, so cheap cut damage and
+/// large relief come first. Leaves v's connectivity gathered in the
+/// context and its internal degree in `idw`, where the destination pick
+/// reads them.
+real_t relief_key(KWayContext& ctx, idx_t v, int c, sum_t& idw) {
+  idw = ctx.gather_connectivity(v);
+  sum_t edw = 0;
+  for (const idx_t p : ctx.touched()) edw = checked_add(edw, ctx.conn(p));
+  return static_cast<real_t>(checked_sub(edw, idw)) /
+         static_cast<real_t>(std::max<wgt_t>(ctx.graph().weight(v, c), 1));
+}
 
-  // Candidates: vertices of q carrying weight in constraint c, boundary
-  // first, higher (ed - id) first — cheapest cut damage first, ties in
-  // shuffled order. The member list is ascending, so the shuffle sees the
-  // order a full scan would give.
-  std::vector<idx_t>& cand = s.cand;
-  cand.clear();
-  const std::vector<idx_t>& members = ctx.members(q);
-  s.scanned = checked_add(s.scanned, static_cast<sum_t>(members.size()));
-  for (const idx_t v : members) {
-    if (g.weight(v, c) > 0) cand.push_back(v);
-  }
-  shuffle(cand, rng);
-  s.order.clear();
-  for (const idx_t v : cand) {
-    sum_t idw = 0, edw = 0;
-    for (idx_t e = g.xadj[to_size(v)]; e < g.xadj[to_size(v + 1)]; ++e) {
-      if (where[to_size(g.adjncy[to_size(e)])] == q) {
-        idw = checked_add(idw, g.adjwgt[to_size(e)]);
-      } else {
-        edw = checked_add(edw, g.adjwgt[to_size(e)]);
-      }
-    }
-    s.order.emplace_back(
-        static_cast<real_t>(checked_sub(edw, idw)) + (edw > 0 ? 1e6 : 0.0),
-        v);
-  }
-  std::stable_sort(s.order.begin(), s.order.end(),
-                   [](const std::pair<real_t, idx_t>& a,
-                      const std::pair<real_t, idx_t>& b) {
-                     return a.first > b.first;
-                   });
-
-  idx_t moves = 0;
-  // Early-exit: once a long run of consecutive candidates yields no
-  // admissible destination, the part is deadlocked for this episode —
-  // bail instead of scanning every remaining (worse-keyed) vertex.
-  const idx_t reject_cap = std::max<idx_t>(64, 8 * nparts);
-  idx_t rejects = 0;
-  // The globally lightest part other than q. Loads change only when a
-  // move commits, and then only q's and the destination's, so every other
-  // part's load is kept from the episode's start and the argmin is redone
-  // only after a commit.
-  std::vector<real_t>& load = s.load;
-  load.resize(to_size(nparts));
-  for (idx_t p = 0; p < nparts; ++p) load[to_size(p)] = ctx.part_load(p);
+/// The least loaded part other than q by `load` (part_load by part); the
+/// smallest id within kEps.
+idx_t lightest_part(const std::vector<real_t>& load, idx_t q) {
   idx_t lightest = -1;
-  bool lightest_stale = true;
-  for (const std::pair<real_t, idx_t>& kv : s.order) {
-    const idx_t v = kv.second;
-    if (where[to_size(v)] != q) continue;  // already moved
-    if (!ctx.can_leave(q)) break;
-    // Stop once q is no longer the bottleneck for constraint c.
-    if (ctx.overload(q, c) <= 1.0 + 1e-12) break;
-    if (rejects >= reject_cap) break;
-
-    const sum_t idw = ctx.gather_connectivity(v);
-    // Candidate destinations: adjacent parts plus the globally lightest.
-    if (lightest_stale) {
-      lightest = -1;
-      real_t lightest_load = 1e300;
-      for (idx_t p = 0; p < nparts; ++p) {
-        if (p != q && load[to_size(p)] < lightest_load) {
-          lightest_load = load[to_size(p)];
-          lightest = p;
-        }
-      }
-      lightest_stale = false;
+  real_t lightest_load = 1e300;
+  for (idx_t p = 0; p < static_cast<idx_t>(load.size()); ++p) {
+    if (p == q) continue;
+    if (load[to_size(p)] < lightest_load - kEps) {
+      lightest_load = load[to_size(p)];
+      lightest = p;
     }
-    idx_t best = -1;
-    bool best_fits = false;
-    sum_t best_gain = 0;
-    real_t best_load = 0.0;
-    auto consider = [&](idx_t p) {
-      if (p < 0 || p == q) return;
-      const real_t after = ctx.load_after(v, p);
-      if (after >= peak - 1e-12) return;  // would not reduce the potential
-      const bool fits = after <= 1.0 + 1e-12;
-      const sum_t gain = checked_sub(ctx.conn(p), idw);
-      const bool better = best < 0 || (fits && !best_fits) ||
-                          (fits == best_fits &&
-                           (gain > best_gain ||
-                            (gain == best_gain && after < best_load)));
-      if (better) {
-        best = p;
-        best_fits = fits;
-        best_gain = gain;
-        best_load = after;
-      }
-    };
-    for (const idx_t p : ctx.touched()) consider(p);
-    consider(lightest);
-
-    if (best < 0) {
-      ++rejects;
-      continue;
-    }
-    rejects = 0;
-    ctx.move(v, best);
-    load[to_size(best)] = ctx.part_load(best);
-    lightest_stale = true;
-    ++moves;
   }
-  return moves;
+  return lightest;
+}
+
+/// Best destination for moving v out of q, among the parts v's gathered
+/// connectivity touches and `lightest` (relief matters more than locality
+/// here, so it is a candidate even without an edge into it): a part where
+/// v outright fits, or failing that one whose post-move load stays
+/// strictly below the global `peak`. Strict fits-only acceptance would
+/// deadlock when every part with slack in one constraint is overloaded in
+/// another (complementary overloads, common after a granular coarse-level
+/// initial partition). Among admissible parts: fits > cut gain > lower
+/// post-move load > smaller id. Returns -1 when none is.
+idx_t pick_destination(const KWayContext& ctx, idx_t v, idx_t q, sum_t idw,
+                       real_t peak, idx_t lightest) {
+  idx_t best = -1;
+  bool best_fits = false;
+  sum_t best_gain = 0;
+  real_t best_load = 0.0;
+  auto consider = [&](idx_t p) {
+    if (p < 0 || p == q) return;
+    const real_t after = ctx.load_after(v, p);
+    const bool fits = after <= 1.0 + kEps;
+    if (!fits && after >= peak - kEps) return;
+    const sum_t gain = checked_sub(ctx.conn(p), idw);
+    const bool better =
+        best < 0 || (fits && !best_fits) ||
+        (fits == best_fits &&
+         (gain > best_gain ||
+          (gain == best_gain &&
+           (after < best_load - kEps ||
+            (after <= best_load + kEps && p < best)))));
+    if (better) {
+      best = p;
+      best_fits = fits;
+      best_gain = gain;
+      best_load = after;
+    }
+  };
+  for (const idx_t p : ctx.touched()) consider(p);
+  consider(lightest);
+  return best;
 }
 
 /// One priority-queue pass: boundary vertices keyed by their optimistic
@@ -517,57 +457,109 @@ sum_t run_passes(const Graph& g, KWayContext& ctx, idx_t nparts,
 
 }  // namespace
 
+DrainStats drain_peaks(KWayContext& ctx) {
+  const Graph& g = ctx.graph();
+  // Each episode drains the current peak, so the PeakState improves while
+  // episodes make progress; the loop stops at the first episode that does
+  // not improve it. The caps backstop that check, so a tight instance
+  // terminates even if the peak creeps down by epsilon steps.
+  const int max_episodes = 16 * g.ncon * std::max<idx_t>(ctx.nparts(), 2);
+  const sum_t move_cap =
+      checked_mul(static_cast<sum_t>(8),
+                  static_cast<sum_t>(std::max<idx_t>(g.nvtxs, 1)));
+  DrainStats st;
+  IndexedMaxHeap heap;
+  heap.reset(g.nvtxs);
+  std::vector<char> requeued(to_size(g.nvtxs), 0);
+  std::vector<idx_t> requeued_list;  // the vertices to clear after an episode
+  // part_load by part. A commit changes only its two parts' loads, so the
+  // global peak (the largest load) and the lightest part are recomputed
+  // from this table only after one.
+  std::vector<real_t> load(to_size(ctx.nparts()));
+  for (idx_t p = 0; p < ctx.nparts(); ++p) load[to_size(p)] = ctx.part_load(p);
+  KWayContext::PeakState prev = ctx.peak_state();
+  for (int ep = 0; ep < max_episodes; ++ep) {
+    idx_t q;
+    int c;
+    if (!ctx.overload_peak(q, c)) {
+      st.stop = "feasible";
+      break;
+    }
+    if (st.moves >= move_cap) {
+      st.stop = "move_cap";
+      break;
+    }
+
+    sum_t idw = 0;
+    const std::vector<idx_t>& members = ctx.members(q);
+    st.scanned = checked_add(st.scanned, static_cast<sum_t>(members.size()));
+    for (const idx_t v : members) {
+      if (g.weight(v, c) > 0) heap.insert(v, relief_key(ctx, v, c, idw));
+    }
+
+    real_t peak = 0.0;
+    idx_t lightest = -1;
+    bool stale = true;
+    idx_t ep_moves = 0;
+    while (!heap.empty()) {
+      if (ctx.overload(q, c) <= 1.0 + kEps) break;
+      if (!ctx.can_leave(q)) break;
+      const real_t popped_key = heap.top_key();
+      const idx_t v = heap.pop_max();
+      // Lazy revalidation: earlier moves shifted v's neighborhood. If the
+      // fresh key lost its place at the top, requeue once and move on —
+      // the one-requeue guard keeps the episode linear.
+      const real_t fresh = relief_key(ctx, v, c, idw);
+      if (requeued[to_size(v)] == 0 && fresh < popped_key - 1e-9 &&
+          !heap.empty() && fresh < heap.top_key()) {
+        requeued[to_size(v)] = 1;
+        requeued_list.push_back(v);
+        heap.insert(v, fresh);
+        continue;
+      }
+      if (stale) {
+        peak = *std::max_element(load.begin(), load.end());
+        lightest = lightest_part(load, q);
+        stale = false;
+      }
+      const idx_t dest = pick_destination(ctx, v, q, idw, peak, lightest);
+      if (dest < 0) continue;
+      ctx.move(v, dest);
+      load[to_size(q)] = ctx.part_load(q);
+      load[to_size(dest)] = ctx.part_load(dest);
+      stale = true;
+      ++ep_moves;
+    }
+    heap.clear();
+    for (const idx_t v : requeued_list) requeued[to_size(v)] = 0;
+    requeued_list.clear();
+
+    if (ep_moves == 0) {
+      st.stop = "no_moves";
+      break;
+    }
+    st.moves = checked_add(st.moves, static_cast<sum_t>(ep_moves));
+    ++st.episodes;
+    const KWayContext::PeakState cur = ctx.peak_state();
+    if (!cur.improves_on(prev)) {
+      st.stop = "no_progress";
+      break;
+    }
+    prev = cur;
+  }
+  return st;
+}
+
 bool kway_balance(const Graph& g, idx_t nparts, std::vector<idx_t>& where,
-                  const std::vector<real_t>& ub, Rng& rng,
+                  const std::vector<real_t>& ub, Rng& /*rng*/,
                   const std::vector<real_t>* tpwgts, const RunContext& run) {
   KWayContext ctx(g, nparts, where, ub, tpwgts);
   if (ctx.feasible()) return true;
 
   TraceSpan span(run.trace, "kway.balance");
-  sum_t total_moves = 0;
-  int episodes = 0;
-  // Each episode drains the current argmax part, so (peak, #loads at the
-  // peak) decreases lexicographically while episodes make progress —
-  // several parts can tie at the peak, so the peak alone is not the right
-  // progress measure. Stop when an episode fails to improve it (further
-  // episodes would spin on the same deadlock). A hard move cap backstops
-  // both checks so a tight-ubvec instance terminates even if the peak
-  // creeps down by epsilon steps forever.
-  const int max_episodes = 8 * g.ncon * std::max<idx_t>(nparts, 2);
-  const sum_t move_cap =
-      checked_mul(static_cast<sum_t>(8),
-                  static_cast<sum_t>(std::max<idx_t>(g.nvtxs, 1)));
-  // Why the loop stopped — traced so tight instances are diagnosable from
-  // counters alone (kway.balance.bail.<reason>).
-  const char* bail = "episode_cap";
-  KWayContext::PeakState prev = ctx.peak_state();
-  BalanceScratch scratch;
-  for (int ep = 0; ep < max_episodes; ++ep) {
-    if (ctx.feasible()) {
-      bail = "feasible";
-      break;
-    }
-    if (total_moves >= move_cap) {
-      bail = "move_cap";
-      break;
-    }
-    const idx_t moves = balance_episode(g, ctx, nparts, where, rng, scratch);
-    if (moves == 0) {
-      bail = "no_moves";
-      break;
-    }
-    total_moves = checked_add(total_moves, moves);
-    ++episodes;
-    const KWayContext::PeakState cur = ctx.peak_state();
-    if (!cur.improves_on(prev)) {
-      bail = "no_progress";
-      break;
-    }
-    prev = cur;
-  }
-  if (ctx.feasible()) bail = "feasible";
+  const DrainStats d = drain_peaks(ctx);
 
-  // The episodes mutated pwgts/vcount incrementally across many moves.
+  // The drain mutated pwgts/vcount incrementally across many moves.
   if (run.audit != nullptr && run.audit->boundaries()) {
     run.audit->check_kway_state(g, where, nparts, ctx.pwgts(), &ctx.vcounts(),
                                 "kway.balance");
@@ -575,13 +567,16 @@ bool kway_balance(const Graph& g, idx_t nparts, std::vector<idx_t>& where,
 
   const bool ok = ctx.feasible();
   if (span.enabled()) {
-    trace_count(run.trace, "kway.balance.moves", total_moves);
-    trace_count(run.trace, "kway.balance.episodes", episodes);
-    trace_count(run.trace, "kway.balance.scanned", scratch.scanned);
-    trace_count(run.trace, std::string("kway.balance.bail.") + bail);
-    span.arg({"moves", total_moves});
-    span.arg({"episodes", episodes});
-    span.arg({"scanned", scratch.scanned});
+    trace_count(run.trace, "kway.balance.moves", d.moves);
+    trace_count(run.trace, "kway.balance.episodes", d.episodes);
+    trace_count(run.trace, "kway.balance.scanned", d.scanned);
+    // Why the drain stopped, so tight instances are diagnosable from
+    // counters alone.
+    const std::string bail = ok ? "feasible" : d.stop;
+    trace_count(run.trace, "kway.balance.bail." + bail);
+    span.arg({"moves", d.moves});
+    span.arg({"episodes", d.episodes});
+    span.arg({"scanned", d.scanned});
     span.arg({"max_overload", ctx.max_overload()});
     span.arg({"feasible", static_cast<std::int64_t>(ok ? 1 : 0)});
   }

@@ -4,7 +4,7 @@
 // to a neighboring subdomain if the move improves the cut without pushing
 // any constraint of the destination past its tolerance (or if it improves
 // balance at no cut cost). When the projected partition arrives out of
-// tolerance — coarse-vertex granularity can force this — a balancing sweep
+// tolerance — coarse-vertex granularity can force this — the peak drain
 // runs first, preferring minimum-cut-damage moves out of overloaded parts.
 #pragma once
 
@@ -43,11 +43,15 @@ bool kway_feasible(const Graph& g, const std::vector<sum_t>& pwgts,
 /// boundaries depend only on sizes, never on the pool.
 inline constexpr idx_t kSweepChunk = 512;
 
-/// Balancing sweeps: move weight out of overloaded parts with the least
-/// cut damage until feasible or stuck. Returns true when feasible.
-/// `tpwgts` (optional) gives per-part target fractions; null = uniform.
-/// Of `run`, the trace gets a "kway.balance" span and counters and the
-/// auditor checks the part weights when the sweeps finish.
+/// Balancing: when `where` violates `ub`, run the peak drain (drain_peaks,
+/// core/kway_context.hpp — the same drain the rebalancer starts with) until
+/// feasible or stuck. Returns true when feasible. `tpwgts` (optional)
+/// gives per-part target fractions; null = uniform. Of `run`, the trace
+/// gets a "kway.balance" span and the kway.balance.{moves, episodes,
+/// scanned, bail.<reason>} counters, and the auditor checks the part
+/// weights when the drain finishes. `rng` is not read: the drain draws no
+/// random numbers. The parameter stays because perfbench/replay.cpp calls
+/// this signature.
 bool kway_balance(const Graph& g, idx_t nparts, std::vector<idx_t>& where,
                   const std::vector<real_t>& ub, Rng& rng,
                   const std::vector<real_t>* tpwgts = nullptr,

@@ -17,7 +17,6 @@
 #include "graph/metrics.hpp"
 #include "support/check.hpp"
 #include "support/flight_recorder.hpp"
-#include "support/indexed_heap.hpp"
 #include "support/profiler.hpp"
 #include "support/trace.hpp"
 
@@ -35,139 +34,12 @@ constexpr idx_t kSwapMaxVtxs = 10000;
 /// At most this many source vertices are tried per swap-pair search.
 constexpr idx_t kSwapCandCap = 128;
 
-/// Relief-ordered key of a candidate move out of the overloaded part:
-/// cut gain per unit of weight removed in the scarce constraint — cheap
-/// cut damage and large relief first.
-real_t relief_key(const Graph& g, const KWayContext& ctx, idx_t v, int c,
-                  std::vector<sum_t>& conn, std::vector<idx_t>& touched) {
-  const sum_t idw = ctx.gather_connectivity_into(v, conn, touched);
-  sum_t edw = 0;
-  for (const idx_t p : touched) {
-    edw = checked_add(edw, conn[to_size(p)]);
-  }
-  return static_cast<real_t>(checked_sub(edw, idw)) /
-         static_cast<real_t>(std::max<wgt_t>(g.weight(v, c), 1));
-}
-
-/// Best destination for moving v out of q: a part where v outright fits,
-/// or failing that one whose post-move load stays strictly below the
-/// current global peak (potential-reducing). Among admissible parts:
-/// fits > cut gain > lower post-move load > smaller id. Returns -1 when
-/// no part is admissible.
-idx_t pick_destination(const KWayContext& ctx, idx_t nparts, idx_t v,
-                       idx_t q, sum_t idw, real_t peak) {
-  idx_t best = -1;
-  bool best_fits = false;
-  sum_t best_gain = 0;
-  real_t best_load = 0.0;
-  auto consider = [&](idx_t p) {
-    if (p < 0 || p == q) return;
-    const real_t after = ctx.load_after(v, p);
-    const bool fits = after <= 1.0 + kEps;
-    if (!fits && after >= peak - kEps) return;
-    const sum_t gain = checked_sub(ctx.conn(p), idw);
-    const bool better =
-        best < 0 || (fits && !best_fits) ||
-        (fits == best_fits &&
-         (gain > best_gain ||
-          (gain == best_gain &&
-           (after < best_load - kEps ||
-            (after <= best_load + kEps && p < best)))));
-    if (better) {
-      best = p;
-      best_fits = fits;
-      best_gain = gain;
-      best_load = after;
-    }
-  };
-  for (const idx_t p : ctx.touched()) consider(p);
-  // The globally lightest part is always a candidate even when v has no
-  // edge into it — relief matters more than locality once we are here.
-  idx_t lightest = -1;
-  real_t lightest_load = 1e300;
-  for (idx_t p = 0; p < nparts; ++p) {
-    if (p == q) continue;
-    const real_t l = ctx.part_load(p);
-    if (l < lightest_load - kEps ||
-        (l <= lightest_load + kEps && (lightest < 0 || p < lightest))) {
-      lightest_load = l;
-      lightest = p;
-    }
-  }
-  consider(lightest);
-  return best;
-}
-
-/// Greedy gain-to-relief episodes: repeatedly pick the argmax overloaded
-/// (part, constraint), drain it through a relief-ordered indexed heap with
-/// lazy key revalidation, and stop when feasible, deadlocked, or out of
-/// progress. The heap is filled from the drained part's member list and
-/// emptied in O(its size), so an episode costs what that part costs, not
-/// n. Returns the number of moves committed.
-sum_t greedy_episodes(const Graph& g, KWayContext& ctx, idx_t nparts,
-                      int* episodes_out) {
-  sum_t total = 0;
-  int episodes = 0;
-  const int max_episodes = 16 * g.ncon * std::max<idx_t>(nparts, 2);
-  const sum_t move_cap =
-      checked_mul(static_cast<sum_t>(8),
-                  static_cast<sum_t>(std::max<idx_t>(g.nvtxs, 1)));
-  IndexedMaxHeap heap;
-  heap.reset(g.nvtxs);
-  std::vector<char> requeued(to_size(g.nvtxs), 0);
-  std::vector<idx_t> requeued_list;  // the vertices to clear after an episode
-  std::vector<sum_t> conn(to_size(nparts), 0);
-  std::vector<idx_t> touched;
-  touched.reserve(64);
-  KWayContext::PeakState prev = ctx.peak_state();
-  for (int ep = 0; ep < max_episodes; ++ep) {
-    idx_t q;
-    int c;
-    if (!ctx.overload_peak(q, c)) break;
-    if (total >= move_cap) break;
-
-    for (const idx_t v : ctx.members(q)) {
-      if (g.weight(v, c) <= 0) continue;
-      heap.insert(v, relief_key(g, ctx, v, c, conn, touched));
-    }
-
-    idx_t ep_moves = 0;
-    while (!heap.empty()) {
-      if (ctx.overload(q, c) <= 1.0 + kEps) break;
-      if (!ctx.can_leave(q)) break;
-      const real_t popped_key = heap.top_key();
-      const idx_t v = heap.pop_max();
-      // Lazy revalidation: earlier moves shifted v's neighborhood. If the
-      // fresh key lost its place at the top, requeue once and move on —
-      // the one-requeue guard keeps the episode linear.
-      const real_t fresh = relief_key(g, ctx, v, c, conn, touched);
-      if (requeued[to_size(v)] == 0 && fresh < popped_key - 1e-9 &&
-          !heap.empty() && fresh < heap.top_key()) {
-        requeued[to_size(v)] = 1;
-        requeued_list.push_back(v);
-        heap.insert(v, fresh);
-        continue;
-      }
-      const sum_t idw = ctx.gather_connectivity(v);
-      const real_t peak = ctx.max_overload();
-      const idx_t dest = pick_destination(ctx, nparts, v, q, idw, peak);
-      if (dest < 0) continue;
-      ctx.move(v, dest);
-      ++ep_moves;
-    }
-    heap.clear();
-    for (const idx_t v : requeued_list) requeued[to_size(v)] = 0;
-    requeued_list.clear();
-
-    if (ep_moves == 0) break;  // deadlocked — the caller escalates
-    total = checked_add(total, ep_moves);
-    ++episodes;
-    const KWayContext::PeakState cur = ctx.peak_state();
-    if (!cur.improves_on(prev)) break;
-    prev = cur;
-  }
-  if (episodes_out != nullptr) *episodes_out += episodes;
-  return total;
+/// One run of the shared peak drain (core/kway_context.hpp), counted into
+/// `st`.
+void drain(KWayContext& ctx, RebalanceStats& st) {
+  const DrainStats d = drain_peaks(ctx);
+  st.moves = checked_add(st.moves, d.moves);
+  st.episodes += d.episodes;
 }
 
 /// Tolerance-relative load of part p after removing vertex `out` and
@@ -254,8 +126,8 @@ sum_t swap_escape(const Graph& g, KWayContext& ctx,
 
 /// Change in the total relative overload sum_i max(0, load - 1) over both
 /// touched parts if v (in q) and u (in p) were exchanged. Negative = net
-/// relief. This is the joint multi-constraint potential: the peak-chasing
-/// episodes above can deadlock when every destination is itself near the
+/// relief. This is the joint multi-constraint potential: the peak drain's
+/// episodes can deadlock when every destination is itself near the
 /// peak in SOME constraint, while the summed overload can still descend.
 real_t swap_delta(const Graph& g, const KWayContext& ctx, idx_t v, idx_t q,
                   idx_t u, idx_t p) {
@@ -423,13 +295,12 @@ void overload_sum_escape(const Graph& g, KWayContext& ctx, idx_t nparts,
   }
 }
 
-/// The descent chain run on every graph the pass balances: greedy
-/// episodes, then, while still infeasible, the pairwise-swap escape and
-/// the summed-overload descent. Counts into `st`.
+/// The descent chain run on every graph the pass balances: the peak
+/// drain, then, while still infeasible, the pairwise-swap escape and the
+/// summed-overload descent. Counts into `st`.
 void descend(const Graph& g, KWayContext& ctx, idx_t nparts,
              const std::vector<idx_t>& where, RebalanceStats& st) {
-  st.moves = checked_add(st.moves,
-                         greedy_episodes(g, ctx, nparts, &st.episodes));
+  drain(ctx, st);
   if (!ctx.feasible()) {
     st.swaps = checked_add(st.swaps, swap_escape(g, ctx, where));
   }
@@ -520,13 +391,12 @@ bool run_vcycle(const Graph& g, idx_t nparts, std::vector<idx_t>& where,
   refine.trace = run.trace;
   refine.audit = run.audit;
 
-  // Coarsest problem: balance + greedy relief + swaps + refine. Clusters
-  // move as units here, which is exactly the strength single-vertex moves
-  // at the finest level lack.
+  // Coarsest problem: the descent chain, then refinement. Clusters move
+  // as units here, which is exactly the strength single-vertex moves at
+  // the finest level lack.
   {
     Graph& cg = levels.back().graph;
     std::vector<idx_t>& cw = parts.back();
-    kway_balance(cg, nparts, cw, ub, rng, tpwgts, refine);
     KWayContext cctx(cg, nparts, cw, ub, tpwgts);
     // Coarse moves are not the caller's moves: only the work count is kept.
     RebalanceStats coarse;
@@ -725,8 +595,7 @@ bool rebalance_partition(const Graph& g, idx_t nparts,
         ctx.move(v, to);
         st.moves = checked_add(st.moves, 1);
       }
-      st.moves = checked_add(
-          st.moves, greedy_episodes(g, ctx, nparts, &st.episodes));
+      drain(ctx, st);
       overload_sum_escape(g, ctx, nparts, where, &st.moves, &st.swaps,
                           &st.descent_evals);
       note_state();

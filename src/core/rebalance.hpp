@@ -1,11 +1,12 @@
 // Greedy multi-constraint rebalancing (Maas-style gain-to-relief moves)
 // plus a bounded restricted V-cycle (Sanders/Schulz iterated multilevel),
 // invoked whenever kway_balance exits with residual overload. This is the
-// feasibility backstop of the pipeline: kway_balance is a fast drain of the
-// current peak, while rebalance_partition keeps working the instance until
-// every constraint of every part is within ubvec or the bounded effort is
+// feasibility backstop of the pipeline: kway_balance runs the peak drain
+// once, while rebalance_partition keeps working the instance until every
+// constraint of every part is within ubvec or the bounded effort is
 // exhausted. Its stages, each of which decides verdicts on some instance:
-//  - greedy episodes: relief-ordered heap moves out of the argmax
+//  - the peak drain (drain_peaks, core/kway_context.hpp, the same code
+//    kway_balance runs): relief-ordered heap moves out of the argmax
 //    overloaded (part, constraint);
 //  - swap escape (small graphs): pairwise swaps that lower the peak when
 //    no single move can;
@@ -15,7 +16,7 @@
 //    vertices and run the same chain where whole clusters move;
 //  - random kicks with re-descent (small graphs) out of joint local minima.
 //
-// Determinism contract (PR 7): everything here is serial and derives every
+// Determinism contract: everything here is serial and derives every
 // ordering decision from vertex ids, edge weights, and the caller's Rng
 // stream — never from threads or arrival order. The pass runs after the
 // parallel phases, on a `where` that is already bit-identical across
@@ -34,7 +35,7 @@ namespace mcgp {
 
 /// Outcome of a rebalance_partition call.
 struct RebalanceStats {
-  int episodes = 0;       ///< greedy episodes run (peak re-selections)
+  int episodes = 0;       ///< peak-drain episodes that moved a vertex
   int vcycles = 0;        ///< restricted V-cycles run
   sum_t moves = 0;        ///< single-vertex moves committed
   sum_t swaps = 0;        ///< pairwise swaps committed (small graphs only)
@@ -69,8 +70,8 @@ std::vector<real_t> min_feasible_ubvec(const Graph& g, idx_t nparts,
 /// instead of an impossible one.
 std::vector<real_t> effective_ubvec(const Graph& g, const Options& opts);
 
-/// Drive `where` to feasibility under `ub`: greedy gain-to-relief episodes
-/// first (heap-ordered moves out of the argmax-overloaded part), pairwise
+/// Drive `where` to feasibility under `ub`: the peak drain first
+/// (heap-ordered moves out of the argmax-overloaded part), pairwise
 /// swaps and summed-overload descent when single moves deadlock, then up
 /// to `max_vcycles` partition-restricted V-cycles (re-coarsen merging only
 /// same-part vertices, rebalance the coarse problem where whole clusters

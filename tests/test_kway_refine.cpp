@@ -12,6 +12,7 @@
 #include "gen/mesh_gen.hpp"
 #include "gen/weight_gen.hpp"
 #include "graph/metrics.hpp"
+#include "reference_drain.hpp"
 #include "support/flight_recorder.hpp"
 #include "support/thread_pool.hpp"
 #include "support/trace.hpp"
@@ -162,126 +163,13 @@ TEST(KWayBalance, ComplementaryOverloadEscape) {
   EXPECT_LE(max_imbalance(g, part, 4), 1.35);  // from ~1.8+ initially
 }
 
-/// One episode of kway_balance as it ran before the per-part member index:
-/// every episode scans all n vertices for members of the peak part into an
-/// n-sized key array, and every candidate rescans all parts for the
-/// lightest one. kway_balance() must reproduce it move for move.
-idx_t reference_balance_episode(const Graph& g, KWayContext& ctx,
-                                idx_t nparts, const std::vector<idx_t>& where,
-                                Rng& rng) {
-  idx_t q = -1;
-  int c = 0;
-  real_t peak = 0.0;
-  for (idx_t p = 0; p < nparts; ++p) {
-    for (int i = 0; i < g.ncon; ++i) {
-      if (ctx.overload(p, i) > peak) {
-        peak = ctx.overload(p, i);
-        q = p;
-        c = i;
-      }
-    }
-  }
-  if (q < 0 || peak <= 1.0 + 1e-12) return 0;
-  std::vector<idx_t> cand;
-  std::vector<real_t> key(to_size(g.nvtxs), 0.0);
-  for (idx_t v = 0; v < g.nvtxs; ++v) {
-    if (where[to_size(v)] != q || g.weight(v, c) <= 0) continue;
-    cand.push_back(v);
-    sum_t idw = 0, edw = 0;
-    for (idx_t e = g.xadj[to_size(v)]; e < g.xadj[to_size(v + 1)]; ++e) {
-      if (where[to_size(g.adjncy[to_size(e)])] == q) {
-        idw = checked_add(idw, g.adjwgt[to_size(e)]);
-      } else {
-        edw = checked_add(edw, g.adjwgt[to_size(e)]);
-      }
-    }
-    key[to_size(v)] =
-        static_cast<real_t>(checked_sub(edw, idw)) + (edw > 0 ? 1e6 : 0.0);
-  }
-  shuffle(cand, rng);
-  std::stable_sort(cand.begin(), cand.end(), [&](idx_t a, idx_t b) {
-    return key[to_size(a)] > key[to_size(b)];
-  });
-  idx_t moves = 0;
-  const idx_t reject_cap = std::max<idx_t>(64, 8 * nparts);
-  idx_t rejects = 0;
-  for (const idx_t v : cand) {
-    if (where[to_size(v)] != q) continue;
-    if (!ctx.can_leave(q) || ctx.overload(q, c) <= 1.0 + 1e-12 ||
-        rejects >= reject_cap) {
-      break;
-    }
-    const sum_t idw = ctx.gather_connectivity(v);
-    idx_t lightest = -1;
-    real_t lightest_load = 1e300;
-    for (idx_t p = 0; p < nparts; ++p) {
-      if (p != q && ctx.part_load(p) < lightest_load) {
-        lightest_load = ctx.part_load(p);
-        lightest = p;
-      }
-    }
-    idx_t best = -1;
-    bool best_fits = false;
-    sum_t best_gain = 0;
-    real_t best_load = 0.0;
-    auto consider = [&](idx_t p) {
-      if (p < 0 || p == q) return;
-      const real_t after = ctx.load_after(v, p);
-      if (after >= peak - 1e-12) return;
-      const bool fits = after <= 1.0 + 1e-12;
-      const sum_t gain = checked_sub(ctx.conn(p), idw);
-      if (best < 0 || (fits && !best_fits) ||
-          (fits == best_fits &&
-           (gain > best_gain || (gain == best_gain && after < best_load)))) {
-        best = p;
-        best_fits = fits;
-        best_gain = gain;
-        best_load = after;
-      }
-    };
-    for (const idx_t p : ctx.touched()) consider(p);
-    consider(lightest);
-    if (best < 0) {
-      ++rejects;
-      continue;
-    }
-    rejects = 0;
-    ctx.move(v, best);
-    ++moves;
-  }
-  return moves;
-}
-
-/// The full-scan kway_balance episode loop around reference_balance_episode.
+/// kway_balance as the full-scan reference (reference_drain.hpp) runs it:
+/// the peak drain on a fresh context, when the start is infeasible.
 bool reference_balance(const Graph& g, idx_t nparts, std::vector<idx_t>& where,
-                       const std::vector<real_t>& ub, Rng& rng,
+                       const std::vector<real_t>& ub,
                        const std::vector<real_t>* tpwgts) {
   KWayContext ctx(g, nparts, where, ub, tpwgts);
-  if (ctx.feasible()) return true;
-  const int max_episodes = 8 * g.ncon * std::max<idx_t>(nparts, 2);
-  const sum_t move_cap = checked_mul(
-      static_cast<sum_t>(8), static_cast<sum_t>(std::max<idx_t>(g.nvtxs, 1)));
-  sum_t total_moves = 0;
-  auto progress_state = [&]() {
-    const real_t peak = ctx.max_overload();
-    idx_t at_peak = 0;
-    for (idx_t p = 0; p < nparts; ++p) {
-      for (int i = 0; i < g.ncon; ++i) {
-        if (ctx.overload(p, i) > peak - 1e-9) ++at_peak;
-      }
-    }
-    return std::make_pair(peak, at_peak);
-  };
-  auto prev = progress_state();
-  for (int ep = 0; ep < max_episodes; ++ep) {
-    if (ctx.feasible() || total_moves >= move_cap) break;
-    const idx_t moves = reference_balance_episode(g, ctx, nparts, where, rng);
-    if (moves == 0) break;
-    total_moves = checked_add(total_moves, moves);
-    const auto cur = progress_state();
-    if (cur.first >= prev.first - 1e-12 && cur.second >= prev.second) break;
-    prev = cur;
-  }
+  if (!ctx.feasible()) reference_drain(g, ctx, where);
   return ctx.feasible();
 }
 
@@ -323,12 +211,12 @@ TEST(KWayBalance, MatchesFullScanReference) {
           ++unbalanced_starts;
         }
         std::vector<idx_t> got = expect;
-        Rng r1(seed), r2(seed);
-        const bool expect_ok = reference_balance(g, k, expect, ub, r1, tpwgts);
-        EXPECT_EQ(kway_balance(g, k, got, ub, r2, tpwgts), expect_ok);
+        Rng rng(seed);
+        const bool expect_ok = reference_balance(g, k, expect, ub, tpwgts);
+        EXPECT_EQ(kway_balance(g, k, got, ub, rng, tpwgts), expect_ok);
         EXPECT_EQ(got, expect) << "m=" << m << " k=" << k
                                << " variant=" << variant;
-        EXPECT_EQ(r2.next_u64(), r1.next_u64());  // same shuffles drawn
+        EXPECT_EQ(rng.next_u64(), Rng(seed).next_u64());  // drew nothing
       }
     }
   }
@@ -352,6 +240,29 @@ TEST(KWayBalance, ScansOnlyTheDrainedParts) {
   ASSERT_GT(episodes, 0);
   EXPECT_GE(scanned, episodes);
   EXPECT_LT(scanned, episodes * g.nvtxs / 4);
+}
+
+TEST(KWayBalance, IgnoresRngState) {
+  // The drain draws no random numbers: two different generator states
+  // give the same partition and the same traced work on the drift start.
+  Graph g = grid2d(48, 48);
+  apply_type_p_weights(g, 3, 24, 2003);
+  const idx_t k = 16;
+  auto run = [&](std::uint64_t seed, int draws) {
+    std::vector<idx_t> where = block_start(48, k);
+    TraceRecorder trace;
+    RunContext traced;
+    traced.trace = &trace;
+    Rng rng(seed);
+    for (int i = 0; i < draws; ++i) rng.next_u64();
+    kway_balance(g, k, where, ubvec(3), rng, nullptr, traced);
+    return std::make_pair(where, trace.counters().counters());
+  };
+  const auto a = run(1, 0);
+  const auto b = run(99, 7);
+  EXPECT_NE(block_start(48, k), a.first);  // the balancer actually moved
+  EXPECT_EQ(a.first, b.first);
+  EXPECT_EQ(a.second, b.second);
 }
 
 TEST(KWayContext, MembersMatchScanAfterMoves) {
