@@ -346,6 +346,28 @@ void InvariantAuditor::check_kway_boundary(const Graph& g,
   bump(AuditCheck::kKWayState);
 }
 
+void InvariantAuditor::check_drain_degrees(const Graph& g,
+                                           const std::vector<idx_t>& where,
+                                           const std::vector<sum_t>& ed_id,
+                                           const char* site) {
+  for (idx_t v = 0; v < g.nvtxs; ++v) {
+    const idx_t pv = where[to_size(v)];
+    sum_t idw = 0, edw = 0;
+    for (idx_t e = g.xadj[to_size(v)]; e < g.xadj[to_size(v + 1)]; ++e) {
+      if (where[to_size(g.adjncy[to_size(e)])] == pv) {
+        idw = checked_add(idw, g.adjwgt[to_size(e)]);
+      } else {
+        edw = checked_add(edw, g.adjwgt[to_size(e)]);
+      }
+    }
+    MCGP_AUDIT_MSG(this, ed_id[to_size(v)] == checked_sub(edw, idw), site,
+                   ": vertex ", v, " drain cache says ed-id=",
+                   ed_id[to_size(v)], ", recompute says id=", idw,
+                   " ed=", edw);
+  }
+  bump(AuditCheck::kKWayState);
+}
+
 void InvariantAuditor::check_fm_state(const Graph& g,
                                       const std::vector<idx_t>& where,
                                       const std::vector<sum_t>& id,

@@ -149,6 +149,11 @@ class InvariantAuditor {
   void check_kway_boundary(const Graph& g, const std::vector<idx_t>& where,
                            const KWayBoundary& bnd, const char* site);
 
+  /// Peak-drain degree cache: ed_id[v] equals v's external minus internal
+  /// weighted degree recomputed under `where`, for every vertex.
+  void check_drain_degrees(const Graph& g, const std::vector<idx_t>& where,
+                           const std::vector<sum_t>& ed_id, const char* site);
+
   /// 2-way FM carried state: every vertex's maintained internal and
   /// external degree (`id`, `ed`) equal a fresh recompute, and exactly the
   /// boundary vertices (ed > 0) sit in one of `queued`'s queues.

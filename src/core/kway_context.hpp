@@ -79,6 +79,7 @@ class KWayContext {
 
   const Graph& graph() const { return g_; }
   idx_t nparts() const { return nparts_; }
+  const std::vector<idx_t>& where() const { return where_; }
   const std::vector<sum_t>& pwgts() const { return pwgts_; }
   const std::vector<idx_t>& vcounts() const { return vcount_; }
 
@@ -268,7 +269,11 @@ class KWayContext {
   void compact_members(idx_t p) {
     std::vector<idx_t>& list = members_[to_size(p)];
     std::erase_if(list, [&](idx_t v) { return where_[to_size(v)] != p; });
-    std::sort(list.begin(), list.end());
+    // The list is ascending up to the first arrival since the last
+    // compaction: sort only the arrivals and merge them in.
+    const auto tail = std::is_sorted_until(list.begin(), list.end());
+    std::sort(tail, list.end());
+    std::inplace_merge(list.begin(), tail, list.end());
     list.erase(std::unique(list.begin(), list.end()), list.end());
   }
 
@@ -325,7 +330,11 @@ struct DrainStats {
 /// loop ends when no load is above 1, an episode moves nothing or fails to
 /// improve the PeakState, or a cap (16·ncon·nparts episodes, 8n moves) is
 /// reached. Candidates come from the member index, so an episode costs what
-/// q costs, not n. Draws no random numbers. Defined in kway_refine.cpp.
-DrainStats drain_peaks(KWayContext& ctx);
+/// q costs, not n, and their keys from a per-vertex ed - id cache the
+/// drain's moves keep exact, so keying a member gathers nothing. Draws no
+/// random numbers. Of `run` only the auditor is read: at paranoid it
+/// checks that cache against a recompute after every episode. Defined in
+/// kway_refine.cpp.
+DrainStats drain_peaks(KWayContext& ctx, const RunContext& run = {});
 
 }  // namespace mcgp

@@ -252,15 +252,45 @@ constexpr real_t kEps = 1e-12;
 
 /// Relief-ordered key of moving v out of its part: cut gain per unit of
 /// weight removed in the drained constraint c, so cheap cut damage and
-/// large relief come first. Leaves v's connectivity gathered in the
-/// context and its internal degree in `idw`, where the destination pick
-/// reads them.
-real_t relief_key(KWayContext& ctx, idx_t v, int c, sum_t& idw) {
-  idw = ctx.gather_connectivity(v);
-  sum_t edw = 0;
-  for (const idx_t p : ctx.touched()) edw = checked_add(edw, ctx.conn(p));
-  return static_cast<real_t>(checked_sub(edw, idw)) /
-         static_cast<real_t>(std::max<wgt_t>(ctx.graph().weight(v, c), 1));
+/// large relief come first. `ed_id` is v's external minus internal
+/// degree, the cut gain of moving v out.
+real_t relief_key(const Graph& g, idx_t v, int c, sum_t ed_id) {
+  return static_cast<real_t>(ed_id) /
+         static_cast<real_t>(std::max<wgt_t>(g.weight(v, c), 1));
+}
+
+/// External minus internal degree of every vertex under `where`.
+std::vector<sum_t> degree_gains(const Graph& g,
+                                const std::vector<idx_t>& where) {
+  std::vector<sum_t> ed_id(to_size(g.nvtxs), 0);
+  for (idx_t v = 0; v < g.nvtxs; ++v) {
+    const idx_t pv = where[to_size(v)];
+    sum_t d = 0;
+    for (idx_t e = g.xadj[to_size(v)]; e < g.xadj[to_size(v + 1)]; ++e) {
+      d = where[to_size(g.adjncy[to_size(e)])] == pv
+              ? checked_sub(d, g.adjwgt[to_size(e)])
+              : checked_add(d, g.adjwgt[to_size(e)]);
+    }
+    ed_id[to_size(v)] = d;
+  }
+  return ed_id;
+}
+
+/// Keep `ed_id` exact after v moved from part q to part `to`: an edge to
+/// q turned from internal to external at both ends, an edge to `to` the
+/// other way, and every other edge stays external. O(deg v).
+void update_degree_gains(const Graph& g, const std::vector<idx_t>& where,
+                         idx_t v, idx_t q, idx_t to,
+                         std::vector<sum_t>& ed_id) {
+  for (idx_t e = g.xadj[to_size(v)]; e < g.xadj[to_size(v + 1)]; ++e) {
+    const idx_t u = g.adjncy[to_size(e)];
+    const idx_t pu = where[to_size(u)];
+    if (pu != q && pu != to) continue;
+    const sum_t w2 = checked_mul(2, g.adjwgt[to_size(e)]);
+    const sum_t d = pu == q ? w2 : checked_sub(0, w2);
+    ed_id[to_size(u)] = checked_add(ed_id[to_size(u)], d);
+    ed_id[to_size(v)] = checked_add(ed_id[to_size(v)], d);
+  }
 }
 
 /// The least loaded part other than q by `load` (part_load by part); the
@@ -457,8 +487,9 @@ sum_t run_passes(const Graph& g, KWayContext& ctx, idx_t nparts,
 
 }  // namespace
 
-DrainStats drain_peaks(KWayContext& ctx) {
+DrainStats drain_peaks(KWayContext& ctx, const RunContext& run) {
   const Graph& g = ctx.graph();
+  const std::vector<idx_t>& where = ctx.where();
   // Each episode drains the current peak, so the PeakState improves while
   // episodes make progress; the loop stops at the first episode that does
   // not improve it. The caps backstop that check, so a tight instance
@@ -467,6 +498,7 @@ DrainStats drain_peaks(KWayContext& ctx) {
   const sum_t move_cap =
       checked_mul(static_cast<sum_t>(8),
                   static_cast<sum_t>(std::max<idx_t>(g.nvtxs, 1)));
+  const bool paranoid = run.audit != nullptr && run.audit->paranoid();
   DrainStats st;
   IndexedMaxHeap heap;
   heap.reset(g.nvtxs);
@@ -477,6 +509,10 @@ DrainStats drain_peaks(KWayContext& ctx) {
   // from this table only after one.
   std::vector<real_t> load(to_size(ctx.nparts()));
   for (idx_t p = 0; p < ctx.nparts(); ++p) load[to_size(p)] = ctx.part_load(p);
+  // ed - id per vertex, the numerator of every relief key. Built at the
+  // first episode and kept exact by every drain move, so keying a member
+  // costs no connectivity gather.
+  std::vector<sum_t> ed_id;
   KWayContext::PeakState prev = ctx.peak_state();
   for (int ep = 0; ep < max_episodes; ++ep) {
     idx_t q;
@@ -489,12 +525,14 @@ DrainStats drain_peaks(KWayContext& ctx) {
       st.stop = "move_cap";
       break;
     }
+    if (ed_id.empty()) ed_id = degree_gains(g, where);
 
-    sum_t idw = 0;
     const std::vector<idx_t>& members = ctx.members(q);
     st.scanned = checked_add(st.scanned, static_cast<sum_t>(members.size()));
     for (const idx_t v : members) {
-      if (g.weight(v, c) > 0) heap.insert(v, relief_key(ctx, v, c, idw));
+      if (g.weight(v, c) > 0) {
+        heap.insert(v, relief_key(g, v, c, ed_id[to_size(v)]));
+      }
     }
 
     real_t peak = 0.0;
@@ -509,7 +547,7 @@ DrainStats drain_peaks(KWayContext& ctx) {
       // Lazy revalidation: earlier moves shifted v's neighborhood. If the
       // fresh key lost its place at the top, requeue once and move on —
       // the one-requeue guard keeps the episode linear.
-      const real_t fresh = relief_key(ctx, v, c, idw);
+      const real_t fresh = relief_key(g, v, c, ed_id[to_size(v)]);
       if (requeued[to_size(v)] == 0 && fresh < popped_key - 1e-9 &&
           !heap.empty() && fresh < heap.top_key()) {
         requeued[to_size(v)] = 1;
@@ -522,9 +560,11 @@ DrainStats drain_peaks(KWayContext& ctx) {
         lightest = lightest_part(load, q);
         stale = false;
       }
+      const sum_t idw = ctx.gather_connectivity(v);
       const idx_t dest = pick_destination(ctx, v, q, idw, peak, lightest);
       if (dest < 0) continue;
       ctx.move(v, dest);
+      update_degree_gains(g, where, v, q, dest, ed_id);
       load[to_size(q)] = ctx.part_load(q);
       load[to_size(dest)] = ctx.part_load(dest);
       stale = true;
@@ -533,6 +573,7 @@ DrainStats drain_peaks(KWayContext& ctx) {
     heap.clear();
     for (const idx_t v : requeued_list) requeued[to_size(v)] = 0;
     requeued_list.clear();
+    if (paranoid) run.audit->check_drain_degrees(g, where, ed_id, "kway.drain");
 
     if (ep_moves == 0) {
       st.stop = "no_moves";
@@ -557,7 +598,7 @@ bool kway_balance(const Graph& g, idx_t nparts, std::vector<idx_t>& where,
   if (ctx.feasible()) return true;
 
   TraceSpan span(run.trace, "kway.balance");
-  const DrainStats d = drain_peaks(ctx);
+  const DrainStats d = drain_peaks(ctx, run);
 
   // The drain mutated pwgts/vcount incrementally across many moves.
   if (run.audit != nullptr && run.audit->boundaries()) {

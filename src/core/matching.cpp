@@ -232,21 +232,6 @@ sum_t handshake_match(const Graph& g, MatchScheme scheme, Rng& rng,
 
 }  // namespace
 
-real_t balanced_edge_score(const Graph& g, idx_t v, idx_t u) {
-  if (g.ncon == 1) return 0.0;
-  const wgt_t* wv = g.weights(v);
-  const wgt_t* wu = g.weights(u);
-  real_t mx = 0.0;
-  real_t mn = 1e300;
-  for (int i = 0; i < g.ncon; ++i) {
-    const real_t c = static_cast<real_t>(wv[i] + wu[i]) *
-                     g.invtvwgt[to_size(i)];
-    mx = std::max(mx, c);
-    mn = std::min(mn, c);
-  }
-  return mx - mn;
-}
-
 std::vector<idx_t> compute_matching(const Graph& g, MatchScheme scheme,
                                     Rng& rng, const RunContext& run) {
   std::vector<idx_t> match;

@@ -9,6 +9,7 @@
 // prefer the partner whose combined weight vector is flattest.
 #pragma once
 
+#include <algorithm>
 #include <vector>
 
 #include "core/config.hpp"
@@ -63,7 +64,21 @@ idx_t build_coarse_map(const Graph& g, const std::vector<idx_t>& match,
 
 /// Flatness score of a combined weight vector used by the balanced-edge
 /// tie-break: max_i ĉ_i - min_i ĉ_i of the normalized combined vector
-/// (0 for ncon == 1). Exposed for testing.
-real_t balanced_edge_score(const Graph& g, idx_t v, idx_t u);
+/// (0 for ncon == 1). Inline: the matchers call it once per candidate
+/// edge. Exposed for testing.
+inline real_t balanced_edge_score(const Graph& g, idx_t v, idx_t u) {
+  if (g.ncon == 1) return 0.0;
+  const wgt_t* wv = g.weights(v);
+  const wgt_t* wu = g.weights(u);
+  real_t mx = 0.0;
+  real_t mn = 1e300;
+  for (int i = 0; i < g.ncon; ++i) {
+    const real_t c = static_cast<real_t>(wv[i] + wu[i]) *
+                     g.invtvwgt[to_size(i)];
+    mx = std::max(mx, c);
+    mn = std::min(mn, c);
+  }
+  return mx - mn;
+}
 
 }  // namespace mcgp

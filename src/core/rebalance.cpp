@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <array>
+#include <cmath>
 #include <cstddef>
 #include <cstdint>
 #include <limits>
@@ -36,8 +37,8 @@ constexpr idx_t kSwapCandCap = 128;
 
 /// One run of the shared peak drain (core/kway_context.hpp), counted into
 /// `st`.
-void drain(KWayContext& ctx, RebalanceStats& st) {
-  const DrainStats d = drain_peaks(ctx);
+void drain(KWayContext& ctx, RebalanceStats& st, const RunContext& run) {
+  const DrainStats d = drain_peaks(ctx, run);
   st.moves = checked_add(st.moves, d.moves);
   st.episodes += d.episodes;
 }
@@ -56,26 +57,56 @@ real_t load_after_swap(const Graph& g, const KWayContext& ctx, idx_t p,
   return l;
 }
 
-/// Pairwise-swap escape for small graphs: when no single move is
-/// potential-reducing (every part with room in the scarce constraint is
-/// itself near the peak in another), exchanging a heavy-in-c vertex of the
-/// peak part for a light-in-c vertex elsewhere can still reduce the peak.
-/// Commits swaps while each strictly reduces the lexicographic potential;
-/// every swap retires the current peak (part, constraint) pair, so the
-/// loop terminates without an explicit cap. Returns swaps committed.
-sum_t swap_escape(const Graph& g, KWayContext& ctx,
-                  const std::vector<idx_t>& where) {
+}  // namespace
+
+sum_t max_weight_below(real_t limit, real_t bound) {
+  auto below = [&](sum_t w) {
+    return static_cast<real_t>(w) / limit < bound;
+  };
+  constexpr sum_t kMax = std::numeric_limits<sum_t>::max();
+  if (below(kMax)) return kMax;
+  // floor(bound * limit) is off by at most a rounding step of doubles of
+  // its size (one unit below 2^53); the predicate settles the rest.
+  const real_t est = std::floor(bound * limit);
+  sum_t w = 0;
+  if (est >= 0x1p63) {
+    w = checked_sub(kMax, 1);
+  } else if (est > 0.0) {
+    w = static_cast<sum_t>(est);
+  }
+  while (below(checked_add(w, 1))) w = checked_add(w, 1);
+  while (!below(w)) w = checked_sub(w, 1);
+  return w;
+}
+
+sum_t swap_escape(const Graph& g, KWayContext& ctx) {
   if (g.nvtxs > kSwapMaxVtxs) return 0;
+  const std::vector<idx_t>& where = ctx.where();
+  const idx_t nparts = ctx.nparts();
+  const auto ncon = to_size(g.ncon);
   sum_t swaps = 0;
   const sum_t swap_cap =
       checked_mul(static_cast<sum_t>(4),
                   static_cast<sum_t>(std::max<idx_t>(g.nvtxs, 1)));
   std::vector<idx_t> cand;
+  // below[p*ncon+i]: the most weight part p may hold in constraint i and
+  // stay under the peak; need[p*ncon+i] and room[i]: the least and most
+  // weight in i a partner from part p may weigh for a swap with the
+  // current source to keep both parts under it.
+  std::vector<sum_t> below(to_size(nparts) * ncon);
+  std::vector<sum_t> need(to_size(nparts) * ncon);
+  std::array<sum_t, kMaxNcon> room{};
   while (swaps < swap_cap) {
     idx_t q;
     int c;
     if (!ctx.overload_peak(q, c)) break;
     const real_t peak = ctx.max_overload();
+    for (idx_t p = 0; p < nparts; ++p) {
+      for (int i = 0; i < g.ncon; ++i) {
+        below[to_size(p) * ncon + to_size(i)] =
+            max_weight_below(ctx.limit(p, i), peak - kEps);
+      }
+    }
 
     // Sources: heaviest-in-c vertices of q first (they buy the most
     // relief per swap), deterministic id tie-break.
@@ -97,10 +128,31 @@ sum_t swap_escape(const Graph& g, KWayContext& ctx,
     idx_t best_u = -1;
     real_t best_after = peak;
     for (const idx_t v : cand) {
+      const wgt_t* wv = g.weights(v);
+      for (idx_t p = 0; p < nparts; ++p) {
+        for (int i = 0; i < g.ncon; ++i) {
+          const std::size_t pi = to_size(p) * ncon + to_size(i);
+          const sum_t held = ctx.pwgts()[pi];
+          if (p == q) {
+            room[to_size(i)] = checked_sub(below[pi], checked_sub(held, wv[i]));
+          } else {
+            need[pi] = checked_sub(checked_add(held, wv[i]), below[pi]);
+          }
+        }
+      }
       for (idx_t u = 0; u < g.nvtxs; ++u) {
         const idx_t p = where[to_size(u)];
         if (p == q) continue;
-        // Swapping must strictly reduce both touched parts below the peak.
+        // Swapping must strictly reduce both touched parts below the
+        // peak. The weight bounds decide that exactly, without dividing;
+        // the loads are computed only for the pairs that pass.
+        const wgt_t* wu = g.weights(u);
+        const sum_t* np = &need[to_size(p) * ncon];
+        bool under = true;
+        for (std::size_t i = 0; i < ncon && under; ++i) {
+          under = wu[i] <= room[i] && wu[i] >= np[i];
+        }
+        if (!under) continue;
         const real_t aq = load_after_swap(g, ctx, q, v, u);
         if (aq >= peak - kEps) continue;
         const real_t ap = load_after_swap(g, ctx, p, u, v);
@@ -123,6 +175,8 @@ sum_t swap_escape(const Graph& g, KWayContext& ctx,
   }
   return swaps;
 }
+
+namespace {
 
 /// Change in the total relative overload sum_i max(0, load - 1) over both
 /// touched parts if v (in q) and u (in p) were exchanged. Negative = net
@@ -299,10 +353,11 @@ void overload_sum_escape(const Graph& g, KWayContext& ctx, idx_t nparts,
 /// drain, then, while still infeasible, the pairwise-swap escape and the
 /// summed-overload descent. Counts into `st`.
 void descend(const Graph& g, KWayContext& ctx, idx_t nparts,
-             const std::vector<idx_t>& where, RebalanceStats& st) {
-  drain(ctx, st);
+             const std::vector<idx_t>& where, RebalanceStats& st,
+             const RunContext& run) {
+  drain(ctx, st, run);
   if (!ctx.feasible()) {
-    st.swaps = checked_add(st.swaps, swap_escape(g, ctx, where));
+    st.swaps = checked_add(st.swaps, swap_escape(g, ctx));
   }
   if (!ctx.feasible()) {
     overload_sum_escape(g, ctx, nparts, where, &st.moves, &st.swaps,
@@ -400,7 +455,7 @@ bool run_vcycle(const Graph& g, idx_t nparts, std::vector<idx_t>& where,
     KWayContext cctx(cg, nparts, cw, ub, tpwgts);
     // Coarse moves are not the caller's moves: only the work count is kept.
     RebalanceStats coarse;
-    descend(cg, cctx, nparts, cw, coarse);
+    descend(cg, cctx, nparts, cw, coarse, refine);
     *descent_evals = checked_add(*descent_evals, coarse.descent_evals);
     kway_refine(cg, nparts, cw, ub, /*max_passes=*/4, rng, nullptr, tpwgts,
                 refine);
@@ -539,7 +594,7 @@ bool rebalance_partition(const Graph& g, idx_t nparts,
     }
   };
 
-  descend(g, ctx, nparts, where, st);
+  descend(g, ctx, nparts, where, st, run);
   note_state();
 
   for (int cycle = 0; cycle < max_vcycles && !ctx.feasible(); ++cycle) {
@@ -552,7 +607,7 @@ bool rebalance_partition(const Graph& g, idx_t nparts,
                     &st.descent_evals)) break;
     ctx.reload();
     ++st.vcycles;
-    descend(g, ctx, nparts, where, st);
+    descend(g, ctx, nparts, where, st, run);
     note_state();
     // A full cycle that moved neither the peak nor the summed overload
     // will not move them next time either (same deterministic pipeline,
@@ -595,7 +650,7 @@ bool rebalance_partition(const Graph& g, idx_t nparts,
         ctx.move(v, to);
         st.moves = checked_add(st.moves, 1);
       }
-      drain(ctx, st);
+      drain(ctx, st, run);
       overload_sum_escape(g, ctx, nparts, where, &st.moves, &st.swaps,
                           &st.descent_evals);
       note_state();

@@ -33,6 +33,8 @@
 
 namespace mcgp {
 
+class KWayContext;
+
 /// Outcome of a rebalance_partition call.
 struct RebalanceStats {
   int episodes = 0;       ///< peak-drain episodes that moved a vertex
@@ -88,6 +90,27 @@ bool rebalance_partition(const Graph& g, idx_t nparts,
                          const std::vector<real_t>* tpwgts = nullptr,
                          RebalanceStats* stats = nullptr,
                          const RunContext& run = {}, int max_vcycles = 3);
+
+/// The largest integer W with static_cast<real_t>(W) / limit < bound, for
+/// limit > 0 and bound > 0; the largest sum_t when every value passes
+/// (limit 1e300 marks a constraint with no weight). W / limit is monotone
+/// in W, so a part weight w is below `bound` exactly when w <= W: the
+/// swap escape compares weights with it instead of dividing.
+sum_t max_weight_below(real_t limit, real_t bound);
+
+/// Pairwise-swap escape for small graphs (at most 10,000 vertices; larger
+/// ones return 0 at once): when no single move is potential-reducing
+/// (every part with room in the scarce constraint is itself near the peak
+/// in another), exchanging a heavy-in-c vertex of the peak part q for a
+/// light-in-c vertex elsewhere can still reduce the peak. Per swap, the
+/// 128 heaviest-in-c vertices of q (id tie-break) are paired with every
+/// vertex outside q; the pair that leaves both touched parts strictly
+/// below the peak at the lowest larger load wins (lowest source, then
+/// partner id, within 1e-12). Per-part weight bounds from
+/// max_weight_below() reject the other pairs without dividing. Commits
+/// swaps while one exists, at most 4n. Returns swaps committed. Exposed
+/// for testing.
+sum_t swap_escape(const Graph& g, KWayContext& ctx);
 
 /// The rebalance stage every driver ends with (MC-KW after uncoarsening,
 /// MC-RB after its balance fix-up, refine_partition() after refinement):

@@ -9,7 +9,9 @@
 //  * checked sum_t arithmetic — recomputations over adversarial inputs
 //    (huge weights from a fuzzer or a hostile file) must report overflow
 //    as a diagnosable failure instead of wrapping into silently-wrong
-//    "expected" values that mask or fabricate violations;
+//    "expected" values that mask or fabricate violations. The refiners'
+//    inner loops use it too, so the failure path is kept out of line: a
+//    check costs one branch, not a call;
 //
 //  * MCGP_AUDIT / MCGP_AUDIT_MSG — assertion macros that compile to a
 //    null-pointer test when auditing is off and raise AuditFailure with
@@ -34,12 +36,33 @@ class AuditFailure : public std::logic_error {
   using std::logic_error::logic_error;
 };
 
+namespace detail {
+
+/// The one throw site of the checked arithmetic below. Out of line and
+/// cold, so each checked_* inlines into its caller as the overflow
+/// builtin plus one unlikely branch: building the message inline would
+/// make every checked_* too large to inline and turn each use in an
+/// inner loop into a call. `op` names the failed function.
+[[noreturn]] [[gnu::cold]] [[gnu::noinline]] inline void throw_overflow(
+    const char* op, sum_t a, sum_t b) {
+  throw AuditFailure(std::string("sum_t overflow in ") + op + "(" +
+                     std::to_string(a) + ", " + std::to_string(b) + ")");
+}
+
+/// checked_narrow's throw site, cold for the same reason.
+[[noreturn]] [[gnu::cold]] [[gnu::noinline]] inline void throw_narrow(
+    sum_t v) {
+  throw AuditFailure("value " + std::to_string(v) +
+                     " does not fit the narrow type in checked_narrow");
+}
+
+}  // namespace detail
+
 /// a + b with overflow detection.
 inline sum_t checked_add(sum_t a, sum_t b) {
   sum_t r;
-  if (__builtin_add_overflow(a, b, &r)) {
-    throw AuditFailure("sum_t overflow in checked_add(" + std::to_string(a) +
-                       ", " + std::to_string(b) + ")");
+  if (__builtin_add_overflow(a, b, &r)) [[unlikely]] {
+    detail::throw_overflow("checked_add", a, b);
   }
   return r;
 }
@@ -47,9 +70,8 @@ inline sum_t checked_add(sum_t a, sum_t b) {
 /// a - b with overflow detection.
 inline sum_t checked_sub(sum_t a, sum_t b) {
   sum_t r;
-  if (__builtin_sub_overflow(a, b, &r)) {
-    throw AuditFailure("sum_t overflow in checked_sub(" + std::to_string(a) +
-                       ", " + std::to_string(b) + ")");
+  if (__builtin_sub_overflow(a, b, &r)) [[unlikely]] {
+    detail::throw_overflow("checked_sub", a, b);
   }
   return r;
 }
@@ -57,9 +79,8 @@ inline sum_t checked_sub(sum_t a, sum_t b) {
 /// a * b with overflow detection.
 inline sum_t checked_mul(sum_t a, sum_t b) {
   sum_t r;
-  if (__builtin_mul_overflow(a, b, &r)) {
-    throw AuditFailure("sum_t overflow in checked_mul(" + std::to_string(a) +
-                       ", " + std::to_string(b) + ")");
+  if (__builtin_mul_overflow(a, b, &r)) [[unlikely]] {
+    detail::throw_overflow("checked_mul", a, b);
   }
   return r;
 }
@@ -74,9 +95,8 @@ inline To checked_narrow(sum_t v) {
   static_assert(std::is_integral_v<To> && sizeof(To) < sizeof(sum_t),
                 "checked_narrow targets a strictly narrower integer type");
   To r = static_cast<To>(v);
-  if (static_cast<sum_t>(r) != v) {
-    throw AuditFailure("value " + std::to_string(v) +
-                       " does not fit the narrow type in checked_narrow");
+  if (static_cast<sum_t>(r) != v) [[unlikely]] {
+    detail::throw_narrow(v);
   }
   return r;
 }

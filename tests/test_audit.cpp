@@ -11,6 +11,7 @@
 #include "core/bisection.hpp"
 #include "core/coarsen.hpp"
 #include "core/kway_boundary.hpp"
+#include "core/kway_refine.hpp"
 #include "core/partitioner.hpp"
 #include "gen/mesh_gen.hpp"
 #include "gen/weight_gen.hpp"
@@ -274,6 +275,63 @@ TEST(InvariantAuditor, DetectsStaleFmDegreesAndSeeding) {
   queued.remove(0);
   aud.check_fm_state(g, where, id, ed, queued, "test");
   EXPECT_EQ(aud.count(AuditCheck::kBisectionState), 2u);
+}
+
+TEST(InvariantAuditor, DetectsStaleDrainDegrees) {
+  const Graph g = test_graph();
+  std::vector<idx_t> where(to_size(g.nvtxs));
+  for (idx_t v = 0; v < g.nvtxs; ++v) {
+    where[to_size(v)] = v < 32 ? 0 : 1;  // two halves of the 8x8 grid
+  }
+  // Rows 3 and 4 touch the cut: internal degree 3, external 1 (ed - id =
+  // -2); corners have 2 internal edges, every other vertex 3 or 4.
+  std::vector<sum_t> ed_id(to_size(g.nvtxs), 0);
+  for (idx_t v = 0; v < g.nvtxs; ++v) {
+    for (idx_t e = g.xadj[to_size(v)]; e < g.xadj[to_size(v + 1)]; ++e) {
+      const bool internal =
+          where[to_size(g.adjncy[to_size(e)])] == where[to_size(v)];
+      ed_id[to_size(v)] =
+          internal ? checked_sub(ed_id[to_size(v)], g.adjwgt[to_size(e)])
+                   : checked_add(ed_id[to_size(v)], g.adjwgt[to_size(e)]);
+    }
+  }
+  EXPECT_EQ(ed_id[28], -2);
+  InvariantAuditor aud(AuditLevel::kParanoid);
+  aud.check_drain_degrees(g, where, ed_id, "test");
+
+  where[28] = 1;  // moved without updating the cache
+  EXPECT_THROW(aud.check_drain_degrees(g, where, ed_id, "test"),
+               AuditFailure);
+  where[28] = 0;
+  ed_id[5] = checked_add(ed_id[5], 2);  // a drifted entry
+  EXPECT_THROW(aud.check_drain_degrees(g, where, ed_id, "test"),
+               AuditFailure);
+  EXPECT_EQ(aud.count(AuditCheck::kKWayState), 1u);
+}
+
+TEST(AuditedPipeline, ParanoidDrainChecksItsDegreeCacheEveryEpisode) {
+  // A 4x4 block start on a Type-P weighted grid is far out of balance:
+  // the drain runs many episodes, and each one's cache must match.
+  Graph g = grid2d(32, 32);
+  apply_type_p_weights(g, 3, 16, 2003);
+  const idx_t k = 16;
+  std::vector<idx_t> where(to_size(g.nvtxs));
+  for (idx_t v = 0; v < g.nvtxs; ++v) {
+    where[to_size(v)] = (v / 32) / 8 * 4 + (v % 32) / 8;
+  }
+  const std::vector<real_t> ub(3, 1.05);
+  std::vector<idx_t> plain = where;
+  Rng r1(1);
+  kway_balance(g, k, plain, ub, r1);
+
+  InvariantAuditor aud(AuditLevel::kParanoid);
+  RunContext run;
+  run.audit = &aud;
+  Rng r2(1);
+  kway_balance(g, k, where, ub, r2, nullptr, run);
+  EXPECT_EQ(where, plain);  // auditing changes nothing
+  // One state check at the end of the call, the rest are the drain's.
+  EXPECT_GT(aud.count(AuditCheck::kKWayState), 10u);
 }
 
 TEST(InvariantAuditor, DetectsStaleGainAndCutDelta) {

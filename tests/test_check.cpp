@@ -115,6 +115,32 @@ TEST(CheckedOps, ErrorMessagesCarryOperands) {
   }
 }
 
+// The throw sits in a cold out-of-line reporter; the message each checked
+// operation raises is part of the diagnosis and must read exactly as it
+// did when every function built its own.
+TEST(CheckedOps, ErrorMessagesAreExact) {
+  auto what = [](auto&& op) -> std::string {
+    try {
+      op();
+    } catch (const AuditFailure& e) {
+      return e.what();
+    }
+    return "<no throw>";
+  };
+  EXPECT_EQ(what([] { checked_add(kMax, 25); }),
+            "sum_t overflow in checked_add(9223372036854775807, 25)");
+  EXPECT_EQ(what([] { checked_sub(kMin, 1); }),
+            "sum_t overflow in checked_sub(-9223372036854775808, 1)");
+  EXPECT_EQ(what([] { checked_sub(-7, kMax); }),
+            "sum_t overflow in checked_sub(-7, 9223372036854775807)");
+  EXPECT_EQ(what([] { checked_mul(kMax, -2); }),
+            "sum_t overflow in checked_mul(9223372036854775807, -2)");
+  EXPECT_EQ(what([] { checked_narrow<wgt_t>(2147483648); }),
+            "value 2147483648 does not fit the narrow type in checked_narrow");
+  EXPECT_EQ(what([] { checked_narrow<std::uint8_t>(-1); }),
+            "value -1 does not fit the narrow type in checked_narrow");
+}
+
 // The audit layer treats AuditFailure as "bug in the partitioner", not
 // "bad input" — pin the exception taxonomy the fuzz harnesses rely on.
 TEST(CheckedOps, AuditFailureIsLogicError) {

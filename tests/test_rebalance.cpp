@@ -9,6 +9,9 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
+#include <cstdint>
+#include <limits>
 #include <stdexcept>
 #include <utility>
 #include <vector>
@@ -304,6 +307,143 @@ TEST(RebalancePartition, MatchesFullScanReference) {
     }
   }
   EXPECT_GE(descents, 2);  // the descent actually ran
+}
+
+TEST(MaxWeightBelow, AgreesWithTheDivisionAroundTheThreshold) {
+  // The integer test w <= W must give the FP predicate's answer at W - 1,
+  // W and W + 1, for tolerance limits of every scale, the 1e300 of a
+  // weightless constraint, and bounds that land exactly on an integer's
+  // load.
+  constexpr sum_t kMax = std::numeric_limits<sum_t>::max();
+  Rng rng(2026);
+  auto uniform = [&](real_t lo, real_t hi) {
+    return lo + (hi - lo) * static_cast<real_t>(rng.next_below(1u << 30)) /
+                    static_cast<real_t>(1u << 30);
+  };
+  for (int t = 0; t < 4000; ++t) {
+    const real_t scale =
+        std::pow(10.0, static_cast<real_t>(rng.next_below(19)));
+    const real_t limit = t % 50 == 0 ? 1e300 : uniform(0.5, 10.0) * scale;
+    real_t bound = uniform(1.0, 2.0) - 1e-12;
+    if (t % 3 == 0 && limit < 1e15) {
+      // A bound exactly at some weight's load.
+      bound = static_cast<real_t>(
+                  std::max<sum_t>(static_cast<sum_t>(limit * bound), 1)) /
+              limit;
+    }
+    const sum_t top = max_weight_below(limit, bound);
+    ASSERT_GE(top, 0);
+    const sum_t next = top < kMax ? checked_add(top, 1) : top;
+    for (const sum_t x : {checked_sub(top, 1), top, next}) {
+      EXPECT_EQ(x <= top, static_cast<real_t>(x) / limit < bound)
+          << "limit=" << limit << " bound=" << bound << " W=" << top
+          << " x=" << x;
+    }
+  }
+  EXPECT_EQ(max_weight_below(1e300, 1.05), kMax);
+  EXPECT_EQ(max_weight_below(100.0, 1.05), 104);
+  EXPECT_EQ(max_weight_below(100.0, 1.04), 103);  // 104/100 is not < 1.04
+}
+
+/// swap_escape's pair scan as it ran before its integer weight bounds:
+/// both post-swap loads divided out for every (source, partner) pair.
+sum_t reference_swap_escape(const Graph& g, KWayContext& ctx) {
+  const std::vector<idx_t>& where = ctx.where();
+  auto load_after_swap = [&](idx_t p, idx_t out, idx_t in) {
+    real_t l = 0.0;
+    for (int i = 0; i < g.ncon; ++i) {
+      sum_t held = ctx.pwgts()[to_size(p) * to_size(g.ncon) + to_size(i)];
+      held = checked_sub(held, g.weight(out, i));
+      held = checked_add(held, g.weight(in, i));
+      l = std::max(l, static_cast<real_t>(held) / ctx.limit(p, i));
+    }
+    return l;
+  };
+  sum_t swaps = 0;
+  const sum_t swap_cap = checked_mul(4, g.nvtxs);
+  std::vector<idx_t> cand;
+  while (swaps < swap_cap) {
+    idx_t q;
+    int c;
+    if (!ctx.overload_peak(q, c)) break;
+    const real_t peak = ctx.max_overload();
+    cand.clear();
+    for (idx_t v = 0; v < g.nvtxs; ++v) {
+      if (where[to_size(v)] == q && g.weight(v, c) > 0) cand.push_back(v);
+    }
+    std::stable_sort(cand.begin(), cand.end(), [&](idx_t a, idx_t b) {
+      if (g.weight(a, c) != g.weight(b, c)) {
+        return g.weight(a, c) > g.weight(b, c);
+      }
+      return a < b;
+    });
+    if (cand.size() > 128) cand.resize(128);
+    idx_t best_v = -1;
+    idx_t best_u = -1;
+    real_t best_after = peak;
+    for (const idx_t v : cand) {
+      for (idx_t u = 0; u < g.nvtxs; ++u) {
+        const idx_t p = where[to_size(u)];
+        if (p == q) continue;
+        const real_t aq = load_after_swap(q, v, u);
+        if (aq >= peak - 1e-12) continue;
+        const real_t ap = load_after_swap(p, u, v);
+        if (ap >= peak - 1e-12) continue;
+        const real_t after = std::max(aq, ap);
+        if (after < best_after - 1e-12 ||
+            (after <= best_after + 1e-12 && best_v >= 0 &&
+             (v < best_v || (v == best_v && u < best_u)))) {
+          best_v = v;
+          best_u = u;
+          best_after = after;
+        }
+      }
+    }
+    if (best_v < 0) break;
+    const idx_t p = where[to_size(best_u)];
+    ctx.move(best_v, p);
+    ctx.move(best_u, q);
+    swaps = checked_add(swaps, 1);
+  }
+  return swaps;
+}
+
+TEST(SwapEscape, MatchesDividingPairScan) {
+  // The tight instances the escape exists for: grid-13^2 at m=3 (the
+  // tight-grid13-m3 benchmark workload) and grid-21^2 at m=5, k=64, each
+  // from random starts drained the way the descent drains them first.
+  struct Instance {
+    idx_t side;
+    int m;
+  };
+  sum_t total_swaps = 0;
+  for (const Instance inst : {Instance{13, 3}, Instance{21, 5}}) {
+    Graph g = grid2d(inst.side, inst.side);
+    apply_type_s_weights(g, inst.m, 16, 0, 19,
+                         2000u + static_cast<std::uint64_t>(inst.m));
+    Options o;
+    o.nparts = 64;
+    const std::vector<real_t> ub = effective_ubvec(g, o);
+    for (std::uint64_t seed = 1; seed <= 6; ++seed) {
+      std::vector<idx_t> start(to_size(g.nvtxs));
+      Rng rng(seed);
+      for (idx_t& p : start) p = static_cast<idx_t>(rng.next_below(64));
+      {
+        KWayContext ctx(g, 64, start, ub, nullptr);
+        drain_peaks(ctx);
+      }
+      std::vector<idx_t> expect = start;
+      KWayContext ref_ctx(g, 64, expect, ub, nullptr);
+      const sum_t expect_swaps = reference_swap_escape(g, ref_ctx);
+      std::vector<idx_t> got = start;
+      KWayContext ctx(g, 64, got, ub, nullptr);
+      EXPECT_EQ(swap_escape(g, ctx), expect_swaps)
+          << "side=" << inst.side << " seed=" << seed;
+      EXPECT_EQ(got, expect) << "side=" << inst.side << " seed=" << seed;
+      total_swaps = checked_add(total_swaps, expect_swaps);
+    }
+  }
+  EXPECT_GT(total_swaps, 0);  // the escape actually swapped
 }
 
 TEST(FeasibilityAudit, PassesOnHonestDeclarationTripsOnCorruption) {
