@@ -56,6 +56,7 @@ const char* audit_check_name(AuditCheck c) {
     case AuditCheck::kCutDelta: return "cut_delta";
     case AuditCheck::kFinalPartition: return "final_partition";
     case AuditCheck::kFeasibility: return "feasibility";
+    case AuditCheck::kDescentMemo: return "descent_memo";
     case AuditCheck::kCount_: break;
   }
   return "?";
@@ -421,6 +422,13 @@ void InvariantAuditor::check_cut_delta(sum_t cut_before, sum_t gain_sum,
                  ": cut delta inconsistent: started at ", cut_before,
                  ", accumulated gain ", gain_sum, ", ended at ", cut_after);
   bump(AuditCheck::kCutDelta);
+}
+
+void InvariantAuditor::check_memo_scan(idx_t v, idx_t memo, idx_t full,
+                                       const char* site) {
+  MCGP_AUDIT_MSG(this, memo == full, site, ": vertex ", v,
+                 " memoized scan chose ", memo, ", full scan chose ", full);
+  bump(AuditCheck::kDescentMemo);
 }
 
 void InvariantAuditor::check_final_partition(const Graph& g,

@@ -47,6 +47,7 @@ enum class AuditCheck {
   kCutDelta,          ///< accumulated move gains vs actual cut change
   kFinalPartition,    ///< structural validity of a driver's output
   kFeasibility,       ///< declared feasibility vs recomputed part weights
+  kDescentMemo,       ///< a memoized descent scan vs the full scan
   kCount_,
 };
 
@@ -178,6 +179,12 @@ class InvariantAuditor {
   void check_final_partition(const Graph& g, const std::vector<idx_t>& part,
                              idx_t nparts, sum_t claimed_cut,
                              const char* site);
+
+  /// Descent memo hit: for source vertex v, the choice the rebalancer's
+  /// memoized scan made (a destination part or a swap partner, -1 for
+  /// none) equals `full`, the choice of the full scan over every
+  /// candidate in the same state.
+  void check_memo_scan(idx_t v, idx_t memo, idx_t full, const char* site);
 
   /// Feasibility declaration: `declared_feasible` must equal the verdict
   /// of kway_feasible() on part weights recomputed from scratch under the

@@ -317,24 +317,24 @@ struct DrainStats {
   const char* stop = "episode_cap";
 };
 
-/// The one peak-draining balancer, shared by kway_balance and the
-/// rebalancer's descent and kicks: greedy gain-to-relief episodes (Maas et
-/// al.). Each episode takes the overload_peak() (part q, constraint c),
-/// fills an indexed max-heap with q's members that weigh in c, keyed by cut
-/// gain per unit of c removed, and pops them (a key gone stale is requeued
-/// once) into the best admissible destination among v's adjacent parts and
-/// the globally lightest part: one v fits outright, or else one whose
-/// post-move load stays strictly below the global peak; among those, fits >
-/// cut gain > lower post-move load > smaller id. An episode ends when c of
-/// q is within tolerance, q can spare no vertex, or the heap runs dry. The
-/// loop ends when no load is above 1, an episode moves nothing or fails to
-/// improve the PeakState, or a cap (16·ncon·nparts episodes, 8n moves) is
-/// reached. Candidates come from the member index, so an episode costs what
-/// q costs, not n, and their keys from a per-vertex ed - id cache the
-/// drain's moves keep exact, so keying a member gathers nothing. Draws no
-/// random numbers. Of `run` only the auditor is read: at paranoid it
-/// checks that cache against a recompute after every episode. Defined in
-/// kway_refine.cpp.
+/// The one peak-draining balancer, shared by kway_balance and the rebalancer's
+/// descent and kicks: greedy gain-to-relief episodes (Maas et al.). Each
+/// episode takes the overload_peak() (part q, constraint c), fills a max-heap
+/// with q's members that weigh in c, keyed by cut gain per unit of c removed (a
+/// KeyedMaxHeap: IndexedMaxHeap's pop order, ties included, without its
+/// position index), and pops them (a key gone stale is requeued once) into the
+/// best admissible destination among v's adjacent parts and the globally
+/// lightest part: one v fits outright, or else one whose post-move load stays
+/// strictly below the global peak; among those, fits > cut gain > lower
+/// post-move load > smaller id. An episode ends when c of q is within
+/// tolerance, q can spare no vertex, or the heap runs dry. The loop ends when
+/// no load is above 1, an episode moves nothing or fails to improve the
+/// PeakState, or a cap (16·ncon·nparts episodes, 8n moves) is reached.
+/// Candidates come from the member index, so an episode costs what q costs, not
+/// n, and their keys from a per-vertex ed - id cache the drain's moves keep
+/// exact, so keying a member gathers nothing. Draws no random numbers. Of `run`
+/// only the auditor is read: at paranoid it checks that cache against a
+/// recompute after every episode. Defined in kway_refine.cpp.
 DrainStats drain_peaks(KWayContext& ctx, const RunContext& run = {});
 
 }  // namespace mcgp

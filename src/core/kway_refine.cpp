@@ -293,19 +293,22 @@ void update_degree_gains(const Graph& g, const std::vector<idx_t>& where,
   }
 }
 
-/// The least loaded part other than q by `load` (part_load by part); the
-/// smallest id within kEps.
-idx_t lightest_part(const std::vector<real_t>& load, idx_t q) {
-  idx_t lightest = -1;
+/// One pass over `load` (part_load by part): the global peak, the largest
+/// load, and the least loaded part other than q, the smallest id within
+/// kEps (-1 when q is the only part).
+void peak_and_lightest(const std::vector<real_t>& load, idx_t q, real_t& peak,
+                       idx_t& lightest) {
+  peak = 0.0;
+  lightest = -1;
   real_t lightest_load = 1e300;
   for (idx_t p = 0; p < static_cast<idx_t>(load.size()); ++p) {
-    if (p == q) continue;
-    if (load[to_size(p)] < lightest_load - kEps) {
-      lightest_load = load[to_size(p)];
+    const real_t l = load[to_size(p)];
+    peak = std::max(peak, l);
+    if (p != q && l < lightest_load - kEps) {
+      lightest_load = l;
       lightest = p;
     }
   }
-  return lightest;
 }
 
 /// Best destination for moving v out of q, among the parts v's gathered
@@ -500,8 +503,7 @@ DrainStats drain_peaks(KWayContext& ctx, const RunContext& run) {
                   static_cast<sum_t>(std::max<idx_t>(g.nvtxs, 1)));
   const bool paranoid = run.audit != nullptr && run.audit->paranoid();
   DrainStats st;
-  IndexedMaxHeap heap;
-  heap.reset(g.nvtxs);
+  KeyedMaxHeap heap;
   std::vector<char> requeued(to_size(g.nvtxs), 0);
   std::vector<idx_t> requeued_list;  // the vertices to clear after an episode
   // part_load by part. A commit changes only its two parts' loads, so the
@@ -556,8 +558,7 @@ DrainStats drain_peaks(KWayContext& ctx, const RunContext& run) {
         continue;
       }
       if (stale) {
-        peak = *std::max_element(load.begin(), load.end());
-        lightest = lightest_part(load, q);
+        peak_and_lightest(load, q, peak, lightest);
         stale = false;
       }
       const sum_t idw = ctx.gather_connectivity(v);

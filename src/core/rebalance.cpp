@@ -6,6 +6,7 @@
 #include <cstddef>
 #include <cstdint>
 #include <limits>
+#include <ranges>
 #include <utility>
 #include <vector>
 
@@ -178,112 +179,281 @@ sum_t swap_escape(const Graph& g, KWayContext& ctx) {
 
 namespace {
 
+/// max(0, overload - 1) of every (part, constraint) and whether the part
+/// is overloaded in any constraint (above 1 + kEps): the terms of the
+/// summed relative overload both descents minimize, cached and refreshed
+/// only for the two parts a move or swap touches.
+class PartExcess {
+ public:
+  explicit PartExcess(const KWayContext& ctx)
+      : ctx_(ctx),
+        ncon_(to_size(ctx.graph().ncon)),
+        excess_(to_size(ctx.nparts()) * ncon_),
+        over_(to_size(ctx.nparts())) {
+    for (idx_t p = 0; p < ctx.nparts(); ++p) refresh(p);
+  }
+
+  void refresh(idx_t p) {
+    over_[to_size(p)] = 0;
+    for (std::size_t i = 0; i < ncon_; ++i) {
+      const real_t l = ctx_.overload(p, static_cast<int>(i));
+      if (l > 1.0 + kEps) over_[to_size(p)] = 1;
+      excess_[to_size(p) * ncon_ + i] = std::max(0.0, l - 1.0);
+    }
+  }
+
+  real_t operator()(idx_t p, int i) const {
+    return excess_[to_size(p) * ncon_ + to_size(i)];
+  }
+  bool over(idx_t p) const { return over_[to_size(p)] != 0; }
+
+ private:
+  const KWayContext& ctx_;
+  std::size_t ncon_;
+  std::vector<real_t> excess_;
+  std::vector<char> over_;
+};
+
 /// Change in the total relative overload sum_i max(0, load - 1) over both
 /// touched parts if v (in q) and u (in p) were exchanged. Negative = net
 /// relief. This is the joint multi-constraint potential: the peak drain's
 /// episodes can deadlock when every destination is itself near the
 /// peak in SOME constraint, while the summed overload can still descend.
-real_t swap_delta(const Graph& g, const KWayContext& ctx, idx_t v, idx_t q,
-                  idx_t u, idx_t p) {
+real_t swap_delta(const Graph& g, const KWayContext& ctx,
+                  const PartExcess& excess, idx_t v, idx_t q, idx_t u,
+                  idx_t p) {
   real_t d = 0.0;
   const wgt_t* wv = g.weights(v);
   const wgt_t* wu = g.weights(u);
   for (int i = 0; i < g.ncon; ++i) {
     const wgt_t dq = static_cast<wgt_t>(wu[i] - wv[i]);
-    d += std::max(0.0, ctx.load_with(q, i, dq) - 1.0) -
-         std::max(0.0, ctx.overload(q, i) - 1.0) +
+    d += std::max(0.0, ctx.load_with(q, i, dq) - 1.0) - excess(q, i) +
          std::max(0.0, ctx.load_with(p, i, static_cast<wgt_t>(-dq)) - 1.0) -
-         std::max(0.0, ctx.overload(p, i) - 1.0);
+         excess(p, i);
   }
   return d;
 }
 
 constexpr real_t kDescentMin = 1e-9;  ///< smallest accepted strict decrease
 
-/// Best-improvement single-move descent on the summed relative overload:
-/// rounds over vertices in ascending id; each vertex of an overloaded part
-/// takes the destination with the most negative delta (smallest id on
-/// ties, by scan order). Every committed move strictly decreases the
-/// potential, so the loop cannot cycle; the move cap bounds it anyway.
-///
-/// The delta of moving v from q to p sums, over constraints i and in this
-/// order, ((q_after - q_now) + p_after) - p_now, where each term is a
-/// max(0, load - 1). The source terms are computed once per vertex, and
-/// each part's max(0, overload - 1) and overloaded flag are cached and
-/// refreshed only for the two parts a move touches, so a destination costs
-/// one division per constraint. `evals` counts the (vertex, destination)
-/// pairs evaluated.
-sum_t overload_descent(const Graph& g, KWayContext& ctx, idx_t nparts,
-                       const std::vector<idx_t>& where, sum_t* evals) {
+/// Exact memo of fruitless descent scans, shared by overload_descent and
+/// swap_descent. Both scan a source vertex v of part q against every
+/// candidate outside q (a destination part, or a swap partner), and an
+/// evaluation reads only q's loads and vertex count, v's weight vector and
+/// the candidate's part loads (and a partner's weights). A part's loads
+/// change only through a logged move. So when a full scan from (q, w) found
+/// nothing and q has not changed since, a later scan from (q, w) can only
+/// succeed in a part some logged move touched: every other candidate gives
+/// the delta it gave then, which failed the initial threshold and so fails
+/// any lower running best as well. The memo keeps, per source part, up to
+/// kSlots weight vectors whose scan came up empty, each stamped with the
+/// length of the log of the parts every committed move or swap touched.
+class ScanMemo {
+ public:
+  /// What a scan may skip: kSkip, all of it (nothing moved since the
+  /// stamp); kPartial, all but the candidates in parts(); kNone, nothing.
+  enum class Hit { kNone, kSkip, kPartial };
+
+  ScanMemo(idx_t nparts, int ncon)
+      : ncon_(to_size(ncon)),
+        touch_(to_size(nparts), 0),
+        stamp_(to_size(nparts) * kSlots, -1),
+        wts_(to_size(nparts) * kSlots * to_size(ncon), 0) {}
+
+  /// A committed move or swap changed the loads of parts a and b.
+  void log(idx_t a, idx_t b) {
+    log_.emplace_back(a, b);
+    const auto n = static_cast<std::int64_t>(log_.size());
+    touch_[to_size(a)] = n;
+    touch_[to_size(b)] = n;
+  }
+
+  /// Look up a scan from source part q with weight vector vw. A hit needs
+  /// a fruitless scan of (q, vw) that q has not changed since, and at most
+  /// kReplay logged moves after it.
+  Hit find(idx_t q, const wgt_t* vw) {
+    const int s = slot_of(q, vw);
+    if (s < 0) return Hit::kNone;
+    const std::int64_t stamp = stamp_[to_size(q) * kSlots + to_size(s)];
+    const auto now = static_cast<std::int64_t>(log_.size());
+    if (touch_[to_size(q)] > stamp || now - stamp > kReplay) return Hit::kNone;
+    if (now == stamp) return Hit::kSkip;
+    parts_.clear();
+    for (auto i = to_size(stamp); i < log_.size(); ++i) {
+      parts_.push_back(log_[i].first);
+      parts_.push_back(log_[i].second);
+    }
+    std::sort(parts_.begin(), parts_.end());
+    parts_.erase(std::unique(parts_.begin(), parts_.end()), parts_.end());
+    return Hit::kPartial;
+  }
+
+  /// The parts changed since the stamp of the last kPartial hit, ascending.
+  const std::vector<idx_t>& parts() const { return parts_; }
+
+  /// The scan from (q, vw) found nothing in the current state: stamp it,
+  /// in its own slot, else an empty one, else the one stamped longest ago.
+  void fruitless(idx_t q, const wgt_t* vw) {
+    int s = slot_of(q, vw);
+    if (s < 0) {
+      s = 0;
+      for (int t = 1; t < kSlots; ++t) {
+        if (stamp_[to_size(q) * kSlots + to_size(t)] <
+            stamp_[to_size(q) * kSlots + to_size(s)]) {
+          s = t;
+        }
+      }
+      std::copy(vw, vw + ncon_,
+                &wts_[(to_size(q) * kSlots + to_size(s)) * ncon_]);
+    }
+    stamp_[to_size(q) * kSlots + to_size(s)] =
+        static_cast<std::int64_t>(log_.size());
+  }
+
+ private:
+  static constexpr int kSlots = 8;
+  static constexpr std::int64_t kReplay = 12;
+
+  int slot_of(idx_t q, const wgt_t* vw) const {
+    for (int slot = 0; slot < kSlots; ++slot) {
+      const std::size_t at = to_size(q) * kSlots + to_size(slot);
+      if (stamp_[at] >= 0 && std::equal(vw, vw + ncon_, &wts_[at * ncon_])) {
+        return slot;
+      }
+    }
+    return -1;
+  }
+
+  std::size_t ncon_;
+  std::vector<std::pair<idx_t, idx_t>> log_;
+  /// touch_[p]: the log length just after p's last move, 0 if none.
+  std::vector<std::int64_t> touch_;
+  /// stamp_[q*kSlots+s]: the log length at slot s's fruitless scan, -1
+  /// when the slot is empty; wts_ holds its weight vector.
+  std::vector<std::int64_t> stamp_;
+  std::vector<wgt_t> wts_;
+  std::vector<idx_t> parts_;
+};
+
+}  // namespace
+
+sum_t overload_descent(const Graph& g, KWayContext& ctx, RebalanceStats& st,
+                       const RunContext& run) {
+  const idx_t nparts = ctx.nparts();
+  const std::vector<idx_t>& where = ctx.where();
+  const bool paranoid = run.audit != nullptr && run.audit->paranoid();
   sum_t moves = 0;
   const sum_t move_cap =
       checked_mul(static_cast<sum_t>(8),
                   static_cast<sum_t>(std::max<idx_t>(g.nvtxs, 1)));
-  const auto ncon = to_size(g.ncon);
-  std::vector<real_t> excess(to_size(nparts) * ncon);
-  std::vector<char> over(to_size(nparts));
-  auto refresh = [&](idx_t p) {
-    over[to_size(p)] = 0;
-    for (int i = 0; i < g.ncon; ++i) {
-      const real_t l = ctx.overload(p, i);
-      if (l > 1.0 + kEps) over[to_size(p)] = 1;
-      excess[to_size(p) * ncon + to_size(i)] = std::max(0.0, l - 1.0);
-    }
-  };
-  for (idx_t p = 0; p < nparts; ++p) refresh(p);
+  PartExcess excess(ctx);
   std::array<real_t, kMaxNcon> src{};  // per constraint: q_after - q_now
+  // The best destination among `dests` (ascending) for a vertex of part q
+  // with weights w: the first whose delta undercuts the running best, from
+  // -kDescentMin, by more than kEps. Counts the parts it evaluates into
+  // `scanned`.
+  auto best_dest = [&](idx_t q, const wgt_t* w, const auto& dests,
+                       sum_t& scanned) {
+    idx_t best = -1;
+    real_t best_d = -kDescentMin;
+    idx_t evaluated = 0;
+    for (const idx_t p : dests) {
+      if (p == q) continue;
+      ++evaluated;
+      real_t d = 0.0;
+      for (int i = 0; i < g.ncon; ++i) {
+        d += src[to_size(i)] +
+             std::max(0.0, ctx.load_with(p, i, w[i]) - 1.0) - excess(p, i);
+      }
+      if (d < best_d - kEps) {
+        best_d = d;
+        best = p;
+      }
+    }
+    scanned = checked_add(scanned, static_cast<sum_t>(evaluated));
+    return best;
+  };
+  const auto all_parts = std::views::iota(idx_t{0}, nparts);
+  ScanMemo memo(nparts, g.ncon);
   bool changed = true;
   while (changed && moves < move_cap) {
     changed = false;
     for (idx_t v = 0; v < g.nvtxs && moves < move_cap; ++v) {
       const idx_t q = where[to_size(v)];
-      if (over[to_size(q)] == 0 || !ctx.can_leave(q)) continue;
+      if (!excess.over(q) || !ctx.can_leave(q)) continue;
       const wgt_t* w = g.weights(v);
-      for (int i = 0; i < g.ncon; ++i) {
-        const wgt_t out = checked_narrow<wgt_t>(-static_cast<sum_t>(w[i]));
-        src[to_size(i)] = std::max(0.0, ctx.load_with(q, i, out) - 1.0) -
-                          excess[to_size(q) * ncon + to_size(i)];
-      }
-      *evals = checked_add(*evals, static_cast<sum_t>(nparts - 1));
-      idx_t best = -1;
-      real_t best_d = -kDescentMin;
-      for (idx_t p = 0; p < nparts; ++p) {
-        if (p == q) continue;
-        real_t d = 0.0;
+      st.descent_evals =
+          checked_add(st.descent_evals, static_cast<sum_t>(nparts - 1));
+      const ScanMemo::Hit hit = memo.find(q, w);
+      if (hit != ScanMemo::Hit::kSkip || paranoid) {
         for (int i = 0; i < g.ncon; ++i) {
-          d += src[to_size(i)] +
-               std::max(0.0, ctx.load_with(p, i, w[i]) - 1.0) -
-               excess[to_size(p) * ncon + to_size(i)];
-        }
-        if (d < best_d - kEps) {
-          best_d = d;
-          best = p;
+          const wgt_t out = checked_narrow<wgt_t>(-static_cast<sum_t>(w[i]));
+          src[to_size(i)] =
+              std::max(0.0, ctx.load_with(q, i, out) - 1.0) - excess(q, i);
         }
       }
-      if (best >= 0) {
-        ctx.move(v, best);
-        refresh(q);
-        refresh(best);
-        moves = checked_add(moves, 1);
-        changed = true;
+      idx_t best = -1;
+      if (hit == ScanMemo::Hit::kNone) {
+        best = best_dest(q, w, all_parts, st.descent_scanned);
+      } else if (hit == ScanMemo::Hit::kPartial) {
+        best = best_dest(q, w, memo.parts(), st.descent_scanned);
       }
+      if (paranoid && hit != ScanMemo::Hit::kNone) {
+        sum_t unused = 0;
+        run.audit->check_memo_scan(v, best, best_dest(q, w, all_parts, unused),
+                                   "rebalance.descent");
+      }
+      if (best < 0) {
+        memo.fruitless(q, w);
+        continue;
+      }
+      ctx.move(v, best);
+      memo.log(q, best);
+      excess.refresh(q);
+      excess.refresh(best);
+      moves = checked_add(moves, 1);
+      changed = true;
     }
   }
   return moves;
 }
 
-/// Pairwise-swap descent on the summed relative overload (small graphs):
-/// sources are vertices of overloaded parts in ascending id, partners
-/// anything elsewhere; the best strictly improving exchange per source is
-/// committed. The per-round pair budget keeps the quadratic scan bounded.
-sum_t swap_descent(const Graph& g, KWayContext& ctx,
-                   const std::vector<idx_t>& where) {
+sum_t swap_descent(const Graph& g, KWayContext& ctx, RebalanceStats& st,
+                   const RunContext& run) {
   if (g.nvtxs > kSwapMaxVtxs) return 0;
+  const std::vector<idx_t>& where = ctx.where();
+  const bool paranoid = run.audit != nullptr && run.audit->paranoid();
   sum_t swaps = 0;
   const sum_t swap_cap =
       checked_mul(static_cast<sum_t>(4),
                   static_cast<sum_t>(std::max<idx_t>(g.nvtxs, 1)));
   const std::int64_t pair_budget = 1 << 22;
+  PartExcess excess(ctx);
+  // The best partner among `partners` (ascending) for source v of part q:
+  // the first outside q whose delta undercuts the running best, from
+  // -kDescentMin, by more than kEps. Counts the pairs it evaluates into
+  // `scanned`.
+  auto best_partner = [&](idx_t v, idx_t q, const auto& partners,
+                          sum_t& scanned) {
+    idx_t best_u = -1;
+    real_t best_d = -kDescentMin;
+    idx_t evaluated = 0;
+    for (const idx_t u : partners) {
+      const idx_t p = where[to_size(u)];
+      if (p == q) continue;
+      ++evaluated;
+      const real_t d = swap_delta(g, ctx, excess, v, q, u, p);
+      if (d < best_d - kEps) {
+        best_d = d;
+        best_u = u;
+      }
+    }
+    scanned = checked_add(scanned, static_cast<sum_t>(evaluated));
+    return best_u;
+  };
+  const auto all_vtxs = std::views::iota(idx_t{0}, g.nvtxs);
+  ScanMemo memo(ctx.nparts(), g.ncon);
+  std::vector<idx_t> partners;
   bool changed = true;
   while (changed && swaps < swap_cap) {
     changed = false;
@@ -291,34 +461,48 @@ sum_t swap_descent(const Graph& g, KWayContext& ctx,
     for (idx_t v = 0; v < g.nvtxs && swaps < swap_cap; ++v) {
       if (pairs >= pair_budget) break;
       const idx_t q = where[to_size(v)];
-      bool over = false;
-      for (int i = 0; i < g.ncon; ++i) {
-        if (ctx.overload(q, i) > 1.0 + kEps) over = true;
-      }
-      if (!over) continue;
+      if (!excess.over(q)) continue;
+      // Every partner outside q counts against the budget, scanned or not.
+      const idx_t outside = g.nvtxs - ctx.vcounts()[to_size(q)];
+      pairs = checked_add(pairs, static_cast<std::int64_t>(outside));
+      const wgt_t* w = g.weights(v);
+      const ScanMemo::Hit hit = memo.find(q, w);
       idx_t best_u = -1;
-      real_t best_d = -kDescentMin;
-      for (idx_t u = 0; u < g.nvtxs; ++u) {
-        const idx_t p = where[to_size(u)];
-        if (p == q) continue;
-        pairs = checked_add(pairs, 1);
-        const real_t d = swap_delta(g, ctx, v, q, u, p);
-        if (d < best_d - kEps) {
-          best_d = d;
-          best_u = u;
+      if (hit == ScanMemo::Hit::kNone) {
+        best_u = best_partner(v, q, all_vtxs, st.swap_scanned);
+      } else if (hit == ScanMemo::Hit::kPartial) {
+        partners.clear();
+        for (const idx_t p : memo.parts()) {
+          const std::vector<idx_t>& m = ctx.members(p);
+          partners.insert(partners.end(), m.begin(), m.end());
         }
+        std::sort(partners.begin(), partners.end());
+        best_u = best_partner(v, q, partners, st.swap_scanned);
       }
-      if (best_u >= 0) {
-        const idx_t p = where[to_size(best_u)];
-        ctx.move(v, p);
-        ctx.move(best_u, q);
-        swaps = checked_add(swaps, 1);
-        changed = true;
+      if (paranoid && hit != ScanMemo::Hit::kNone) {
+        sum_t unused = 0;
+        run.audit->check_memo_scan(v, best_u,
+                                   best_partner(v, q, all_vtxs, unused),
+                                   "rebalance.swap_descent");
       }
+      if (best_u < 0) {
+        memo.fruitless(q, w);
+        continue;
+      }
+      const idx_t p = where[to_size(best_u)];
+      ctx.move(v, p);
+      ctx.move(best_u, q);
+      memo.log(q, p);
+      excess.refresh(q);
+      excess.refresh(p);
+      swaps = checked_add(swaps, 1);
+      changed = true;
     }
   }
   return swaps;
 }
+
+namespace {
 
 /// Summed relative overload over all (part, constraint) pairs — the
 /// potential both descent stages minimize. Zero iff feasible.
@@ -336,15 +520,14 @@ real_t total_overload(const Graph& g, const KWayContext& ctx, idx_t nparts) {
 /// feasibility is reached). The two escape different deadlocks: a move
 /// needs a destination with joint room, a swap only needs a profitable
 /// exchange.
-void overload_sum_escape(const Graph& g, KWayContext& ctx, idx_t nparts,
-                         const std::vector<idx_t>& where, sum_t* moves,
-                         sum_t* swaps, sum_t* evals) {
+void overload_sum_escape(const Graph& g, KWayContext& ctx, RebalanceStats& st,
+                         const RunContext& run) {
   for (int round = 0; round < 8; ++round) {
-    const sum_t m = overload_descent(g, ctx, nparts, where, evals);
-    *moves = checked_add(*moves, m);
+    const sum_t m = overload_descent(g, ctx, st, run);
+    st.moves = checked_add(st.moves, m);
     if (ctx.feasible()) break;
-    const sum_t s = swap_descent(g, ctx, where);
-    *swaps = checked_add(*swaps, s);
+    const sum_t s = swap_descent(g, ctx, st, run);
+    st.swaps = checked_add(st.swaps, s);
     if (ctx.feasible() || (m == 0 && s == 0)) break;
   }
 }
@@ -352,17 +535,13 @@ void overload_sum_escape(const Graph& g, KWayContext& ctx, idx_t nparts,
 /// The descent chain run on every graph the pass balances: the peak
 /// drain, then, while still infeasible, the pairwise-swap escape and the
 /// summed-overload descent. Counts into `st`.
-void descend(const Graph& g, KWayContext& ctx, idx_t nparts,
-             const std::vector<idx_t>& where, RebalanceStats& st,
+void descend(const Graph& g, KWayContext& ctx, RebalanceStats& st,
              const RunContext& run) {
   drain(ctx, st, run);
   if (!ctx.feasible()) {
     st.swaps = checked_add(st.swaps, swap_escape(g, ctx));
   }
-  if (!ctx.feasible()) {
-    overload_sum_escape(g, ctx, nparts, where, &st.moves, &st.swaps,
-                        &st.descent_evals);
-  }
+  if (!ctx.feasible()) overload_sum_escape(g, ctx, st, run);
 }
 
 /// One level of the partition-restricted hierarchy.
@@ -403,12 +582,13 @@ idx_t restricted_match(const Graph& g, const std::vector<idx_t>& where,
 /// every level exactly), rebalance the coarsest problem — where a single
 /// move shifts a whole cluster, escaping granularity deadlocks the finest
 /// level cannot — and project back up with per-level refinement. Serial,
-/// and of `run` only the trace and the auditor reach its refiners.
-/// Returns false when the graph would not shrink (nothing to do).
+/// and of `run` only the trace and the auditor reach its refiners. The
+/// coarse descent's work counts are added to `st`. Returns false when the
+/// graph would not shrink (nothing to do).
 bool run_vcycle(const Graph& g, idx_t nparts, std::vector<idx_t>& where,
                 const std::vector<real_t>& ub, Rng& rng,
                 const std::vector<real_t>* tpwgts, const RunContext& run,
-                sum_t* descent_evals) {
+                RebalanceStats& st) {
   // Restricted matching never merges across parts, so the coarse graph
   // keeps >= nparts vertices; a floor above nparts would refuse to engage
   // exactly on the tiny tight instances that need cluster-granularity
@@ -453,10 +633,14 @@ bool run_vcycle(const Graph& g, idx_t nparts, std::vector<idx_t>& where,
     Graph& cg = levels.back().graph;
     std::vector<idx_t>& cw = parts.back();
     KWayContext cctx(cg, nparts, cw, ub, tpwgts);
-    // Coarse moves are not the caller's moves: only the work count is kept.
+    // Coarse moves are not the caller's moves: only the work counts are
+    // kept.
     RebalanceStats coarse;
-    descend(cg, cctx, nparts, cw, coarse, refine);
-    *descent_evals = checked_add(*descent_evals, coarse.descent_evals);
+    descend(cg, cctx, coarse, refine);
+    st.descent_evals = checked_add(st.descent_evals, coarse.descent_evals);
+    st.descent_scanned =
+        checked_add(st.descent_scanned, coarse.descent_scanned);
+    st.swap_scanned = checked_add(st.swap_scanned, coarse.swap_scanned);
     kway_refine(cg, nparts, cw, ub, /*max_passes=*/4, rng, nullptr, tpwgts,
                 refine);
   }
@@ -594,7 +778,7 @@ bool rebalance_partition(const Graph& g, idx_t nparts,
     }
   };
 
-  descend(g, ctx, nparts, where, st, run);
+  descend(g, ctx, st, run);
   note_state();
 
   for (int cycle = 0; cycle < max_vcycles && !ctx.feasible(); ++cycle) {
@@ -603,11 +787,10 @@ bool rebalance_partition(const Graph& g, idx_t nparts,
     // The V-cycle's coarse graphs are this pass's memory peak; the member
     // index is rebuilt afterwards anyway (reload below), so free it now.
     ctx.drop_members();
-    if (!run_vcycle(g, nparts, where, ub, rng, tpwgts, run,
-                    &st.descent_evals)) break;
+    if (!run_vcycle(g, nparts, where, ub, rng, tpwgts, run, st)) break;
     ctx.reload();
     ++st.vcycles;
-    descend(g, ctx, nparts, where, st, run);
+    descend(g, ctx, st, run);
     note_state();
     // A full cycle that moved neither the peak nor the summed overload
     // will not move them next time either (same deterministic pipeline,
@@ -651,8 +834,7 @@ bool rebalance_partition(const Graph& g, idx_t nparts,
         st.moves = checked_add(st.moves, 1);
       }
       drain(ctx, st, run);
-      overload_sum_escape(g, ctx, nparts, where, &st.moves, &st.swaps,
-                          &st.descent_evals);
+      overload_sum_escape(g, ctx, st, run);
       note_state();
     }
   }
@@ -679,6 +861,8 @@ bool rebalance_partition(const Graph& g, idx_t nparts,
     trace_count(run.trace, "rebalance.episodes", st.episodes);
     trace_count(run.trace, "rebalance.vcycles", st.vcycles);
     trace_count(run.trace, "rebalance.descent.evals", st.descent_evals);
+    trace_count(run.trace, "rebalance.descent.scanned", st.descent_scanned);
+    trace_count(run.trace, "rebalance.swaps.scanned", st.swap_scanned);
     trace_count(run.trace, st.feasible ? "rebalance.feasible"
                                        : "rebalance.infeasible");
     span.arg({"moves", st.moves});

@@ -10,8 +10,11 @@
 //    overloaded (part, constraint);
 //  - swap escape (small graphs): pairwise swaps that lower the peak when
 //    no single move can;
-//  - summed-overload descent: single moves alternating with pairwise swaps
-//    (small graphs), each strictly lowering the summed relative overload;
+//  - summed-overload descent (overload_descent, swap_descent): single
+//    moves alternating with pairwise swaps (small graphs), each strictly
+//    lowering the summed relative overload. Both skip the scans an exact
+//    memo proves fruitless: a scan from a source part and weight vector
+//    that found nothing stays fruitless until a part it reads changes;
 //  - partition-restricted V-cycles: re-coarsen merging only same-part
 //    vertices and run the same chain where whole clusters move;
 //  - random kicks with re-descent (small graphs) out of joint local minima.
@@ -41,9 +44,15 @@ struct RebalanceStats {
   int vcycles = 0;        ///< restricted V-cycles run
   sum_t moves = 0;        ///< single-vertex moves committed
   sum_t swaps = 0;        ///< pairwise swaps committed (small graphs only)
-  /// (vertex, destination) pairs the single-move overload descent
-  /// evaluated, coarse V-cycle levels included: a deterministic work count.
+  /// (vertex, destination) pairs the single-move overload descent's full
+  /// scans would evaluate, coarse V-cycle levels included: a deterministic
+  /// work count.
   sum_t descent_evals = 0;
+  /// Of those, the pairs it evaluated: its memo skips the rest.
+  sum_t descent_scanned = 0;
+  /// (source, partner) pairs the pairwise-swap descent evaluated, coarse
+  /// V-cycle levels included.
+  sum_t swap_scanned = 0;
   bool feasible = false;  ///< final state satisfies every constraint
   real_t max_overload = 0.0;  ///< final max tolerance-relative load
 };
@@ -111,6 +120,36 @@ sum_t max_weight_below(real_t limit, real_t bound);
 /// swaps while one exists, at most 4n. Returns swaps committed. Exposed
 /// for testing.
 sum_t swap_escape(const Graph& g, KWayContext& ctx);
+
+/// Best-improvement single-move descent on the summed relative overload
+/// sum_i max(0, load - 1) over all (part, constraint) pairs: rounds over
+/// the vertices in ascending id; each vertex of an overloaded part that
+/// can spare it moves to the destination with the most negative delta
+/// (the first within 1e-12, in ascending part order), if that delta is
+/// below -1e-9. Every committed move strictly decreases the potential, so
+/// the loop cannot cycle; a cap of 8n moves bounds it anyway. A scan that
+/// found no destination for source part q and weight vector w is
+/// remembered; while q is unchanged, a later scan from (q, w) evaluates
+/// only the parts moved since (none at all if nothing moved), which gives
+/// the full scan's answer exactly. Adds the pairs a full scan visits to
+/// st.descent_evals and the pairs evaluated to st.descent_scanned;
+/// returns the moves committed. At paranoid audit every memo hit is
+/// re-run as a full scan and checked (run.audit). Exposed for testing.
+sum_t overload_descent(const Graph& g, KWayContext& ctx, RebalanceStats& st,
+                       const RunContext& run = {});
+
+/// Pairwise-swap descent on the same potential, for small graphs (at most
+/// 10,000 vertices; larger ones return 0 at once): rounds over the
+/// sources, vertices of overloaded parts in ascending id, each exchanged
+/// with the partner outside its part that lowers the potential most (the
+/// first within 1e-12, in ascending id), if by more than 1e-9. A round
+/// stops once 2^22 (source, partner) pairs are charged, every partner
+/// outside the source's part counting; at most 4n swaps. Uses the same
+/// memo as overload_descent, over partners in the parts moved since.
+/// Adds the pairs evaluated to st.swap_scanned; returns swaps committed.
+/// Exposed for testing.
+sum_t swap_descent(const Graph& g, KWayContext& ctx, RebalanceStats& st,
+                   const RunContext& run = {});
 
 /// The rebalance stage every driver ends with (MC-KW after uncoarsening,
 /// MC-RB after its balance fix-up, refine_partition() after refinement):

@@ -1,8 +1,9 @@
-// Indexed binary max-heap with real-valued keys.
+// Binary max-heaps with real-valued keys.
 //
 // Used where gains are fractional (e.g. greedy graph growing scores that mix
 // edge-cut gain with balance terms) and a bucket queue does not apply.
-// Supports O(log n) insert / remove / update by element id.
+// IndexedMaxHeap supports O(log n) insert / remove / update by element id;
+// KeyedMaxHeap is its insert-and-pop subset without the position index.
 #pragma once
 
 #include <cassert>
@@ -132,6 +133,73 @@ class IndexedMaxHeap {
   std::vector<idx_t> heap_;  // heap order -> id
   std::vector<idx_t> pos_;   // id -> heap position or kNil
   std::vector<real_t> keys_;
+};
+
+/// A binary max-heap of (key, id) entries that only inserts and pops the
+/// top, with IndexedMaxHeap's exact sift rules: the same inserts, pops and
+/// clears give the same pop order, ties included. It keeps no position
+/// index, so ids need no range and may repeat, and the keys sit inline
+/// with the ids, so a sift reads one array.
+class KeyedMaxHeap {
+ public:
+  void clear() { heap_.clear(); }
+  idx_t size() const { return static_cast<idx_t>(heap_.size()); }
+  bool empty() const { return heap_.empty(); }
+
+  void insert(idx_t id, real_t key) {
+    heap_.push_back({key, id});
+    // IndexedMaxHeap::sift_up: rise while strictly above the parent.
+    std::size_t i = heap_.size() - 1;
+    const Entry e = heap_[i];
+    while (i > 0) {
+      const std::size_t parent = (i - 1) / 2;
+      if (e.key <= heap_[parent].key) break;
+      heap_[i] = heap_[parent];
+      i = parent;
+    }
+    heap_[i] = e;
+  }
+
+  real_t top_key() const {
+    assert(!empty());
+    return heap_[0].key;
+  }
+
+  idx_t pop_max() {
+    assert(!empty());
+    const idx_t id = heap_[0].id;
+    const Entry e = heap_.back();
+    heap_.pop_back();
+    const std::size_t n = heap_.size();
+    if (n == 0) return id;
+    // IndexedMaxHeap::sift_down of the last entry moved to the root: take
+    // the left child if strictly above it, then the right child if strictly
+    // above that.
+    std::size_t i = 0;
+    for (;;) {
+      const std::size_t l = 2 * i + 1;
+      const std::size_t r = l + 1;
+      std::size_t best = i;
+      real_t best_key = e.key;
+      if (l < n && heap_[l].key > best_key) {
+        best = l;
+        best_key = heap_[l].key;
+      }
+      if (r < n && heap_[r].key > best_key) best = r;
+      if (best == i) break;
+      heap_[i] = heap_[best];
+      i = best;
+    }
+    heap_[i] = e;
+    return id;
+  }
+
+ private:
+  struct Entry {
+    real_t key;
+    idx_t id;
+  };
+  std::vector<Entry> heap_;
 };
 
 }  // namespace mcgp

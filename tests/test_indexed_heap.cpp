@@ -124,5 +124,50 @@ TEST(IndexedMaxHeap, StressAgainstReference) {
   }
 }
 
+TEST(KeyedMaxHeap, PopsInIndexedMaxHeapOrderUnderHeavyTies) {
+  // The peak drain's use: fill, pop, requeue a popped id with a new key,
+  // clear between episodes. Keys come from five values, so most pops
+  // choose among equal keys, and the tie order must match exactly.
+  constexpr idx_t kN = 200;
+  constexpr real_t kKeys[] = {-1.0, 0.0, 0.5, 0.5 + 1e-13, 2.0};
+  IndexedMaxHeap ref;
+  ref.reset(kN);
+  KeyedMaxHeap heap;
+  Rng rng(2024);
+  int pops = 0;
+  int requeues = 0;
+  int clears = 0;
+  for (int step = 0; step < 50000; ++step) {
+    const auto op = rng.next_below(16);
+    const real_t key = kKeys[rng.next_below(5)];
+    if (op < 7) {
+      const auto id = static_cast<idx_t>(rng.next_below(kN));
+      if (ref.contains(id)) continue;
+      ref.insert(id, key);
+      heap.insert(id, key);
+    } else if (op < 15 && !ref.empty()) {
+      ASSERT_EQ(heap.top_key(), ref.top_key());
+      const idx_t id = ref.pop_max();
+      ASSERT_EQ(heap.pop_max(), id) << "step " << step;
+      ++pops;
+      if (op >= 12) {  // requeue the popped id
+        ref.insert(id, key);
+        heap.insert(id, key);
+        ++requeues;
+      }
+    } else if (op == 15) {
+      ref.clear();
+      heap.clear();
+      ++clears;
+    }
+    ASSERT_EQ(heap.size(), ref.size());
+  }
+  while (!ref.empty()) ASSERT_EQ(heap.pop_max(), ref.pop_max());
+  EXPECT_TRUE(heap.empty());
+  EXPECT_GT(pops, 10000);
+  EXPECT_GT(requeues, 1000);
+  EXPECT_GT(clears, 100);
+}
+
 }  // namespace
 }  // namespace mcgp

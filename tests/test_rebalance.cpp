@@ -13,6 +13,7 @@
 #include <cstdint>
 #include <limits>
 #include <stdexcept>
+#include <string>
 #include <utility>
 #include <vector>
 
@@ -167,6 +168,32 @@ TEST(RebalancePartition, TracesDeterministicWorkCounts) {
   EXPECT_EQ(trace.counters().get("rebalance.descent.evals"),
             traced.descent_evals);
   EXPECT_EQ(trace.counters().get("rebalance.moves"), traced.moves);
+  // The pairs the descents actually evaluated: exact counts, pinned.
+  EXPECT_EQ(traced.descent_scanned, untraced.descent_scanned);
+  EXPECT_EQ(traced.swap_scanned, untraced.swap_scanned);
+  EXPECT_EQ(trace.counters().get("rebalance.descent.scanned"),
+            traced.descent_scanned);
+  EXPECT_EQ(trace.counters().get("rebalance.swaps.scanned"),
+            traced.swap_scanned);
+  EXPECT_EQ(traced.descent_evals, 64965);
+  EXPECT_EQ(traced.descent_scanned, 7872);
+  EXPECT_EQ(traced.swap_scanned, 45376);
+
+  // Through refine_partition(), at any thread count, the rebalancer's
+  // counters come out the same.
+  for (const int threads : {1, 4}) {
+    TraceRecorder t;
+    Options o;
+    o.nparts = k;
+    o.ubvec = ub;
+    o.num_threads = threads;
+    o.trace = &t;
+    refine_partition(g, where, o);
+    const CounterRegistry c = t.merged_counters();
+    EXPECT_EQ(c.get("rebalance.descent.evals"), 70815) << threads;
+    EXPECT_EQ(c.get("rebalance.descent.scanned"), 9058) << threads;
+    EXPECT_EQ(c.get("rebalance.swaps.scanned"), 45376) << threads;
+  }
 }
 
 /// rebalance_partition as it ran before the per-part member index and the
@@ -444,6 +471,284 @@ TEST(SwapEscape, MatchesDividingPairScan) {
     }
   }
   EXPECT_GT(total_swaps, 0);  // the escape actually swapped
+}
+
+/// overload_descent as it ran before its memo: every vertex of an
+/// overloaded part that can spare it scans every destination part.
+sum_t reference_overload_descent(const Graph& g, KWayContext& ctx,
+                                 sum_t* evals) {
+  const std::vector<idx_t>& where = ctx.where();
+  const idx_t nparts = ctx.nparts();
+  const auto ncon = to_size(g.ncon);
+  sum_t moves = 0;
+  const sum_t move_cap = checked_mul(8, std::max<idx_t>(g.nvtxs, 1));
+  std::vector<real_t> excess(to_size(nparts) * ncon);
+  std::vector<char> over(to_size(nparts));
+  auto refresh = [&](idx_t p) {
+    over[to_size(p)] = 0;
+    for (int i = 0; i < g.ncon; ++i) {
+      const real_t l = ctx.overload(p, i);
+      if (l > 1.0 + 1e-12) over[to_size(p)] = 1;
+      excess[to_size(p) * ncon + to_size(i)] = std::max(0.0, l - 1.0);
+    }
+  };
+  for (idx_t p = 0; p < nparts; ++p) refresh(p);
+  std::vector<real_t> src(ncon);
+  bool changed = true;
+  while (changed && moves < move_cap) {
+    changed = false;
+    for (idx_t v = 0; v < g.nvtxs && moves < move_cap; ++v) {
+      const idx_t q = where[to_size(v)];
+      if (over[to_size(q)] == 0 || !ctx.can_leave(q)) continue;
+      const wgt_t* w = g.weights(v);
+      for (int i = 0; i < g.ncon; ++i) {
+        const wgt_t out = checked_narrow<wgt_t>(-static_cast<sum_t>(w[i]));
+        src[to_size(i)] = std::max(0.0, ctx.load_with(q, i, out) - 1.0) -
+                          excess[to_size(q) * ncon + to_size(i)];
+      }
+      *evals = checked_add(*evals, static_cast<sum_t>(nparts - 1));
+      idx_t best = -1;
+      real_t best_d = -1e-9;
+      for (idx_t p = 0; p < nparts; ++p) {
+        if (p == q) continue;
+        real_t d = 0.0;
+        for (int i = 0; i < g.ncon; ++i) {
+          d += src[to_size(i)] +
+               std::max(0.0, ctx.load_with(p, i, w[i]) - 1.0) -
+               excess[to_size(p) * ncon + to_size(i)];
+        }
+        if (d < best_d - 1e-12) {
+          best_d = d;
+          best = p;
+        }
+      }
+      if (best >= 0) {
+        ctx.move(v, best);
+        refresh(q);
+        refresh(best);
+        moves = checked_add(moves, 1);
+        changed = true;
+      }
+    }
+  }
+  return moves;
+}
+
+/// swap_descent as it ran before its memo: every source scans every
+/// partner, each delta recomputed from the part weights. Counts the pairs
+/// it evaluates into `pairs_total` and sets `budget_bound` when a round
+/// stopped at the pair budget.
+sum_t reference_swap_descent(const Graph& g, KWayContext& ctx,
+                             sum_t& pairs_total, bool& budget_bound) {
+  if (g.nvtxs > 10000) return 0;
+  const std::vector<idx_t>& where = ctx.where();
+  auto delta = [&](idx_t v, idx_t q, idx_t u, idx_t p) {
+    real_t d = 0.0;
+    const wgt_t* wv = g.weights(v);
+    const wgt_t* wu = g.weights(u);
+    for (int i = 0; i < g.ncon; ++i) {
+      const wgt_t dq = static_cast<wgt_t>(wu[i] - wv[i]);
+      d += std::max(0.0, ctx.load_with(q, i, dq) - 1.0) -
+           std::max(0.0, ctx.overload(q, i) - 1.0) +
+           std::max(0.0, ctx.load_with(p, i, static_cast<wgt_t>(-dq)) - 1.0) -
+           std::max(0.0, ctx.overload(p, i) - 1.0);
+    }
+    return d;
+  };
+  sum_t swaps = 0;
+  const sum_t swap_cap = checked_mul(4, std::max<idx_t>(g.nvtxs, 1));
+  bool changed = true;
+  while (changed && swaps < swap_cap) {
+    changed = false;
+    std::int64_t pairs = 0;
+    for (idx_t v = 0; v < g.nvtxs && swaps < swap_cap; ++v) {
+      if (pairs >= (1 << 22)) {
+        budget_bound = true;
+        break;
+      }
+      const idx_t q = where[to_size(v)];
+      bool over = false;
+      for (int i = 0; i < g.ncon; ++i) {
+        if (ctx.overload(q, i) > 1.0 + 1e-12) over = true;
+      }
+      if (!over) continue;
+      idx_t best_u = -1;
+      real_t best_d = -1e-9;
+      for (idx_t u = 0; u < g.nvtxs; ++u) {
+        const idx_t p = where[to_size(u)];
+        if (p == q) continue;
+        ++pairs;
+        pairs_total = checked_add(pairs_total, 1);
+        const real_t d = delta(v, q, u, p);
+        if (d < best_d - 1e-12) {
+          best_d = d;
+          best_u = u;
+        }
+      }
+      if (best_u >= 0) {
+        const idx_t p = where[to_size(best_u)];
+        ctx.move(v, p);
+        ctx.move(best_u, q);
+        swaps = checked_add(swaps, 1);
+        changed = true;
+      }
+    }
+  }
+  return swaps;
+}
+
+/// A drained start the descents run from, with its tolerances.
+struct DescentInstance {
+  std::string name;
+  Graph g;
+  idx_t k = 64;
+  std::vector<idx_t> start;
+  std::vector<real_t> ub;
+};
+
+/// grid2d(side, side) under Type-S weights (seed 2000 + m) from a random
+/// start (seed), drained.
+DescentInstance drained_random(idx_t side, int m, idx_t k, std::uint64_t seed,
+                               std::vector<real_t> ub = {}) {
+  DescentInstance in;
+  in.name = "grid" + std::to_string(side) + " m=" + std::to_string(m) +
+            " k=" + std::to_string(k) + " seed=" + std::to_string(seed);
+  in.g = grid2d(side, side);
+  apply_type_s_weights(in.g, m, 16, 0, 19,
+                       2000u + static_cast<std::uint64_t>(m));
+  in.k = k;
+  if (ub.empty()) {
+    Options o;
+    o.nparts = k;
+    ub = effective_ubvec(in.g, o);
+  }
+  in.ub = std::move(ub);
+  in.start.resize(to_size(in.g.nvtxs));
+  Rng rng(seed);
+  for (idx_t& p : in.start) {
+    p = static_cast<idx_t>(rng.next_below(static_cast<std::uint64_t>(k)));
+  }
+  KWayContext ctx(in.g, k, in.start, in.ub, nullptr);
+  drain_peaks(ctx);
+  return in;
+}
+
+/// perfbench's drift start: grid-240^2 under Type-P weights (m=3, seed
+/// 2003), an 8x8 block decomposition into 64 parts, drained.
+DescentInstance drift_start() {
+  DescentInstance in;
+  in.name = "drift";
+  const idx_t side = 240;
+  in.g = grid2d(side, side);
+  apply_type_p_weights(in.g, 3, 32, 2003);
+  Options o;
+  o.nparts = 64;
+  in.ub = effective_ubvec(in.g, o);
+  in.start.resize(to_size(in.g.nvtxs));
+  for (idx_t v = 0; v < in.g.nvtxs; ++v) {
+    in.start[to_size(v)] =
+        (v / side) / (side / 8) * 8 + (v % side) / (side / 8);
+  }
+  KWayContext ctx(in.g, 64, in.start, in.ub, nullptr);
+  drain_peaks(ctx);
+  return in;
+}
+
+/// The instances both descents must reproduce: the tight ones the swap
+/// escape exists for (grid-13^2 m=3, grid-21^2 m=5, k=64), and a
+/// 10,000-vertex one where swap_descent's pair budget cuts rounds short.
+std::vector<DescentInstance> small_descent_instances() {
+  std::vector<DescentInstance> out;
+  for (std::uint64_t seed = 1; seed <= 3; ++seed) {
+    out.push_back(drained_random(13, 3, 64, seed));
+    out.push_back(drained_random(21, 5, 64, seed));
+  }
+  Graph g = grid2d(100, 100);
+  apply_type_s_weights(g, 2, 16, 0, 19, 2002);
+  std::vector<real_t> ub = min_feasible_ubvec(g, 8, nullptr);
+  for (real_t& u : ub) u = std::max(u, 1.006);
+  out.push_back(drained_random(100, 2, 8, 2, ub));
+  return out;
+}
+
+TEST(OverloadDescent, MatchesFullScanReference) {
+  std::vector<DescentInstance> instances = small_descent_instances();
+  instances.push_back(drift_start());
+  sum_t total_moves = 0;
+  for (const DescentInstance& in : instances) {
+    std::vector<idx_t> expect = in.start;
+    KWayContext ref_ctx(in.g, in.k, expect, in.ub, nullptr);
+    sum_t expect_evals = 0;
+    const sum_t expect_moves =
+        reference_overload_descent(in.g, ref_ctx, &expect_evals);
+    std::vector<idx_t> got = in.start;
+    KWayContext ctx(in.g, in.k, got, in.ub, nullptr);
+    RebalanceStats st;
+    EXPECT_EQ(overload_descent(in.g, ctx, st), expect_moves) << in.name;
+    EXPECT_EQ(got, expect) << in.name;
+    EXPECT_EQ(st.descent_evals, expect_evals) << in.name;
+    EXPECT_LE(st.descent_scanned, st.descent_evals) << in.name;
+    total_moves = checked_add(total_moves, expect_moves);
+    if (in.name == "drift") {
+      // The memo's point: most of the drift descent's scans are skipped.
+      EXPECT_GT(expect_moves, 0);
+      EXPECT_LT(st.descent_scanned * 4, st.descent_evals);
+    }
+  }
+  EXPECT_GT(total_moves, 0);
+}
+
+TEST(SwapDescent, MatchesFullScanReference) {
+  sum_t total_swaps = 0;
+  sum_t full_pairs = 0;
+  sum_t scanned = 0;
+  bool budget_bound = false;
+  for (const DescentInstance& in : small_descent_instances()) {
+    std::vector<idx_t> expect = in.start;
+    KWayContext ref_ctx(in.g, in.k, expect, in.ub, nullptr);
+    bool bound = false;
+    const sum_t expect_swaps =
+        reference_swap_descent(in.g, ref_ctx, full_pairs, bound);
+    std::vector<idx_t> got = in.start;
+    KWayContext ctx(in.g, in.k, got, in.ub, nullptr);
+    RebalanceStats st;
+    EXPECT_EQ(swap_descent(in.g, ctx, st), expect_swaps) << in.name;
+    EXPECT_EQ(got, expect) << in.name;
+    scanned = checked_add(scanned, st.swap_scanned);
+    total_swaps = checked_add(total_swaps, expect_swaps);
+    if (in.g.nvtxs == 10000) {
+      budget_bound = bound;
+      EXPECT_GT(expect_swaps, 0);
+    }
+  }
+  EXPECT_GT(total_swaps, 0);
+  EXPECT_TRUE(budget_bound);  // the 10,000-vertex instance hit the budget
+  EXPECT_LT(scanned, full_pairs);  // and the memo skipped some pairs
+}
+
+TEST(DescentMemoAudit, ParanoidRechecksEveryMemoHit) {
+  // At paranoid, every scan the memo shortened is re-run in full and the
+  // choices compared; on the drift start that happens many times.
+  const DescentInstance in = drift_start();
+  InvariantAuditor audit(AuditLevel::kParanoid);
+  RunContext run;
+  run.audit = &audit;
+  std::vector<idx_t> where = in.start;
+  KWayContext ctx(in.g, in.k, where, in.ub, nullptr);
+  RebalanceStats st;
+  overload_descent(in.g, ctx, st, run);
+  EXPECT_GT(audit.count(AuditCheck::kDescentMemo), 0u) << audit.summary();
+
+  const DescentInstance tight = drained_random(21, 5, 64, 1);
+  std::vector<idx_t> tw = tight.start;
+  KWayContext tctx(tight.g, tight.k, tw, tight.ub, nullptr);
+  const std::uint64_t before = audit.count(AuditCheck::kDescentMemo);
+  swap_descent(tight.g, tctx, st, run);
+  EXPECT_GT(audit.count(AuditCheck::kDescentMemo), before);
+
+  // A memoized choice that differs from the full scan's fails the audit.
+  EXPECT_NO_THROW(audit.check_memo_scan(7, 3, 3, "test.same"));
+  EXPECT_THROW(audit.check_memo_scan(7, -1, 3, "test.differs"), AuditFailure);
 }
 
 TEST(FeasibilityAudit, PassesOnHonestDeclarationTripsOnCorruption) {
