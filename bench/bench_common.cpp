@@ -46,8 +46,6 @@ Args parse_args(int argc, char** argv) {
         start = comma + 1;
       }
       if (args.threads.empty()) args.threads.push_back(1);
-    } else if (a.rfind("--json=", 0) == 0) {
-      args.json_path = a.substr(7);
     } else if (a.rfind("--trace-dir=", 0) == 0) {
       args.trace_dir = a.substr(12);
     } else if (a.rfind("--ledger=", 0) == 0) {
@@ -59,7 +57,7 @@ Args parse_args(int argc, char** argv) {
     } else if (a == "--help" || a == "-h") {
       std::cout << "usage: " << argv[0]
                 << " [--scale=<f>] [--reps=<n>] [--quick]"
-                << " [--threads=<a,b,...>] [--json=<path>]"
+                << " [--threads=<a,b,...>]"
                 << " [--trace-dir=<dir>] [--ledger=<path|none>]"
                 << " [--profile]\n";
       std::exit(0);

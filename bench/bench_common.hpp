@@ -17,9 +17,6 @@ struct Args {
   bool quick = false;   ///< trim the parameter grid (CI-friendly)
   /// Thread counts swept by benches that honor --threads (exp_runtime).
   std::vector<int> threads = {1};
-  /// Machine-readable results file for benches that emit one (exp_runtime
-  /// writes per-thread-count timings here). Empty = bench default.
-  std::string json_path;
   /// When non-empty, benches additionally run one traced partition per
   /// configuration and write machine-readable artifacts into this
   /// directory (see emit_trace_artifacts).
@@ -34,7 +31,7 @@ struct Args {
 };
 
 /// Parse --scale=<f>, --reps=<n>, --quick, --threads=<a,b,...>,
-/// --json=<path>, --trace-dir=<dir>, --ledger=<path|none>, --profile.
+/// --trace-dir=<dir>, --ledger=<path|none>, --profile.
 /// Unknown arguments abort with a usage message.
 Args parse_args(int argc, char** argv);
 

@@ -293,10 +293,11 @@ BENCHMARK(BM_PartitionFlightRecorder)
     ->Args({1, 0})
     ->Args({1, 1});
 
-// Cost of the profiler per partition call: detached (null
-// Options::profile, one pointer test per scope) must be within noise of
-// no profiler at all; attached pays two reads of each clock plus one
-// mutex-guarded fold per scope.
+// Cost of a caller's profiler per partition call. With a null
+// Options::profile the run attaches an internal profiler (its phase
+// times come from it), so both variants pay two reads of each clock
+// plus one mutex-guarded fold per scope and must be within noise of
+// each other.
 void BM_PartitionProfiled(benchmark::State& state) {
   const Graph g = make_bench_graph(150, 3);
   Options o;

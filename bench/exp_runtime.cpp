@@ -21,8 +21,7 @@ int main(int argc, char** argv) {
   using namespace mcgp;
   using namespace mcgp::bench;
   const Args args = parse_args(argc, argv);
-  const std::string ledger_path = ledger_file(
-      args, args.json_path.empty() ? "BENCH_runtime.json" : args.json_path);
+  const std::string ledger_path = ledger_file(args, "BENCH_runtime.json");
 
   std::printf("E3: runtime vs constraints, graph size, and threads\n");
   std::printf("(scale=%.2f, reps=%d, k=64, Type-S weights, MC-KW and MC-RB,"

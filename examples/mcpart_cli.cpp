@@ -279,11 +279,14 @@ int main(int argc, char** argv) {
               << "  (held to";
     for (const real_t u : r.ubvec_used) std::cout << ' ' << u;
     std::cout << ")\n";
-    std::cout << "time:    " << r.seconds << "s";
-    for (const auto& [phase, secs] : r.phases.entries()) {
-      std::cout << "  " << phase << "=" << secs << "s";
+    // Phase wall times are on the calling thread, so they and the
+    // unattributed rest add up to the run's time; cpu sums every thread.
+    std::cout << "time:    " << r.seconds << "s  (unattributed "
+              << r.unattributed_s << "s)\n";
+    for (const PhaseTime& p : r.phases) {
+      std::cout << "  " << p.phase << ": wall=" << p.wall_s
+                << "s cpu=" << p.cpu_s << "s\n";
     }
-    std::cout << "\n";
 
     if (prof.has_value()) {
       const ProfBucket run = prof->phase_total("run");

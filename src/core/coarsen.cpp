@@ -85,7 +85,7 @@ Graph contract_graph(const Graph& g, const std::vector<idx_t>& cmap,
   // its own coarse vertices' weights (disjoint), and per-vertex sums add
   // first then second exactly like the serial fine-vertex sweep did.
   parallel_chunks(run.pool, ncoarse, kContractChunk, [&](idx_t b, idx_t e) {
-    ProfScope aux(run.profile, "coarsen.contract", run.level, /*aux=*/true);
+    ProfScope aux(run.profile, "coarsen.contract", run.level, ProfScope::kAux);
     for (idx_t cv = b; cv < e; ++cv) {
       wgt_t* out = &c.vwgt[to_size(cv) * to_size(g.ncon)];
       for (const idx_t v : {first[to_size(cv)],
@@ -116,7 +116,8 @@ Graph contract_graph(const Graph& g, const std::vector<idx_t>& cmap,
     std::vector<std::vector<idx_t>> chunk_adjncy(to_size(nchunks));
     std::vector<std::vector<wgt_t>> chunk_adjwgt(to_size(nchunks));
     parallel_chunks(run.pool, ncoarse, kContractChunk, [&](idx_t b, idx_t e) {
-      ProfScope aux(run.profile, "coarsen.contract", run.level, /*aux=*/true);
+      ProfScope aux(run.profile, "coarsen.contract", run.level,
+                    ProfScope::kAux);
       const idx_t chunk = b / kContractChunk;
       std::vector<idx_t>& adjncy = chunk_adjncy[to_size(chunk)];
       std::vector<wgt_t>& adjwgt = chunk_adjwgt[to_size(chunk)];
@@ -146,7 +147,8 @@ Graph contract_graph(const Graph& g, const std::vector<idx_t>& cmap,
     c.adjncy.resize(total);
     c.adjwgt.resize(total);
     parallel_chunks(run.pool, ncoarse, kContractChunk, [&](idx_t b, idx_t e) {
-      ProfScope aux(run.profile, "coarsen.contract", run.level, /*aux=*/true);
+      ProfScope aux(run.profile, "coarsen.contract", run.level,
+                    ProfScope::kAux);
       const idx_t chunk = b / kContractChunk;
       const std::size_t base = chunk_base[to_size(chunk)];
       const std::vector<idx_t>& adjncy = chunk_adjncy[to_size(chunk)];

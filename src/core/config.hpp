@@ -9,7 +9,6 @@
 #include <vector>
 
 #include "support/counters.hpp"
-#include "support/timer.hpp"
 #include "support/types.hpp"
 
 namespace mcgp {
@@ -139,13 +138,15 @@ struct Options {
   /// results; it must outlive the run and may be shared across threads.
   FlightRecorder* flight = nullptr;
 
-  /// Optional profiler (see support/profiler.hpp). When non-null the
-  /// pipeline measures wall time, thread CPU time and work items over
-  /// every phase at every hierarchy level and aggregates them into the
-  /// profiler's (phase, level) buckets; null (the default) costs one
-  /// pointer test per site. Attaching a profiler never changes results;
-  /// it must outlive the run and may be shared across the run's worker
-  /// threads.
+  /// Optional profiler (see support/profiler.hpp). The pipeline measures
+  /// wall time, thread CPU time and work items over every phase at every
+  /// hierarchy level and aggregates them into the profiler's (phase,
+  /// level) buckets; PartitionResult::phases is read from the same
+  /// scopes. When null (the default), partition() and refine_partition()
+  /// attach an internal profiler for the run, so set one only to read
+  /// the per-(phase, level) buckets afterwards. Profiling never changes
+  /// results; the profiler must outlive the run and may be shared across
+  /// runs (each run reports its own phases) and the run's worker threads.
   Profiler* profile = nullptr;
 
   /// Optional externally owned auditor. When non-null it is used directly
@@ -174,6 +175,13 @@ struct Options {
   }
 };
 
+/// One top-level phase of a run (support/profiler.hpp), levels summed.
+struct PhaseTime {
+  std::string phase;  ///< the profiler scope's name, e.g. "rb.fixup"
+  double wall_s = 0;  ///< wall time on the run's calling thread
+  double cpu_s = 0;   ///< thread CPU time summed over every thread
+};
+
 /// Outcome of a partitioning run.
 struct PartitionResult {
   std::vector<idx_t> part;       ///< part id per vertex, in [0, nparts)
@@ -190,10 +198,14 @@ struct PartitionResult {
   /// instance's provable lower bound (see min_feasible_ubvec). Equals the
   /// request whenever the request was achievable.
   std::vector<real_t> ubvec_used;
-  double seconds = 0.0;          ///< total wall time
-  PhaseTimes phases;             ///< coarsen / init / refine breakdown
+  double seconds = 0.0;          ///< wall time of the profiler's run scope
   int coarsen_levels = 0;        ///< levels created by the top coarsener
   idx_t coarsest_nvtxs = 0;      ///< size of the coarsest graph
+  /// Top-level profiler phases in name order. Their wall times plus
+  /// unattributed_s add up to `seconds`.
+  std::vector<PhaseTime> phases;
+  /// Run wall time outside every phase.
+  double unattributed_s = 0.0;
   /// Per-run pipeline counters/histograms (fm.moves, match.failed, ...).
   /// Populated only when Options::trace was set; empty otherwise.
   CounterRegistry counters;

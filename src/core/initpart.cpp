@@ -177,7 +177,7 @@ sum_t init_bisection(const Graph& g, std::vector<idx_t>& where,
   std::vector<InitTrial> results(to_size(trials));
 
   auto run_trial = [&](int t) {
-    ProfScope aux(run.profile, "initpart", /*level=*/-1, /*aux=*/true);
+    ProfScope aux(run.profile, "initpart", /*level=*/-1, ProfScope::kAux);
     InitTrial& out = results[to_size(t)];
     Rng trng(mix_seed(base_seed, static_cast<std::uint64_t>(t)));
     const bool use_grow = scheme == InitScheme::kGreedyGrow ||

@@ -35,15 +35,12 @@ idx_t kway_coarsen_to(const Options& opts, idx_t nparts, int ncon,
 }  // namespace
 
 std::vector<idx_t> partition_kway(const Graph& g, const Options& opts,
-                                  Rng& rng, PhaseTimes* phases,
-                                  MlBisectStats* stats, ThreadPool* pool) {
+                                  Rng& rng, MlBisectStats* stats,
+                                  ThreadPool* pool) {
   const idx_t k = std::max<idx_t>(opts.nparts, 1);
   if (k == 1 || g.nvtxs == 0) {
     return std::vector<idx_t>(to_size(g.nvtxs), 0);
   }
-
-  PhaseTimes local_phases;
-  PhaseTimes& pt = phases != nullptr ? *phases : local_phases;
 
   // All scratch comes from one pool: the serial stretches lease a single
   // workspace below, and the parallel matching / contraction / sweep
@@ -52,7 +49,6 @@ std::vector<idx_t> partition_kway(const Graph& g, const Options& opts,
   RunContext run = run_context(opts, pool, &wspool);
   Hierarchy h;
   {
-    ScopedPhase sp(pt, "coarsen");
     WorkspacePool::Lease ws = wspool.acquire();
     const CoarsenParams cp = coarsen_params(
         opts, kway_coarsen_to(opts, k, g.ncon, g.nvtxs), run);
@@ -69,7 +65,6 @@ std::vector<idx_t> partition_kway(const Graph& g, const Options& opts,
   // room to work with.
   std::vector<idx_t> cwhere;
   {
-    ScopedPhase sp(pt, "initpart");
     TraceSpan tsp(run.trace, "initpart.kway");
     ProfScope ps(run.profile, "initpart");
     ps.work(h.coarsest().nedges(), h.coarsest().nvtxs);
@@ -88,58 +83,54 @@ std::vector<idx_t> partition_kway(const Graph& g, const Options& opts,
     }
     init_opts.tpwgts = opts.tpwgts;
     cwhere = partition_recursive_bisection(h.coarsest(), init_opts, rng,
-                                           nullptr, nullptr, pool);
+                                           nullptr, pool);
   }
 
   const std::vector<real_t> ub = opts.tolerances(g.ncon);
-  {
-    ScopedPhase sp(pt, "refine");
-    for (int l = h.num_levels(); l >= 0; --l) {
-      const Graph& cur = h.graph_at(l);
-      if (l < h.num_levels()) {
-        const std::vector<idx_t>& cmap =
-            h.levels[to_size(l)].cmap;
-        std::vector<idx_t> fine_where;
-        project_partition(cmap, cwhere, fine_where);
-        if (run.audit != nullptr && run.audit->boundaries()) {
-          run.audit->check_projection(cur, h.graph_at(l + 1), cmap, cwhere,
-                                      fine_where, "kway.uncoarsen");
-        }
-        cwhere = std::move(fine_where);
+  for (int l = h.num_levels(); l >= 0; --l) {
+    const Graph& cur = h.graph_at(l);
+    if (l < h.num_levels()) {
+      const std::vector<idx_t>& cmap = h.levels[to_size(l)].cmap;
+      std::vector<idx_t> fine_where;
+      project_partition(cmap, cwhere, fine_where);
+      if (run.audit != nullptr && run.audit->boundaries()) {
+        run.audit->check_projection(cur, h.graph_at(l + 1), cmap, cwhere,
+                                    fine_where, "kway.uncoarsen");
       }
-      run.level = l;
-      TraceSpan lvl(run.trace, "uncoarsen.level");
-      // Extra sweeps on the finest graph, where moves are cheapest in
-      // balance terms and most plentiful.
-      const int passes = l == 0 ? opts.kway_passes + 2 : opts.kway_passes;
-      const sum_t cut =
-          kway_refine_level(cur, cwhere, ub, passes, rng, opts, run);
-      if (run.flight == nullptr && !lvl.enabled()) continue;
-      const std::vector<real_t> lb =
-          opts.targets() != nullptr
-              ? target_imbalance(cur, cwhere, k, opts.tpwgts)
-              : imbalance(cur, cwhere, k);
-      if (run.flight != nullptr) {
-        record_level_sample(*run.flight, FlightSample::Stage::kUncoarsenKWay,
-                            l, cur, cut, lb);
-      }
-      if (lvl.enabled()) {
-        real_t worst = 1.0;
-        for (const real_t x : lb) worst = std::max(worst, x);
-        lvl.arg({"level", l});
-        lvl.arg({"nvtxs", cur.nvtxs});
-        lvl.arg({"nedges", cur.nedges()});
-        lvl.arg({"cut", cut});
-        lvl.arg({"max_imbalance", worst});
-      }
+      cwhere = std::move(fine_where);
     }
-
-    // The refiner's balancer can exit with residual overload on tight or
-    // coarse-granularity instances (the ledger's grid-13x13 k=64 case).
-    // Runs after all parallel phases on a thread-invariant `cwhere` and
-    // is itself serial, so determinism is preserved.
-    rebalance_if_infeasible(g, cwhere, ub, rng, opts, run);
+    run.level = l;
+    TraceSpan lvl(run.trace, "uncoarsen.level");
+    // Extra sweeps on the finest graph, where moves are cheapest in
+    // balance terms and most plentiful.
+    const int passes = l == 0 ? opts.kway_passes + 2 : opts.kway_passes;
+    const sum_t cut =
+        kway_refine_level(cur, cwhere, ub, passes, rng, opts, run);
+    if (run.flight == nullptr && !lvl.enabled()) continue;
+    const std::vector<real_t> lb =
+        opts.targets() != nullptr
+            ? target_imbalance(cur, cwhere, k, opts.tpwgts)
+            : imbalance(cur, cwhere, k);
+    if (run.flight != nullptr) {
+      record_level_sample(*run.flight, FlightSample::Stage::kUncoarsenKWay, l,
+                          cur, cut, lb);
+    }
+    if (lvl.enabled()) {
+      real_t worst = 1.0;
+      for (const real_t x : lb) worst = std::max(worst, x);
+      lvl.arg({"level", l});
+      lvl.arg({"nvtxs", cur.nvtxs});
+      lvl.arg({"nedges", cur.nedges()});
+      lvl.arg({"cut", cut});
+      lvl.arg({"max_imbalance", worst});
+    }
   }
+
+  // The refiner's balancer can exit with residual overload on tight or
+  // coarse-granularity instances (the ledger's grid-13x13 k=64 case).
+  // Runs after all parallel phases on a thread-invariant `cwhere` and
+  // is itself serial, so determinism is preserved.
+  rebalance_if_infeasible(g, cwhere, ub, rng, opts, run);
 
   if (run.flight != nullptr) {
     run.flight->note_workspace(wspool.footprint_bytes(), wspool.size());

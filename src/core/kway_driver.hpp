@@ -12,7 +12,6 @@
 #include "graph/csr_graph.hpp"
 #include "support/random.hpp"
 #include "support/thread_pool.hpp"
-#include "support/timer.hpp"
 
 namespace mcgp {
 
@@ -21,8 +20,7 @@ namespace mcgp {
 /// coarsening and k-way refinement and the RB initial partitioning of the
 /// coarsest graph; the partition is the same at every thread count.
 std::vector<idx_t> partition_kway(const Graph& g, const Options& opts,
-                                  Rng& rng, PhaseTimes* phases = nullptr,
-                                  MlBisectStats* stats = nullptr,
+                                  Rng& rng, MlBisectStats* stats = nullptr,
                                   ThreadPool* pool = nullptr);
 
 }  // namespace mcgp

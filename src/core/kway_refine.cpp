@@ -192,7 +192,7 @@ PassResult colored_sweep(KWayContext& ctx, const std::vector<idx_t>& where,
     // Propose phase: reads the context frozen as of this class's start;
     // each candidate writes only its own proposal and its own dead mark.
     parallel_chunks(run.pool, seg_n, kSweepChunk, [&](idx_t b, idx_t e) {
-      ProfScope aux(run.profile, "kway_refine", run.level, /*aux=*/true);
+      ProfScope aux(run.profile, "kway_refine", run.level, ProfScope::kAux);
       std::vector<sum_t> local_conn;
       std::vector<idx_t> local_touched;
       std::unique_ptr<WorkspacePool::Lease> lease;

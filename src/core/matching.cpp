@@ -180,7 +180,8 @@ sum_t handshake_match(const Graph& g, MatchScheme scheme, Rng& rng,
 
     // Propose: reads only the frozen `match`, writes only proposal[v].
     parallel_chunks(run.pool, nactive, kMatchChunk, [&](idx_t b, idx_t e) {
-      ProfScope aux(run.profile, "coarsen.matching", run.level, /*aux=*/true);
+      ProfScope aux(run.profile, "coarsen.matching", run.level,
+                    ProfScope::kAux);
       for (idx_t i = b; i < e; ++i) {
         const idx_t v = active[to_size(i)];
         proposal[to_size(v)] =
@@ -193,7 +194,8 @@ sum_t handshake_match(const Graph& g, MatchScheme scheme, Rng& rng,
     // are disjoint and the outcome is chunking-independent.
     chunk_new.assign(to_size((nactive + kMatchChunk - 1) / kMatchChunk), 0);
     parallel_chunks(run.pool, nactive, kMatchChunk, [&](idx_t b, idx_t e) {
-      ProfScope aux(run.profile, "coarsen.matching", run.level, /*aux=*/true);
+      ProfScope aux(run.profile, "coarsen.matching", run.level,
+                    ProfScope::kAux);
       idx_t matched = 0;
       for (idx_t i = b; i < e; ++i) {
         const idx_t v = active[to_size(i)];

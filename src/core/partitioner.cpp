@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdlib>
+#include <map>
 #include <optional>
 #include <stdexcept>
 #include <string>
@@ -19,7 +20,6 @@
 #include "support/profiler.hpp"
 #include "support/random.hpp"
 #include "support/thread_pool.hpp"
-#include "support/timer.hpp"
 #include "support/trace.hpp"
 
 namespace mcgp {
@@ -187,6 +187,28 @@ void fill_quality(const Graph& g, const Options& opts, PartitionResult& r) {
                              opts.nparts, r.ubvec_used, opts.targets());
 }
 
+/// `r.seconds`, `r.phases` and `r.unattributed_s` of a run whose "run"
+/// scope took `run_ns`: the top-level phase totals it added to its
+/// profiler between the snapshots `before` and `after`.
+void fill_phases(const std::map<std::string, PhaseClock>& before,
+                 const std::map<std::string, PhaseClock>& after,
+                 std::int64_t run_ns, PartitionResult& r) {
+  std::int64_t attributed_ns = 0;
+  for (const auto& [phase, clock] : after) {
+    PhaseClock d = clock;
+    if (const auto it = before.find(phase); it != before.end()) {
+      d.wall_ns -= it->second.wall_ns;
+      d.cpu_ns -= it->second.cpu_ns;
+    }
+    if (d.wall_ns == 0 && d.cpu_ns == 0) continue;  // not run this time
+    r.phases.push_back({phase, static_cast<double>(d.wall_ns) * 1e-9,
+                        static_cast<double>(d.cpu_ns) * 1e-9});
+    attributed_ns += d.wall_ns;
+  }
+  r.seconds = static_cast<double>(run_ns) * 1e-9;
+  r.unattributed_s = static_cast<double>(run_ns - attributed_ns) * 1e-9;
+}
+
 /// Effective audit level: the MCGP_AUDIT environment variable (parsed once
 /// per process) overrides the per-run option, so an existing application or
 /// test suite can be re-run fully audited without code changes.
@@ -204,10 +226,10 @@ AuditLevel effective_audit_level(AuditLevel opt_level) {
 
 /// The setup and teardown partition() and refine_partition() share around
 /// their algorithm body: validation (of `start` too, when given), the
-/// auditor, the effective tolerances, the timer, RNG, profiler "run"
-/// scope, trace span `name` and pool; then the final
-/// quality, the `<name>.final` audits (an AuditFailure dumps the flight
-/// window), the final sample, counters and seconds. `body(opts, rng, pool,
+/// auditor, the effective tolerances, RNG, the profiler and its "run"
+/// scope, trace span `name` and pool; then the final quality, the
+/// `<name>.final` audits (an AuditFailure dumps the flight window), the
+/// final sample, counters, seconds and phases. `body(opts, rng, pool,
 /// result)` fills result.part from the prepared options.
 template <class Body>
 PartitionResult run_entry(const Graph& g, const Options& run_opts,
@@ -240,15 +262,20 @@ PartitionResult run_entry(const Graph& g, const Options& run_opts,
   // requests below the bound; this clamp only adjusts the empty default.
   opts.ubvec = effective_ubvec(g, opts);
 
-  WallTimer timer;
   PartitionResult result;
   Rng rng(opts.seed);
 
+  // Every run is profiled, since its phase times are the profiler's
+  // top-level scopes: without a caller's profiler, an internal one.
+  std::optional<Profiler> local_prof;
+  if (opts.profile == nullptr) opts.profile = &local_prof.emplace();
+  opts.profile->set_threads(opts.num_threads);
+  const std::map<std::string, PhaseClock> phases_before =
+      opts.profile->top_level();
   // Whole-run measurement interval: every nested scope is inside it, so
   // the "run" bucket counts each cycle exactly once — the denominator for
   // per-phase shares and the run-ledger headline.
-  if (opts.profile != nullptr) opts.profile->set_threads(opts.num_threads);
-  ProfScope run_prof(opts.profile, "run");
+  ProfScope run_prof(opts.profile, "run", /*level=*/-1, ProfScope::kRun);
   run_prof.work(g.nedges(), g.nvtxs);
 
   TraceSpan run_span(opts.trace, name);
@@ -298,8 +325,8 @@ PartitionResult run_entry(const Graph& g, const Options& run_opts,
     run_span.finish();
     result.counters = opts.trace->merged_counters();
   }
-  result.seconds = timer.seconds();
-  run_prof.finish();
+  const std::int64_t run_ns = run_prof.finish();
+  fill_phases(phases_before, opts.profile->top_level(), run_ns, result);
   return result;
 }
 
@@ -313,9 +340,8 @@ PartitionResult partition(const Graph& g, const Options& run_opts) {
         MlBisectStats stats;
         result.part =
             opts.algorithm == Algorithm::kKWay
-                ? partition_kway(g, opts, rng, &result.phases, &stats, pool)
-                : partition_recursive_bisection(g, opts, rng, &result.phases,
-                                                &stats, pool);
+                ? partition_kway(g, opts, rng, &stats, pool)
+                : partition_recursive_bisection(g, opts, rng, &stats, pool);
         result.coarsen_levels = stats.levels;
         result.coarsest_nvtxs = stats.coarsest_nvtxs;
         ensure_nonempty_parts(g, opts.nparts, result.part);
@@ -329,7 +355,6 @@ PartitionResult refine_partition(const Graph& g, std::vector<idx_t> part,
       [&](const Options& opts, Rng& rng, ThreadPool* pool,
           PartitionResult& result) {
         const std::vector<real_t> ub = opts.tolerances(g.ncon);
-        ScopedPhase sp(result.phases, "refine");
         // Standalone refinement drives the same refiner as the full
         // pipeline's finest level, with its own workspace pool.
         WorkspacePool wspool;

@@ -68,7 +68,6 @@ struct RbContext {
   std::vector<idx_t>& out_part;  ///< subtrees write disjoint entries
   std::uint64_t root_seed = 0;
   RunContext run;  ///< null pool = fully serial; wspool always set
-  PhaseTimes* phases = nullptr;
 };
 
 void rb_recurse(const RbContext& ctx, const Graph& sub,
@@ -122,8 +121,7 @@ void rb_recurse(const RbContext& ctx, const Graph& sub,
     Workspace& ws = *lease;
 
     std::vector<idx_t> where;
-    multilevel_bisect(sub, where, targets, ctx.opts, rng, stats, ctx.phases,
-                      &ws, &ctx.run);
+    multilevel_bisect(sub, where, targets, ctx.opts, rng, stats, &ws, &ctx.run);
     ensure_nonempty_sides(sub, where);
 
     std::vector<char>& select = ws.select;
@@ -159,22 +157,15 @@ void rb_recurse(const RbContext& ctx, const Graph& sub,
 
 sum_t multilevel_bisect(const Graph& g, std::vector<idx_t>& where,
                         const BisectionTargets& targets, const Options& opts,
-                        Rng& rng, MlBisectStats* stats, PhaseTimes* phases,
-                        Workspace* ws, const RunContext* parent) {
+                        Rng& rng, MlBisectStats* stats, Workspace* ws,
+                        const RunContext* parent) {
   const idx_t ct = bisect_coarsen_to(opts, g.ncon);
-
-  PhaseTimes local_phases;
-  PhaseTimes& pt = phases != nullptr ? *phases : local_phases;
 
   const RunContext run =
       parent != nullptr ? *parent : run_context(opts, nullptr, nullptr);
   TraceSpan bisect_span(run.trace, "bisect");
 
-  Hierarchy h;
-  {
-    ScopedPhase sp(pt, "coarsen");
-    h = coarsen_graph(g, coarsen_params(opts, ct, run), rng, ws);
-  }
+  const Hierarchy h = coarsen_graph(g, coarsen_params(opts, ct, run), rng, ws);
 
   const Graph& coarsest = h.coarsest();
   if (stats != nullptr) {
@@ -184,7 +175,6 @@ sum_t multilevel_bisect(const Graph& g, std::vector<idx_t>& where,
 
   std::vector<idx_t> cwhere;
   {
-    ScopedPhase sp(pt, "initpart");
     ProfScope ps(run.profile, "initpart");
     ps.work(coarsest.nedges(), coarsest.nvtxs);
     init_bisection(coarsest, cwhere, targets, opts.init_scheme,
@@ -192,45 +182,41 @@ sum_t multilevel_bisect(const Graph& g, std::vector<idx_t>& where,
   }
 
   sum_t cut = 0;
-  {
-    ScopedPhase sp(pt, "refine");
-    std::vector<idx_t> local_proj;
-    std::vector<idx_t>& proj = ws != nullptr ? ws->proj : local_proj;
-    // Uncoarsen: levels[l].cmap maps level l to level l+1 (0 = finest).
-    for (int l = h.num_levels(); l >= 0; --l) {
-      const Graph& cur = h.graph_at(l);
-      if (l < h.num_levels()) {
-        const std::vector<idx_t>& cmap =
-            h.levels[to_size(l)].cmap;
-        project_partition(cmap, cwhere, proj);
-        if (run.audit != nullptr && run.audit->boundaries()) {
-          // cwhere still holds the coarse assignment; proj the projection.
-          run.audit->check_projection(cur, h.graph_at(l + 1), cmap, cwhere,
-                                      proj, "rb.uncoarsen");
-        }
-        std::swap(cwhere, proj);  // ping-pong: both buffers stay warm
+  std::vector<idx_t> local_proj;
+  std::vector<idx_t>& proj = ws != nullptr ? ws->proj : local_proj;
+  // Uncoarsen: levels[l].cmap maps level l to level l+1 (0 = finest).
+  for (int l = h.num_levels(); l >= 0; --l) {
+    const Graph& cur = h.graph_at(l);
+    if (l < h.num_levels()) {
+      const std::vector<idx_t>& cmap = h.levels[to_size(l)].cmap;
+      project_partition(cmap, cwhere, proj);
+      if (run.audit != nullptr && run.audit->boundaries()) {
+        // cwhere still holds the coarse assignment; proj the projection.
+        run.audit->check_projection(cur, h.graph_at(l + 1), cmap, cwhere,
+                                    proj, "rb.uncoarsen");
       }
-      TraceSpan lvl(run.trace, "uncoarsen.level");
-      ProfScope ps(run.profile, "refine2way", l);
-      ps.work(cur.nedges(), cur.nvtxs);
-      balance_2way(cur, cwhere, targets, rng, run);
-      cut = refine_2way(cur, cwhere, targets, opts.queue_policy,
-                        opts.refine_passes, opts.fm_move_limit, rng,
-                        nullptr, run);
-      ps.finish();
-      if (run.flight != nullptr) {
-        record_level_sample(*run.flight, FlightSample::Stage::kUncoarsen2Way,
-                            l, cur, cut, imbalance(cur, cwhere, 2));
-      }
-      if (lvl.enabled()) {
-        BisectionBalance bal;
-        bal.init(cur, cwhere, targets);
-        lvl.arg({"level", l});
-        lvl.arg({"nvtxs", cur.nvtxs});
-        lvl.arg({"nedges", cur.nedges()});
-        lvl.arg({"cut", cut});
-        lvl.arg({"potential", bal.potential()});
-      }
+      std::swap(cwhere, proj);  // ping-pong: both buffers stay warm
+    }
+    TraceSpan lvl(run.trace, "uncoarsen.level");
+    ProfScope ps(run.profile, "refine2way", l);
+    ps.work(cur.nedges(), cur.nvtxs);
+    balance_2way(cur, cwhere, targets, rng, run);
+    cut = refine_2way(cur, cwhere, targets, opts.queue_policy,
+                      opts.refine_passes, opts.fm_move_limit, rng, nullptr,
+                      run);
+    ps.finish();
+    if (run.flight != nullptr) {
+      record_level_sample(*run.flight, FlightSample::Stage::kUncoarsen2Way, l,
+                          cur, cut, imbalance(cur, cwhere, 2));
+    }
+    if (lvl.enabled()) {
+      BisectionBalance bal;
+      bal.init(cur, cwhere, targets);
+      lvl.arg({"level", l});
+      lvl.arg({"nvtxs", cur.nvtxs});
+      lvl.arg({"nedges", cur.nedges()});
+      lvl.arg({"cut", cut});
+      lvl.arg({"potential", bal.potential()});
     }
   }
 
@@ -249,7 +235,6 @@ sum_t multilevel_bisect(const Graph& g, std::vector<idx_t>& where,
 
 std::vector<idx_t> partition_recursive_bisection(const Graph& g,
                                                  const Options& opts, Rng& rng,
-                                                 PhaseTimes* phases,
                                                  MlBisectStats* top_stats,
                                                  ThreadPool* pool) {
   const idx_t k = std::max<idx_t>(opts.nparts, 1);
@@ -273,7 +258,7 @@ std::vector<idx_t> partition_recursive_bisection(const Graph& g,
   WorkspacePool wspool;
   const RunContext run = run_context(opts, pool, &wspool);
   const std::uint64_t root_seed = rng.next_u64();
-  RbContext ctx{opts, level_ub, part, root_seed, run, phases};
+  RbContext ctx{opts, level_ub, part, root_seed, run};
   // The root call fills top_stats from the first (top) bisection's real
   // hierarchy — no separate probe coarsening needed.
   rb_recurse(ctx, g, identity, k, 0, top_stats);
@@ -281,14 +266,13 @@ std::vector<idx_t> partition_recursive_bisection(const Graph& g,
   // Balance fix-up: nested bisection errors multiply, so for large k the
   // assembled k-way partition can land outside the overall tolerance even
   // when every bisection was close to its own target. When that happens,
-  // repair with the k-way balancer + a short greedy refinement (cheap, and
-  // a no-op whenever RB already met the tolerance).
+  // repair with a short greedy k-way refinement, which drains the overload
+  // first (cheap, and skipped whenever RB already met the tolerance).
   const std::vector<real_t>* tp = opts.targets();
   if (!kway_feasible(g, part_weights(g, part, k), k, ub, tp)) {
     trace_count(run.trace, "rb.fixup");
     ProfScope ps(run.profile, "rb.fixup");
     ps.work(g.nedges(), g.nvtxs);
-    kway_balance(g, k, part, ub, rng, tp, run);
     kway_refine(g, k, part, ub, /*max_passes=*/3, rng, nullptr, tp, run);
     // Still overloaded: escalate to the dedicated rebalancer. `part` is
     // already thread-invariant here, so determinism holds.

@@ -169,9 +169,4 @@ class FlightRecorder {
   std::function<void(const FlightSample&)> on_sample_ MCGP_GUARDED_BY(mu_);
 };
 
-/// Null-safe one-line helper, mirroring trace_instant()/trace_count().
-inline void flight_record(FlightRecorder* fr, const FlightSample& s) {
-  if (fr != nullptr) fr->record(s);
-}
-
 }  // namespace mcgp

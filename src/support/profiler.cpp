@@ -26,10 +26,12 @@ std::atomic<std::uint64_t> g_profiler_ids{1};
 /// running. Keyed by a process-unique profiler id (never a reused
 /// address), so a stale entry can only miss. `depth` counts the live
 /// non-aux ProfScopes of that profiler on this thread — the signal aux
-/// scopes use to detect an enclosing scope already measuring the thread.
+/// scopes use to detect an enclosing scope already measuring the thread —
+/// and `runs` the live run scopes among them.
 struct TlsSlot {
   std::uint64_t profiler_id = 0;
   int depth = 0;
+  int runs = 0;
 };
 
 TlsSlot& tls_slot() {
@@ -59,12 +61,18 @@ void add_into(ProfBucket& into, const ProfBucket& d) {
 Profiler::Profiler()
     : id_(g_profiler_ids.fetch_add(1, std::memory_order_relaxed)) {}
 
-void Profiler::fold(const char* phase, int level, const ProfBucket& delta) {
+void Profiler::fold(const char* phase, int level, const ProfBucket& delta,
+                    const PhaseClock* top) {
   const std::uint64_t ord = thread_ordinal();
   MutexLock lk(mu_);
   const auto key = std::make_pair(std::string(phase), level);
   add_into(buckets_[key], delta);
   bucket_threads_[key].insert(ord);
+  if (top != nullptr) {
+    PhaseClock& c = top_[key.first];
+    c.wall_ns += top->wall_ns;
+    c.cpu_ns += top->cpu_ns;
+  }
 }
 
 void Profiler::set_threads(int n) {
@@ -94,10 +102,16 @@ ProfBucket Profiler::phase_total(const std::string& phase) const {
   return total;
 }
 
+std::map<std::string, PhaseClock> Profiler::top_level() const {
+  MutexLock lk(mu_);
+  return top_;
+}
+
 void Profiler::clear() {
   MutexLock lk(mu_);
   buckets_.clear();
   bucket_threads_.clear();
+  top_.clear();
 }
 
 void Profiler::write_json_value(JsonWriter& w) const {
@@ -137,37 +151,54 @@ void Profiler::write_json_value(JsonWriter& w) const {
 
 void ProfScope::begin() {
   TlsSlot& slot = tls_slot();
-  if (slot.profiler_id != p_->id_) slot = TlsSlot{p_->id_, 0};
-  if (aux_) {
-    // Work helping: when an enclosing non-aux scope of this profiler is
-    // live on this thread, that scope already measures the chunk — a
-    // second interval here would double-count it.
-    if (slot.depth > 0) {
-      p_ = nullptr;
-      return;
-    }
-  } else {
-    ++slot.depth;
+  if (slot.profiler_id != p_->id_) slot = TlsSlot{p_->id_, 0, 0};
+  switch (kind_) {
+    case kAux:
+      // Work helping: when an enclosing non-aux scope of this profiler is
+      // live on this thread, that scope already measures the chunk — a
+      // second interval here would double-count it. So an armed aux
+      // scope is always top-level, and never on the run's thread.
+      if (slot.depth > 0) {
+        p_ = nullptr;
+        return;
+      }
+      top_ = true;
+      break;
+    case kPhase:
+      top_ = slot.depth == slot.runs;
+      critical_ = top_ && slot.runs > 0;
+      ++slot.depth;
+      break;
+    case kRun:
+      ++slot.depth;
+      ++slot.runs;
+      break;
   }
   t0_ns_ = monotonic_now_ns();
   cpu0_ns_ = thread_cpu_now_ns();
 }
 
-void ProfScope::end() {
+std::int64_t ProfScope::end() {
   Profiler* p = p_;
   p_ = nullptr;
   ProfBucket d;
   d.task_clock_ns = thread_cpu_now_ns() - cpu0_ns_;
   TlsSlot& slot = tls_slot();
-  if (!aux_ && slot.profiler_id == p->id_ && slot.depth > 0) --slot.depth;
+  const bool aux = kind_ == kAux;
+  if (!aux && slot.profiler_id == p->id_ && slot.depth > 0) {
+    --slot.depth;
+    if (kind_ == kRun && slot.runs > 0) --slot.runs;
+  }
   // Aux scopes contribute only on-CPU time and their thread identity; the
   // enclosing scope on the submitting thread owns the wall time and the
   // scope count.
-  d.scopes = aux_ ? 0 : 1;
+  d.scopes = aux ? 0 : 1;
   d.edges = edges_;
   d.vtxs = vtxs_;
-  d.wall_ns = aux_ ? 0 : monotonic_now_ns() - t0_ns_;
-  p->fold(phase_, level_, d);
+  d.wall_ns = aux ? 0 : monotonic_now_ns() - t0_ns_;
+  const PhaseClock top{critical_ ? d.wall_ns : 0, d.task_clock_ns};
+  p->fold(phase_, level_, d, top_ ? &top : nullptr);
+  return d.wall_ns;
 }
 
 }  // namespace mcgp

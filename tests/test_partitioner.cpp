@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <limits>
+#include <map>
 #include <stdexcept>
 #include <string>
 #include <utility>
@@ -139,8 +140,22 @@ TEST(Partition, PhaseTimesRecorded) {
   Options o;
   o.nparts = 8;
   const PartitionResult r = partition(g, o);
-  EXPECT_GT(r.phases.get("coarsen"), 0.0);
-  EXPECT_GT(r.phases.get("refine"), 0.0);
+  // MC-KW's top-level profiler phases, from the internally attached
+  // profiler: coarsening and refinement both ran on the calling thread.
+  std::map<std::string, PhaseTime> by_name;
+  double wall_s = 0;
+  for (const PhaseTime& p : r.phases) {
+    by_name[p.phase] = p;
+    wall_s += p.wall_s;
+  }
+  ASSERT_EQ(by_name.size(), r.phases.size());  // one entry per phase
+  ASSERT_TRUE(by_name.count("coarsen.matching"));
+  ASSERT_TRUE(by_name.count("kway_refine"));
+  EXPECT_GT(by_name["coarsen.matching"].wall_s, 0.0);
+  EXPECT_GT(by_name["kway_refine"].wall_s, 0.0);
+  EXPECT_GT(by_name["kway_refine"].cpu_s, 0.0);
+  EXPECT_GE(r.unattributed_s, 0.0);
+  EXPECT_NEAR(wall_s + r.unattributed_s, r.seconds, 1e-6);
 }
 
 TEST(Partition, SeedChangesResultButNotQualityClass) {

@@ -1,9 +1,13 @@
 #include "support/profiler.hpp"
 
 #include <gtest/gtest.h>
+#include <sys/resource.h>
 
+#include <algorithm>
+#include <map>
 #include <sstream>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "core/partitioner.hpp"
@@ -63,7 +67,46 @@ TEST(Profiler, FoldMergesBucketsBySummation) {
 TEST(Profiler, DetachedScopeIsANoOp) {
   ProfScope sc(nullptr, "anything", 3);
   sc.work(1000, 100);
-  sc.finish();  // must be safe and idempotent detached
+  EXPECT_EQ(sc.finish(), 0);  // must be safe and idempotent detached
+}
+
+/// Burns a little CPU on the calling thread.
+void spin() {
+  double sink = 0;
+  for (int i = 0; i < 200000; ++i) sink += static_cast<double>(i);
+  volatile double keep = sink;
+  (void)keep;
+}
+
+TEST(Profiler, OnlyTopLevelScopesFillThePhaseClocks) {
+  Profiler prof;
+  std::int64_t run_ns = 0;
+  {
+    ProfScope run(&prof, "run", -1, ProfScope::kRun);
+    {
+      ProfScope outer(&prof, "outer");
+      ProfScope inner(&prof, "inner", 0);  // enclosed: not top-level
+      spin();
+    }
+    // Top-level on a thread that is not the run's: CPU time only.
+    std::thread([&prof] {
+      ProfScope off(&prof, "worker");
+      spin();
+    }).join();
+    run_ns = run.finish();
+  }
+  const std::map<std::string, PhaseClock> top = prof.top_level();
+  ASSERT_EQ(top.size(), 2u);
+  EXPECT_GT(top.at("outer").wall_ns, 0);
+  EXPECT_GT(top.at("outer").cpu_ns, 0);
+  EXPECT_LE(top.at("outer").wall_ns, run_ns);
+  EXPECT_EQ(top.at("worker").wall_ns, 0);
+  EXPECT_GT(top.at("worker").cpu_ns, 0);
+  // The buckets still count every scope, nested or not.
+  EXPECT_EQ(prof.phase_total("inner").scopes, 1);
+  EXPECT_EQ(prof.phase_total("run").wall_ns, run_ns);
+  prof.clear();
+  EXPECT_TRUE(prof.top_level().empty());
 }
 
 // --- JSON round-trip --------------------------------------------------------
@@ -148,6 +191,88 @@ TEST(Profiler, LiveRunReportIsWellFormedEitherWay) {
               static_cast<double>(run.wall_ns) * threads * 1.05 + 1e6)
         << "threads=" << threads;
   }
+}
+
+// --- PartitionResult::phases: the run's top-level scopes -------------------
+
+double process_cpu_s() {
+  rusage ru{};
+  getrusage(RUSAGE_SELF, &ru);
+  const auto secs = [](const timeval& t) {
+    return static_cast<double>(t.tv_sec) +
+           static_cast<double>(t.tv_usec) * 1e-6;
+  };
+  return secs(ru.ru_utime) + secs(ru.ru_stime);
+}
+
+// The phases' wall times never overlap and add up to the run's wall time
+// with the unattributed rest; their CPU times fit inside the process's.
+// grid-21x21 m=5 takes MC-RB's fix-up, which must be attributed too.
+TEST(PhaseAccounting, PhasesAddUpToTheRun) {
+  struct Case {
+    idx_t side;
+    int m;
+    Algorithm alg;
+    int threads;
+  };
+  const Algorithm kw = Algorithm::kKWay;
+  const Algorithm rb = Algorithm::kRecursiveBisection;
+  for (const Case& c : {Case{120, 3, kw, 1}, Case{120, 3, kw, 4},
+                        Case{120, 3, rb, 1}, Case{120, 3, rb, 4},
+                        Case{21, 5, rb, 1}}) {
+    SCOPED_TRACE(::testing::Message()
+                 << "grid-" << c.side << " m=" << c.m << " "
+                 << (c.alg == kw ? "MC-KW" : "MC-RB") << " t=" << c.threads);
+    Graph g = grid2d(c.side, c.side);
+    apply_type_s_weights(g, c.m, 16, 0, 19,
+                         static_cast<std::uint64_t>(2000 + c.m));
+    Options o;
+    o.nparts = 64;
+    o.algorithm = c.alg;
+    o.num_threads = c.threads;
+    const double cpu0 = process_cpu_s();
+    const PartitionResult r = partition(g, o);
+    const double cpu = process_cpu_s() - cpu0;
+
+    double wall_s = 0;
+    double cpu_s = 0;
+    bool fixup = false;
+    for (const PhaseTime& p : r.phases) {
+      EXPECT_GE(p.wall_s, 0.0) << p.phase;
+      EXPECT_GE(p.cpu_s, 0.0) << p.phase;
+      wall_s += p.wall_s;
+      cpu_s += p.cpu_s;
+      fixup = fixup || p.phase == "rb.fixup";
+    }
+    EXPECT_GT(r.seconds, 0.0);
+    EXPECT_GE(r.unattributed_s, 0.0);
+    EXPECT_NEAR(wall_s + r.unattributed_s, r.seconds,
+                std::max(0.01 * r.seconds, 1e-3));
+    // 1% plus getrusage's microsecond truncation.
+    EXPECT_LE(cpu_s, cpu * 1.01 + 1e-5);
+    if (c.side == 21) {
+      EXPECT_TRUE(fixup);
+      EXPECT_GE(wall_s, 0.9 * r.seconds);
+    }
+  }
+}
+
+// A profiler shared across runs keeps accumulating, yet each run reports
+// only its own phases.
+TEST(PhaseAccounting, SharedProfilerReportsPerRunPhases) {
+  const Graph g = make_pipeline_graph();
+  Profiler prof;
+  Options o;
+  o.nparts = 8;
+  o.profile = &prof;
+  for (int rep = 0; rep < 3; ++rep) {
+    const PartitionResult r = partition(g, o);
+    double wall_s = 0;
+    for (const PhaseTime& p : r.phases) wall_s += p.wall_s;
+    EXPECT_GE(r.unattributed_s, 0.0) << "rep " << rep;
+    EXPECT_NEAR(wall_s + r.unattributed_s, r.seconds, 1e-6) << "rep " << rep;
+  }
+  EXPECT_EQ(prof.phase_total("run").scopes, 3);
 }
 
 // --- determinism: attaching the profiler never changes the partition -------

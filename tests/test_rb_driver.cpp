@@ -2,9 +2,13 @@
 
 #include <gtest/gtest.h>
 
+#include <map>
+#include <string>
+
 #include "gen/mesh_gen.hpp"
 #include "gen/weight_gen.hpp"
 #include "graph/metrics.hpp"
+#include "support/profiler.hpp"
 
 namespace mcgp {
 namespace {
@@ -125,13 +129,17 @@ TEST(PartitionRB, StatsPopulated) {
   Graph g = grid2d(25, 25);
   Rng rng(9);
   MlBisectStats stats;
-  PhaseTimes phases;
-  partition_recursive_bisection(g, rb_options(4), rng, &phases, &stats);
+  Profiler prof;
+  Options o = rb_options(4);
+  o.profile = &prof;
+  partition_recursive_bisection(g, o, rng, &stats);
   EXPECT_GT(stats.levels, 0);
   EXPECT_GT(stats.coarsest_nvtxs, 0);
-  EXPECT_GT(phases.get("coarsen") + phases.get("initpart") +
-                phases.get("refine"),
-            0.0);
+  const std::map<std::string, PhaseClock> top = prof.top_level();
+  for (const char* phase : {"coarsen.matching", "initpart", "refine2way"}) {
+    ASSERT_TRUE(top.count(phase)) << phase;
+    EXPECT_GT(top.at(phase).cpu_ns, 0) << phase;
+  }
 }
 
 TEST(PartitionRB, CutScalesWithK) {

@@ -56,6 +56,13 @@ TEST(RunLedger, RecordCarriesRunIdentityAndMetrics) {
   EXPECT_DOUBLE_EQ(rec.max_imbalance, r.max_imbalance);
   EXPECT_GT(rec.seconds, 0.0);
   EXPECT_FALSE(rec.phases.empty());
+  ASSERT_EQ(rec.phases.size(), r.phases.size());
+  for (std::size_t i = 0; i < rec.phases.size(); ++i) {
+    EXPECT_EQ(rec.phases[i].phase, r.phases[i].phase);
+    EXPECT_EQ(rec.phases[i].wall_s, r.phases[i].wall_s);
+    EXPECT_EQ(rec.phases[i].cpu_s, r.phases[i].cpu_s);
+  }
+  EXPECT_EQ(rec.unattributed_s, r.unattributed_s);
 #if defined(__linux__)
   EXPECT_GT(rec.peak_rss_bytes, 0);
 #endif
@@ -102,8 +109,23 @@ TEST(RunLedger, WrittenLineIsParsableJson) {
   EXPECT_EQ(doc->find("experiment")->str, "unit");
   EXPECT_EQ(doc->find("nparts")->number, 2.0);
   EXPECT_EQ(doc->find("cut")->number, static_cast<double>(r.cut));
-  ASSERT_NE(doc->find("phases"), nullptr);
-  EXPECT_TRUE(doc->find("phases")->is_object());
+  // Schema 3: each phase is {wall_s, cpu_s}, and the phases' wall times
+  // plus unattributed_s add up to seconds.
+  const auto* phases = doc->find("phases");
+  ASSERT_NE(phases, nullptr);
+  ASSERT_TRUE(phases->is_object());
+  ASSERT_EQ(phases->object.size(), r.phases.size());
+  double wall_s = 0;
+  for (const auto& [name, phase] : phases->object) {
+    ASSERT_TRUE(phase.is_object()) << name;
+    ASSERT_NE(phase.find("wall_s"), nullptr) << name;
+    ASSERT_NE(phase.find("cpu_s"), nullptr) << name;
+    wall_s += phase.find("wall_s")->number;
+  }
+  ASSERT_NE(doc->find("unattributed_s"), nullptr);
+  ASSERT_NE(doc->find("seconds"), nullptr);
+  EXPECT_NEAR(wall_s + doc->find("unattributed_s")->number,
+              doc->find("seconds")->number, 1e-6);
   ASSERT_NE(doc->find("imbalance"), nullptr);
   EXPECT_EQ(doc->find("imbalance")->array.size(), to_size(g.ncon));
 #if defined(__linux__)

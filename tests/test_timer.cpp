@@ -23,38 +23,5 @@ TEST(WallTimer, RestartResets) {
   EXPECT_LT(t.seconds(), 1.0);
 }
 
-TEST(PhaseTimes, AccumulatesByName) {
-  PhaseTimes pt;
-  pt.add("coarsen", 1.0);
-  pt.add("refine", 2.0);
-  pt.add("coarsen", 0.5);
-  EXPECT_DOUBLE_EQ(pt.get("coarsen"), 1.5);
-  EXPECT_DOUBLE_EQ(pt.get("refine"), 2.0);
-  EXPECT_DOUBLE_EQ(pt.get("missing"), 0.0);
-  ASSERT_EQ(pt.entries().size(), 2u);
-  EXPECT_EQ(pt.entries()[0].first, "coarsen");
-}
-
-TEST(PhaseTimes, ClearEmpties) {
-  PhaseTimes pt;
-  pt.add("x", 1.0);
-  pt.clear();
-  EXPECT_TRUE(pt.entries().empty());
-  EXPECT_DOUBLE_EQ(pt.get("x"), 0.0);
-}
-
-TEST(ScopedPhase, RecordsElapsed) {
-  PhaseTimes pt;
-  {
-    ScopedPhase sp(pt, "work");
-    double sink = 0;
-    for (int i = 0; i < 10000; ++i) sink += static_cast<double>(i);
-    volatile double keep = sink;
-    (void)keep;
-  }
-  EXPECT_GT(pt.get("work"), 0.0);
-  EXPECT_LT(pt.get("work"), 5.0);
-}
-
 }  // namespace
 }  // namespace mcgp

@@ -38,8 +38,9 @@ import sys
 
 # Ledger schema this gate understands (mirrors kMcgpSchemaVersion in
 # src/support/schema.hpp). Newer majors fail loudly instead of silently
-# comparing fields whose meaning may have changed.
-SUPPORTED_SCHEMA = 2
+# comparing fields whose meaning may have changed. Schema 3 made each
+# phase an object {wall_s, cpu_s}; the gate compares neither.
+SUPPORTED_SCHEMA = 3
 
 KEY_FIELDS = ("experiment", "algorithm", "graph", "nparts", "ncon",
               "threads", "seed")

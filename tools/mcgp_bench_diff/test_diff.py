@@ -12,8 +12,9 @@ Drives the gate in-process over the committed fixtures:
    0.01s quality run stays exempt (scheduler noise, not signal).
 3. Duplicate baseline records for one key merge best-of (min time/RSS).
 4. --require-all turns a missing baseline key into a failure.
-5. Schema-2 records carrying keys the gate does not know (host
-   identity, profile sections from profiler-attached runs) compare
+5. Schema-3 records carrying keys the gate does not know (host
+   identity, profile sections from profiler-attached runs, phases as
+   {wall_s, cpu_s} objects, unattributed_s) compare
    cleanly against a schema-1 baseline that lacks them, and the
    committed schema-1 baselines in bench/baselines/ still load — new
    telemetry must never invalidate committed baselines.
@@ -107,12 +108,15 @@ def main():
         errors.append("partial with --require-all: expected nonzero exit")
 
     # Schema-2 ledgers stamp host identity and (with --profile) a
-    # profile object onto every record; the gate must ignore keys it does
-    # not know so schema-1 baselines keep gating new binaries.
+    # profile object onto every record, and schema 3 writes each phase as
+    # {wall_s, cpu_s} beside unattributed_s; the gate must ignore keys it
+    # does not know so schema-1 baselines keep gating new binaries.
     enriched_lines = []
     for line in Path(FIXTURES / "current_ok.jsonl").read_text().splitlines():
         rec = json.loads(line)
-        rec["schema_version"] = 2
+        rec["schema_version"] = 3
+        rec["phases"] = {"kway_refine": {"wall_s": 0.03, "cpu_s": 0.05}}
+        rec["unattributed_s"] = 0.002
         rec["host"] = "ci-runner"
         rec["cpu"] = "Fixture CPU @ 2.70GHz"
         rec["cores"] = 8
@@ -124,7 +128,7 @@ def main():
         enriched = tmp.name
     code, out = run_gate(["--baseline", BASELINE, "--current", enriched])
     if code != 0:
-        errors.append(f"extra keys: schema-2 records with host/profile "
+        errors.append(f"extra keys: schema-3 records with host/profile "
                       f"fields must compare cleanly against a schema-1 "
                       f"baseline, got exit {code}\n{out}")
     for committed in sorted(BASELINES.glob("*.json")):

@@ -31,8 +31,9 @@ import sys
 
 # Profile schema this reader understands (kMcgpSchemaVersion in
 # src/support/schema.hpp). Newer majors fail loudly instead of silently
-# misreading fields whose meaning may have changed.
-SUPPORTED_SCHEMA = 2
+# misreading fields whose meaning may have changed. Schema 3 changed only
+# the run ledger's phases, so the profile section reads as in schema 2.
+SUPPORTED_SCHEMA = 3
 
 # Raw per-phase fields the C++ side writes (summed per bucket).
 RAW_FIELDS = ("scopes", "edges", "vtxs", "wall_ns", "task_clock_ns")

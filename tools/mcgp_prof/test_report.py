@@ -13,6 +13,7 @@ Drives the reader in-process over the committed fixtures:
    improvement as a negative delta for coarsen.matching.
 4. A schema-1 report (with its hardware-counter fields) still loads and
    ranks by task_clock_ns; one without task_clock_ns ranks by wall_ns.
+   A schema-3 report, whose profile section is unchanged, loads too.
 5. Bad input (no profile section, unsupported schema) exits nonzero
    with a message naming the file.
 
@@ -152,6 +153,12 @@ def main():
     code, out = run_tool(["diff", SCHEMA1, AFTER])
     if code != 0 or "coarsen.matching" not in out:
         errors.append(f"diff schema-1 -> schema-2: expected rows\n{out}")
+    schema3 = json.loads(Path(AFTER).read_text())
+    schema3["schema_version"] = 3
+    schema3["profile"]["schema_version"] = 3
+    code, out = run_tool(["diff", BEFORE, write_tmp(schema3)])
+    if code != 0 or "coarsen.matching" not in out:
+        errors.append(f"diff schema-2 -> schema-3: expected rows\n{out}")
     # A schema-1 report whose kernel refused every counter has no
     # task_clock_ns: top falls back to wall time.
     wall_only = write_tmp({"profile": {"schema_version": 1, "phases": [
