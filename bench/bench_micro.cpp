@@ -67,7 +67,7 @@ void BM_Contract(benchmark::State& state) {
   }
   state.SetItemsProcessed(state.iterations() * g.nedges());
 }
-BENCHMARK(BM_Contract)->Arg(200)->Arg(400);
+BENCHMARK(BM_Contract)->Arg(200)->Arg(400)->Arg(480);
 
 void BM_ContractWorkspace(benchmark::State& state) {
   const Graph g = make_bench_graph(static_cast<idx_t>(state.range(0)), 3);
@@ -105,10 +105,15 @@ void BM_MatchingParallel(benchmark::State& state) {
   }
   state.SetItemsProcessed(state.iterations() * g.nvtxs);
 }
-BENCHMARK(BM_MatchingParallel)->Args({200, 1})->Args({200, 8});
+BENCHMARK(BM_MatchingParallel)
+    ->Args({200, 1})
+    ->Args({200, 4})
+    ->Args({200, 8});
 
-// Chunked parallel contraction at t threads against the same-output
-// serial row builder (t=1 -> null pool -> serial path).
+// Contraction at t threads: t=1 has no pool and builds the rows as one
+// block straight into the output; t>1 builds them in chunks at bounded
+// offsets and compacts them. Same output either way. side=480 is the
+// first level of perfbench's grid-480 workloads.
 void BM_ContractParallel(benchmark::State& state) {
   const Graph g = make_bench_graph(static_cast<idx_t>(state.range(0)), 3);
   const int threads = static_cast<int>(state.range(1));
@@ -129,7 +134,12 @@ void BM_ContractParallel(benchmark::State& state) {
   }
   state.SetItemsProcessed(state.iterations() * g.nedges());
 }
-BENCHMARK(BM_ContractParallel)->Args({200, 1})->Args({200, 8});
+BENCHMARK(BM_ContractParallel)
+    ->Args({200, 1})
+    ->Args({200, 8})
+    ->Args({480, 1})
+    ->Args({480, 2})
+    ->Args({480, 4});
 
 // Colored k-way sweep at t threads: the propose phases fan out per color
 // class; commit stays serial. Same algorithm at every t.
@@ -157,7 +167,10 @@ void BM_KWaySweepParallel(benchmark::State& state) {
   }
   state.SetItemsProcessed(state.iterations() * g.nvtxs);
 }
-BENCHMARK(BM_KWaySweepParallel)->Args({200, 1})->Args({200, 8});
+BENCHMARK(BM_KWaySweepParallel)
+    ->Args({200, 1})
+    ->Args({200, 4})
+    ->Args({200, 8});
 
 void BM_InducedSubgraph(benchmark::State& state) {
   const Graph g = make_bench_graph(static_cast<idx_t>(state.range(0)), 1);

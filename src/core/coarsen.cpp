@@ -14,25 +14,60 @@ namespace mcgp {
 
 namespace {
 
-/// Coarse-vertex range per parallel contraction chunk, and the minimum
-/// coarse size worth chunking for (below it the merge bookkeeping costs
-/// more than the rows).
+/// Coarse-vertex range per contraction chunk, and the minimum coarse size
+/// worth chunking for: below it one block costs less than the bookkeeping.
 constexpr idx_t kContractChunk = 4096;
 
-/// Append the coarse adjacency rows of coarse vertices [b, e) to
-/// `adjncy`/`adjwgt`, recording each row's END as a size relative to the
-/// start of the range into xadj_end[cv]. `pos` is a dense all--1 map of
-/// size >= ncoarse; every touched entry is restored. This is THE row
-/// builder: the serial path runs it once over [0, ncoarse) straight into
-/// the output graph, the chunked path runs it per range into chunk-local
-/// buffers — same walk, so the merged output is bit-identical.
-void build_rows(const Graph& g, const std::vector<idx_t>& cmap,
-                const std::vector<idx_t>& first,
-                const std::vector<idx_t>& second, idx_t b, idx_t e,
-                std::vector<idx_t>& pos, std::vector<idx_t>& adjncy,
-                std::vector<wgt_t>& adjwgt, idx_t* xadj_end) {
+/// Where a block of rows goes. build_rows appends each row after the
+/// last one, reading back only the row it is building.
+///  - GraphRows: the output graph's own vectors, the one block of an
+///    unchunked contraction, which never moves.
+///  - BufferRows: a chunk's region of the row buffer, from the chunk's
+///    bound offset on.
+struct GraphRows {
+  std::vector<idx_t>& adj;
+  std::vector<wgt_t>& wgt;
+
+  idx_t size() const { return static_cast<idx_t>(adj.size()); }
+  idx_t adj_at(idx_t p) const { return adj[to_size(p)]; }
+  wgt_t& wgt_at(idx_t p) { return wgt[to_size(p)]; }
+  void push(idx_t cu, wgt_t w) {
+    adj.push_back(cu);
+    wgt.push_back(w);
+  }
+};
+
+struct BufferRows {
+  idx_t* adj;
+  wgt_t* wgt;
+  idx_t n = 0;
+
+  idx_t size() const { return n; }
+  idx_t adj_at(idx_t p) const { return adj[p]; }
+  wgt_t& wgt_at(idx_t p) { return wgt[p]; }
+  void push(idx_t cu, wgt_t w) {
+    adj[n] = cu;
+    wgt[n] = w;
+    ++n;
+  }
+};
+
+/// THE row builder. Appends the coarse adjacency rows of coarse vertices
+/// [b, e) to `rows`, recording each row's end relative to the block's
+/// start into xadj_end[cv - b]. A row holds at most deg(first) +
+/// deg(second) entries. `pos` is a dense all--1 map of size >= ncoarse;
+/// every touched entry is restored. Out of line and with `rows` by value
+/// (its count stays in a register): inlined into contract_graph, the walk
+/// ran about 15% slower.
+template <class Rows>
+[[gnu::noinline]] void build_rows(const Graph& g,
+                                  const std::vector<idx_t>& cmap,
+                                  const std::vector<idx_t>& first,
+                                  const std::vector<idx_t>& second, idx_t b,
+                                  idx_t e, std::vector<idx_t>& pos, Rows rows,
+                                  idx_t* xadj_end) {
   for (idx_t cv = b; cv < e; ++cv) {
-    const idx_t row_start = static_cast<idx_t>(adjncy.size());
+    const idx_t row_start = rows.size();
     for (const idx_t v : {first[to_size(cv)],
                           second[to_size(cv)]}) {
       if (v < 0) continue;
@@ -41,18 +76,17 @@ void build_rows(const Graph& g, const std::vector<idx_t>& cmap,
         if (cu == cv) continue;  // edge collapsed inside the coarse vertex
         const idx_t p = pos[to_size(cu)];
         if (p >= 0) {
-          adjwgt[to_size(p)] += g.adjwgt[to_size(ge)];
+          rows.wgt_at(p) += g.adjwgt[to_size(ge)];
         } else {
-          pos[to_size(cu)] = static_cast<idx_t>(adjncy.size());
-          adjncy.push_back(cu);
-          adjwgt.push_back(g.adjwgt[to_size(ge)]);
+          pos[to_size(cu)] = rows.size();
+          rows.push(cu, g.adjwgt[to_size(ge)]);
         }
       }
     }
-    for (idx_t p = row_start; p < static_cast<idx_t>(adjncy.size()); ++p) {
-      pos[to_size(adjncy[to_size(p)])] = -1;
+    for (idx_t p = row_start; p < rows.size(); ++p) {
+      pos[to_size(rows.adj_at(p))] = -1;
     }
-    xadj_end[cv - b] = static_cast<idx_t>(adjncy.size());
+    xadj_end[cv - b] = rows.size();
   }
 }
 
@@ -66,7 +100,12 @@ Graph contract_graph(const Graph& g, const std::vector<idx_t>& cmap,
   c.vwgt.assign(to_size(ncoarse) * to_size(g.ncon), 0);
   c.xadj.assign(to_size(ncoarse) + 1, 0);
 
+  // One block of rows unless a pool gets more than one chunk of them.
+  const bool chunked = run.pool != nullptr && ncoarse > kContractChunk;
+  const idx_t nchunks = (ncoarse + kContractChunk - 1) / kContractChunk;
+
   // Invert cmap into constituent lists: every coarse vertex has 1 or 2.
+  // Serial: chunked, the pairs that straddle chunks would race.
   std::vector<idx_t> local_first, local_second;
   std::vector<idx_t>& first = ws != nullptr ? ws->first : local_first;
   std::vector<idx_t>& second = ws != nullptr ? ws->second : local_second;
@@ -81,11 +120,13 @@ Graph contract_graph(const Graph& g, const std::vector<idx_t>& cmap,
     }
   }
 
-  // Sum constituent weight vectors from the lists: each chunk writes only
-  // its own coarse vertices' weights (disjoint), and per-vertex sums add
-  // first then second exactly like the serial fine-vertex sweep did.
+  // Sum constituent weight vectors, first then second: each chunk writes
+  // only its own coarse vertices' weights. Chunked, it also sums its rows'
+  // bound, deg(first) + deg(second), into bound[chunk + 1].
+  std::vector<std::size_t> bound(to_size(nchunks) + 1, 0);
   parallel_chunks(run.pool, ncoarse, kContractChunk, [&](idx_t b, idx_t e) {
     ProfScope aux(run.profile, "coarsen.contract", run.level, ProfScope::kAux);
+    std::size_t rows = 0;
     for (idx_t cv = b; cv < e; ++cv) {
       wgt_t* out = &c.vwgt[to_size(cv) * to_size(g.ncon)];
       for (const idx_t v : {first[to_size(cv)],
@@ -93,77 +134,71 @@ Graph contract_graph(const Graph& g, const std::vector<idx_t>& cmap,
         if (v < 0) continue;
         const wgt_t* w = g.weights(v);
         for (int i = 0; i < g.ncon; ++i) out[i] += w[i];
+        if (chunked) rows += to_size(g.degree(v));
       }
     }
+    bound[to_size(b / kContractChunk) + 1] = rows;
   });
 
-  if (run.pool == nullptr || ncoarse <= kContractChunk) {
-    // Serial rows straight into the output graph.
+  if (!chunked) {
+    // One block: rows go straight into the output graph and never move.
     c.adjncy.reserve(g.adjncy.size());
     c.adjwgt.reserve(g.adjwgt.size());
     std::vector<idx_t> local_pos;
     if (ws == nullptr) local_pos.assign(to_size(ncoarse), -1);
     std::vector<idx_t>& pos =
-        ws != nullptr ? ws->pos_map(to_size(ncoarse))
-                      : local_pos;
-    build_rows(g, cmap, first, second, 0, ncoarse, pos, c.adjncy, c.adjwgt,
+        ws != nullptr ? ws->pos_map(to_size(ncoarse)) : local_pos;
+    GraphRows rows{c.adjncy, c.adjwgt};
+    build_rows(g, cmap, first, second, 0, ncoarse, pos, rows,
                c.xadj.data() + 1);
-  } else {
-    // Chunked rows: build each coarse-vertex range into its own buffers
-    // (dense map from a workspace lease), then merge at offsets fixed by
-    // chunk order. Same rows, same order — bit-identical to serial.
-    const idx_t nchunks = (ncoarse + kContractChunk - 1) / kContractChunk;
-    std::vector<std::vector<idx_t>> chunk_adjncy(to_size(nchunks));
-    std::vector<std::vector<wgt_t>> chunk_adjwgt(to_size(nchunks));
-    parallel_chunks(run.pool, ncoarse, kContractChunk, [&](idx_t b, idx_t e) {
-      ProfScope aux(run.profile, "coarsen.contract", run.level,
-                    ProfScope::kAux);
-      const idx_t chunk = b / kContractChunk;
-      std::vector<idx_t>& adjncy = chunk_adjncy[to_size(chunk)];
-      std::vector<wgt_t>& adjwgt = chunk_adjwgt[to_size(chunk)];
-      std::vector<idx_t> local_pos;
-      std::unique_ptr<WorkspacePool::Lease> lease;
-      if (run.wspool != nullptr) {
-        lease = std::make_unique<WorkspacePool::Lease>(run.wspool->acquire());
-      } else {
-        local_pos.assign(to_size(ncoarse), -1);
-      }
-      std::vector<idx_t>& pos = lease != nullptr
-                                    ? (*lease)->pos_map(to_size(ncoarse))
-                                    : local_pos;
-      // Row ends land in c.xadj[b+1 .. e] as range-relative sizes; the
-      // serial merge below shifts them to global offsets. Chunks write
-      // disjoint xadj slices.
-      build_rows(g, cmap, first, second, b, e, pos, adjncy, adjwgt,
-                 c.xadj.data() + b + 1);
-    });
-
-    std::size_t total = 0;
-    std::vector<std::size_t> chunk_base(to_size(nchunks), 0);
-    for (idx_t chunk = 0; chunk < nchunks; ++chunk) {
-      chunk_base[to_size(chunk)] = total;
-      total += chunk_adjncy[to_size(chunk)].size();
-    }
-    c.adjncy.resize(total);
-    c.adjwgt.resize(total);
-    parallel_chunks(run.pool, ncoarse, kContractChunk, [&](idx_t b, idx_t e) {
-      ProfScope aux(run.profile, "coarsen.contract", run.level,
-                    ProfScope::kAux);
-      const idx_t chunk = b / kContractChunk;
-      const std::size_t base = chunk_base[to_size(chunk)];
-      const std::vector<idx_t>& adjncy = chunk_adjncy[to_size(chunk)];
-      const std::vector<wgt_t>& adjwgt = chunk_adjwgt[to_size(chunk)];
-      std::copy(adjncy.begin(), adjncy.end(), c.adjncy.begin() +
-                                                  static_cast<std::ptrdiff_t>(
-                                                      base));
-      std::copy(adjwgt.begin(), adjwgt.end(), c.adjwgt.begin() +
-                                                  static_cast<std::ptrdiff_t>(
-                                                      base));
-      for (idx_t cv = b; cv < e; ++cv) {
-        c.xadj[to_size(cv) + 1] += static_cast<idx_t>(base);
-      }
-    });
+    c.finalize();
+    return c;
   }
+
+  // Chunk k writes its rows one after another from bound[k], the prefix
+  // sum of the bounds before it, so no two blocks overlap.
+  for (idx_t k = 0; k < nchunks; ++k) {
+    bound[to_size(k) + 1] += bound[to_size(k)];
+  }
+  RowBuffer local_buffer;
+  RowBuffer& buffer = ws != nullptr ? ws->rows : local_buffer;
+  buffer.reserve(bound[to_size(nchunks)]);
+  parallel_chunks(run.pool, ncoarse, kContractChunk, [&](idx_t b, idx_t e) {
+    ProfScope aux(run.profile, "coarsen.contract", run.level, ProfScope::kAux);
+    std::vector<idx_t> local_pos;
+    std::unique_ptr<WorkspacePool::Lease> lease;
+    if (run.wspool != nullptr) {
+      lease = std::make_unique<WorkspacePool::Lease>(run.wspool->acquire());
+    } else {
+      local_pos.assign(to_size(ncoarse), -1);
+    }
+    std::vector<idx_t>& pos =
+        lease != nullptr ? (*lease)->pos_map(to_size(ncoarse)) : local_pos;
+    const std::size_t at = bound[to_size(b / kContractChunk)];
+    BufferRows rows{buffer.adj.get() + at, buffer.wgt.get() + at};
+    // Row ends land in c.xadj[b+1 .. e] relative to the block's start.
+    build_rows(g, cmap, first, second, b, e, pos, rows,
+               c.xadj.data() + b + 1);
+  });
+
+  // Compact: block k's length is its last row's relative end; their
+  // prefix sum is where each block moves, whole, in the output.
+  std::vector<std::size_t> out(to_size(nchunks) + 1, 0);
+  for (idx_t k = 0; k < nchunks; ++k) {
+    const idx_t last = std::min<idx_t>(ncoarse, (k + 1) * kContractChunk);
+    out[to_size(k) + 1] = out[to_size(k)] + to_size(c.xadj[to_size(last)]);
+  }
+  c.adjncy.resize(out[to_size(nchunks)]);
+  c.adjwgt.resize(out[to_size(nchunks)]);
+  parallel_chunks(run.pool, ncoarse, kContractChunk, [&](idx_t b, idx_t e) {
+    ProfScope aux(run.profile, "coarsen.contract", run.level, ProfScope::kAux);
+    const std::size_t k = to_size(b / kContractChunk);
+    const std::size_t len = out[k + 1] - out[k];
+    std::copy_n(buffer.adj.get() + bound[k], len, c.adjncy.data() + out[k]);
+    std::copy_n(buffer.wgt.get() + bound[k], len, c.adjwgt.data() + out[k]);
+    const idx_t shift = static_cast<idx_t>(out[k]);
+    for (idx_t cv = b; cv < e; ++cv) c.xadj[to_size(cv) + 1] += shift;
+  });
 
   c.finalize();
   return c;
@@ -200,7 +235,7 @@ Hierarchy coarsen_graph(const Graph& g, const CoarsenParams& params, Rng& rng,
     match_scope.work(cur->nedges(), cur->nvtxs);
     compute_matching_into(*cur, params.scheme, rng, match, ws, run);
     std::vector<idx_t> cmap;  // kept by the hierarchy: allocated fresh
-    const idx_t ncoarse = build_coarse_map(*cur, match, cmap);
+    const idx_t ncoarse = build_coarse_map(*cur, match, cmap, run);
     match_scope.finish();
 
     if (sp.enabled()) {
@@ -248,6 +283,7 @@ Hierarchy coarsen_graph(const Graph& g, const CoarsenParams& params, Rng& rng,
     }
   }
 
+  if (ws != nullptr) ws->rows = {};  // the row buffer serves one hierarchy
   if (coarsen_span.enabled()) {
     coarsen_span.arg({"levels", h.num_levels()});
     coarsen_span.arg({"coarsest_nvtxs", h.coarsest().nvtxs});

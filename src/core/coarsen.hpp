@@ -12,14 +12,19 @@ namespace mcgp {
 /// Contract a graph according to a fine-to-coarse vertex map.
 /// Coarse vertex weights are the (vector) sums of their constituents;
 /// parallel coarse edges are merged by summing weights; edges internal to
-/// a coarse vertex vanish. A non-null `ws` supplies the constituent-list
-/// and dense position scratch buffers so repeated contractions allocate
-/// nothing beyond the coarse graph itself. A non-null `run.pool` builds
-/// the coarse rows in parallel for sufficiently large outputs, each chunk
-/// leasing its dense position map from `run.wspool`, and
-/// merges them at offsets fixed by chunk order: every row is built by the
-/// same first/second-constituent walk, so the output is bit-identical to
-/// the serial path's.
+/// a coarse vertex vanish. A non-null `ws` supplies the constituent-list,
+/// dense position and row scratch so repeated contractions allocate
+/// nothing beyond the coarse graph itself.
+///
+/// One row builder serves every thread count. Without a pool, or with at
+/// most one chunk of coarse vertices, it writes all rows as one block
+/// straight into the output. With `run.pool`, each chunk of coarse
+/// vertices writes its rows one after another from its first row's
+/// bound, the prefix sum of deg(first) + deg(second) over the coarse
+/// vertices before it, leasing its dense position map from `run.wspool`;
+/// a prefix sum of the chunks' lengths then moves whole blocks into the
+/// output. Rows and their order are the same either way, so the output
+/// is bit-identical at every thread count.
 Graph contract_graph(const Graph& g, const std::vector<idx_t>& cmap,
                      idx_t ncoarse, Workspace* ws = nullptr,
                      const RunContext& run = {});
@@ -68,6 +73,8 @@ CoarsenParams coarsen_params(const Options& opts, idx_t coarsen_to,
 /// coarsening stalls. `g` must outlive the returned hierarchy. A non-null
 /// `ws` supplies reusable scratch (match/perm/contract buffers); only the
 /// per-level cmap vectors, which the hierarchy keeps, are still allocated.
+/// The contraction's row buffer is sized by the first chunked level and
+/// released before returning, so it never outlives the coarsening.
 Hierarchy coarsen_graph(const Graph& g, const CoarsenParams& params, Rng& rng,
                         Workspace* ws = nullptr);
 

@@ -92,7 +92,11 @@ std::vector<idx_t> partition_kway(const Graph& g, const Options& opts,
     if (l < h.num_levels()) {
       const std::vector<idx_t>& cmap = h.levels[to_size(l)].cmap;
       std::vector<idx_t> fine_where;
-      project_partition(cmap, cwhere, fine_where);
+      {
+        ProfScope ps(run.profile, "project", l);
+        ps.work(cur.nedges(), cur.nvtxs);
+        project_partition(cmap, cwhere, fine_where);
+      }
       if (run.audit != nullptr && run.audit->boundaries()) {
         run.audit->check_projection(cur, h.graph_at(l + 1), cmap, cwhere,
                                     fine_where, "kway.uncoarsen");

@@ -272,19 +272,49 @@ void compute_matching_into(const Graph& g, MatchScheme scheme, Rng& rng,
 }
 
 idx_t build_coarse_map(const Graph& g, const std::vector<idx_t>& match,
-                       std::vector<idx_t>& cmap) {
+                       std::vector<idx_t>& cmap, const RunContext& run) {
   cmap.assign(to_size(g.nvtxs), -1);
-  idx_t ncoarse = 0;
-  for (idx_t v = 0; v < g.nvtxs; ++v) {
-    const idx_t u = match[to_size(v)];
-    assert(u >= 0 && u < g.nvtxs);
-    if (v <= u) {
-      cmap[to_size(v)] = ncoarse;
-      cmap[to_size(u)] = ncoarse;
-      ++ncoarse;
+  // Number the pairs of fine vertices [b, e) by their smaller endpoint,
+  // from `next` on. A pair is written only by its smaller endpoint, so
+  // ranges write disjoint entries.
+  const auto number = [&](idx_t b, idx_t e, idx_t next) {
+    for (idx_t v = b; v < e; ++v) {
+      const idx_t u = match[to_size(v)];
+      assert(u >= 0 && u < g.nvtxs);
+      if (v <= u) {
+        cmap[to_size(v)] = next;
+        cmap[to_size(u)] = next;
+        ++next;
+      }
     }
+    return next;
+  };
+  if (run.pool == nullptr || g.nvtxs <= kMatchChunk) {
+    return number(0, g.nvtxs, 0);
   }
-  return ncoarse;
+
+  // Per-chunk counts of smaller endpoints, prefix-summed into each
+  // chunk's first coarse id.
+  const idx_t nchunks = (g.nvtxs + kMatchChunk - 1) / kMatchChunk;
+  std::vector<idx_t> base(to_size(nchunks) + 1, 0);
+  parallel_chunks(run.pool, g.nvtxs, kMatchChunk, [&](idx_t b, idx_t e) {
+    ProfScope aux(run.profile, "coarsen.matching", run.level,
+                  ProfScope::kAux);
+    idx_t pairs = 0;
+    for (idx_t v = b; v < e; ++v) {
+      if (v <= match[to_size(v)]) ++pairs;
+    }
+    base[to_size(b / kMatchChunk) + 1] = pairs;
+  });
+  for (idx_t c = 0; c < nchunks; ++c) {
+    base[to_size(c) + 1] += base[to_size(c)];
+  }
+  parallel_chunks(run.pool, g.nvtxs, kMatchChunk, [&](idx_t b, idx_t e) {
+    ProfScope aux(run.profile, "coarsen.matching", run.level,
+                  ProfScope::kAux);
+    number(b, e, base[to_size(b / kMatchChunk)]);
+  });
+  return base[to_size(nchunks)];
 }
 
 }  // namespace mcgp

@@ -58,9 +58,12 @@ void compute_matching_into(const Graph& g, MatchScheme scheme, Rng& rng,
 
 /// Derive the fine-to-coarse vertex map from a matching. Coarse ids are
 /// assigned in order of the smaller endpoint. Returns the number of coarse
-/// vertices and fills cmap (size g.nvtxs).
+/// vertices and fills cmap (size g.nvtxs). A non-null `run.pool` numbers
+/// kMatchChunk ranges of fine vertices as chunk tasks, each starting from
+/// the count of smaller endpoints before it, so the map is the same at
+/// every thread count.
 idx_t build_coarse_map(const Graph& g, const std::vector<idx_t>& match,
-                       std::vector<idx_t>& cmap);
+                       std::vector<idx_t>& cmap, const RunContext& run = {});
 
 /// Flatness score of a combined weight vector used by the balanced-edge
 /// tie-break: max_i ĉ_i - min_i ĉ_i of the normalized combined vector

@@ -122,6 +122,10 @@ void rb_recurse(const RbContext& ctx, const Graph& sub,
 
     std::vector<idx_t> where;
     multilevel_bisect(sub, where, targets, ctx.opts, rng, stats, &ws, &ctx.run);
+    // Closed before the fork below: a scope left open across wait() would
+    // enclose the tasks this thread helps run.
+    ProfScope split(ctx.run.profile, "rb.split");
+    split.work(sub.nedges(), sub.nvtxs);
     ensure_nonempty_sides(sub, where);
 
     std::vector<char>& select = ws.select;
@@ -189,7 +193,11 @@ sum_t multilevel_bisect(const Graph& g, std::vector<idx_t>& where,
     const Graph& cur = h.graph_at(l);
     if (l < h.num_levels()) {
       const std::vector<idx_t>& cmap = h.levels[to_size(l)].cmap;
-      project_partition(cmap, cwhere, proj);
+      {
+        ProfScope ps(run.profile, "project", l);
+        ps.work(cur.nedges(), cur.nvtxs);
+        project_partition(cmap, cwhere, proj);
+      }
       if (run.audit != nullptr && run.audit->boundaries()) {
         // cwhere still holds the coarse assignment; proj the projection.
         run.audit->check_projection(cur, h.graph_at(l + 1), cmap, cwhere,

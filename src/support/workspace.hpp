@@ -16,6 +16,7 @@
 // buffers carry no information between uses.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <memory>
 #include <vector>
@@ -24,6 +25,25 @@
 #include "support/types.hpp"
 
 namespace mcgp {
+
+/// Row storage of contract_graph's chunked row builder: `capacity`
+/// entries per array, left uninitialized, so only the pages the chunks
+/// write ever become resident.
+struct RowBuffer {
+  std::unique_ptr<idx_t[]> adj;
+  std::unique_ptr<wgt_t[]> wgt;
+  std::size_t capacity = 0;
+
+  /// Grow to at least n entries; the contents are not kept.
+  void reserve(std::size_t n) {
+    if (capacity >= n) return;
+    adj.reset();
+    wgt.reset();
+    adj = std::make_unique_for_overwrite<idx_t[]>(n);
+    wgt = std::make_unique_for_overwrite<wgt_t[]>(n);
+    capacity = n;
+  }
+};
 
 struct Workspace {
   std::vector<idx_t> perm;    ///< matching visit order / active list
@@ -35,6 +55,10 @@ struct Workspace {
   std::vector<idx_t> proposal;  ///< handshake-matching proposal slots
   std::vector<sum_t> kconn;     ///< per-task k-way connectivity scratch
   std::vector<idx_t> ktouched;  ///< parts touched by the kconn gather
+  /// Bounded-offset rows of contract_graph. Sized by a hierarchy's first
+  /// (largest) chunked level; coarsen_graph releases it once the
+  /// hierarchy is built, so it never outlives the coarsening.
+  RowBuffer rows;
 
   /// Dense coarse-neighbor position map (contract_graph). All -1 between
   /// uses; users restore the entries they touch.
@@ -62,6 +86,7 @@ struct Workspace {
                           proposal.capacity() * sizeof(idx_t) +
                           kconn.capacity() * sizeof(sum_t) +
                           ktouched.capacity() * sizeof(idx_t) +
+                          rows.capacity * (sizeof(idx_t) + sizeof(wgt_t)) +
                           pos_.capacity() * sizeof(idx_t) +
                           g2l_.capacity() * sizeof(idx_t);
     return static_cast<std::int64_t>(b);

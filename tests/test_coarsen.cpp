@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <memory>
+#include <string>
+
 #include "gen/mesh_gen.hpp"
 #include "gen/weight_gen.hpp"
 #include "graph/metrics.hpp"
@@ -110,6 +113,105 @@ TEST(ContractGraph, ChunkedParallelPathBitIdenticalToSerial) {
   // footprint accounting must have seen them.
   EXPECT_GT(wspool.size(), 0);
   EXPECT_GT(wspool.footprint_bytes(), 0);
+}
+
+// A fine graph and hand-built cmap onto exactly `ncoarse` coarse vertices:
+// every fifth coarse vertex is a singleton, the rest are pairs whose fine
+// ids are scattered by a permutation, so the cmap is not ordered the way
+// build_coarse_map orders it. The constituents of every eleventh coarse
+// vertex are isolated. Each other coarse vertex's constituents connect to
+// all constituents of three coarse neighbors, so up to four fine edges
+// merge into one coarse edge, and one edge weight in four is zero. Pairs
+// are joined by an edge that collapses; `match` records the pairs.
+struct HandContraction {
+  Graph g;
+  std::vector<idx_t> cmap;
+  std::vector<idx_t> match;
+};
+
+HandContraction hand_contraction(idx_t ncoarse) {
+  std::vector<std::vector<idx_t>> members(to_size(ncoarse));
+  idx_t nfine = 0;
+  for (idx_t cv = 0; cv < ncoarse; ++cv) {
+    const idx_t size = cv % 5 == 0 ? 1 : 2;
+    for (idx_t i = 0; i < size; ++i) members[to_size(cv)].push_back(nfine++);
+  }
+  std::vector<idx_t> perm;
+  Rng rng(static_cast<std::uint64_t>(ncoarse));
+  random_permutation(nfine, perm, rng);
+  HandContraction hc;
+  hc.cmap.assign(to_size(nfine), -1);
+  hc.match.assign(to_size(nfine), -1);
+  for (idx_t cv = 0; cv < ncoarse; ++cv) {
+    for (idx_t& v : members[to_size(cv)]) {
+      v = perm[to_size(v)];
+      hc.cmap[to_size(v)] = cv;
+    }
+    const auto& m = members[to_size(cv)];
+    hc.match[to_size(m.front())] = m.back();
+    hc.match[to_size(m.back())] = m.front();
+  }
+  GraphBuilder b(nfine, 2);
+  for (idx_t v = 0; v < nfine; ++v) {
+    b.set_weights(v, {1 + v % 7, v % 3});
+  }
+  const auto isolated = [](idx_t cv) { return cv % 11 == 3; };
+  for (idx_t cv = 0; cv < ncoarse; ++cv) {
+    if (isolated(cv)) continue;
+    const auto& m = members[to_size(cv)];
+    if (m.size() == 2) b.add_edge(m[0], m[1], 1 + cv % 3);
+    for (const idx_t d : {1, 2, 97}) {
+      const idx_t cu = (cv + d) % ncoarse;
+      if (isolated(cu)) continue;
+      for (const idx_t v : m) {
+        for (const idx_t u : members[to_size(cu)]) {
+          b.add_edge(v, u, static_cast<wgt_t>((v + u + d) % 4));
+        }
+      }
+    }
+  }
+  hc.g = b.build();
+  return hc;
+}
+
+// One row builder serves every pool size: the rows written at their
+// bounded offsets and compacted must equal the unpooled contraction's,
+// at coarse sizes around the chunk boundary (4096) and over several
+// chunks, with and without a workspace, and build_coarse_map must number
+// the same map at every pool size.
+TEST(ContractGraph, ParallelRowsMatchSerialAtEveryPoolSize) {
+  for (const idx_t ncoarse : {4095, 4096, 4097, 3 * 4096 + 1}) {
+    const HandContraction hc = hand_contraction(ncoarse);
+    ASSERT_TRUE(hc.g.validate().empty());
+    const Graph serial = contract_graph(hc.g, hc.cmap, ncoarse);
+    ASSERT_TRUE(serial.validate().empty());
+    std::vector<idx_t> serial_cmap;
+    const idx_t serial_nc = build_coarse_map(hc.g, hc.match, serial_cmap);
+    ASSERT_EQ(serial_nc, ncoarse);
+
+    for (const int threads : {0, 1, 2, 4, 8}) {
+      std::unique_ptr<ThreadPool> pool;
+      if (threads > 0) pool = std::make_unique<ThreadPool>(threads);
+      WorkspacePool wspool;
+      RunContext exec;
+      exec.pool = pool.get();
+      exec.wspool = &wspool;
+      Workspace ws;
+      for (Workspace* w : {&ws, static_cast<Workspace*>(nullptr)}) {
+        const Graph c = contract_graph(hc.g, hc.cmap, ncoarse, w, exec);
+        const std::string where = "ncoarse=" + std::to_string(ncoarse) +
+                                  " threads=" + std::to_string(threads) +
+                                  (w != nullptr ? " ws" : " no ws");
+        EXPECT_EQ(c.xadj, serial.xadj) << where;
+        EXPECT_EQ(c.adjncy, serial.adjncy) << where;
+        EXPECT_EQ(c.adjwgt, serial.adjwgt) << where;
+        EXPECT_EQ(c.vwgt, serial.vwgt) << where;
+      }
+      std::vector<idx_t> cmap;
+      EXPECT_EQ(build_coarse_map(hc.g, hc.match, cmap, exec), serial_nc);
+      EXPECT_EQ(cmap, serial_cmap) << "threads=" << threads;
+    }
+  }
 }
 
 TEST(CoarsenGraph, ReachesTarget) {

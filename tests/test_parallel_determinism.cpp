@@ -127,6 +127,40 @@ TEST(ParallelDeterminismLarge, KWayParallelPhasesBitIdenticalUnderObservers) {
   }
 }
 
+// MC-RB runs every bisection's coarsening inside its own recursion task,
+// so chunked contraction and matching must stay bit-identical when they
+// run nested in concurrent tasks. On a 160x160 triangulated grid (25600
+// vertices) the top bisection and both bisections of the next level
+// contract more than one chunk (4096 coarse vertices), the latter two
+// concurrently. Fully observed, like the MC-KW case above.
+TEST(ParallelDeterminismLarge, RBParallelPhasesBitIdenticalUnderObservers) {
+  Graph g = tri_grid2d(160, 160);
+  apply_type_s_weights(g, 3, 12, 0, 7, 2);
+  std::vector<idx_t> reference;
+  sum_t reference_cut = 0;
+  for (const int threads : {1, 2, 4, 8}) {
+    TraceRecorder trace;
+    FlightRecorder flight;
+    Profiler profile;
+    Options o = base_options(Algorithm::kRecursiveBisection, 16, /*seed=*/99);
+    o.num_threads = threads;
+    o.audit_level = AuditLevel::kBoundaries;
+    o.trace = &trace;
+    o.flight = &flight;
+    o.profile = &profile;
+    const PartitionResult r = partition(g, o);
+    ASSERT_TRUE(validate_partition(g, r.part, 16).empty())
+        << "threads=" << threads;
+    if (threads == 1) {
+      reference = r.part;
+      reference_cut = r.cut;
+    } else {
+      EXPECT_EQ(r.part, reference) << "threads=" << threads;
+      EXPECT_EQ(r.cut, reference_cut);
+    }
+  }
+}
+
 // The dead candidates the k-way sweep skips and the proposals the
 // handshake rounds evaluate are deterministic work counts: equal at every
 // thread count, and pinned exactly on fixed instances (MC-KW, k=16, Type-S

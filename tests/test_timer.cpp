@@ -2,25 +2,21 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+
 namespace mcgp {
 namespace {
 
-TEST(WallTimer, NonNegativeAndMonotone) {
-  WallTimer t;
-  const double a = t.seconds();
-  const double b = t.seconds();
-  EXPECT_GE(a, 0.0);
-  EXPECT_GE(b, a);
-}
-
-TEST(WallTimer, RestartResets) {
-  WallTimer t;
-  double sink = 0;
-  for (int i = 0; i < 100000; ++i) sink += static_cast<double>(i);
-  volatile double keep = sink;
-  (void)keep;
-  t.restart();
-  EXPECT_LT(t.seconds(), 1.0);
+// Every phase time is a difference of two monotonic_now_ns() readings, so
+// successive readings must never go backwards.
+TEST(MonotonicClock, NonDecreasing) {
+  std::int64_t prev = monotonic_now_ns();
+  EXPECT_GT(prev, 0);
+  for (int i = 0; i < 1000; ++i) {
+    const std::int64_t now = monotonic_now_ns();
+    EXPECT_GE(now, prev);
+    prev = now;
+  }
 }
 
 }  // namespace
