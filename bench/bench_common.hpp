@@ -15,7 +15,8 @@ struct Args {
   double scale = 1.0;   ///< multiplies the vertex counts of the suite
   int reps = 3;         ///< seeds averaged per configuration (paper: 3)
   bool quick = false;   ///< trim the parameter grid (CI-friendly)
-  /// Thread counts swept by benches that honor --threads (exp_runtime).
+  /// Thread counts swept by benches that honor --threads (exp_runtime,
+  /// exp_quality_rb, exp_quality_kway).
   std::vector<int> threads = {1};
   /// When non-empty, benches additionally run one traced partition per
   /// configuration and write machine-readable artifacts into this

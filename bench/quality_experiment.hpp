@@ -9,9 +9,10 @@
 
 namespace mcgp::bench {
 
-/// Run the quality grid for one algorithm and print the table. Every
-/// individual run appends a ledger record (experiment "quality_rb" or
-/// "quality_kway") to ledger_file(args, "BENCH_quality.json").
+/// Run the quality grid for one algorithm at each of args.threads and
+/// print the table. Every individual run appends a ledger record
+/// (experiment "quality_rb" or "quality_kway", with its thread count) to
+/// ledger_file(args, "BENCH_quality.json").
 void run_quality_experiment(Algorithm alg, const char* title, const Args& args);
 
 }  // namespace mcgp::bench

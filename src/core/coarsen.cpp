@@ -5,10 +5,9 @@
 #include <memory>
 
 #include "core/audit.hpp"
-#include "support/flight_recorder.hpp"
+#include "core/seam.hpp"
 #include "support/profiler.hpp"
 #include "support/thread_pool.hpp"
-#include "support/trace.hpp"
 
 namespace mcgp {
 
@@ -219,7 +218,7 @@ Hierarchy coarsen_graph(const Graph& g, const CoarsenParams& params, Rng& rng,
   Hierarchy h;
   h.finest = &g;
 
-  TraceSpan coarsen_span(params.trace, "coarsen");
+  Seam coarsen(params, SeamSpec().span("coarsen"), g);
 
   std::vector<idx_t> local_match;
   std::vector<idx_t>& match = ws != nullptr ? ws->match : local_match;
@@ -228,66 +227,60 @@ Hierarchy coarsen_graph(const Graph& g, const CoarsenParams& params, Rng& rng,
   for (int level = 0; level < params.max_levels; ++level) {
     if (cur->nvtxs <= params.coarsen_to) break;
 
-    TraceSpan sp(params.trace, "coarsen.level");
+    Seam lvl(params, SeamSpec().span("coarsen.level").level(level), *cur);
     RunContext run = params;
     run.level = level;
-    ProfScope match_scope(params.profile, "coarsen.matching", level);
-    match_scope.work(cur->nedges(), cur->nvtxs);
-    compute_matching_into(*cur, params.scheme, rng, match, ws, run);
+    Seam matching(run, SeamSpec().phase("coarsen.matching").level(level), *cur);
+    const sum_t proposals =
+        compute_matching_into(*cur, params.scheme, rng, match, ws, run);
     std::vector<idx_t> cmap;  // kept by the hierarchy: allocated fresh
     const idx_t ncoarse = build_coarse_map(*cur, match, cmap, run);
-    match_scope.finish();
+    matching.close();
 
-    if (sp.enabled()) {
-      idx_t singletons = 0;
+    if (lvl.traced()) {
+      idx_t singletons = 0, failed = 0;
       for (idx_t v = 0; v < cur->nvtxs; ++v) {
-        if (match[to_size(v)] == v) ++singletons;
+        if (match[to_size(v)] != v) continue;
+        ++singletons;
+        // Had neighbors, but every one was already taken.
+        if (cur->degree(v) > 0) ++failed;
       }
-      sp.arg({"level", level});
-      sp.arg({"nvtxs", cur->nvtxs});
-      sp.arg({"nedges", cur->nedges()});
-      sp.arg({"ncoarse", ncoarse});
-      sp.arg({"matched_fraction",
-              static_cast<double>(cur->nvtxs - singletons) /
-                  static_cast<double>(cur->nvtxs)});
-      sp.arg({"reduction", static_cast<double>(ncoarse) /
-                               static_cast<double>(cur->nvtxs)});
+      lvl.count("match.pairs", (cur->nvtxs - singletons) / 2);
+      lvl.count("match.failed", failed);
+      lvl.count("match.proposals", proposals);
+      const auto n = static_cast<double>(cur->nvtxs);
+      lvl.args({{"ncoarse", ncoarse},
+                {"matched_fraction",
+                 static_cast<double>(cur->nvtxs - singletons) / n},
+                {"reduction", static_cast<double>(ncoarse) / n}});
     }
 
     // Stop when matching no longer shrinks the graph meaningfully
     // (e.g. star-like coarse graphs where almost nothing matches).
     if (ncoarse >= static_cast<idx_t>(params.min_reduction * cur->nvtxs) &&
         ncoarse > params.coarsen_to) {
-      trace_count(params.trace, "coarsen.stalled");
+      lvl.count("coarsen.stalled");
       break;
     }
 
-    ProfScope contract_scope(params.profile, "coarsen.contract", level);
-    contract_scope.work(cur->nedges(), cur->nvtxs);
+    Seam contract(run, SeamSpec().phase("coarsen.contract").level(level), *cur);
     Graph coarse = contract_graph(*cur, cmap, ncoarse, ws, run);
-    contract_scope.finish();
+    contract.close();
     if (params.audit != nullptr && params.audit->boundaries()) {
       params.audit->check_coarse_level(*cur, coarse, cmap, "coarsen.level");
     }
     h.levels.push_back(CoarseLevel{std::move(coarse), std::move(cmap)});
     cur = &h.levels.back().graph;
-    trace_count(params.trace, "coarsen.levels");
-    if (params.flight != nullptr) {
-      params.flight->sample_memory();
-      FlightSample fs;
-      fs.stage = FlightSample::Stage::kCoarsenLevel;
-      fs.level = level + 1;  // level of the graph just built (0 = finest)
-      fs.nvtxs = cur->nvtxs;
-      fs.nedges = cur->nedges();
-      params.flight->record(fs);
-    }
+    lvl.count("coarsen.levels");
+    // The graph just built, at its own level (0 = finest).
+    Seam built(params,
+               SeamSpec().level(level + 1).stage(Seam::Stage::kCoarsenLevel),
+               *cur);
   }
 
   if (ws != nullptr) ws->rows = {};  // the row buffer serves one hierarchy
-  if (coarsen_span.enabled()) {
-    coarsen_span.arg({"levels", h.num_levels()});
-    coarsen_span.arg({"coarsest_nvtxs", h.coarsest().nvtxs});
-  }
+  coarsen.args({{"levels", h.num_levels()},
+                {"coarsest_nvtxs", h.coarsest().nvtxs}});
   return h;
 }
 

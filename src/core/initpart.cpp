@@ -6,10 +6,10 @@
 
 #include "core/balance2way.hpp"
 #include "core/refine2way.hpp"
+#include "core/seam.hpp"
 #include "support/indexed_heap.hpp"
 #include "support/profiler.hpp"
 #include "support/thread_pool.hpp"
-#include "support/trace.hpp"
 
 namespace mcgp {
 
@@ -165,7 +165,7 @@ sum_t init_bisection(const Graph& g, std::vector<idx_t>& where,
                      int trials, QueuePolicy policy, Rng& rng,
                      const RunContext& run) {
   trials = std::max(trials, 1);
-  TraceSpan span(run.trace, "initpart");
+  Seam seam(run, SeamSpec().span("initpart").phase("initpart"), g);
   // Polishing is audited but untraced: the trials report as instants.
   RunContext polish;
   polish.audit = run.audit;
@@ -198,9 +198,9 @@ sum_t init_bisection(const Graph& g, std::vector<idx_t>& where,
     out.feasible = out.pot <= 1.0 + 1e-12;
     out.cut = compute_cut_2way(g, out.where);
 
-    trace_count(run.trace, "initpart.trials");
-    trace_instant(
-        run.trace, "initpart.trial",
+    seam.count("initpart.trials");
+    seam.instant(
+        "initpart.trial",
         {{"trial", t},
          {"grow", static_cast<std::int64_t>(use_grow ? 1 : 0)},
          {"cut", out.cut},
@@ -240,13 +240,8 @@ sum_t init_bisection(const Graph& g, std::vector<idx_t>& where,
   }
   InitTrial& best = results[to_size(best_t)];
 
-  if (span.enabled()) {
-    span.arg({"nvtxs", g.nvtxs});
-    span.arg({"trials", trials});
-    span.arg({"best_cut", best.cut});
-    span.arg({"best_potential", best.pot});
-    span.arg({"feasible", static_cast<std::int64_t>(best.feasible ? 1 : 0)});
-  }
+  seam.args({{"trials", trials}});
+  seam.cut(best.cut).worst_imbalance(best.pot).feasible(best.feasible);
   where = std::move(best.where);
   return best.cut;
 }

@@ -35,17 +35,17 @@ void binpack_bisection(const Graph& g, std::vector<idx_t>& where,
                        const BisectionTargets& targets, Rng& rng);
 
 /// Best-of-`trials` initial bisection with polishing. Fills `where`.
-/// Returns the cut of the selected bisection. A non-null `run.trace`
-/// records an "initpart" span with one "initpart.trial" instant per
-/// attempt; the trials polish with only `run.audit` attached.
+/// Returns the cut of the selected bisection. Its seam is an "initpart"
+/// span, with one "initpart.trial" instant per attempt, and profiler
+/// bucket; the trials polish with only `run.audit` attached.
 ///
 /// Each trial draws from its own RNG stream derived from one value taken
 /// off `rng`, and the best trial is selected by a serial reduction in
 /// trial order — so the result is a pure function of the rng state and is
 /// identical whether the trials run serially or concurrently on
-/// `run.pool`. A non-null `run.profile` attributes each trial's on-CPU
-/// time to the "initpart" bucket (aux scopes: the caller's enclosing scope
-/// keeps the wall time, trials contribute counters and thread identity).
+/// `run.pool`. Trials on other threads add their on-CPU time to the
+/// "initpart" bucket as aux scopes (the seam keeps the wall time, trials
+/// contribute counters and thread identity).
 sum_t init_bisection(const Graph& g, std::vector<idx_t>& where,
                      const BisectionTargets& targets, InitScheme scheme,
                      int trials, QueuePolicy policy, Rng& rng,

@@ -8,10 +8,7 @@
 #include "core/project.hpp"
 #include "core/rb_driver.hpp"
 #include "core/rebalance.hpp"
-#include "graph/metrics.hpp"
-#include "support/flight_recorder.hpp"
-#include "support/profiler.hpp"
-#include "support/trace.hpp"
+#include "core/seam.hpp"
 
 namespace mcgp {
 
@@ -65,9 +62,8 @@ std::vector<idx_t> partition_kway(const Graph& g, const Options& opts,
   // room to work with.
   std::vector<idx_t> cwhere;
   {
-    TraceSpan tsp(run.trace, "initpart.kway");
-    ProfScope ps(run.profile, "initpart");
-    ps.work(h.coarsest().nedges(), h.coarsest().nvtxs);
+    Seam initpart(run, SeamSpec().span("initpart.kway").phase("initpart"),
+                  h.coarsest());
     Options init_opts = opts;
     // The nested recursive bisection of the coarsest graph runs its own
     // coarsen/refine scopes; detach the profiler there so its cost lands
@@ -93,8 +89,7 @@ std::vector<idx_t> partition_kway(const Graph& g, const Options& opts,
       const std::vector<idx_t>& cmap = h.levels[to_size(l)].cmap;
       std::vector<idx_t> fine_where;
       {
-        ProfScope ps(run.profile, "project", l);
-        ps.work(cur.nedges(), cur.nvtxs);
+        Seam project(run, SeamSpec().phase("project").level(l), cur);
         project_partition(cmap, cwhere, fine_where);
       }
       if (run.audit != nullptr && run.audit->boundaries()) {
@@ -104,30 +99,12 @@ std::vector<idx_t> partition_kway(const Graph& g, const Options& opts,
       cwhere = std::move(fine_where);
     }
     run.level = l;
-    TraceSpan lvl(run.trace, "uncoarsen.level");
     // Extra sweeps on the finest graph, where moves are cheapest in
     // balance terms and most plentiful.
     const int passes = l == 0 ? opts.kway_passes + 2 : opts.kway_passes;
-    const sum_t cut =
-        kway_refine_level(cur, cwhere, ub, passes, rng, opts, run);
-    if (run.flight == nullptr && !lvl.enabled()) continue;
-    const std::vector<real_t> lb =
-        opts.targets() != nullptr
-            ? target_imbalance(cur, cwhere, k, opts.tpwgts)
-            : imbalance(cur, cwhere, k);
-    if (run.flight != nullptr) {
-      record_level_sample(*run.flight, FlightSample::Stage::kUncoarsenKWay, l,
-                          cur, cut, lb);
-    }
-    if (lvl.enabled()) {
-      real_t worst = 1.0;
-      for (const real_t x : lb) worst = std::max(worst, x);
-      lvl.arg({"level", l});
-      lvl.arg({"nvtxs", cur.nvtxs});
-      lvl.arg({"nedges", cur.nedges()});
-      lvl.arg({"cut", cut});
-      lvl.arg({"max_imbalance", worst});
-    }
+    kway_refine_level(
+        cur, cwhere, ub, passes, rng, opts, run,
+        SeamSpec().span("uncoarsen.level").stage(Seam::Stage::kUncoarsenKWay));
   }
 
   // The refiner's balancer can exit with residual overload on tight or
@@ -135,10 +112,6 @@ std::vector<idx_t> partition_kway(const Graph& g, const Options& opts,
   // Runs after all parallel phases on a thread-invariant `cwhere` and
   // is itself serial, so determinism is preserved.
   rebalance_if_infeasible(g, cwhere, ub, rng, opts, run);
-
-  if (run.flight != nullptr) {
-    run.flight->note_workspace(wspool.footprint_bytes(), wspool.size());
-  }
   return cwhere;
 }
 

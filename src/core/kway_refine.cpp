@@ -12,11 +12,9 @@
 #include "graph/metrics.hpp"
 #include "support/bucket_queue.hpp"
 #include "support/check.hpp"
-#include "support/flight_recorder.hpp"
 #include "support/indexed_heap.hpp"
 #include "support/profiler.hpp"
 #include "support/thread_pool.hpp"
-#include "support/trace.hpp"
 #include "support/workspace.hpp"
 
 namespace mcgp {
@@ -430,7 +428,8 @@ sum_t run_passes(const Graph& g, KWayContext& ctx, idx_t nparts,
   const bool delta_audit = run.audit != nullptr && run.audit->paranoid();
   const int pass_cap = 4 * max_passes;
   for (int p = 0; p < pass_cap; ++p) {
-    TraceSpan span(run.trace, "kway.pass");
+    Seam seam(run, SeamSpec().span("kway.pass").stage(Seam::Stage::kKWayPass),
+              g);
     const sum_t cut_before = delta_audit ? edge_cut(g, where) : 0;
     const PassResult r = pass(rng);
     if (delta_audit) {
@@ -448,29 +447,15 @@ sum_t run_passes(const Graph& g, KWayContext& ctx, idx_t nparts,
       stats->skipped += r.skipped;
       stats->widest_class = std::max(stats->widest_class, r.widest_class);
     }
-    if (span.enabled()) {
-      trace_count(run.trace, "kway.passes");
-      trace_count(run.trace, "kway.moves", r.moves);
-      trace_count(run.trace, "kway.proposed", r.proposed);
-      trace_count(run.trace, "kway.skipped", r.skipped);
-      span.arg({"pass", p});
-      span.arg({"moves", r.moves});
-      span.arg({"proposed", r.proposed});
-      span.arg({"skipped", r.skipped});
-      span.arg({"gain", r.gain});
-      span.arg({"max_overload", ctx.max_overload()});
-    }
-    if (run.flight != nullptr) {
-      FlightSample fs;
-      fs.stage = FlightSample::Stage::kKWayPass;
-      fs.pass = p;
-      fs.nvtxs = g.nvtxs;
-      fs.nedges = g.nedges();
-      fs.moves = r.moves;
-      fs.gain = r.gain;
-      fs.worst_imbalance = ctx.max_overload();
-      run.flight->record(fs);
-    }
+    seam.close([&] {
+      seam.pass(p).moves(r.moves);
+      seam.args({{"proposed", r.proposed}, {"skipped", r.skipped}});
+      seam.gain(r.gain).worst_imbalance(ctx.max_overload());
+      seam.count("kway.passes");
+      seam.count("kway.moves", r.moves);
+      seam.count("kway.proposed", r.proposed);
+      seam.count("kway.skipped", r.skipped);
+    });
     if (r.moves == 0 || (r.gain == 0 && p + 1 >= max_passes)) break;
   }
 
@@ -598,7 +583,7 @@ bool kway_balance(const Graph& g, idx_t nparts, std::vector<idx_t>& where,
   KWayContext ctx(g, nparts, where, ub, tpwgts);
   if (ctx.feasible()) return true;
 
-  TraceSpan span(run.trace, "kway.balance");
+  Seam seam(run, SeamSpec().span("kway.balance"), g);
   const DrainStats d = drain_peaks(ctx, run);
 
   // The drain mutated pwgts/vcount incrementally across many moves.
@@ -608,20 +593,16 @@ bool kway_balance(const Graph& g, idx_t nparts, std::vector<idx_t>& where,
   }
 
   const bool ok = ctx.feasible();
-  if (span.enabled()) {
-    trace_count(run.trace, "kway.balance.moves", d.moves);
-    trace_count(run.trace, "kway.balance.episodes", d.episodes);
-    trace_count(run.trace, "kway.balance.scanned", d.scanned);
+  seam.close([&] {
+    seam.moves(d.moves).worst_imbalance(ctx.max_overload()).feasible(ok);
+    seam.args({{"episodes", d.episodes}, {"scanned", d.scanned}});
+    seam.count("kway.balance.moves", d.moves);
+    seam.count("kway.balance.episodes", d.episodes);
+    seam.count("kway.balance.scanned", d.scanned);
     // Why the drain stopped, so tight instances are diagnosable from
     // counters alone.
-    const std::string bail = ok ? "feasible" : d.stop;
-    trace_count(run.trace, "kway.balance.bail." + bail);
-    span.arg({"moves", d.moves});
-    span.arg({"episodes", d.episodes});
-    span.arg({"scanned", d.scanned});
-    span.arg({"max_overload", ctx.max_overload()});
-    span.arg({"feasible", static_cast<std::int64_t>(ok ? 1 : 0)});
-  }
+    seam.count("kway.balance.bail." + std::string(ok ? "feasible" : d.stop));
+  });
   return ok;
 }
 
@@ -676,14 +657,23 @@ sum_t kway_refine_pq(const Graph& g, idx_t nparts, std::vector<idx_t>& where,
 
 sum_t kway_refine_level(const Graph& g, std::vector<idx_t>& where,
                         const std::vector<real_t>& ub, int passes, Rng& rng,
-                        const Options& opts, const RunContext& run) {
+                        const Options& opts, const RunContext& run,
+                        SeamSpec spec) {
   const bool pq = opts.kway_scheme == KWayRefineScheme::kPriorityQueue;
-  ProfScope ps(run.profile, pq ? "kway_refine_pq" : "kway_refine", run.level);
-  ps.work(g.nedges(), g.nvtxs);
-  return pq ? kway_refine_pq(g, opts.nparts, where, ub, passes, rng, nullptr,
-                             opts.targets(), run)
-            : kway_refine(g, opts.nparts, where, ub, passes, rng, nullptr,
-                          opts.targets(), run);
+  spec.phase(pq ? "kway_refine_pq" : "kway_refine").level(run.level);
+  Seam seam(run, spec, g);
+  const sum_t cut =
+      pq ? kway_refine_pq(g, opts.nparts, where, ub, passes, rng, nullptr,
+                          opts.targets(), run)
+         : kway_refine(g, opts.nparts, where, ub, passes, rng, nullptr,
+                       opts.targets(), run);
+  seam.cut(cut);
+  seam.close([&] {
+    seam.imbalance(opts.targets() != nullptr
+                       ? target_imbalance(g, where, opts.nparts, opts.tpwgts)
+                       : imbalance(g, where, opts.nparts));
+  });
+  return cut;
 }
 
 }  // namespace mcgp

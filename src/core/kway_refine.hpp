@@ -12,6 +12,7 @@
 
 #include "core/config.hpp"
 #include "core/run_context.hpp"
+#include "core/seam.hpp"
 #include "graph/csr_graph.hpp"
 #include "support/random.hpp"
 
@@ -112,10 +113,11 @@ sum_t kway_refine_pq(const Graph& g, idx_t nparts, std::vector<idx_t>& where,
 
 /// One k-way refinement of `where` at hierarchy level `run.level`, as the
 /// drivers run it: opts.kway_scheme picks the colored sweep or the
-/// priority-queue refiner, under a "kway_refine" / "kway_refine_pq"
-/// profiler bucket, with opts' nparts and tpwgts. Returns the cut.
+/// priority-queue refiner, with opts' nparts and tpwgts, on the seam
+/// `spec` plus a "kway_refine" / "kway_refine_pq" bucket. Returns the cut.
 sum_t kway_refine_level(const Graph& g, std::vector<idx_t>& where,
                         const std::vector<real_t>& ub, int passes, Rng& rng,
-                        const Options& opts, const RunContext& run);
+                        const Options& opts, const RunContext& run,
+                        SeamSpec spec = {});
 
 }  // namespace mcgp

@@ -6,7 +6,6 @@
 #include "support/check.hpp"
 #include "support/profiler.hpp"
 #include "support/thread_pool.hpp"
-#include "support/trace.hpp"
 
 namespace mcgp {
 
@@ -241,34 +240,18 @@ std::vector<idx_t> compute_matching(const Graph& g, MatchScheme scheme,
   return match;
 }
 
-void compute_matching_into(const Graph& g, MatchScheme scheme, Rng& rng,
-                           std::vector<idx_t>& match, Workspace* ws,
-                           const RunContext& run) {
+sum_t compute_matching_into(const Graph& g, MatchScheme scheme, Rng& rng,
+                            std::vector<idx_t>& match, Workspace* ws,
+                            const RunContext& run) {
   match.assign(to_size(g.nvtxs), -1);
-
-  sum_t proposals = 0;
   if (g.nvtxs >= kHandshakeMinVtxs) {
-    proposals = handshake_match(g, scheme, rng, match, ws, run);
-  } else {
-    std::vector<idx_t> local_perm;
-    std::vector<idx_t>& perm = ws != nullptr ? ws->perm : local_perm;
-    random_permutation(g.nvtxs, perm, rng);
-    greedy_pass(g, scheme, rng, match, perm);
+    return handshake_match(g, scheme, rng, match, ws, run);
   }
-
-  if (run.trace != nullptr) {
-    idx_t pairs = 0, failed = 0;
-    for (idx_t v = 0; v < g.nvtxs; ++v) {
-      if (match[to_size(v)] != v) {
-        ++pairs;  // counts both endpoints; halved below
-      } else if (g.degree(v) > 0) {
-        ++failed;  // had neighbors but every one was already taken
-      }
-    }
-    trace_count(run.trace, "match.pairs", pairs / 2);
-    trace_count(run.trace, "match.failed", failed);
-    trace_count(run.trace, "match.proposals", proposals);
-  }
+  std::vector<idx_t> local_perm;
+  std::vector<idx_t>& perm = ws != nullptr ? ws->perm : local_perm;
+  random_permutation(g.nvtxs, perm, rng);
+  greedy_pass(g, scheme, rng, match, perm);
+  return 0;
 }
 
 idx_t build_coarse_map(const Graph& g, const std::vector<idx_t>& match,

@@ -22,10 +22,7 @@ namespace mcgp {
 
 /// Compute a matching. match[v] == partner of v, or v itself if unmatched.
 /// The relation is symmetric (match[match[v]] == v) and only adjacent
-/// vertices are matched. A non-null `run.trace` accumulates the
-/// `match.pairs` / `match.failed` / `match.proposals` counters (failed =
-/// vertices left unmatched although they had neighbors; proposals =
-/// handshake proposals evaluated, summed over the rounds).
+/// vertices are matched.
 ///
 /// Small graphs use a serial greedy visitor in random order; graphs of at
 /// least kHandshakeMinVtxs vertices use deterministic handshake rounds
@@ -51,10 +48,11 @@ inline constexpr idx_t kMatchChunk = 8192;
 /// As compute_matching, but fills a caller-owned `match` vector and, when
 /// `ws` is non-null, reuses ws->perm / ws->proposal so repeated coarsening
 /// levels allocate nothing. A non-null `run.pool` runs the handshake
-/// propose and accept phases as chunk tasks.
-void compute_matching_into(const Graph& g, MatchScheme scheme, Rng& rng,
-                           std::vector<idx_t>& match, Workspace* ws = nullptr,
-                           const RunContext& run = {});
+/// propose and accept phases as chunk tasks. Returns the handshake
+/// proposals evaluated over all rounds (0 on the serial path).
+sum_t compute_matching_into(const Graph& g, MatchScheme scheme, Rng& rng,
+                            std::vector<idx_t>& match, Workspace* ws = nullptr,
+                            const RunContext& run = {});
 
 /// Derive the fine-to-coarse vertex map from a matching. Coarse ids are
 /// assigned in order of the smaller endpoint. Returns the number of coarse

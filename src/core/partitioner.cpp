@@ -12,9 +12,9 @@
 #include "core/audit.hpp"
 #include "core/kway_driver.hpp"
 #include "core/kway_refine.hpp"
-#include "core/project.hpp"
 #include "core/rb_driver.hpp"
 #include "core/rebalance.hpp"
+#include "core/seam.hpp"
 #include "graph/metrics.hpp"
 #include "support/flight_recorder.hpp"
 #include "support/profiler.hpp"
@@ -278,18 +278,14 @@ PartitionResult run_entry(const Graph& g, const Options& run_opts,
   ProfScope run_prof(opts.profile, "run", /*level=*/-1, ProfScope::kRun);
   run_prof.work(g.nedges(), g.nvtxs);
 
-  TraceSpan run_span(opts.trace, name);
-  if (run_span.enabled()) {
-    run_span.arg({"nvtxs", g.nvtxs});
-    run_span.arg({"nedges", g.nedges()});
-    run_span.arg({"ncon", g.ncon});
-    run_span.arg({"nparts", opts.nparts});
-    run_span.arg({"seed", static_cast<std::int64_t>(opts.seed)});
-    if (start == nullptr) {  // refinement has no algorithm choice
-      run_span.arg({"algorithm",
-                    static_cast<std::int64_t>(
-                        opts.algorithm == Algorithm::kKWay ? 1 : 0)});
-    }
+  Seam run_seam(run_context(opts, nullptr, nullptr),
+                SeamSpec().span(name).stage(Seam::Stage::kFinal), g);
+  run_seam.args({{"ncon", g.ncon},
+                 {"nparts", opts.nparts},
+                 {"seed", static_cast<std::int64_t>(opts.seed)}});
+  if (start == nullptr) {  // refinement has no algorithm choice
+    run_seam.args({{"algorithm", static_cast<std::int64_t>(
+                                     opts.algorithm == Algorithm::kKWay)}});
   }
 
   std::optional<ThreadPool> pool;
@@ -315,16 +311,11 @@ PartitionResult run_entry(const Graph& g, const Options& run_opts,
     }
     throw;
   }
-  if (opts.flight != nullptr) {  // the end-of-run summary sample
-    record_level_sample(*opts.flight, FlightSample::Stage::kFinal, -1, g,
-                        result.cut, result.imbalance, result.feasible ? 1 : 0);
-  }
-  if (run_span.enabled()) {
-    run_span.arg({"cut", result.cut});
-    run_span.arg({"max_imbalance", result.max_imbalance});
-    run_span.finish();
-    result.counters = opts.trace->merged_counters();
-  }
+  run_seam.close([&] {
+    run_seam.cut(result.cut).imbalance(result.imbalance);
+    run_seam.feasible(result.feasible);
+  });
+  if (opts.trace != nullptr) result.counters = opts.trace->merged_counters();
   const std::int64_t run_ns = run_prof.finish();
   fill_phases(phases_before, opts.profile->top_level(), run_ns, result);
   return result;

@@ -11,11 +11,9 @@
 #include "core/project.hpp"
 #include "core/rebalance.hpp"
 #include "core/refine2way.hpp"
+#include "core/seam.hpp"
 #include "graph/graph_ops.hpp"
 #include "graph/metrics.hpp"
-#include "support/flight_recorder.hpp"
-#include "support/profiler.hpp"
-#include "support/trace.hpp"
 
 namespace mcgp {
 
@@ -89,12 +87,8 @@ void rb_recurse(const RbContext& ctx, const Graph& sub,
     return;
   }
 
-  TraceSpan span(ctx.run.trace, "rb.split");
-  if (span.enabled()) {
-    span.arg({"k", k});
-    span.arg({"part0", part0});
-    span.arg({"nvtxs", sub.nvtxs});
-  }
+  Seam split(ctx.run, SeamSpec().span("rb.split"), sub);
+  split.args({{"k", k}, {"part0", part0}});
 
   // Private RNG stream for this subproblem. (part0, k) uniquely names a
   // node of the recursion tree (children own disjoint part ranges), so
@@ -122,10 +116,9 @@ void rb_recurse(const RbContext& ctx, const Graph& sub,
 
     std::vector<idx_t> where;
     multilevel_bisect(sub, where, targets, ctx.opts, rng, stats, &ws, &ctx.run);
-    // Closed before the fork below: a scope left open across wait() would
-    // enclose the tasks this thread helps run.
-    ProfScope split(ctx.run.profile, "rb.split");
-    split.work(sub.nedges(), sub.nvtxs);
+    // Closed before the fork below: a clock left running across wait()
+    // would time the tasks this thread helps run.
+    Seam split_work(ctx.run, SeamSpec().phase("rb.split"), sub);
     ensure_nonempty_sides(sub, where);
 
     std::vector<char>& select = ws.select;
@@ -167,7 +160,7 @@ sum_t multilevel_bisect(const Graph& g, std::vector<idx_t>& where,
 
   const RunContext run =
       parent != nullptr ? *parent : run_context(opts, nullptr, nullptr);
-  TraceSpan bisect_span(run.trace, "bisect");
+  Seam bisect(run, SeamSpec().span("bisect"), g);
 
   const Hierarchy h = coarsen_graph(g, coarsen_params(opts, ct, run), rng, ws);
 
@@ -178,12 +171,8 @@ sum_t multilevel_bisect(const Graph& g, std::vector<idx_t>& where,
   }
 
   std::vector<idx_t> cwhere;
-  {
-    ProfScope ps(run.profile, "initpart");
-    ps.work(coarsest.nedges(), coarsest.nvtxs);
-    init_bisection(coarsest, cwhere, targets, opts.init_scheme,
-                   opts.init_trials, opts.queue_policy, rng, run);
-  }
+  init_bisection(coarsest, cwhere, targets, opts.init_scheme,
+                 opts.init_trials, opts.queue_policy, rng, run);
 
   sum_t cut = 0;
   std::vector<idx_t> local_proj;
@@ -194,8 +183,7 @@ sum_t multilevel_bisect(const Graph& g, std::vector<idx_t>& where,
     if (l < h.num_levels()) {
       const std::vector<idx_t>& cmap = h.levels[to_size(l)].cmap;
       {
-        ProfScope ps(run.profile, "project", l);
-        ps.work(cur.nedges(), cur.nvtxs);
+        Seam project(run, SeamSpec().phase("project").level(l), cur);
         project_partition(cmap, cwhere, proj);
       }
       if (run.audit != nullptr && run.audit->boundaries()) {
@@ -205,39 +193,35 @@ sum_t multilevel_bisect(const Graph& g, std::vector<idx_t>& where,
       }
       std::swap(cwhere, proj);  // ping-pong: both buffers stay warm
     }
-    TraceSpan lvl(run.trace, "uncoarsen.level");
-    ProfScope ps(run.profile, "refine2way", l);
-    ps.work(cur.nedges(), cur.nvtxs);
+    Seam lvl(run,
+             SeamSpec()
+                 .span("uncoarsen.level")
+                 .phase("refine2way")
+                 .level(l)
+                 .stage(Seam::Stage::kUncoarsen2Way),
+             cur);
     balance_2way(cur, cwhere, targets, rng, run);
     cut = refine_2way(cur, cwhere, targets, opts.queue_policy,
                       opts.refine_passes, opts.fm_move_limit, rng, nullptr,
                       run);
-    ps.finish();
-    if (run.flight != nullptr) {
-      record_level_sample(*run.flight, FlightSample::Stage::kUncoarsen2Way, l,
-                          cur, cut, imbalance(cur, cwhere, 2));
-    }
-    if (lvl.enabled()) {
-      BisectionBalance bal;
-      bal.init(cur, cwhere, targets);
-      lvl.arg({"level", l});
-      lvl.arg({"nvtxs", cur.nvtxs});
-      lvl.arg({"nedges", cur.nedges()});
-      lvl.arg({"cut", cut});
-      lvl.arg({"potential", bal.potential()});
-    }
+    lvl.cut(cut);
+    lvl.close([&] {
+      lvl.imbalance(imbalance(cur, cwhere, 2));
+      if (lvl.traced()) {
+        BisectionBalance bal;
+        bal.init(cur, cwhere, targets);
+        lvl.args({{"potential", bal.potential()}});
+      }
+    });
   }
 
   where = std::move(cwhere);
   ensure_nonempty_sides(g, where);
   cut = compute_cut_2way(g, where);
   if (stats != nullptr) stats->cut = cut;
-  if (bisect_span.enabled()) {
-    bisect_span.arg({"nvtxs", g.nvtxs});
-    bisect_span.arg({"levels", h.num_levels()});
-    bisect_span.arg({"coarsest_nvtxs", coarsest.nvtxs});
-    bisect_span.arg({"cut", cut});
-  }
+  bisect.cut(cut);
+  bisect.args({{"levels", h.num_levels()},
+               {"coarsest_nvtxs", coarsest.nvtxs}});
   return cut;
 }
 
@@ -278,18 +262,12 @@ std::vector<idx_t> partition_recursive_bisection(const Graph& g,
   // first (cheap, and skipped whenever RB already met the tolerance).
   const std::vector<real_t>* tp = opts.targets();
   if (!kway_feasible(g, part_weights(g, part, k), k, ub, tp)) {
-    trace_count(run.trace, "rb.fixup");
-    ProfScope ps(run.profile, "rb.fixup");
-    ps.work(g.nedges(), g.nvtxs);
+    Seam fixup(run, SeamSpec().phase("rb.fixup"), g);
+    fixup.count("rb.fixup");
     kway_refine(g, k, part, ub, /*max_passes=*/3, rng, nullptr, tp, run);
     // Still overloaded: escalate to the dedicated rebalancer. `part` is
     // already thread-invariant here, so determinism holds.
     rebalance_if_infeasible(g, part, ub, rng, opts, run);
-  }
-  if (run.flight != nullptr) {
-    // All leases are back (rb_recurse joined its tasks), so the pool's
-    // footprint is a stable high-water observation.
-    run.flight->note_workspace(wspool.footprint_bytes(), wspool.size());
   }
   return part;
 }

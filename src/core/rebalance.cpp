@@ -17,10 +17,8 @@
 #include "core/matching.hpp"
 #include "core/project.hpp"
 #include "graph/metrics.hpp"
+#include "core/seam.hpp"
 #include "support/check.hpp"
-#include "support/flight_recorder.hpp"
-#include "support/profiler.hpp"
-#include "support/trace.hpp"
 
 namespace mcgp {
 
@@ -747,7 +745,8 @@ bool rebalance_partition(const Graph& g, idx_t nparts,
     return true;
   }
 
-  TraceSpan span(run.trace, "rebalance");
+  Seam seam(run,
+            SeamSpec().span("rebalance").stage(Seam::Stage::kRebalance), g);
 
   // Best-state tracking: the pass must never return a worse assignment
   // than its input. Better = feasible first, then lower max overload,
@@ -855,35 +854,19 @@ bool rebalance_partition(const Graph& g, idx_t nparts,
   st.feasible = ctx.feasible();
   st.max_overload = ctx.max_overload();
 
-  if (span.enabled()) {
-    trace_count(run.trace, "rebalance.moves", st.moves);
-    trace_count(run.trace, "rebalance.swaps", st.swaps);
-    trace_count(run.trace, "rebalance.episodes", st.episodes);
-    trace_count(run.trace, "rebalance.vcycles", st.vcycles);
-    trace_count(run.trace, "rebalance.descent.evals", st.descent_evals);
-    trace_count(run.trace, "rebalance.descent.scanned", st.descent_scanned);
-    trace_count(run.trace, "rebalance.swaps.scanned", st.swap_scanned);
-    trace_count(run.trace, st.feasible ? "rebalance.feasible"
-                                       : "rebalance.infeasible");
-    span.arg({"moves", st.moves});
-    span.arg({"swaps", st.swaps});
-    span.arg({"episodes", st.episodes});
-    span.arg({"vcycles", st.vcycles});
-    span.arg({"descent_evals", st.descent_evals});
-    span.arg({"max_overload", st.max_overload});
-    span.arg({"feasible", static_cast<std::int64_t>(st.feasible ? 1 : 0)});
-  }
-  if (run.flight != nullptr) {
-    FlightSample fs;
-    fs.stage = FlightSample::Stage::kRebalance;
-    fs.nvtxs = g.nvtxs;
-    fs.nedges = g.nedges();
-    fs.moves = checked_narrow<idx_t>(std::min<sum_t>(
-        st.moves, static_cast<sum_t>(std::numeric_limits<idx_t>::max())));
-    fs.worst_imbalance = st.max_overload;
-    fs.feasible = st.feasible ? 1 : 0;
-    run.flight->record(fs);
-  }
+  seam.moves(st.moves).worst_imbalance(st.max_overload).feasible(st.feasible);
+  seam.args({{"swaps", st.swaps},
+             {"episodes", st.episodes},
+             {"vcycles", st.vcycles},
+             {"descent_evals", st.descent_evals}});
+  seam.count("rebalance.moves", st.moves);
+  seam.count("rebalance.swaps", st.swaps);
+  seam.count("rebalance.episodes", st.episodes);
+  seam.count("rebalance.vcycles", st.vcycles);
+  seam.count("rebalance.descent.evals", st.descent_evals);
+  seam.count("rebalance.descent.scanned", st.descent_scanned);
+  seam.count("rebalance.swaps.scanned", st.swap_scanned);
+  seam.count(st.feasible ? "rebalance.feasible" : "rebalance.infeasible");
   return st.feasible;
 }
 
@@ -894,8 +877,7 @@ void rebalance_if_infeasible(const Graph& g, std::vector<idx_t>& where,
   if (kway_feasible(g, part_weights(g, where, k), k, ub, opts.targets())) {
     return;
   }
-  ProfScope ps(run.profile, "rebalance", 0);
-  ps.work(g.nedges(), g.nvtxs);
+  Seam seam(run, SeamSpec().phase("rebalance").level(0), g);
   rebalance_partition(g, k, where, ub, rng, opts.targets(), nullptr, run);
 }
 

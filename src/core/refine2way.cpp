@@ -5,10 +5,9 @@
 #include <numeric>
 
 #include "core/audit.hpp"
+#include "core/seam.hpp"
 #include "support/check.hpp"
 #include "support/bucket_queue.hpp"
-#include "support/flight_recorder.hpp"
-#include "support/trace.hpp"
 
 namespace mcgp {
 
@@ -275,9 +274,8 @@ void FmRefiner::rollback_to(std::size_t best_prefix, sum_t& cut) {
 
 bool FmRefiner::run(sum_t& cut, idx_t move_limit, Refine2WayStats* stats,
                     const RunContext& run, int pass_index) {
-  TraceSpan span(run.trace, "fm.pass");
-  Histogram* gain_hist =
-      run.trace != nullptr ? &run.trace->hist("gain.histogram") : nullptr;
+  Seam seam(run, SeamSpec().span("fm.pass").stage(Seam::Stage::kFmPass), g_);
+  Histogram* gain_hist = seam.hist("gain.histogram");
 
   seed_queues();
   log_.clear();
@@ -364,33 +362,19 @@ bool FmRefiner::run(sum_t& cut, idx_t move_limit, Refine2WayStats* stats,
     run.audit->check_bisection_cut(g_, where_, cut, "refine2way.pass");
   }
 
-  if (span.enabled()) {
-    trace_count(run.trace, "fm.passes");
-    trace_count(run.trace, "fm.moves", static_cast<std::int64_t>(best_prefix));
-    trace_count(run.trace, "fm.rollbacks",
-                static_cast<std::int64_t>(total_moves - best_prefix));
-    span.arg({"pass", pass_index});
-    span.arg({"cut_before", start_cut});
-    span.arg({"cut_after", cut});
-    span.arg({"moves", static_cast<std::int64_t>(best_prefix)});
-    span.arg({"rolled_back", static_cast<std::int64_t>(total_moves - best_prefix)});
-    span.arg({"potential_before", start_potential});
-    span.arg({"potential_after", best_potential});
-    span.arg({"feasible", static_cast<std::int64_t>(best_feasible ? 1 : 0)});
-  }
-
-  if (run.flight != nullptr) {
-    FlightSample fs;
-    fs.stage = FlightSample::Stage::kFmPass;
-    fs.pass = pass_index;
-    fs.nvtxs = g_.nvtxs;
-    fs.nedges = g_.nedges();
-    fs.cut = cut;
-    fs.gain = checked_sub(start_cut, cut);
-    fs.moves = static_cast<std::int64_t>(best_prefix);
-    fs.worst_imbalance = best_potential;
-    run.flight->record(fs);
-  }
+  const auto moves = static_cast<std::int64_t>(best_prefix);
+  const auto rolled_back = static_cast<std::int64_t>(total_moves - best_prefix);
+  seam.close([&] {
+    seam.pass(pass_index).cut(cut).moves(moves);
+    seam.gain(checked_sub(start_cut, cut)).worst_imbalance(best_potential);
+    seam.count("fm.passes");
+    seam.count("fm.moves", moves);
+    seam.count("fm.rollbacks", rolled_back);
+    seam.args({{"cut_before", start_cut},
+               {"rolled_back", rolled_back},
+               {"potential_before", start_potential},
+               {"feasible", static_cast<std::int64_t>(best_feasible)}});
+  });
 
   const bool improved =
       (best_feasible && !start_feasible) || best_cut < start_cut ||
@@ -407,7 +391,7 @@ sum_t refine_2way(const Graph& g, std::vector<idx_t>& where,
   if (move_limit <= 0) move_limit = std::max<idx_t>(64, g.nvtxs / 100);
 
   FmRefiner fm(g, where, targets, policy, rng);
-  trace_count(run.trace, "fm.degree_scans", g.nvtxs);
+  Seam(run, SeamSpec(), g).count("fm.degree_scans", g.nvtxs);
   sum_t cut = fm.initial_cut();
   if (stats != nullptr) stats->initial_cut = cut;
   for (int pass = 0; pass < max_passes; ++pass) {

@@ -7,8 +7,8 @@
 namespace mcgp {
 
 /// Nanoseconds on the process-wide monotonic clock. Every wall-clock
-/// consumer (the profiler's ProfScope, and through it every phase time,
-/// and the flight recorder's sample timestamps) reads this one helper, so
+/// consumer (the profiler's ProfScope and so every phase time, the flight
+/// recorder's and the trace's timestamps) reads this one helper, so
 /// their numbers are subtractable against each other.
 inline std::int64_t monotonic_now_ns() {
   return std::chrono::duration_cast<std::chrono::nanoseconds>(

@@ -27,7 +27,6 @@
 // artifacts (only while no other thread is tracing).
 #pragma once
 
-#include <chrono>
 #include <cstdint>
 #include <initializer_list>
 #include <iosfwd>
@@ -39,6 +38,7 @@
 
 #include "support/counters.hpp"
 #include "support/thread_annotations.hpp"
+#include "support/timer.hpp"
 
 namespace mcgp {
 
@@ -73,7 +73,7 @@ struct TraceEvent {
 class TraceRecorder {
  public:
   TraceRecorder()
-      : origin_(clock::now()), home_id_(std::this_thread::get_id()) {}
+      : origin_ns_(monotonic_now_ns()), home_id_(std::this_thread::get_id()) {}
 
   /// Open a span on the calling thread's log. Every begin() must be
   /// matched by one end() on the same thread.
@@ -118,19 +118,13 @@ class TraceRecorder {
   bool save_jsonl(const std::string& path) const;
 
  private:
-  using clock = std::chrono::steady_clock;
-
   struct ThreadLog {
     std::vector<TraceEvent> events;
     int depth = 0;
     CounterRegistry counters;
   };
 
-  std::int64_t now_ns() const {
-    return std::chrono::duration_cast<std::chrono::nanoseconds>(clock::now() -
-                                                                origin_)
-        .count();
-  }
+  std::int64_t now_ns() const { return monotonic_now_ns() - origin_ns_; }
 
   /// The calling thread's log: the home log lock-free, or an auxiliary
   /// log registered under the mutex on first use.
@@ -139,7 +133,7 @@ class TraceRecorder {
   void append_begin(ThreadLog& log, const char* name);
   void append_end(ThreadLog& log, const TraceArg* args, int nargs);
 
-  clock::time_point origin_;
+  std::int64_t origin_ns_;  ///< monotonic_now_ns() at construction
   std::thread::id home_id_;
   ThreadLog home_;
 
@@ -188,15 +182,5 @@ class TraceSpan {
   TraceArg args_[kMaxArgs];
   int nargs_ = 0;
 };
-
-/// Null-safe free helpers for one-line instrumentation points.
-inline void trace_instant(TraceRecorder* tr, const char* name,
-                          std::initializer_list<TraceArg> args = {}) {
-  if (tr != nullptr) tr->instant(name, args);
-}
-inline void trace_count(TraceRecorder* tr, std::string_view name,
-                        std::int64_t delta = 1) {
-  if (tr != nullptr) tr->count(name, delta);
-}
 
 }  // namespace mcgp

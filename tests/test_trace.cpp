@@ -101,8 +101,6 @@ TEST(TraceSpan, NullRecorderIsSafeNoop) {
   EXPECT_FALSE(sp.enabled());
   sp.arg({"k", std::int64_t{1}});
   sp.finish();
-  trace_instant(nullptr, "tick", {{"a", std::int64_t{2}}});
-  trace_count(nullptr, "counter");
   // Reaching here without dereferencing null is the test.
 }
 

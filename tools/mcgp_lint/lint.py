@@ -31,6 +31,12 @@ type- and determinism-discipline rules:
                   outside src/support/random.cpp. All randomness must
                   flow through mcgp::Rng, seeded explicitly.
 
+  observer-seam   A trace or flight-recorder sink named inside src/core/
+                  (TraceSpan, FlightSample, trace_count, trace_instant,
+                  record_level_sample) outside core/seam.*. A pipeline
+                  boundary records its facts once, on a Seam, which
+                  fans them out to the attached sinks.
+
 The checker works on a comment/string-stripped token stream with
 per-file declaration tracking (sum_t scalars, std::vector<sum_t> /
 std::array<sum_t, N> element accesses, floating-point operands). It is a
@@ -40,8 +46,9 @@ design; the rules are tuned so that the shipped tree has zero findings
 with zero suppressions (enforced by ctest `mcgp_lint_src`).
 
 Division of labor with mcgp-tidy (tools/mcgp_tidy/, the clang-tidy
-plugin): each rule here has an AST-accurate counterpart that closes the
-type-visibility gaps on purpose left open below. The regex rules stay as
+plugin): each rule here but observer-seam has an AST-accurate
+counterpart that closes the type-visibility gaps on purpose left open
+below. The regex rules stay as
 the seconds-fast, dependency-free first line (they run everywhere, the
 plugin needs a clang toolchain); the plugin is the authority on anything
 requiring type information. Specifically DELEGATED to mcgp-tidy, and
@@ -59,6 +66,8 @@ deliberately NOT reported here so the two tools never double-report:
                      canonical <random> templates.
   (no regex rule) -> mcgp-pointer-order  raw-pointer ordering cannot be
                      expressed at token level at all.
+  observer-seam   has no counterpart: a sink's name is the token itself,
+                     so the token rule is exact.
 
 Usage:
   python3 tools/mcgp_lint/lint.py [--all-rules] PATH...
@@ -630,6 +639,26 @@ def rule_unordered_iter(path: str, toks: Sequence[Token], decls: Decls,
     return out
 
 
+_SINK_IDS = {
+    "TraceSpan": "a trace span",
+    "FlightSample": "a flight sample",
+    "trace_count": "a trace counter",
+    "trace_instant": "a trace instant",
+    "record_level_sample": "a flight sample",
+}
+
+
+def rule_observer_seam(path: str, toks: Sequence[Token], decls: Decls,
+                       cls: Classifier) -> List[Finding]:
+    return [
+        Finding(path, t.line, "observer-seam",
+                f"`{t.text}` writes {_SINK_IDS[t.text]} directly; record "
+                "the boundary on a Seam (core/seam.hpp), which fans its "
+                "record out to every attached sink")
+        for t in toks if t.kind == "id" and t.text in _SINK_IDS
+    ]
+
+
 def rule_rng_source(path: str, toks: Sequence[Token], decls: Decls,
                     cls: Classifier) -> List[Finding]:
     out: List[Finding] = []
@@ -679,6 +708,9 @@ def _rule_applies(rule: str, rel: str, all_rules: bool) -> bool:
         return "/core/" in rel or rel.startswith("core/")
     if rule == "rng-source":
         return not rel.endswith("support/random.cpp")
+    if rule == "observer-seam":
+        in_core = "/core/" in rel or rel.startswith("core/")
+        return in_core and "core/seam." not in rel
     return True
 
 
@@ -687,6 +719,7 @@ _RULES = {
     "narrowing": rule_narrowing,
     "unordered-iter": rule_unordered_iter,
     "rng-source": rule_rng_source,
+    "observer-seam": rule_observer_seam,
 }
 
 

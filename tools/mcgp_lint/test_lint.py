@@ -17,7 +17,9 @@ Two parts:
 
 2. Scope checks: the path-based rule scoping (check.hpp exemption for
    sum-arith/narrowing, src/core/ restriction for unordered-iter, the
-   random.cpp exemption for rng-source) is verified on synthetic paths.
+   random.cpp exemption for rng-source, src/core/ restriction with the
+   core/seam.* exemption for observer-seam) is verified on synthetic
+   paths.
 
 Run directly (`python3 tools/mcgp_lint/test_lint.py`) or via ctest
 (`mcgp_lint_fixtures`). Exits nonzero on any mismatch.
@@ -100,6 +102,11 @@ ITER_SNIPPET = (
     "  return *o;\n"
     "}\n")
 RNG_SNIPPET = "int f() { return std::rand(); }\n"
+SEAM_SNIPPET = (
+    "void f(TraceRecorder* tr) {\n"
+    "  TraceSpan span(tr, \"fm.pass\");\n"
+    "  trace_count(tr, \"fm.passes\");\n"
+    "}\n")
 
 
 def check_scoping() -> list:
@@ -126,6 +133,13 @@ def check_scoping() -> list:
     expect("src/support/random.cpp", RNG_SNIPPET, "rng-source", False)
     expect("src/core/foo.cpp", RNG_SNIPPET, "rng-source", True)
     expect("src/gen/foo.cpp", RNG_SNIPPET, "rng-source", True)
+
+    # observer-seam polices src/core/; the seam itself writes the sinks.
+    expect("src/core/foo.cpp", SEAM_SNIPPET, "observer-seam", True)
+    expect("src/core/seam.cpp", SEAM_SNIPPET, "observer-seam", False)
+    expect("src/core/seam.hpp", SEAM_SNIPPET, "observer-seam", False)
+    expect("src/support/trace.hpp", SEAM_SNIPPET, "observer-seam", False)
+    expect("tests/test_trace.cpp", SEAM_SNIPPET, "observer-seam", False)
     return errors
 
 
