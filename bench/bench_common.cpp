@@ -7,22 +7,14 @@
 #include <filesystem>
 #include <fstream>
 #include <iostream>
-#include <optional>
 
 #include "gen/mesh_gen.hpp"
 #include "graph/part_report.hpp"
 #include "support/flight_recorder.hpp"
-#include "support/profiler.hpp"
 #include "support/run_ledger.hpp"
 #include "support/trace.hpp"
 
 namespace mcgp::bench {
-
-namespace {
-bool g_profile_requested = false;
-}  // namespace
-
-bool profile_requested() { return g_profile_requested; }
 
 Args parse_args(int argc, char** argv) {
   Args args;
@@ -51,15 +43,11 @@ Args parse_args(int argc, char** argv) {
     } else if (a.rfind("--ledger=", 0) == 0) {
       args.ledger_path = a.substr(9);
       if (args.ledger_path.empty()) args.ledger_path = "none";
-    } else if (a == "--profile") {
-      args.profile = true;
-      g_profile_requested = true;
     } else if (a == "--help" || a == "-h") {
       std::cout << "usage: " << argv[0]
                 << " [--scale=<f>] [--reps=<n>] [--quick]"
                 << " [--threads=<a,b,...>]"
-                << " [--trace-dir=<dir>] [--ledger=<path|none>]"
-                << " [--profile]\n";
+                << " [--trace-dir=<dir>] [--ledger=<path|none>]\n";
       std::exit(0);
     } else {
       std::cerr << "unknown argument: " << a << "\n";
@@ -144,13 +132,6 @@ RunSummary run_average(const Graph& g, Options opts, int reps,
   RunSummary s;
   for (int r = 0; r < reps; ++r) {
     opts.seed = static_cast<std::uint64_t>(r + 1);
-    // One profiler per rep so each ledger record carries that rep's own
-    // profile rather than a running sum across seeds.
-    std::optional<Profiler> prof;
-    if (profile_requested()) {
-      prof.emplace();
-      opts.profile = &*prof;
-    }
     const PartitionResult res = partition(g, opts);
     s.cut += static_cast<double>(res.cut);
     s.max_imbalance += res.max_imbalance;
@@ -159,9 +140,8 @@ RunSummary run_average(const Graph& g, Options opts, int reps,
     if (sink != nullptr && !sink->path.empty()) {
       append_run_record(sink->path,
                         make_run_record(sink->experiment, graph_name, g, opts,
-                                        res, opts.profile));
+                                        res));
     }
-    opts.profile = nullptr;
   }
   s.cut /= reps;
   s.max_imbalance /= reps;
@@ -180,23 +160,17 @@ bool emit_trace_artifacts(const Args& args, const std::string& name,
   FlightRecorder flight;
   opts.trace = &recorder;
   opts.flight = &flight;
-  std::optional<Profiler> prof;
-  if (args.profile || profile_requested()) {
-    prof.emplace();
-    opts.profile = &*prof;
-  }
   const PartitionResult res = partition(g, opts);
 
   const std::string base = args.trace_dir + "/" + name;
   bool ok = recorder.save_chrome_trace(base + ".trace.json");
-  ok = recorder.save_jsonl(base + ".events.jsonl") && ok;
 
   std::ofstream report(base + ".report.json");
   if (report) {
     PartitionReport rep = analyze_partition(g, res.part, opts.nparts);
     rep.feasible = res.feasible ? 1 : 0;
     rep.ubvec_used = res.ubvec_used;
-    write_report_json(report, rep, &flight, opts.profile);
+    write_report_json(report, rep, &flight, &res.profile);
   }
   ok = static_cast<bool>(report) && ok;
 

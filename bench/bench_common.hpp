@@ -25,20 +25,12 @@ struct Args {
   /// Run-ledger path override (--ledger=<path>). Empty = each bench's
   /// default ledger file (e.g. BENCH_runtime.json). "none" disables.
   std::string ledger_path;
-  /// Attach a profiler (--profile) to every partition run_average /
-  /// emit_trace_artifacts performs; ledger records and report artifacts
-  /// then carry "profile" sections.
-  bool profile = false;
 };
 
 /// Parse --scale=<f>, --reps=<n>, --quick, --threads=<a,b,...>,
-/// --trace-dir=<dir>, --ledger=<path|none>, --profile.
+/// --trace-dir=<dir>, --ledger=<path|none>.
 /// Unknown arguments abort with a usage message.
 Args parse_args(int argc, char** argv);
-
-/// True once parse_args saw --profile (module-level so run_average picks
-/// it up without threading Args through every bench call site).
-bool profile_requested();
 
 /// Where a bench appends its per-run ledger records: --ledger wins, then
 /// the bench's default file; --ledger=none (empty result) disables.
@@ -98,9 +90,10 @@ RunSummary run_average(const Graph& g, Options opts, int reps,
                        const std::string& graph_name = {});
 
 /// When args.trace_dir is set, run one traced partition of `g` and write
-///   <trace_dir>/<name>.trace.json   (chrome://tracing / Perfetto)
-///   <trace_dir>/<name>.events.jsonl (one JSON object per trace event)
-///   <trace_dir>/<name>.report.json  (PartitionReport + counters)
+///   <trace_dir>/<name>.trace.json    (chrome://tracing / Perfetto)
+///   <trace_dir>/<name>.report.json   (PartitionReport with the run's
+///                                     timeline and profile)
+///   <trace_dir>/<name>.counters.json (pipeline counters)
 /// No-op when trace_dir is empty. Returns true iff artifacts were written.
 bool emit_trace_artifacts(const Args& args, const std::string& name,
                           const Graph& g, Options opts);

@@ -14,7 +14,6 @@
 #include "gen/weight_gen.hpp"
 #include "graph/graph_ops.hpp"
 #include "support/flight_recorder.hpp"
-#include "support/profiler.hpp"
 #include "support/thread_pool.hpp"
 #include "support/workspace.hpp"
 
@@ -301,34 +300,6 @@ void BM_PartitionFlightRecorder(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * g.nvtxs);
 }
 BENCHMARK(BM_PartitionFlightRecorder)
-    ->Args({0, 0})
-    ->Args({0, 1})
-    ->Args({1, 0})
-    ->Args({1, 1});
-
-// Cost of a caller's profiler per partition call. With a null
-// Options::profile the run attaches an internal profiler (its phase
-// times come from it), so both variants pay two reads of each clock
-// plus one mutex-guarded fold per scope and must be within noise of
-// each other.
-void BM_PartitionProfiled(benchmark::State& state) {
-  const Graph g = make_bench_graph(150, 3);
-  Options o;
-  o.nparts = 32;
-  o.algorithm = state.range(0) == 0 ? Algorithm::kRecursiveBisection
-                                    : Algorithm::kKWay;
-  Profiler prof;
-  o.profile = state.range(1) != 0 ? &prof : nullptr;
-  std::uint64_t seed = 1;
-  for (auto _ : state) {
-    o.seed = seed++;
-    prof.clear();
-    const PartitionResult r = partition(g, o);
-    benchmark::DoNotOptimize(r.cut);
-  }
-  state.SetItemsProcessed(state.iterations() * g.nvtxs);
-}
-BENCHMARK(BM_PartitionProfiled)
     ->Args({0, 0})
     ->Args({0, 1})
     ->Args({1, 0})

@@ -24,8 +24,10 @@
 //   --refine=<partfile>  refine an existing partition instead of partitioning
 //   --progress           live per-level progress lines on stderr
 //   --ledger=<path>      append one JSONL run record to <path>
-//   --profile            per-phase wall and thread CPU time
 //   --report-json=<path> write the machine-readable run report to <path>
+//
+// Every run prints its per-phase wall and thread CPU time and the whole
+// run's task clock (the "profile:" line).
 //
 // Numeric values must be one whole number (k, --seed, --threads,
 // --ncommon) or one finite decimal (--ub); anything else exits with
@@ -35,7 +37,6 @@
 #include <cstdio>
 #include <fstream>
 #include <iostream>
-#include <optional>
 #include <string>
 #include <string_view>
 #include <system_error>
@@ -96,11 +97,9 @@ void usage(const char* argv0) {
       << "                      instead of partitioning from scratch\n"
       << "  --progress          live per-level progress lines on stderr\n"
       << "  --ledger=<path>     append one JSONL run record to <path>\n"
-      << "  --profile           per-phase wall and thread CPU time\n"
-      << "                      (see README Profiling)\n"
       << "  --report-json=<path> write the machine-readable run report\n"
-      << "                      (with timeline/profile sections when\n"
-      << "                      attached) to <path>\n";
+      << "                      (with timeline and profile sections)\n"
+      << "                      to <path>\n";
 }
 
 /// Parse `value`, the text of argument `name`, as one T over its whole
@@ -147,7 +146,6 @@ int main(int argc, char** argv) {
   std::string refine_path;
   bool progress = false;
   std::string ledger_path;
-  bool profile = false;
   std::string report_json_path;
 
   for (int i = 3; i < argc; ++i) {
@@ -206,8 +204,6 @@ int main(int argc, char** argv) {
         std::cerr << "error: --ledger needs a file path\n";
         return 2;
       }
-    } else if (a == "--profile") {
-      profile = true;
     } else if (a.rfind("--report-json=", 0) == 0) {
       report_json_path = a.substr(14);
       if (report_json_path.empty()) {
@@ -237,19 +233,11 @@ int main(int argc, char** argv) {
               << g.nedges() << " edges, " << g.ncon << " constraint"
               << (g.ncon > 1 ? "s" : "") << ")\n";
 
-    // The recorder is attached whenever progress or a ledger wants it; it
-    // observes only, so the partition is unchanged either way.
+    // The recorder is attached whenever progress or the report's timeline
+    // wants it; it observes only, so the partition is unchanged either way.
     FlightRecorder flight;
-    if (progress || !ledger_path.empty()) opts.flight = &flight;
+    if (progress || !report_json_path.empty()) opts.flight = &flight;
     if (progress) flight.set_on_sample(&print_progress);
-
-    // The profiler likewise only observes; partitions are bit-identical
-    // with or without it.
-    std::optional<Profiler> prof;
-    if (profile) {
-      prof.emplace();
-      opts.profile = &*prof;
-    }
 
     PartitionResult r;
     if (!refine_path.empty()) {
@@ -288,17 +276,15 @@ int main(int argc, char** argv) {
                 << "s cpu=" << p.cpu_s << "s\n";
     }
 
-    if (prof.has_value()) {
-      const ProfBucket run = prof->phase_total("run");
-      std::cout << "profile: task_clock="
-                << static_cast<double>(run.task_clock_ns) * 1e-9 << "s";
-      if (run.wall_ns > 0) {
-        std::cout << " parallelism="
-                  << static_cast<double>(run.task_clock_ns) /
-                         static_cast<double>(run.wall_ns);
-      }
-      std::cout << "\n";
+    const ProfBucket run = r.profile.total("run");
+    std::cout << "profile: task_clock="
+              << static_cast<double>(run.task_clock_ns) * 1e-9 << "s";
+    if (run.wall_ns > 0) {
+      std::cout << " parallelism="
+                << static_cast<double>(run.task_clock_ns) /
+                       static_cast<double>(run.wall_ns);
     }
+    std::cout << "\n";
 
     if (report) {
       std::cout << "\n";
@@ -319,7 +305,7 @@ int main(int argc, char** argv) {
       PartitionReport rep = analyze_partition(g, r.part, nparts);
       rep.feasible = r.feasible ? 1 : 0;
       rep.ubvec_used = r.ubvec_used;
-      write_report_json(rj, rep, opts.flight, opts.profile);
+      write_report_json(rj, rep, opts.flight, &r.profile);
       std::cout << "report:  wrote " << report_json_path << "\n";
     }
 
@@ -333,7 +319,7 @@ int main(int argc, char** argv) {
 
     if (!ledger_path.empty()) {
       const RunRecord rec =
-          make_run_record("mcpart", graph_path, g, opts, r, opts.profile);
+          make_run_record("mcpart", graph_path, g, opts, r);
       if (append_run_record(ledger_path, rec)) {
         std::cout << "ledger:  appended to " << ledger_path << "\n";
       }

@@ -5,9 +5,9 @@
 //   trace_demo [out_prefix]     (default prefix: "trace_demo")
 //
 //   <prefix>.trace.json    open in chrome://tracing or https://ui.perfetto.dev
-//   <prefix>.events.jsonl  one JSON object per span/instant event
 //   <prefix>.report.json   JSON PartitionReport (per-part stats) with a
 //                          "timeline" section of flight-recorder samples
+//                          and the run's per-(phase, level) "profile"
 //   <prefix>.counters.json pipeline counters + gain histogram
 #include <cstdio>
 #include <fstream>
@@ -64,13 +64,12 @@ int main(int argc, char** argv) {
               static_cast<double>(flight.peak_rss_bytes()) / (1024.0 * 1024.0));
 
   bool ok = recorder.save_chrome_trace(prefix + ".trace.json");
-  ok = recorder.save_jsonl(prefix + ".events.jsonl") && ok;
   std::ofstream report(prefix + ".report.json");
   if (report) {
     PartitionReport rep = analyze_partition(g, r.part, opts.nparts);
     rep.feasible = r.feasible ? 1 : 0;
     rep.ubvec_used = r.ubvec_used;
-    write_report_json(report, rep, &flight);
+    write_report_json(report, rep, &flight, &r.profile);
   }
   ok = static_cast<bool>(report) && ok;
   std::ofstream counters(prefix + ".counters.json");
@@ -83,7 +82,7 @@ int main(int argc, char** argv) {
   }
 
   std::printf("wrote %s.trace.json (open in chrome://tracing), "
-              "%s.events.jsonl, %s.report.json, %s.counters.json\n",
-              prefix.c_str(), prefix.c_str(), prefix.c_str(), prefix.c_str());
+              "%s.report.json, %s.counters.json\n",
+              prefix.c_str(), prefix.c_str(), prefix.c_str());
   return 0;
 }

@@ -9,6 +9,7 @@
 #include <vector>
 
 #include "support/counters.hpp"
+#include "support/profiler.hpp"
 #include "support/types.hpp"
 
 namespace mcgp {
@@ -16,7 +17,6 @@ namespace mcgp {
 class TraceRecorder;
 class InvariantAuditor;
 class FlightRecorder;
-class Profiler;
 
 /// How aggressively the pipeline verifies its own bookkeeping invariants
 /// at runtime (see core/audit.hpp). Violations raise AuditFailure.
@@ -138,17 +138,6 @@ struct Options {
   /// results; it must outlive the run and may be shared across threads.
   FlightRecorder* flight = nullptr;
 
-  /// Optional profiler (see support/profiler.hpp). The pipeline measures
-  /// wall time, thread CPU time and work items over every phase at every
-  /// hierarchy level and aggregates them into the profiler's (phase,
-  /// level) buckets; PartitionResult::phases is read from the same
-  /// scopes. When null (the default), partition() and refine_partition()
-  /// attach an internal profiler for the run, so set one only to read
-  /// the per-(phase, level) buckets afterwards. Profiling never changes
-  /// results; the profiler must outlive the run and may be shared across
-  /// runs (each run reports its own phases) and the run's worker threads.
-  Profiler* profile = nullptr;
-
   /// Optional externally owned auditor. When non-null it is used directly
   /// (its own level governs, letting callers read check counters after the
   /// run); when null and audit_level != kOff, partition() creates an
@@ -206,6 +195,10 @@ struct PartitionResult {
   std::vector<PhaseTime> phases;
   /// Run wall time outside every phase.
   double unattributed_s = 0.0;
+  /// The run's per-(phase, level) buckets, from the same profiler as
+  /// `phases`: wall time, thread CPU time and work items of every scope,
+  /// nested ones included; the "run" bucket is the whole call.
+  RunProfile profile;
   /// Per-run pipeline counters/histograms (fm.moves, match.failed, ...).
   /// Populated only when Options::trace was set; empty otherwise.
   CounterRegistry counters;

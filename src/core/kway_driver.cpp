@@ -33,7 +33,7 @@ idx_t kway_coarsen_to(const Options& opts, idx_t nparts, int ncon,
 
 std::vector<idx_t> partition_kway(const Graph& g, const Options& opts,
                                   Rng& rng, MlBisectStats* stats,
-                                  ThreadPool* pool) {
+                                  ThreadPool* pool, Profiler* profile) {
   const idx_t k = std::max<idx_t>(opts.nparts, 1);
   if (k == 1 || g.nvtxs == 0) {
     return std::vector<idx_t>(to_size(g.nvtxs), 0);
@@ -43,7 +43,7 @@ std::vector<idx_t> partition_kway(const Graph& g, const Options& opts,
   // workspace below, and the parallel matching / contraction / sweep
   // chunks lease their own, so footprint telemetry sees every buffer.
   WorkspacePool wspool;
-  RunContext run = run_context(opts, pool, &wspool);
+  RunContext run = run_context(opts, pool, &wspool, profile);
   Hierarchy h;
   {
     WorkspacePool::Lease ws = wspool.acquire();
@@ -65,11 +65,6 @@ std::vector<idx_t> partition_kway(const Graph& g, const Options& opts,
     Seam initpart(run, SeamSpec().span("initpart.kway").phase("initpart"),
                   h.coarsest());
     Options init_opts = opts;
-    // The nested recursive bisection of the coarsest graph runs its own
-    // coarsen/refine scopes; detach the profiler there so its cost lands
-    // in this "initpart" bucket instead of polluting the top hierarchy's
-    // per-level coarsen trend with coarsest-graph mini-hierarchies.
-    init_opts.profile = nullptr;
     init_opts.nparts = k;
     init_opts.coarsen_to = 0;  // let the bisections pick their own size
     init_opts.ubvec.resize(to_size(g.ncon));
@@ -78,6 +73,10 @@ std::vector<idx_t> partition_kway(const Graph& g, const Options& opts,
           std::max<real_t>(1.0 + (opts.ub_for(i) - 1.0) * 0.9, 1.003);
     }
     init_opts.tpwgts = opts.tpwgts;
+    // The nested recursive bisection of the coarsest graph runs its own
+    // coarsen/refine scopes; it gets no profiler, so its cost lands in
+    // this "initpart" bucket instead of polluting the top hierarchy's
+    // per-level coarsen trend with coarsest-graph mini-hierarchies.
     cwhere = partition_recursive_bisection(h.coarsest(), init_opts, rng,
                                            nullptr, pool);
   }

@@ -18,9 +18,11 @@ namespace mcgp {
 /// `stats` receives the hierarchy's levels and coarsest size (its `cut`
 /// stays 0). `pool` (optional) runs the data-parallel phases of
 /// coarsening and k-way refinement and the RB initial partitioning of the
-/// coarsest graph; the partition is the same at every thread count.
+/// coarsest graph; the partition is the same at every thread count. A
+/// non-null `profile` receives the run's phase scopes.
 std::vector<idx_t> partition_kway(const Graph& g, const Options& opts,
                                   Rng& rng, MlBisectStats* stats = nullptr,
-                                  ThreadPool* pool = nullptr);
+                                  ThreadPool* pool = nullptr,
+                                  Profiler* profile = nullptr);
 
 }  // namespace mcgp

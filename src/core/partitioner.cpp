@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdlib>
-#include <map>
 #include <optional>
 #include <stdexcept>
 #include <string>
@@ -187,26 +186,20 @@ void fill_quality(const Graph& g, const Options& opts, PartitionResult& r) {
                              opts.nparts, r.ubvec_used, opts.targets());
 }
 
-/// `r.seconds`, `r.phases` and `r.unattributed_s` of a run whose "run"
-/// scope took `run_ns`: the top-level phase totals it added to its
-/// profiler between the snapshots `before` and `after`.
-void fill_phases(const std::map<std::string, PhaseClock>& before,
-                 const std::map<std::string, PhaseClock>& after,
-                 std::int64_t run_ns, PartitionResult& r) {
+/// `r.seconds`, `r.phases`, `r.unattributed_s` and `r.profile` of a run
+/// on `threads` threads whose "run" scope on `prof` took `run_ns`.
+void fill_phases(const Profiler& prof, int threads, std::int64_t run_ns,
+                 PartitionResult& r) {
   std::int64_t attributed_ns = 0;
-  for (const auto& [phase, clock] : after) {
-    PhaseClock d = clock;
-    if (const auto it = before.find(phase); it != before.end()) {
-      d.wall_ns -= it->second.wall_ns;
-      d.cpu_ns -= it->second.cpu_ns;
-    }
-    if (d.wall_ns == 0 && d.cpu_ns == 0) continue;  // not run this time
-    r.phases.push_back({phase, static_cast<double>(d.wall_ns) * 1e-9,
-                        static_cast<double>(d.cpu_ns) * 1e-9});
-    attributed_ns += d.wall_ns;
+  for (const auto& [phase, clock] : prof.top_level()) {
+    r.phases.push_back({phase, static_cast<double>(clock.wall_ns) * 1e-9,
+                        static_cast<double>(clock.cpu_ns) * 1e-9});
+    attributed_ns += clock.wall_ns;
   }
   r.seconds = static_cast<double>(run_ns) * 1e-9;
   r.unattributed_s = static_cast<double>(run_ns - attributed_ns) * 1e-9;
+  r.profile.threads = threads;
+  r.profile.phases = prof.snapshot();
 }
 
 /// Effective audit level: the MCGP_AUDIT environment variable (parsed once
@@ -226,11 +219,11 @@ AuditLevel effective_audit_level(AuditLevel opt_level) {
 
 /// The setup and teardown partition() and refine_partition() share around
 /// their algorithm body: validation (of `start` too, when given), the
-/// auditor, the effective tolerances, RNG, the profiler and its "run"
-/// scope, trace span `name` and pool; then the final quality, the
+/// auditor, the effective tolerances, RNG, the run's profiler and its
+/// "run" scope, trace span `name` and pool; then the final quality, the
 /// `<name>.final` audits (an AuditFailure dumps the flight window), the
-/// final sample, counters, seconds and phases. `body(opts, rng, pool,
-/// result)` fills result.part from the prepared options.
+/// final sample, counters, seconds, phases and profile. `body(opts, rng,
+/// pool, prof, result)` fills result.part from the prepared options.
 template <class Body>
 PartitionResult run_entry(const Graph& g, const Options& run_opts,
                           const char* name, const std::vector<idx_t>* start,
@@ -265,17 +258,13 @@ PartitionResult run_entry(const Graph& g, const Options& run_opts,
   PartitionResult result;
   Rng rng(opts.seed);
 
-  // Every run is profiled, since its phase times are the profiler's
-  // top-level scopes: without a caller's profiler, an internal one.
-  std::optional<Profiler> local_prof;
-  if (opts.profile == nullptr) opts.profile = &local_prof.emplace();
-  opts.profile->set_threads(opts.num_threads);
-  const std::map<std::string, PhaseClock> phases_before =
-      opts.profile->top_level();
+  // Every run is profiled: its phase times are the profiler's top-level
+  // scopes, and its buckets are returned in result.profile.
+  Profiler prof;
   // Whole-run measurement interval: every nested scope is inside it, so
   // the "run" bucket counts each cycle exactly once — the denominator for
   // per-phase shares and the run-ledger headline.
-  ProfScope run_prof(opts.profile, "run", /*level=*/-1, ProfScope::kRun);
+  ProfScope run_prof(&prof, "run", /*level=*/-1, ProfScope::kRun);
   run_prof.work(g.nedges(), g.nvtxs);
 
   Seam run_seam(run_context(opts, nullptr, nullptr),
@@ -293,7 +282,7 @@ PartitionResult run_entry(const Graph& g, const Options& run_opts,
 
   const std::string final_label = std::string(name) + ".final";
   try {
-    body(opts, rng, pool.has_value() ? &*pool : nullptr, result);
+    body(opts, rng, pool.has_value() ? &*pool : nullptr, &prof, result);
     fill_quality(g, opts, result);
     if (opts.audit != nullptr && opts.audit->boundaries()) {
       opts.audit->check_final_partition(g, result.part, opts.nparts,
@@ -317,7 +306,7 @@ PartitionResult run_entry(const Graph& g, const Options& run_opts,
   });
   if (opts.trace != nullptr) result.counters = opts.trace->merged_counters();
   const std::int64_t run_ns = run_prof.finish();
-  fill_phases(phases_before, opts.profile->top_level(), run_ns, result);
+  fill_phases(prof, opts.num_threads, run_ns, result);
   return result;
 }
 
@@ -326,13 +315,14 @@ PartitionResult run_entry(const Graph& g, const Options& run_opts,
 PartitionResult partition(const Graph& g, const Options& run_opts) {
   return run_entry(
       g, run_opts, "partition", nullptr,
-      [&](const Options& opts, Rng& rng, ThreadPool* pool,
+      [&](const Options& opts, Rng& rng, ThreadPool* pool, Profiler* prof,
           PartitionResult& result) {
         MlBisectStats stats;
         result.part =
             opts.algorithm == Algorithm::kKWay
-                ? partition_kway(g, opts, rng, &stats, pool)
-                : partition_recursive_bisection(g, opts, rng, &stats, pool);
+                ? partition_kway(g, opts, rng, &stats, pool, prof)
+                : partition_recursive_bisection(g, opts, rng, &stats, pool,
+                                                prof);
         result.coarsen_levels = stats.levels;
         result.coarsest_nvtxs = stats.coarsest_nvtxs;
         ensure_nonempty_parts(g, opts.nparts, result.part);
@@ -343,13 +333,13 @@ PartitionResult refine_partition(const Graph& g, std::vector<idx_t> part,
                                  const Options& run_opts) {
   return run_entry(
       g, run_opts, "refine_partition", &part,
-      [&](const Options& opts, Rng& rng, ThreadPool* pool,
+      [&](const Options& opts, Rng& rng, ThreadPool* pool, Profiler* prof,
           PartitionResult& result) {
         const std::vector<real_t> ub = opts.tolerances(g.ncon);
         // Standalone refinement drives the same refiner as the full
         // pipeline's finest level, with its own workspace pool.
         WorkspacePool wspool;
-        const RunContext run = run_context(opts, pool, &wspool);
+        const RunContext run = run_context(opts, pool, &wspool, prof);
         kway_refine_level(g, part, ub, opts.kway_passes, rng, opts, run);
         // The refiner's own balancer can exit with residual overload on
         // tight instances; escalate before declaring the result.

@@ -147,6 +147,10 @@ void rb_recurse(const RbContext& ctx, const Graph& sub,
                nullptr);
   });
   rb_recurse(ctx, half[0], half_to_global[0], k_left, part0, nullptr);
+  // The calling thread's idle join gets its own "rb.wait" row; the
+  // subtrees it helps run meanwhile keep theirs. Serial runs never wait.
+  ProfScope idle(ctx.run.pool != nullptr ? ctx.run.profile : nullptr,
+                 "rb.wait", /*level=*/-1, ProfScope::kWait);
   group.wait();
 }
 
@@ -228,7 +232,8 @@ sum_t multilevel_bisect(const Graph& g, std::vector<idx_t>& where,
 std::vector<idx_t> partition_recursive_bisection(const Graph& g,
                                                  const Options& opts, Rng& rng,
                                                  MlBisectStats* top_stats,
-                                                 ThreadPool* pool) {
+                                                 ThreadPool* pool,
+                                                 Profiler* profile) {
   const idx_t k = std::max<idx_t>(opts.nparts, 1);
   std::vector<idx_t> part(to_size(g.nvtxs), 0);
   if (k == 1 || g.nvtxs == 0) return part;
@@ -248,7 +253,7 @@ std::vector<idx_t> partition_recursive_bisection(const Graph& g,
   }
 
   WorkspacePool wspool;
-  const RunContext run = run_context(opts, pool, &wspool);
+  const RunContext run = run_context(opts, pool, &wspool, profile);
   const std::uint64_t root_seed = rng.next_u64();
   RbContext ctx{opts, level_ub, part, root_seed, run};
   // The root call fills top_stats from the first (top) bisection's real

@@ -47,10 +47,13 @@ sum_t multilevel_bisect(const Graph& g, std::vector<idx_t>& where,
 
 /// Full MC-RB k-way partitioning. Returns the part vector (size g.nvtxs,
 /// ids in [0, opts.nparts)). Runs on `pool` when non-null; otherwise
-/// creates its own pool when opts.num_threads > 1.
+/// creates its own pool when opts.num_threads > 1. A non-null `profile`
+/// receives the run's phase scopes, the calling thread's idle joins
+/// among them ("rb.wait").
 std::vector<idx_t> partition_recursive_bisection(
     const Graph& g, const Options& opts, Rng& rng,
-    MlBisectStats* top_stats = nullptr, ThreadPool* pool = nullptr);
+    MlBisectStats* top_stats = nullptr, ThreadPool* pool = nullptr,
+    Profiler* profile = nullptr);
 
 /// The six-argument form perfbench's replay calls, from when a phase-time
 /// accumulator filled the fourth slot; like the spelled-out kway_refine

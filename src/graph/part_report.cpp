@@ -101,7 +101,8 @@ void print_report(std::ostream& out, const PartitionReport& rep) {
 }
 
 void write_report_json(std::ostream& out, const PartitionReport& rep,
-                       const FlightRecorder* flight, const Profiler* prof) {
+                       const FlightRecorder* flight,
+                       const RunProfile* profile) {
   JsonWriter w(out);
   w.begin_object();
   w.member("schema_version", kMcgpSchemaVersion);
@@ -143,9 +144,9 @@ void write_report_json(std::ostream& out, const PartitionReport& rep,
     w.key("timeline");
     flight->write_json_value(w);
   }
-  if (prof != nullptr) {
+  if (profile != nullptr) {
     w.key("profile");
-    prof->write_json_value(w);
+    profile->write_json_value(w);
   }
   w.end_object();
   out << '\n';
@@ -153,9 +154,9 @@ void write_report_json(std::ostream& out, const PartitionReport& rep,
 
 std::string report_to_json(const PartitionReport& rep,
                            const FlightRecorder* flight,
-                           const Profiler* prof) {
+                           const RunProfile* profile) {
   std::ostringstream out;
-  write_report_json(out, rep, flight, prof);
+  write_report_json(out, rep, flight, profile);
   return out.str();
 }
 

@@ -12,7 +12,7 @@
 namespace mcgp {
 
 class FlightRecorder;
-class Profiler;
+struct RunProfile;
 
 struct PartStats {
   idx_t vertices = 0;
@@ -49,13 +49,14 @@ void print_report(std::ostream& out, const PartitionReport& report);
 /// Machine-readable counterpart of print_report: serialize every report
 /// field as one JSON object (stamped with "schema_version"). A non-null
 /// `flight` additionally embeds its retained sample window plus memory
-/// high-water marks as a "timeline" section; a non-null `prof` embeds its
-/// per-(phase, level) wall and thread CPU time as a "profile" section.
+/// high-water marks as a "timeline" section; a non-null `profile` (a
+/// run's PartitionResult::profile) embeds its per-(phase, level) wall and
+/// thread CPU time as a "profile" section.
 void write_report_json(std::ostream& out, const PartitionReport& report,
                        const FlightRecorder* flight = nullptr,
-                       const Profiler* prof = nullptr);
+                       const RunProfile* profile = nullptr);
 std::string report_to_json(const PartitionReport& report,
                            const FlightRecorder* flight = nullptr,
-                           const Profiler* prof = nullptr);
+                           const RunProfile* profile = nullptr);
 
 }  // namespace mcgp

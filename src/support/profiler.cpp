@@ -25,13 +25,17 @@ std::atomic<std::uint64_t> g_profiler_ids{1};
 /// Per-thread slot binding this thread to the profiler whose scopes it is
 /// running. Keyed by a process-unique profiler id (never a reused
 /// address), so a stale entry can only miss. `depth` counts the live
-/// non-aux ProfScopes of that profiler on this thread — the signal aux
-/// scopes use to detect an enclosing scope already measuring the thread —
-/// and `runs` the live run scopes among them.
+/// phase and run ProfScopes of that profiler on this thread — the signal
+/// aux scopes use to detect an enclosing scope already measuring the
+/// thread — and `runs` the live run scopes among them. `top_wall_ns` and
+/// `top_cpu_ns` total the top-level time folded on this thread, which a
+/// wait scope subtracts from its interval.
 struct TlsSlot {
   std::uint64_t profiler_id = 0;
   int depth = 0;
   int runs = 0;
+  std::int64_t top_wall_ns = 0;
+  std::int64_t top_cpu_ns = 0;
 };
 
 TlsSlot& tls_slot() {
@@ -75,11 +79,6 @@ void Profiler::fold(const char* phase, int level, const ProfBucket& delta,
   }
 }
 
-void Profiler::set_threads(int n) {
-  MutexLock lk(mu_);
-  threads_ = n > 0 ? n : 1;
-}
-
 std::vector<ProfPhase> Profiler::snapshot() const {
   MutexLock lk(mu_);
   std::vector<ProfPhase> out;
@@ -94,12 +93,7 @@ std::vector<ProfPhase> Profiler::snapshot() const {
 }
 
 ProfBucket Profiler::phase_total(const std::string& phase) const {
-  MutexLock lk(mu_);
-  ProfBucket total;
-  for (const auto& [key, stats] : buckets_) {
-    if (key.first == phase) add_into(total, stats);
-  }
-  return total;
+  return RunProfile{1, snapshot()}.total(phase);
 }
 
 std::map<std::string, PhaseClock> Profiler::top_level() const {
@@ -115,18 +109,24 @@ void Profiler::clear() {
 }
 
 void Profiler::write_json_value(JsonWriter& w) const {
-  int run_threads = 1;
-  {
-    MutexLock lk(mu_);
-    run_threads = threads_;
-  }
+  RunProfile{1, snapshot()}.write_json_value(w);
+}
 
+ProfBucket RunProfile::total(const std::string& phase) const {
+  ProfBucket sum;
+  for (const ProfPhase& p : phases) {
+    if (p.phase == phase) add_into(sum, p.stats);
+  }
+  return sum;
+}
+
+void RunProfile::write_json_value(JsonWriter& w) const {
   w.begin_object();
   w.member("schema_version", kMcgpSchemaVersion);
-  w.member("threads", static_cast<std::int64_t>(run_threads));
+  w.member("threads", static_cast<std::int64_t>(threads));
   w.key("phases");
   w.begin_array();
-  for (const ProfPhase& p : snapshot()) {
+  for (const ProfPhase& p : phases) {
     const ProfBucket& b = p.stats;
     w.begin_object();
     w.member("phase", p.phase);
@@ -151,7 +151,7 @@ void Profiler::write_json_value(JsonWriter& w) const {
 
 void ProfScope::begin() {
   TlsSlot& slot = tls_slot();
-  if (slot.profiler_id != p_->id_) slot = TlsSlot{p_->id_, 0, 0};
+  if (slot.profiler_id != p_->id_) slot = TlsSlot{p_->id_, 0, 0, 0, 0};
   switch (kind_) {
     case kAux:
       // Work helping: when an enclosing non-aux scope of this profiler is
@@ -173,6 +173,17 @@ void ProfScope::begin() {
       ++slot.depth;
       ++slot.runs;
       break;
+    case kWait:
+      // Only the run's calling thread idles on the critical path, and a
+      // wait inside a phase is that phase's time.
+      if (slot.runs == 0 || slot.depth != slot.runs) {
+        p_ = nullptr;
+        return;
+      }
+      top_ = critical_ = true;
+      top_wall0_ns_ = slot.top_wall_ns;
+      top_cpu0_ns_ = slot.top_cpu_ns;
+      break;
   }
   t0_ns_ = monotonic_now_ns();
   cpu0_ns_ = thread_cpu_now_ns();
@@ -184,8 +195,9 @@ std::int64_t ProfScope::end() {
   ProfBucket d;
   d.task_clock_ns = thread_cpu_now_ns() - cpu0_ns_;
   TlsSlot& slot = tls_slot();
+  const bool own_slot = slot.profiler_id == p->id_;
   const bool aux = kind_ == kAux;
-  if (!aux && slot.profiler_id == p->id_ && slot.depth > 0) {
+  if ((kind_ == kPhase || kind_ == kRun) && own_slot && slot.depth > 0) {
     --slot.depth;
     if (kind_ == kRun && slot.runs > 0) --slot.runs;
   }
@@ -196,7 +208,15 @@ std::int64_t ProfScope::end() {
   d.edges = edges_;
   d.vtxs = vtxs_;
   d.wall_ns = aux ? 0 : monotonic_now_ns() - t0_ns_;
+  if (kind_ == kWait && own_slot) {
+    d.wall_ns -= slot.top_wall_ns - top_wall0_ns_;
+    d.task_clock_ns -= slot.top_cpu_ns - top_cpu0_ns_;
+  }
   const PhaseClock top{critical_ ? d.wall_ns : 0, d.task_clock_ns};
+  if (top_ && own_slot) {
+    slot.top_wall_ns += top.wall_ns;
+    slot.top_cpu_ns += top.cpu_ns;
+  }
   p->fold(phase_, level_, d, top_ ? &top : nullptr);
   return d.wall_ns;
 }

@@ -8,13 +8,16 @@
 // Both exist on every POSIX host, so the report has the same columns
 // everywhere; task_clock_ns / wall_ns is the per-phase parallelism.
 //
-// Two pieces:
+// Three pieces:
 //
-//  * Profiler — the object a run attaches through Options::profile.
-//    partition() and refine_partition() attach an internal one when the
-//    caller does not, so every run is measured; attaching never changes
-//    the partition. Deltas fold into (phase, level) buckets under one
-//    cold mutex (folds happen per level, never per move).
+//  * Profiler — the buckets of one run. partition() and
+//    refine_partition() own one per call and hand it to the drivers next
+//    to the pool; measuring never changes the partition. Deltas fold into
+//    (phase, level) buckets under one cold mutex (folds happen per level,
+//    never per move).
+//
+//  * RunProfile — what a run returns of its profiler
+//    (PartitionResult::profile): the thread count and the buckets.
 //
 //  * ProfScope — RAII measurement interval at the pipeline's seams.
 //    Nested scopes each count their full interval (inclusive semantics,
@@ -68,6 +71,21 @@ struct ProfPhase {
   ProfBucket stats;
 };
 
+/// A run's profile as PartitionResult::profile returns it.
+struct RunProfile {
+  int threads = 1;                ///< the run's Options::num_threads
+  std::vector<ProfPhase> phases;  ///< every bucket, ordered by (phase, level)
+
+  /// Sum of one phase's buckets across levels (total("run") is the
+  /// ledger headline: the whole-run scope counts everything once).
+  ProfBucket total(const std::string& phase) const;
+
+  /// The run report's "profile" section: {"schema_version", "threads",
+  /// "phases": [...]}. Each phase object carries its bucket plus the
+  /// derived "parallelism" (task_clock_ns / wall_ns) where wall_ns > 0.
+  void write_json_value(JsonWriter& w) const;
+};
+
 class Profiler {
  public:
   Profiler();
@@ -81,22 +99,14 @@ class Profiler {
   void fold(const char* phase, int level, const ProfBucket& delta,
             const PhaseClock* top = nullptr);
 
-  /// Record the run's configured thread count (Options::num_threads);
-  /// emitted as the top-level "threads" member of the profile section.
-  void set_threads(int n);
-
   /// All buckets, ordered by (phase, level).
   std::vector<ProfPhase> snapshot() const;
-  /// Sum of one phase's buckets across levels (e.g. phase_total("run")
-  /// is the ledger headline: the whole-run scope counts everything once).
+  /// RunProfile::total of the buckets so far.
   ProfBucket phase_total(const std::string& phase) const;
-  /// Top-level totals by phase, levels summed. A run's own phases are the
-  /// difference of the snapshots taken before and after it.
+  /// Top-level totals by phase, levels summed: the run's phases.
   std::map<std::string, PhaseClock> top_level() const;
 
-  /// The run report's "profile" section: {"schema_version", "threads",
-  /// "phases": [...]}. Each phase object carries its bucket plus the
-  /// derived "parallelism" (task_clock_ns / wall_ns) where wall_ns > 0.
+  /// The buckets so far as a one-thread RunProfile's "profile" section.
   void write_json_value(JsonWriter& w) const;
 
   /// Drop all buckets. Only valid while no scope is live.
@@ -115,7 +125,6 @@ class Profiler {
   std::map<std::pair<std::string, int>, std::set<std::uint64_t>>
       bucket_threads_ MCGP_GUARDED_BY(mu_);
   std::map<std::string, PhaseClock> top_ MCGP_GUARDED_BY(mu_);
-  int threads_ MCGP_GUARDED_BY(mu_) = 1;
 };
 
 /// RAII measurement interval. Detached (null profiler) is one pointer
@@ -133,9 +142,16 @@ class Profiler {
 ///
 /// The `kRun` scope is the whole run: it marks its thread as the run's
 /// calling thread and encloses no top-level phase.
+///
+/// A `kWait` scope times the run's calling thread while it joins forked
+/// tasks. It arms only on that thread and only where no phase scope is
+/// live (a wait inside a phase stays that phase's time), and it does not
+/// enclose: phases the thread runs while it helps stay top-level. Its
+/// wall and CPU time are its interval minus the top-level time folded on
+/// the thread inside it, nested waits included.
 class ProfScope {
  public:
-  enum Kind { kPhase, kAux, kRun };
+  enum Kind { kPhase, kAux, kRun, kWait };
 
   ProfScope(Profiler* p, const char* phase, int level = -1, Kind kind = kPhase)
       : p_(p), phase_(phase), level_(level), kind_(kind) {
@@ -177,6 +193,9 @@ class ProfScope {
   /// for the profiler and the flight recorder).
   std::int64_t t0_ns_ = 0;
   std::int64_t cpu0_ns_ = 0;  ///< thread_cpu_now_ns() at begin()
+  /// kWait: the thread's folded top-level wall and CPU time at begin().
+  std::int64_t top_wall0_ns_ = 0;
+  std::int64_t top_cpu0_ns_ = 0;
 };
 
 }  // namespace mcgp

@@ -8,7 +8,6 @@
 #include "graph/csr_graph.hpp"
 #include "support/json_writer.hpp"
 #include "support/memory.hpp"
-#include "support/profiler.hpp"
 #include "support/schema.hpp"
 #include "support/sysinfo.hpp"
 
@@ -28,7 +27,7 @@ const char* algorithm_ledger_name(const Options& opts) {
 
 RunRecord make_run_record(std::string experiment, std::string graph_name,
                           const Graph& g, const Options& opts,
-                          const PartitionResult& r, const Profiler* prof) {
+                          const PartitionResult& r) {
   RunRecord rec;
   rec.experiment = std::move(experiment);
   rec.algorithm = algorithm_ledger_name(opts);
@@ -49,12 +48,9 @@ RunRecord make_run_record(std::string experiment, std::string graph_name,
   rec.host = hi.hostname;
   rec.cpu = hi.cpu_model;
   rec.cores = hi.cores;
-  if (prof != nullptr) {
-    const ProfBucket run = prof->phase_total("run");
-    rec.profile_attached = true;
-    rec.profile_wall_ns = run.wall_ns;
-    rec.profile_task_clock_ns = run.task_clock_ns;
-  }
+  const ProfBucket run = r.profile.total("run");
+  rec.profile_wall_ns = run.wall_ns;
+  rec.profile_task_clock_ns = run.task_clock_ns;
   return rec;
 }
 
@@ -95,13 +91,11 @@ void write_run_record(std::ostream& out, const RunRecord& rec) {
   if (!rec.host.empty()) w.member("host", rec.host);
   if (!rec.cpu.empty()) w.member("cpu", rec.cpu);
   if (rec.cores > 0) w.member("cores", static_cast<std::int64_t>(rec.cores));
-  if (rec.profile_attached) {
-    w.key("profile");
-    w.begin_object();
-    w.member("wall_ns", rec.profile_wall_ns);
-    w.member("task_clock_ns", rec.profile_task_clock_ns);
-    w.end_object();
-  }
+  w.key("profile");
+  w.begin_object();
+  w.member("wall_ns", rec.profile_wall_ns);
+  w.member("task_clock_ns", rec.profile_task_clock_ns);
+  w.end_object();
   w.end_object();
   out << '\n';
 }

@@ -21,7 +21,6 @@
 namespace mcgp {
 
 struct Graph;
-class Profiler;
 
 /// One ledger line. The (experiment, algorithm, graph, nparts, ncon,
 /// threads, seed) tuple is the identity diff.py joins baseline and
@@ -54,9 +53,7 @@ struct RunRecord {
   std::string cpu;        ///< CPU model string; empty = unknown
   int cores = 0;          ///< logical cores; 0 = unknown
 
-  // Headline of the whole run (the profiler's "run" phase), present only
-  // when a profiler was attached.
-  bool profile_attached = false;
+  // Headline of the whole run (the "run" bucket of PartitionResult::profile).
   std::int64_t profile_wall_ns = 0;
   std::int64_t profile_task_clock_ns = 0;  ///< on-CPU time of all threads
 };
@@ -70,13 +67,11 @@ const char* algorithm_ledger_name(const Options& opts);
 
 /// Assemble a record from a finished run: identity fields from
 /// (experiment, graph_name, g, opts), metrics (cut, imbalances, wall and
-/// phase times) from `r`, peak RSS read from the kernel now, host identity
-/// from support/sysinfo. A non-null `prof` additionally stamps the record
-/// with the run's wall and thread CPU time.
+/// phase times, the profile headline) from `r`, peak RSS read from the
+/// kernel now, host identity from support/sysinfo.
 RunRecord make_run_record(std::string experiment, std::string graph_name,
                           const Graph& g, const Options& opts,
-                          const PartitionResult& r,
-                          const Profiler* prof = nullptr);
+                          const PartitionResult& r);
 
 /// Serialize one record as a single JSON line (newline-terminated).
 void write_run_record(std::ostream& out, const RunRecord& rec);

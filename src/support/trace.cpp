@@ -36,7 +36,7 @@ void TraceRecorder::append_end(ThreadLog& log, const TraceArg* args,
   TraceEvent ev;
   ev.type = TraceEvent::Type::kEnd;
   ev.depth = log.depth;
-  // Name of the innermost open span (for JSONL readability).
+  // Name of the innermost open span, so the end event reads on its own.
   for (auto it = log.events.rbegin(); it != log.events.rend(); ++it) {
     if (it->type == TraceEvent::Type::kBegin && it->depth == log.depth) {
       ev.name = it->name;
@@ -162,46 +162,10 @@ void TraceRecorder::write_chrome_trace(std::ostream& out) const {
   out << '\n';
 }
 
-void TraceRecorder::write_jsonl(std::ostream& out) const {
-  MutexLock lk(mu_);
-  std::int64_t tid = 1;
-  auto write_log = [&](const ThreadLog& log) {
-    for (const TraceEvent& ev : log.events) {
-      JsonWriter w(out);
-      w.begin_object();
-      switch (ev.type) {
-        case TraceEvent::Type::kBegin: w.member("type", "begin"); break;
-        case TraceEvent::Type::kEnd: w.member("type", "end"); break;
-        case TraceEvent::Type::kInstant: w.member("type", "instant"); break;
-      }
-      w.member("name", ev.name);
-      w.member("ts_ns", ev.ts_ns);
-      w.member("depth", std::int64_t{ev.depth});
-      w.member("tid", tid);
-      if (!ev.args.empty()) {
-        w.key("args");
-        write_args_object(w, ev.args);
-      }
-      w.end_object();
-      out << '\n';
-    }
-    ++tid;
-  };
-  write_log(home_);
-  for (const auto& log : aux_) write_log(*log);
-}
-
 bool TraceRecorder::save_chrome_trace(const std::string& path) const {
   std::ofstream out(path);
   if (!out) return false;
   write_chrome_trace(out);
-  return static_cast<bool>(out);
-}
-
-bool TraceRecorder::save_jsonl(const std::string& path) const {
-  std::ofstream out(path);
-  if (!out) return false;
-  write_jsonl(out);
   return static_cast<bool>(out);
 }
 

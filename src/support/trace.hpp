@@ -16,10 +16,8 @@
 // log under its own `tid`, so Chrome traces stay well-formed under
 // concurrency. Counters are merged across threads with merged_counters().
 //
-// Exporters:
-//   * write_chrome_trace() — chrome://tracing / Perfetto "trace event"
-//     JSON (B/E pairs, microsecond timestamps, args on the end event)
-//   * write_jsonl()        — one JSON object per event, for ad-hoc tooling
+// Exporter: write_chrome_trace() — chrome://tracing / Perfetto "trace
+// event" JSON (B/E pairs, microsecond timestamps, args on the end event).
 //
 // Span names and arg keys must be string literals (or otherwise outlive
 // the recorder); events store the pointers, never copies. A recorder
@@ -111,11 +109,9 @@ class TraceRecorder {
   void clear();
 
   void write_chrome_trace(std::ostream& out) const;
-  void write_jsonl(std::ostream& out) const;
 
-  /// File-path conveniences; return false if the file cannot be opened.
+  /// File-path convenience; returns false if the file cannot be opened.
   bool save_chrome_trace(const std::string& path) const;
-  bool save_jsonl(const std::string& path) const;
 
  private:
   struct ThreadLog {

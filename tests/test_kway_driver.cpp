@@ -72,8 +72,7 @@ TEST(PartitionKWay, StatsPopulated) {
   MlBisectStats stats;
   Profiler prof;
   Options o = kw_options(8);
-  o.profile = &prof;
-  partition_kway(g, o, rng, &stats);
+  partition_kway(g, o, rng, &stats, nullptr, &prof);
   EXPECT_GT(stats.levels, 0);
   EXPECT_GT(stats.coarsest_nvtxs, 0);
   EXPECT_LT(stats.coarsest_nvtxs, 3600);

@@ -1,16 +1,19 @@
 #!/usr/bin/env python3
-"""mcpart argument parsing: every malformed numeric argument is rejected.
+"""mcpart argument parsing and run artifacts.
 
 Runs the mcpart binary given as the first argument on a tiny generated
 .graph file. Each malformed value of the positional k or a numeric flag
 must exit 2 with a message naming that argument; one well-formed run
-must exit 0.
+must exit 0. Each artifact stands on its own flag: --report-json alone
+writes a report with "timeline" and "profile" sections, and --ledger
+alone writes a record with the "profile" headline.
 
 Usage: python3 tests/test_mcpart_cli.py <path-to-mcpart>
 """
 
 from __future__ import annotations
 
+import json
 import subprocess
 import sys
 import tempfile
@@ -75,12 +78,30 @@ def main():
         if r.returncode != 0:
             errors.append(f"{WELL_FORMED}: expected exit 0, got "
                           f"{r.returncode}\n{r.stdout}{r.stderr}")
+
+        report = Path(tmp) / "report.json"
+        r = run(["2", "--no-write", f"--report-json={report}"])
+        if r.returncode != 0 or not report.exists():
+            errors.append(f"--report-json: expected a report, got exit "
+                          f"{r.returncode}\n{r.stdout}{r.stderr}")
+        else:
+            doc = json.loads(report.read_text())
+            for section in ("timeline", "profile"):
+                if section not in doc:
+                    errors.append(f"--report-json alone: no {section!r}")
+        ledger = Path(tmp) / "ledger.jsonl"
+        r = run(["2", "--no-write", f"--ledger={ledger}"])
+        if r.returncode != 0 or not ledger.exists():
+            errors.append(f"--ledger: expected a record, got exit "
+                          f"{r.returncode}\n{r.stdout}{r.stderr}")
+        elif "profile" not in json.loads(ledger.read_text()):
+            errors.append("--ledger alone: no 'profile' headline")
     for e in errors:
         print(f"FAIL: {e}", file=sys.stderr)
     if errors:
         return 1
     print(f"mcpart flags: {len(MALFORMED)} malformed rejected, "
-          "well-formed run ok")
+          "well-formed run ok, report and ledger sections present")
     return 0
 
 

@@ -1,5 +1,5 @@
 // The sinks agree at every seam: the trace, the flight recorder and the
-// profiler attached to one run describe the same uncoarsening levels and
+// profile of one run describe the same uncoarsening levels and
 // refinement passes with the same numbers.
 #include <gtest/gtest.h>
 
@@ -63,20 +63,18 @@ TEST(ObserverSeams, SinksAgreeAtEverySeam) {
     SCOPED_TRACE(alg == Algorithm::kKWay ? "MC-KW" : "MC-RB");
     TraceRecorder trace;
     FlightRecorder flight(1 << 16);
-    Profiler profile;
     Options o;
     o.nparts = 16;
     o.algorithm = alg;
     o.num_threads = 1;
     o.trace = &trace;
     o.flight = &flight;
-    o.profile = &profile;
-    partition(g, o);
+    const PartitionResult r = partition(g, o);
     ASSERT_EQ(flight.dropped(), 0u);
     ASSERT_EQ(trace.num_thread_logs(), 1u);
 
     std::set<std::pair<std::string, int>> buckets;
-    for (const ProfPhase& p : profile.snapshot()) {
+    for (const ProfPhase& p : r.profile.phases) {
       buckets.insert({p.phase, p.level});
     }
 

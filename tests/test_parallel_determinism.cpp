@@ -17,7 +17,6 @@
 #include "graph/metrics.hpp"
 #include "json_test_util.hpp"
 #include "support/flight_recorder.hpp"
-#include "support/profiler.hpp"
 #include "support/trace.hpp"
 
 namespace mcgp {
@@ -93,8 +92,8 @@ INSTANTIATE_TEST_SUITE_P(
 // triangulated grid (10201 vertices) coarsens through several levels with
 // the handshake + chunked paths active. MC-KW additionally drives the
 // colored sweep on every level. Runs fully observed — boundary audits,
-// trace, flight recorder, and profiler attached — because observers must
-// never perturb the partition either.
+// trace and flight recorder attached, and every run is profiled — because
+// observers must never perturb the partition either.
 TEST(ParallelDeterminismLarge, KWayParallelPhasesBitIdenticalUnderObservers) {
   for (const int ncon : {1, 3}) {
     Graph g = tri_grid2d(101, 101);
@@ -105,13 +104,11 @@ TEST(ParallelDeterminismLarge, KWayParallelPhasesBitIdenticalUnderObservers) {
     for (const int threads : {1, 2, 4, 8}) {
       TraceRecorder trace;
       FlightRecorder flight;
-      Profiler profile;
       Options o = base_options(Algorithm::kKWay, 16, /*seed=*/99);
       o.num_threads = threads;
       o.audit_level = AuditLevel::kBoundaries;
       o.trace = &trace;
       o.flight = &flight;
-      o.profile = &profile;
       const PartitionResult r = partition(g, o);
       ASSERT_TRUE(validate_partition(g, r.part, 16).empty())
           << "ncon=" << ncon << " threads=" << threads;
@@ -141,13 +138,11 @@ TEST(ParallelDeterminismLarge, RBParallelPhasesBitIdenticalUnderObservers) {
   for (const int threads : {1, 2, 4, 8}) {
     TraceRecorder trace;
     FlightRecorder flight;
-    Profiler profile;
     Options o = base_options(Algorithm::kRecursiveBisection, 16, /*seed=*/99);
     o.num_threads = threads;
     o.audit_level = AuditLevel::kBoundaries;
     o.trace = &trace;
     o.flight = &flight;
-    o.profile = &profile;
     const PartitionResult r = partition(g, o);
     ASSERT_TRUE(validate_partition(g, r.part, 16).empty())
         << "threads=" << threads;

@@ -131,8 +131,7 @@ TEST(PartitionRB, StatsPopulated) {
   MlBisectStats stats;
   Profiler prof;
   Options o = rb_options(4);
-  o.profile = &prof;
-  partition_recursive_bisection(g, o, rng, &stats);
+  partition_recursive_bisection(g, o, rng, &stats, nullptr, &prof);
   EXPECT_GT(stats.levels, 0);
   EXPECT_GT(stats.coarsest_nvtxs, 0);
   const std::map<std::string, PhaseClock> top = prof.top_level();

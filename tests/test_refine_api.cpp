@@ -117,12 +117,10 @@ TEST(RefinePartition, EscalationHasItsOwnRebalanceBucket) {
   std::vector<idx_t> start(to_size(g.nvtxs));
   for (idx_t v = 0; v < g.nvtxs; ++v) start[to_size(v)] = v * k / g.nvtxs;
   TraceRecorder trace;
-  Profiler prof;
   Options o;
   o.nparts = k;
   o.trace = &trace;
-  o.profile = &prof;
-  refine_partition(g, start, o);
+  const PartitionResult r = refine_partition(g, start, o);
 
   bool escalated = false;
   for (const TraceEvent& e : trace.events()) {
@@ -130,7 +128,7 @@ TEST(RefinePartition, EscalationHasItsOwnRebalanceBucket) {
   }
   ASSERT_TRUE(escalated) << "the start no longer needs the rebalancer";
   std::int64_t refine_scopes = 0, rebalance_scopes = 0;
-  for (const ProfPhase& p : prof.snapshot()) {
+  for (const ProfPhase& p : r.profile.phases) {
     if (p.phase == "kway_refine" && p.level == 0) {
       refine_scopes = p.stats.scopes;
     }

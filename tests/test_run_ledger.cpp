@@ -76,8 +76,8 @@ TEST(RunLedger, RecordCarriesRunIdentityAndMetrics) {
   EXPECT_FALSE(rec.host.empty());
   EXPECT_GT(rec.cores, 0);
 #endif
-  // Without a profiler the record carries no profile section.
-  EXPECT_FALSE(rec.profile_attached);
+  // Every record carries the run's profile headline.
+  EXPECT_EQ(rec.profile_wall_ns, r.profile.total("run").wall_ns);
 }
 
 TEST(HostInfo, IsStableAcrossCalls) {
@@ -135,22 +135,19 @@ TEST(RunLedger, WrittenLineIsParsableJson) {
   EXPECT_EQ(doc->find("cores")->number,
             static_cast<double>(host_info().cores));
 #endif
-  // No profiler attached -> no "profile" member in the line.
-  EXPECT_EQ(doc->find("profile"), nullptr);
+  // Every line carries the run's profile headline.
+  EXPECT_NE(doc->find("profile"), nullptr);
 }
 
 TEST(RunLedger, ProfiledRecordCarriesHeadlineCounters) {
   Graph g = grid2d(20, 20);
   Options o;
   o.nparts = 2;
-  Profiler prof;
-  o.profile = &prof;
   const PartitionResult r = partition(g, o);
-  const RunRecord rec = make_run_record("unit", "g", g, o, r, &prof);
+  const RunRecord rec = make_run_record("unit", "g", g, o, r);
 
-  // The headline is the profiler's whole-run bucket.
-  const ProfBucket run = prof.phase_total("run");
-  EXPECT_TRUE(rec.profile_attached);
+  // The headline is the result's whole-run bucket.
+  const ProfBucket run = r.profile.total("run");
   EXPECT_EQ(rec.profile_wall_ns, run.wall_ns);
   EXPECT_EQ(rec.profile_task_clock_ns, run.task_clock_ns);
   EXPECT_GT(rec.profile_task_clock_ns, 0);

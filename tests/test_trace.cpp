@@ -195,31 +195,6 @@ TEST(TraceExport, ChromeTraceRoundTrip) {
   EXPECT_EQ(events->array[2].find("name")->str, "note \"quoted\"");
 }
 
-TEST(TraceExport, JsonlEveryLineParses) {
-  TraceRecorder tr;
-  {
-    TraceSpan sp(&tr, "pass");
-    sp.arg({"moves", std::int64_t{9}});
-    tr.instant("tick");
-  }
-  std::ostringstream out;
-  tr.write_jsonl(out);
-
-  std::istringstream lines(out.str());
-  std::string line;
-  std::vector<std::string> types;
-  while (std::getline(lines, line)) {
-    const auto doc = parse_json(line);
-    ASSERT_TRUE(doc.has_value()) << line;
-    ASSERT_TRUE(doc->is_object());
-    types.push_back(doc->find("type")->str);
-    ASSERT_NE(doc->find("name"), nullptr);
-    ASSERT_NE(doc->find("ts_ns"), nullptr);
-    ASSERT_NE(doc->find("depth"), nullptr);
-  }
-  EXPECT_EQ(types, (std::vector<std::string>{"begin", "instant", "end"}));
-}
-
 TEST(TraceExport, CountersJsonRoundTrip) {
   CounterRegistry reg;
   reg.incr("fm.moves", 12);

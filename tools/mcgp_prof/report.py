@@ -1,8 +1,8 @@
 #!/usr/bin/env python3
 """Profile reader for mcgp run reports.
 
-Consumes the "profile" section a profiler-attached run embeds in its JSON
-run report (mcpart --profile --report-json=..., or a bench --trace-dir
+Consumes the "profile" section every run embeds in its JSON
+run report (mcpart --report-json=..., or a bench --trace-dir
 report.json) and renders the three views a performance investigation
 actually starts from:
 
@@ -70,7 +70,7 @@ def load_profile(path):
     else:
         raise SystemExit(
             f"error: {path}: no \"profile\" section — produce one with "
-            "mcpart --profile --report-json=<path>")
+            "mcpart --report-json=<path>")
     schema = prof.get("schema_version")
     if schema is None or schema > SUPPORTED_SCHEMA:
         raise SystemExit(
