@@ -192,6 +192,30 @@ class KWayContext {
     return true;
   }
 
+  /// Whether v's part keeps its floor once v leaves it: some constraint
+  /// stays at or above the part's target weight divided by the tolerance
+  /// (limit / ub^2, the lower limit METIS's k-way refinement keeps). So a
+  /// search free to take losing moves cannot shrink a part below its
+  /// target in every constraint to shorten its boundary, while a part
+  /// full in one constraint and light in another can still give.
+  bool keeps_floor(idx_t v) const {
+    const idx_t p = where_[to_size(v)];
+    const wgt_t* w = g_.weights(v);
+    bool any = false;
+    for (int i = 0; i < g_.ncon; ++i) {
+      if (g_.tvwgt[to_size(i)] <= 0) continue;
+      any = true;
+      const real_t ub = ub_[to_size(i)];
+      if (static_cast<real_t>(checked_sub(
+              pwgts_[to_size(p) * to_size(g_.ncon) + to_size(i)], w[i])) >=
+          limit_[to_size(p) * to_size(g_.ncon) + to_size(i)] / (ub * ub) -
+              1e-9) {
+        return true;
+      }
+    }
+    return !any;
+  }
+
   /// Gather the edge weight from v to each touched part. Returns the
   /// weight to v's own part; touched() lists the OTHER parts seen.
   sum_t gather_connectivity(idx_t v) {

@@ -5,6 +5,7 @@
 #include <cstdint>
 #include <memory>
 #include <string>
+#include <utility>
 
 #include "core/audit.hpp"
 #include "core/kway_boundary.hpp"
@@ -115,6 +116,7 @@ struct PassResult {
   idx_t proposed = 0;  ///< vertices whose best move was evaluated
   idx_t skipped = 0;   ///< dead candidates left unevaluated
   idx_t widest_class = 0;  ///< most candidates one color class proposed
+  idx_t zero_gain = 0;     ///< commits of gain 0 (balance-only moves)
 };
 
 /// One candidate's proposal; `key` orders the commits.
@@ -241,6 +243,7 @@ PassResult colored_sweep(KWayContext& ctx, const std::vector<idx_t>& where,
       st.bnd.moved(m.v, own);
       res.gain = checked_add(res.gain, m.gain);
       ++res.moves;
+      if (m.gain == 0) ++res.zero_gain;
     }
   }
   return res;
@@ -413,21 +416,18 @@ void balance_if_infeasible(const Graph& g, KWayContext& ctx, idx_t nparts,
   ctx.reload();
 }
 
-/// The pass loop both refiners share, from a balanced start to the final
-/// cut. Runs `pass(rng)` until the cut stops improving (zero-gain balance
-/// jiggling alone is not progress), bounded by a generous multiple of the
-/// configured pass count as a safety net against oscillation, then
-/// balances again if the passes could not keep the partition feasible.
-/// `pass_site` names every pass's audits, `site` the finished refinement's.
+/// The pass loop both refiners share: runs `pass(rng)` until a pass
+/// moves nothing, until `pass_cap` passes, or once the cut stops improving
+/// (zero-gain balance jiggling alone is not progress) after `max_passes`.
+/// `pass_site` names every pass's audits. Returns the number of passes.
 template <class Pass>
-sum_t run_passes(const Graph& g, KWayContext& ctx, idx_t nparts,
-                 std::vector<idx_t>& where, const std::vector<real_t>& ub,
-                 int max_passes, Rng& rng, KWayRefineStats* stats,
-                 const std::vector<real_t>* tpwgts, const RunContext& run,
-                 const char* pass_site, const char* site, Pass&& pass) {
+int run_passes(const Graph& g, KWayContext& ctx, idx_t nparts,
+               std::vector<idx_t>& where, int max_passes, int pass_cap,
+               Rng& rng, KWayRefineStats* stats, const RunContext& run,
+               const char* pass_site, Pass&& pass) {
   const bool delta_audit = run.audit != nullptr && run.audit->paranoid();
-  const int pass_cap = 4 * max_passes;
-  for (int p = 0; p < pass_cap; ++p) {
+  int p = 0;
+  while (p < pass_cap) {
     Seam seam(run, SeamSpec().span("kway.pass").stage(Seam::Stage::kKWayPass),
               g);
     const sum_t cut_before = delta_audit ? edge_cut(g, where) : 0;
@@ -445,6 +445,7 @@ sum_t run_passes(const Graph& g, KWayContext& ctx, idx_t nparts,
       stats->moves += r.moves;
       stats->proposed += r.proposed;
       stats->skipped += r.skipped;
+      stats->zero_gain += r.zero_gain;
       stats->widest_class = std::max(stats->widest_class, r.widest_class);
     }
     seam.close([&] {
@@ -453,12 +454,294 @@ sum_t run_passes(const Graph& g, KWayContext& ctx, idx_t nparts,
       seam.gain(r.gain).worst_imbalance(ctx.max_overload());
       seam.count("kway.passes");
       seam.count("kway.moves", r.moves);
+      seam.count("kway.moves.zero_gain", r.zero_gain);
       seam.count("kway.proposed", r.proposed);
       seam.count("kway.skipped", r.skipped);
     });
-    if (r.moves == 0 || (r.gain == 0 && p + 1 >= max_passes)) break;
+    ++p;
+    if (r.moves == 0 || (r.gain == 0 && p >= max_passes)) break;
   }
+  return p;
+}
 
+/// Best localized-FM move of v: among the parts v has an edge into and
+/// fits, the one with the highest conn(p) - id(v), ties to the lower load,
+/// then the lower part id. The gain may be negative. Returns false, with
+/// dest -1, when v's part cannot spare it (can_leave, keeps_floor) or no
+/// such part fits. `blocked` is the part of highest non-negative gain
+/// above the chosen one that v does not fit, or -1: the part whose losing
+/// weight could open a better move for v.
+bool fm_best_move(KWayContext& ctx, idx_t v, idx_t& dest, sum_t& gain,
+                  idx_t& blocked) {
+  dest = -1;
+  gain = 0;
+  blocked = -1;
+  if (!ctx.can_leave(ctx.where()[to_size(v)]) || !ctx.keeps_floor(v)) {
+    return false;
+  }
+  const sum_t idw = ctx.gather_connectivity(v);
+  sum_t blocked_gain = -1;
+  real_t best_load = -1.0;  // part_load(dest), computed at the first tie
+  for (const idx_t p : ctx.touched()) {
+    const sum_t g2 = checked_sub(ctx.conn(p), idw);
+    if (dest >= 0 && g2 < gain) continue;
+    if (!ctx.fits(v, p)) {
+      if (g2 > blocked_gain) {
+        blocked_gain = g2;
+        blocked = p;
+      }
+      continue;
+    }
+    if (dest >= 0 && g2 == gain) {
+      if (best_load < 0.0) best_load = ctx.part_load(dest);
+      const real_t pl = ctx.part_load(p);
+      if (pl < best_load - kEps || (pl <= best_load + kEps && p < dest)) {
+        dest = p;
+        best_load = pl;
+      }
+      continue;
+    }
+    dest = p;
+    gain = g2;
+    best_load = -1.0;
+  }
+  if (dest >= 0 && blocked_gain <= gain) blocked = -1;
+  return dest >= 0;
+}
+
+/// Change of the load spread, the sum over parts and constraints of
+/// (pwgt / limit)^2, if v moved from part `from` to part `to`: negative
+/// when the move shifts weight from a fuller part to an emptier one.
+real_t spread_delta(const KWayContext& ctx, idx_t v, idx_t from, idx_t to) {
+  const Graph& g = ctx.graph();
+  const std::vector<sum_t>& pw = ctx.pwgts();
+  const wgt_t* w = g.weights(v);
+  real_t change = 0.0;
+  for (int i = 0; i < g.ncon; ++i) {
+    const std::size_t f = to_size(from) * to_size(g.ncon) + to_size(i);
+    const std::size_t t = to_size(to) * to_size(g.ncon) + to_size(i);
+    const real_t wi = static_cast<real_t>(w[i]);
+    const real_t lf = ctx.limit(from, i);
+    const real_t lt = ctx.limit(to, i);
+    // (a + w)^2 - a^2 = w (2a + w) and (a - w)^2 - a^2 = w (w - 2a).
+    change += wi * (2.0 * static_cast<real_t>(pw[t]) + wi) / (lt * lt) +
+         wi * (wi - 2.0 * static_cast<real_t>(pw[f])) / (lf * lf);
+  }
+  return change;
+}
+
+/// What one localized FM round did.
+struct FmRound {
+  idx_t moves = 0;        ///< moves made, kept or not
+  idx_t rolled_back = 0;  ///< of those, undone by the rollback
+  sum_t gain = 0;         ///< cut improvement of the kept prefix
+  real_t peak = 0.0;      ///< highest load a move left its destination at
+};
+
+/// The localized FM's state across the rounds of one kway_refine() call.
+/// One BucketQueue over the vertex ids holds two queues: kFmOpen, the
+/// round's candidates keyed by their best gain, and kFmLocked, the
+/// vertices the round moved, so the lock marks cost no buffer of their
+/// own and one clear() lifts them. `blocked[p]` lists the vertices whose
+/// best move went to part p but did not fit, to re-key when p loses
+/// weight.
+struct FmState {
+  static constexpr int kOpen = 0;
+  static constexpr int kLocked = 1;
+
+  BucketQueue queue;
+  std::vector<std::vector<idx_t>> blocked;
+  std::vector<std::pair<std::uint64_t, idx_t>> order;  ///< seeds by hash
+  std::vector<std::pair<idx_t, idx_t>> log;  ///< (vertex, part it left)
+  std::vector<idx_t> wake;                   ///< scratch for blocked lists
+
+  bool locked(idx_t v) const { return queue.contains(v, kLocked); }
+
+  /// (Re)key u after its connectivity or a load changed: u leaves the
+  /// open queue when it is off the boundary or has no admissible move.
+  void rekey(KWayContext& ctx, const KWayBoundary& bnd, idx_t u) {
+    idx_t dest = -1;
+    idx_t blocked_part = -1;
+    sum_t gain = 0;
+    const bool open = bnd.external_edges(u) > 0 &&
+                      fm_best_move(ctx, u, dest, gain, blocked_part);
+    if (blocked_part >= 0) blocked[to_size(blocked_part)].push_back(u);
+    if (queue.contains(u, kOpen)) {
+      if (open) {
+        queue.update(u, checked_narrow<wgt_t>(gain));
+      } else {
+        queue.remove(u);
+      }
+    } else if (open) {
+      queue.insert(u, checked_narrow<wgt_t>(gain), kOpen);
+    }
+  }
+};
+
+/// One localized k-way FM round (the local search of Sanders & Schulz's
+/// KaFFPa). The seeds enter the open queue in mix_seed(round_seed, v)
+/// order, keyed by their best admissible gain (fm_best_move). The round
+/// pops the highest key, re-evaluates it against the live loads (a key
+/// whose destination stopped fitting is re-queued at its fresh gain),
+/// moves the vertex even at a negative gain and locks it, then re-keys
+/// its unlocked neighbors (only they changed connectivity; the maintained
+/// boundary tells which are still on it without a gather) and the
+/// vertices whose better move was blocked by the part it left. It stops
+/// when the queue empties or kFmStall moves in a row found no new best,
+/// then undoes the moves after the best prefix in reverse order, which
+/// restores the part weights and the boundary exactly. The best prefix
+/// has the lowest cut, ties to the lower load spread (so balance-only
+/// moves that let later gains fit are kept), then the earliest. Every
+/// move fits its destination, so a feasible partition stays feasible at
+/// every step.
+FmRound fm_round(KWayContext& ctx, KWayBoundary& bnd, FmState& fm,
+                 const std::vector<idx_t>& seeds, std::uint64_t round_seed) {
+  const Graph& g = ctx.graph();
+  const std::vector<idx_t>& where = ctx.where();
+  fm.order.clear();
+  for (const idx_t v : seeds) {
+    fm.order.emplace_back(mix_seed(round_seed, static_cast<std::uint64_t>(v)),
+                          v);
+  }
+  std::sort(fm.order.begin(), fm.order.end());
+  for (const auto& [key, v] : fm.order) fm.rekey(ctx, bnd, v);
+
+  FmRound res;
+  sum_t gain = 0;
+  real_t spread = 0.0;
+  real_t best_spread = 0.0;
+  std::size_t best_len = 0;
+  idx_t stall = 0;
+  fm.log.clear();
+  while (!fm.queue.empty(FmState::kOpen) && stall < kFmStall) {
+    const wgt_t key = fm.queue.max_key(FmState::kOpen);
+    const idx_t v = fm.queue.pop_max(FmState::kOpen);
+    idx_t dest;
+    idx_t blocked_part;
+    sum_t move_gain;
+    if (!fm_best_move(ctx, v, dest, move_gain, blocked_part)) continue;
+    if (move_gain != key) {  // a load changed since v was keyed
+      fm.queue.insert(v, checked_narrow<wgt_t>(move_gain), FmState::kOpen);
+      continue;
+    }
+    const idx_t from = where[to_size(v)];
+    spread += spread_delta(ctx, v, from, dest);
+    ctx.move(v, dest);
+    bnd.moved(v, from);
+    fm.queue.insert(v, 0, FmState::kLocked);
+    fm.log.emplace_back(v, from);
+    res.peak = std::max(res.peak, ctx.part_load(dest));
+    gain = checked_add(gain, move_gain);
+    if (gain > res.gain || (gain == res.gain && spread < best_spread - 1e-9)) {
+      res.gain = gain;
+      best_spread = spread;
+      best_len = fm.log.size();
+      stall = 0;
+    } else {
+      ++stall;
+    }
+    for (idx_t e = g.xadj[to_size(v)]; e < g.xadj[to_size(v + 1)]; ++e) {
+      const idx_t u = g.adjncy[to_size(e)];
+      if (!fm.locked(u)) fm.rekey(ctx, bnd, u);
+    }
+    fm.wake.clear();
+    fm.wake.swap(fm.blocked[to_size(from)]);
+    for (const idx_t u : fm.wake) {
+      if (!fm.locked(u)) fm.rekey(ctx, bnd, u);
+    }
+  }
+  res.moves = static_cast<idx_t>(fm.log.size());
+  res.rolled_back = static_cast<idx_t>(fm.log.size() - best_len);
+  for (std::size_t i = fm.log.size(); i-- > best_len;) {
+    const auto [v, from] = fm.log[i];
+    const idx_t to = where[to_size(v)];
+    ctx.move(v, from);
+    bnd.moved(v, to);
+  }
+  fm.queue.clear();
+  for (std::vector<idx_t>& list : fm.blocked) list.clear();
+  return res;
+}
+
+/// The localized k-way FM that finishes kway_refine(): fm_round while a
+/// round improves the cut, at most kFmMaxRounds. Every round seeds from
+/// the boundary vertices whose external degree reaches their internal one
+/// (the maintained movable lists), the vertices that can have a move of
+/// non-negative gain, or from the whole boundary when there are none.
+/// Each round is one more pass of `stats` and one "kway.pass" seam,
+/// numbered on from `first_pass`; at paranoid the auditor checks its gain
+/// against the cut change, the part weights and the boundary after it.
+/// Serial and keyed by vertex hash, so the result is the same at every
+/// thread count.
+void localized_fm(const Graph& g, KWayContext& ctx, idx_t nparts,
+                  std::vector<idx_t>& where, KWayBoundary& bnd,
+                  int first_pass, Rng& rng, KWayRefineStats* stats,
+                  const RunContext& run) {
+  const bool paranoid = run.audit != nullptr && run.audit->paranoid();
+  FmState fm;
+  // Buckets sized for the largest gain any vertex can have, so the queues
+  // never regrow.
+  sum_t max_degree = 1;
+  for (idx_t v = 0; v < g.nvtxs; ++v) {
+    max_degree = std::max(max_degree, checked_add(bnd.internal_degree(v),
+                                                  bnd.external_degree(v)));
+  }
+  fm.queue.reset(g.nvtxs, checked_narrow<wgt_t>(max_degree), 2);
+  fm.blocked.resize(to_size(nparts));
+  std::vector<idx_t> seeds;
+  for (int round = 0; round < kFmMaxRounds; ++round) {
+    seeds.clear();
+    for (idx_t c = 0; c < bnd.ncolors(); ++c) {
+      seeds.insert(seeds.end(), bnd.movable(c).begin(), bnd.movable(c).end());
+    }
+    if (seeds.empty()) {
+      for (idx_t v = 0; v < g.nvtxs; ++v) {
+        if (bnd.external_edges(v) > 0) seeds.push_back(v);
+      }
+    }
+    if (seeds.empty()) break;
+    Seam seam(run, SeamSpec().span("kway.pass").stage(Seam::Stage::kKWayPass),
+              g);
+    const sum_t cut_before = paranoid ? edge_cut(g, where) : 0;
+    const FmRound r = fm_round(ctx, bnd, fm, seeds, rng.next_u64());
+    if (paranoid) {
+      run.audit->check_cut_delta(cut_before, r.gain, edge_cut(g, where),
+                                 "kway.fm");
+      run.audit->check_kway_state(g, where, nparts, ctx.pwgts(),
+                                  &ctx.vcounts(), "kway.fm");
+      run.audit->check_kway_boundary(g, where, bnd, "kway.fm");
+    }
+    const idx_t kept = r.moves - r.rolled_back;
+    if (stats != nullptr) {
+      ++stats->passes;
+      ++stats->fm_rounds;
+      stats->moves += kept;
+      stats->fm_moves += r.moves;
+      stats->fm_rolled_back += r.rolled_back;
+    }
+    seam.close([&] {
+      seam.pass(first_pass + round).moves(kept);
+      seam.args({{"fm_moves", r.moves}, {"rolled_back", r.rolled_back}});
+      seam.gain(r.gain).worst_imbalance(
+          std::max(ctx.max_overload(), r.peak));
+      seam.count("kway.passes");
+      seam.count("kway.moves", kept);
+      seam.count("kway.fm.rounds");
+      seam.count("kway.fm.moves", r.moves);
+      seam.count("kway.fm.rolled_back", r.rolled_back);
+    });
+    if (r.gain <= 0) break;
+  }
+}
+
+/// The end both refiners share: the boundary audit of `site`, balancing
+/// if the passes could not keep the partition feasible, and the final cut.
+sum_t finish_refinement(const Graph& g, KWayContext& ctx, idx_t nparts,
+                        std::vector<idx_t>& where,
+                        const std::vector<real_t>& ub, Rng& rng,
+                        KWayRefineStats* stats,
+                        const std::vector<real_t>* tpwgts,
+                        const RunContext& run, const char* site) {
   if (run.audit != nullptr && run.audit->boundaries()) {
     run.audit->check_kway_state(g, where, nparts, ctx.pwgts(), &ctx.vcounts(),
                                 site);
@@ -615,16 +898,20 @@ sum_t kway_refine(const Graph& g, idx_t nparts, std::vector<idx_t>& where,
 
   SweepState st(g, where, run.pool);
   const bool paranoid = run.audit != nullptr && run.audit->paranoid();
-  return run_passes(g, ctx, nparts, where, ub, max_passes, rng, stats, tpwgts,
-                    run, "kway.sweep", "kway.refine", [&](Rng& r) {
-                      const PassResult res =
-                          colored_sweep(ctx, where, st, r, run);
-                      if (paranoid) {
-                        run.audit->check_kway_boundary(g, where, st.bnd,
-                                                       "kway.sweep");
-                      }
-                      return res;
-                    });
+  const int passes = run_passes(
+      g, ctx, nparts, where, max_passes, max_passes, rng, stats, run,
+      "kway.sweep", [&](Rng& r) {
+        const PassResult res = colored_sweep(ctx, where, st, r, run);
+        if (paranoid) {
+          run.audit->check_kway_boundary(g, where, st.bnd, "kway.sweep");
+        }
+        return res;
+      });
+  if (max_passes > 0) {
+    localized_fm(g, ctx, nparts, where, st.bnd, passes, rng, stats, run);
+  }
+  return finish_refinement(g, ctx, nparts, where, ub, rng, stats, tpwgts, run,
+                           "kway.refine");
 }
 
 sum_t kway_refine(const Graph& g, idx_t nparts, std::vector<idx_t>& where,
@@ -649,10 +936,11 @@ sum_t kway_refine_pq(const Graph& g, idx_t nparts, std::vector<idx_t>& where,
   balance_if_infeasible(g, ctx, nparts, where, ub, rng, tpwgts, run);
 
   BucketQueue queue;
-  return run_passes(g, ctx, nparts, where, ub, max_passes, rng, stats, tpwgts,
-                    run, "kway.pq_pass", "kway.refine_pq", [&](Rng& r) {
-                      return pq_pass(g, ctx, where, queue, r);
-                    });
+  run_passes(g, ctx, nparts, where, max_passes, 4 * max_passes, rng, stats,
+             run, "kway.pq_pass",
+             [&](Rng& r) { return pq_pass(g, ctx, where, queue, r); });
+  return finish_refinement(g, ctx, nparts, where, ub, rng, stats, tpwgts, run,
+                           "kway.refine_pq");
 }
 
 sum_t kway_refine_level(const Graph& g, std::vector<idx_t>& where,

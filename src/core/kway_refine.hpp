@@ -22,11 +22,15 @@ namespace mcgp {
 using KWayExec = RunContext;
 
 struct KWayRefineStats {
-  int passes = 0;
-  idx_t moves = 0;
+  int passes = 0;  ///< colored-sweep (or PQ) passes plus FM rounds
+  idx_t moves = 0;  ///< moves kept: sweep commits and unrolled FM moves
   idx_t proposed = 0;  ///< vertices whose best move was evaluated
   idx_t skipped = 0;   ///< dead candidates not re-proposed
   idx_t widest_class = 0;  ///< most candidates one color class proposed
+  idx_t zero_gain = 0;     ///< sweep commits of gain 0 (balance-only moves)
+  int fm_rounds = 0;       ///< localized FM rounds
+  idx_t fm_moves = 0;      ///< FM moves made, kept or not
+  idx_t fm_rolled_back = 0;  ///< FM moves undone by the best-prefix rollback
   sum_t final_cut = 0;
   bool feasible = false;
 };
@@ -43,6 +47,13 @@ bool kway_feasible(const Graph& g, const std::vector<sum_t>& pwgts,
 /// the benchmark grids) splits across threads; fixed, so the chunk
 /// boundaries depend only on sizes, never on the pool.
 inline constexpr idx_t kSweepChunk = 512;
+
+/// A localized FM round stops after this many moves in a row without a
+/// new best cut, and rolls back to the best prefix.
+inline constexpr idx_t kFmStall = 64;
+/// At most this many localized FM rounds finish one kway_refine() call;
+/// fewer when a round does not improve the cut.
+inline constexpr int kFmMaxRounds = 3;
 
 /// Balancing: when `where` violates `ub`, run the peak drain (drain_peaks,
 /// core/kway_context.hpp — the same drain the rebalancer starts with) until

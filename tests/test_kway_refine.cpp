@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdint>
+#include <string>
 #include <tuple>
 #include <utility>
 
@@ -404,10 +406,13 @@ TEST(KWayRefine, PooledColoredSweepBitIdenticalToInline) {
 /// The colored sweep as it ran before the boundary and the degrees were
 /// maintained: every pass rescans all vertices for the boundary, sorts it
 /// by (color, per-pass hash, id) and proposes a move for every boundary
-/// vertex. kway_refine() must reproduce it move for move.
+/// vertex. kway_refine()'s sweep passes must reproduce it move for move;
+/// `passes` receives each pass's (moves, gain).
 sum_t reference_refine(const Graph& g, idx_t nparts, std::vector<idx_t>& where,
                        const std::vector<real_t>& ub, int max_passes,
-                       Rng& rng) {
+                       Rng& rng,
+                       std::vector<std::pair<std::int64_t, std::int64_t>>&
+                           passes) {
   KWayContext ctx(g, nparts, where, ub, nullptr);
   if (!ctx.feasible()) {
     kway_balance(g, nparts, where, ub, rng);
@@ -424,7 +429,7 @@ sum_t reference_refine(const Graph& g, idx_t nparts, std::vector<idx_t>& where,
     while (taken[to_size(c)] != 0) ++c;
     color[to_size(v)] = c;
   }
-  for (int pass = 0; pass < 4 * max_passes; ++pass) {
+  for (int pass = 0; pass < max_passes; ++pass) {
     const std::uint64_t seed = rng.next_u64();
     std::vector<idx_t> bnd;
     for (idx_t v = 0; v < g.nvtxs; ++v) {
@@ -486,7 +491,8 @@ sum_t reference_refine(const Graph& g, idx_t nparts, std::vector<idx_t>& where,
         ++moves;
       }
     }
-    if (moves == 0 || (gain_sum == 0 && pass + 1 >= max_passes)) break;
+    passes.emplace_back(moves, gain_sum);
+    if (moves == 0) break;
   }
   if (!ctx.feasible()) {
     kway_balance(g, nparts, where, ub, rng);
@@ -514,6 +520,29 @@ Graph grid_with_zero_edges(idx_t nx, idx_t ny) {
   return b.build();
 }
 
+/// The (moves, gain) of every "kway.pass" span `trace` ended, in order.
+std::vector<std::pair<std::int64_t, std::int64_t>> traced_passes(
+    const TraceRecorder& trace) {
+  std::vector<std::pair<std::int64_t, std::int64_t>> out;
+  for (const TraceEvent& ev : trace.events()) {
+    if (ev.type != TraceEvent::Type::kEnd ||
+        std::string(ev.name) != "kway.pass") {
+      continue;
+    }
+    std::int64_t moves = -1;
+    std::int64_t gain = -1;
+    for (const TraceArg& a : ev.args) {
+      if (std::string(a.key) == "moves") moves = a.i;
+      if (std::string(a.key) == "gain") gain = a.i;
+    }
+    out.emplace_back(moves, gain);
+  }
+  return out;
+}
+
+// The sweep passes reproduce the full-rescan reference move for move
+// (same moves and gain per pass, same pass count); the localized FM that
+// follows them can only lower the cut the reference reaches.
 TEST(KWayRefine, MatchesFullRescanReference) {
   struct Case {
     Graph g;
@@ -533,12 +562,25 @@ TEST(KWayRefine, MatchesFullRescanReference) {
       std::vector<idx_t> expect = scrambled(c.g.nvtxs, c.k, seed);
       std::vector<idx_t> got = expect;
       Rng r1(seed), r2(seed);
-      const sum_t expect_cut = reference_refine(c.g, c.k, expect, ub, 8, r1);
+      std::vector<std::pair<std::int64_t, std::int64_t>> ref_passes;
+      const sum_t expect_cut =
+          reference_refine(c.g, c.k, expect, ub, 8, r1, ref_passes);
       KWayRefineStats stats;
-      EXPECT_EQ(kway_refine(c.g, c.k, got, ub, 8, r2, &stats), expect_cut);
-      EXPECT_EQ(got, expect) << "n=" << c.g.nvtxs << " seed=" << seed;
-      EXPECT_EQ(r2.next_u64(), r1.next_u64());  // same number of passes
-      EXPECT_GE(stats.proposed, stats.moves);
+      TraceRecorder trace;
+      RunContext run;
+      run.trace = &trace;
+      const sum_t cut = kway_refine(c.g, c.k, got, ub, 8, r2, &stats,
+                                    nullptr, run);
+      const auto passes = traced_passes(trace);
+      ASSERT_EQ(passes.size(),
+                ref_passes.size() + to_size(stats.fm_rounds));
+      for (std::size_t i = 0; i < ref_passes.size(); ++i) {
+        EXPECT_EQ(passes[i], ref_passes[i])
+            << "n=" << c.g.nvtxs << " seed=" << seed << " pass " << i;
+      }
+      EXPECT_LE(cut, expect_cut) << "n=" << c.g.nvtxs << " seed=" << seed;
+      EXPECT_EQ(cut, edge_cut(c.g, got));
+      EXPECT_GE(stats.proposed, stats.moves - stats.fm_moves);
     }
   }
 }
@@ -651,6 +693,90 @@ TEST(KWayRefinePq, ComparableToSweepOnGrids) {
   // Both refiners converge to the same quality class.
   EXPECT_LT(static_cast<double>(cut_pq), 1.5 * static_cast<double>(cut_sweep));
   EXPECT_LT(static_cast<double>(cut_sweep), 1.5 * static_cast<double>(cut_pq));
+}
+
+// Every single move out of the start loses cut, so the sweep moves
+// nothing; moving a (gain -1) makes b's move gain 3, and the FM must take
+// that losing step to reach the better cut. Parts: {a, b, c, d} = 0 and
+// {x, y, z, w} = 1; c and d weigh 3, so the end state is balanced.
+TEST(KWayFm, TakesANegativeGainMoveThatUnlocksALargerGain) {
+  enum : idx_t { a, b, c, d, x, y, z, w };
+  GraphBuilder builder(8, 1);
+  builder.add_edge(a, b, 2);
+  builder.add_edge(a, d, 1);
+  builder.add_edge(a, y, 2);
+  builder.add_edge(b, c, 2);
+  builder.add_edge(b, x, 3);
+  builder.add_edge(c, d, 5);
+  builder.add_edge(x, y, 5);
+  builder.add_edge(x, z, 5);
+  builder.add_edge(y, w, 5);
+  builder.add_edge(z, w, 5);
+  builder.set_weight(c, 0, 3);
+  builder.set_weight(d, 0, 3);
+  Graph g = builder.build();
+  std::vector<idx_t> part = {0, 0, 0, 0, 1, 1, 1, 1};
+  ASSERT_EQ(edge_cut(g, part), 5);
+  Rng rng(3);
+  KWayRefineStats stats;
+  const sum_t cut = kway_refine(g, 2, part, ubvec(1, 1.4), 4, rng, &stats);
+  EXPECT_EQ(cut, 3);
+  EXPECT_EQ(part, (std::vector<idx_t>{1, 1, 0, 0, 1, 1, 1, 1}));
+  EXPECT_EQ(stats.moves - (stats.fm_moves - stats.fm_rolled_back), 0)
+      << "the sweep should find no move";
+  EXPECT_EQ(stats.fm_moves - stats.fm_rolled_back, 2);
+  EXPECT_GE(stats.fm_rounds, 1);
+}
+
+// Straight stripes of a grid admit no improving move sequence: the FM
+// explores, finds nothing and must restore the start exactly.
+TEST(KWayFm, RollsBackExactlyWhenNothingImproves) {
+  Graph g = grid2d(24, 24);
+  const std::vector<idx_t> start = stripes(24, 24, 4);
+  std::vector<idx_t> part = start;
+  Rng rng(5);
+  KWayRefineStats stats;
+  const sum_t cut = kway_refine(g, 4, part, ubvec(1), 8, rng, &stats);
+  EXPECT_EQ(part, start);
+  EXPECT_EQ(cut, edge_cut(g, start));
+  EXPECT_EQ(stats.fm_rounds, 1);
+  EXPECT_GT(stats.fm_moves, 0);
+  EXPECT_EQ(stats.fm_rolled_back, stats.fm_moves);
+}
+
+// At paranoid level every FM round is audited like a sweep pass (cut
+// delta, part weights, maintained boundary), and no pass of either kind
+// ever leaves a part above its limit: every move fits its destination,
+// and a round's flight sample reports the highest load any of its moves
+// reached.
+TEST(KWayFm, AuditedEveryRoundAndNeverOverfills) {
+  Graph g = grid2d(48, 48);
+  apply_type_s_weights(g, 3, 12, 0, 19, 7);
+  const std::vector<real_t> ub = ubvec(3, 1.10);
+  for (const std::uint64_t seed : {1u, 2u, 3u}) {
+    std::vector<idx_t> part = scrambled(g.nvtxs, 8, seed);
+    Rng balance_rng(0);
+    ASSERT_TRUE(kway_balance(g, 8, part, ub, balance_rng));
+    InvariantAuditor audit(AuditLevel::kParanoid);
+    FlightRecorder flight;
+    RunContext run;
+    run.audit = &audit;
+    run.flight = &flight;
+    Rng rng(seed);
+    KWayRefineStats stats;
+    kway_refine(g, 8, part, ub, 8, rng, &stats, nullptr, run);
+    EXPECT_GE(stats.fm_rounds, 1);
+    EXPECT_EQ(audit.count(AuditCheck::kCutDelta),
+              static_cast<std::uint64_t>(stats.passes));
+    std::size_t pass_samples = 0;
+    for (const FlightSample& s : flight.snapshot()) {
+      if (s.stage != FlightSample::Stage::kKWayPass) continue;
+      ++pass_samples;
+      EXPECT_LE(s.worst_imbalance, 1.0 + 1e-9) << "pass " << s.pass;
+    }
+    EXPECT_EQ(pass_samples, to_size(stats.passes));
+    EXPECT_TRUE(kway_feasible(g, part_weights(g, part, 8), 8, ub));
+  }
 }
 
 TEST(KWayRefine, SinglePartIsNoop) {

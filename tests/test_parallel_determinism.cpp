@@ -168,7 +168,7 @@ TEST(WorkCounters, SkippedAndProposalsThreadInvariantAndPinned) {
     std::int64_t skipped;
     std::int64_t proposals;
   };
-  for (const Case& c : {Case{60, 4103, 0}, Case{120, 3127, 25038}}) {
+  for (const Case& c : {Case{60, 2784, 0}, Case{120, 2850, 25038}}) {
     Graph g = grid2d(c.side, c.side);
     apply_type_s_weights(g, 3, 16, 0, 19, 2003);
     for (const int threads : {1, 2, 4}) {
@@ -182,6 +182,33 @@ TEST(WorkCounters, SkippedAndProposalsThreadInvariantAndPinned) {
           << "side=" << c.side << " threads=" << threads;
       EXPECT_EQ(counters.get("match.proposals"), c.proposals)
           << "side=" << c.side << " threads=" << threads;
+    }
+  }
+}
+
+// The counters that show the k-way refiner's work mix, zero-gain sweep
+// commits and the localized FM's rounds, moves and rollbacks, are
+// deterministic: equal at one and four threads, and pinned exactly on a
+// fixed instance (MC-KW, k=16, Type-S m=3, seed 1, 60x60 grid).
+TEST(WorkCounters, KWayFmCountersThreadInvariantAndPinned) {
+  Graph g = grid2d(60, 60);
+  apply_type_s_weights(g, 3, 16, 0, 19, 2003);
+  const std::vector<std::pair<const char*, std::int64_t>> pinned = {
+      {"kway.moves.zero_gain", 622},
+      {"kway.fm.rounds", 12},
+      {"kway.fm.moves", 1353},
+      {"kway.fm.rolled_back", 738},
+  };
+  for (const int threads : {1, 4}) {
+    TraceRecorder trace;
+    Options o = base_options(Algorithm::kKWay, 16, /*seed=*/1);
+    o.num_threads = threads;
+    o.trace = &trace;
+    partition(g, o);
+    const CounterRegistry counters = trace.merged_counters();
+    for (const auto& [name, value] : pinned) {
+      EXPECT_EQ(counters.get(name), value)
+          << name << " threads=" << threads;
     }
   }
 }

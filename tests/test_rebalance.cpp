@@ -175,9 +175,9 @@ TEST(RebalancePartition, TracesDeterministicWorkCounts) {
             traced.descent_scanned);
   EXPECT_EQ(trace.counters().get("rebalance.swaps.scanned"),
             traced.swap_scanned);
-  EXPECT_EQ(traced.descent_evals, 64965);
-  EXPECT_EQ(traced.descent_scanned, 7872);
-  EXPECT_EQ(traced.swap_scanned, 45376);
+  EXPECT_EQ(traced.descent_evals, 60555);
+  EXPECT_EQ(traced.descent_scanned, 7782);
+  EXPECT_EQ(traced.swap_scanned, 32434);
 
   // Through refine_partition(), at any thread count, the rebalancer's
   // counters come out the same.
@@ -190,9 +190,9 @@ TEST(RebalancePartition, TracesDeterministicWorkCounts) {
     o.trace = &t;
     refine_partition(g, where, o);
     const CounterRegistry c = t.merged_counters();
-    EXPECT_EQ(c.get("rebalance.descent.evals"), 70815) << threads;
-    EXPECT_EQ(c.get("rebalance.descent.scanned"), 9058) << threads;
-    EXPECT_EQ(c.get("rebalance.swaps.scanned"), 45376) << threads;
+    EXPECT_EQ(c.get("rebalance.descent.evals"), 60555) << threads;
+    EXPECT_EQ(c.get("rebalance.descent.scanned"), 7782) << threads;
+    EXPECT_EQ(c.get("rebalance.swaps.scanned"), 32434) << threads;
   }
 }
 
