@@ -32,6 +32,7 @@ class KWayContext {
     conn_.assign(to_size(nparts), 0);
     touched_.reserve(64);
     limit_.resize(to_size(nparts) * to_size(g.ncon));
+    floor_.resize(limit_.size());
     for (idx_t p = 0; p < nparts; ++p) {
       const real_t frac = tpwgts != nullptr
                               ? (*tpwgts)[to_size(p)]
@@ -42,6 +43,9 @@ class KWayContext {
                 ? ub[to_size(i)] * frac *
                       static_cast<real_t>(g.tvwgt[to_size(i)])
                 : 1e300;
+        floor_[to_size(p) * to_size(g.ncon) + to_size(i)] =
+            limit_[to_size(p) * to_size(g.ncon) + to_size(i)] /
+            (ub[to_size(i)] * ub[to_size(i)]);
       }
     }
     reload();
@@ -199,17 +203,14 @@ class KWayContext {
   /// target in every constraint to shorten its boundary, while a part
   /// full in one constraint and light in another can still give.
   bool keeps_floor(idx_t v) const {
-    const idx_t p = where_[to_size(v)];
+    const std::size_t base = to_size(where_[to_size(v)]) * to_size(g_.ncon);
     const wgt_t* w = g_.weights(v);
     bool any = false;
     for (int i = 0; i < g_.ncon; ++i) {
       if (g_.tvwgt[to_size(i)] <= 0) continue;
       any = true;
-      const real_t ub = ub_[to_size(i)];
-      if (static_cast<real_t>(checked_sub(
-              pwgts_[to_size(p) * to_size(g_.ncon) + to_size(i)], w[i])) >=
-          limit_[to_size(p) * to_size(g_.ncon) + to_size(i)] / (ub * ub) -
-              1e-9) {
+      if (static_cast<real_t>(checked_sub(pwgts_[base + to_size(i)], w[i])) >=
+          floor_[base + to_size(i)] - 1e-9) {
         return true;
       }
     }
@@ -323,6 +324,7 @@ class KWayContext {
   std::vector<sum_t> conn_;
   std::vector<idx_t> touched_;
   std::vector<real_t> limit_;
+  std::vector<real_t> floor_;  ///< limit_ / ub^2, the keeps_floor bound
   /// members_[p]: every vertex of part p, plus stale entries (see
   /// members()). Valid only while members_built_; move() is its only
   /// writer besides the rebuild and compaction.

@@ -466,29 +466,30 @@ int run_passes(const Graph& g, KWayContext& ctx, idx_t nparts,
 
 /// Best localized-FM move of v: among the parts v has an edge into and
 /// fits, the one with the highest conn(p) - id(v), ties to the lower load,
-/// then the lower part id. The gain may be negative. Returns false, with
-/// dest -1, when v's part cannot spare it (can_leave, keeps_floor) or no
-/// such part fits. `blocked` is the part of highest non-negative gain
-/// above the chosen one that v does not fit, or -1: the part whose losing
-/// weight could open a better move for v.
-bool fm_best_move(KWayContext& ctx, idx_t v, idx_t& dest, sum_t& gain,
-                  idx_t& blocked) {
+/// then the lower part id. The gain may be negative, but a move of gain
+/// <= 0 may not raise its destination's load above `cap` when that is
+/// below 1: exploration spends cut, not the balance headroom a caller
+/// left. Returns false, with dest -1, when v's part cannot
+/// spare it (can_leave, keeps_floor) or no such part fits. `blocked` is
+/// the part of highest gain above the chosen one that v does not fit, or
+/// -1: the part whose losing weight could open a better move for v.
+bool fm_best_move(KWayContext& ctx, idx_t v, real_t cap, idx_t& dest,
+                  sum_t& gain, idx_t& blocked) {
   dest = -1;
   gain = 0;
   blocked = -1;
-  if (!ctx.can_leave(ctx.where()[to_size(v)]) || !ctx.keeps_floor(v)) {
-    return false;
-  }
+  if (!ctx.can_leave(ctx.where()[to_size(v)])) return false;
   const sum_t idw = ctx.gather_connectivity(v);
-  sum_t blocked_gain = -1;
+  sum_t blocked_gain = 0;
   real_t best_load = -1.0;  // part_load(dest), computed at the first tie
   for (const idx_t p : ctx.touched()) {
     const sum_t g2 = checked_sub(ctx.conn(p), idw);
     if (dest >= 0 && g2 < gain) continue;
-    if (!ctx.fits(v, p)) {
-      if (g2 > blocked_gain) {
-        blocked_gain = g2;
+    if (!ctx.fits(v, p) ||
+        (g2 <= 0 && cap < 1.0 - kEps && ctx.load_after(v, p) > cap + kEps)) {
+      if (blocked < 0 || g2 > blocked_gain) {
         blocked = p;
+        blocked_gain = g2;
       }
       continue;
     }
@@ -506,6 +507,11 @@ bool fm_best_move(KWayContext& ctx, idx_t v, idx_t& dest, sum_t& gain,
     best_load = -1.0;
   }
   if (dest >= 0 && blocked_gain <= gain) blocked = -1;
+  if (dest >= 0 && !ctx.keeps_floor(v)) {
+    dest = -1;
+    gain = 0;
+    blocked = -1;
+  }
   return dest >= 0;
 }
 
@@ -525,7 +531,7 @@ real_t spread_delta(const KWayContext& ctx, idx_t v, idx_t from, idx_t to) {
     const real_t lt = ctx.limit(to, i);
     // (a + w)^2 - a^2 = w (2a + w) and (a - w)^2 - a^2 = w (w - 2a).
     change += wi * (2.0 * static_cast<real_t>(pw[t]) + wi) / (lt * lt) +
-         wi * (wi - 2.0 * static_cast<real_t>(pw[f])) / (lf * lf);
+              wi * (wi - 2.0 * static_cast<real_t>(pw[f])) / (lf * lf);
   }
   return change;
 }
@@ -539,12 +545,11 @@ struct FmRound {
 };
 
 /// The localized FM's state across the rounds of one kway_refine() call.
-/// One BucketQueue over the vertex ids holds two queues: kFmOpen, the
-/// round's candidates keyed by their best gain, and kFmLocked, the
-/// vertices the round moved, so the lock marks cost no buffer of their
-/// own and one clear() lifts them. `blocked[p]` lists the vertices whose
-/// best move went to part p but did not fit, to re-key when p loses
-/// weight.
+/// One BucketQueue over the vertex ids holds two queues: kOpen, the
+/// round's candidates keyed by their best gain, and kLocked, the vertices
+/// the round moved, so the lock marks cost no buffer of their own and one
+/// clear() lifts them. `blocked[p]` lists vertices whose better move into
+/// part p did not fit, to re-key once p loses weight.
 struct FmState {
   static constexpr int kOpen = 0;
   static constexpr int kLocked = 1;
@@ -554,6 +559,9 @@ struct FmState {
   std::vector<std::pair<std::uint64_t, idx_t>> order;  ///< seeds by hash
   std::vector<std::pair<idx_t, idx_t>> log;  ///< (vertex, part it left)
   std::vector<idx_t> wake;                   ///< scratch for blocked lists
+  /// Highest part load at the round's start, the bound of the round's
+  /// moves of gain <= 0 (fm_best_move).
+  real_t cap = 1.0;
 
   bool locked(idx_t v) const { return queue.contains(v, kLocked); }
 
@@ -564,7 +572,7 @@ struct FmState {
     idx_t blocked_part = -1;
     sum_t gain = 0;
     const bool open = bnd.external_edges(u) > 0 &&
-                      fm_best_move(ctx, u, dest, gain, blocked_part);
+                      fm_best_move(ctx, u, cap, dest, gain, blocked_part);
     if (blocked_part >= 0) blocked[to_size(blocked_part)].push_back(u);
     if (queue.contains(u, kOpen)) {
       if (open) {
@@ -583,21 +591,26 @@ struct FmState {
 /// order, keyed by their best admissible gain (fm_best_move). The round
 /// pops the highest key, re-evaluates it against the live loads (a key
 /// whose destination stopped fitting is re-queued at its fresh gain),
-/// moves the vertex even at a negative gain and locks it, then re-keys
-/// its unlocked neighbors (only they changed connectivity; the maintained
-/// boundary tells which are still on it without a gather) and the
-/// vertices whose better move was blocked by the part it left. It stops
-/// when the queue empties or kFmStall moves in a row found no new best,
-/// then undoes the moves after the best prefix in reverse order, which
-/// restores the part weights and the boundary exactly. The best prefix
-/// has the lowest cut, ties to the lower load spread (so balance-only
-/// moves that let later gains fit are kept), then the earliest. Every
-/// move fits its destination, so a feasible partition stays feasible at
-/// every step.
+/// moves the vertex even at a negative gain and locks it. Then it re-keys
+/// the vertex's unlocked neighbors: only they changed connectivity, and
+/// the maintained boundary tells which are still on it without a gather.
+/// It also re-keys the vertices whose better move into the part just left
+/// now fits, so a gain opened by balance anywhere is found, as a sweep
+/// pass would find it. The round stops when the queue empties or kFmStall
+/// moves in a row found no new best, then undoes the moves after the best
+/// prefix in reverse order, which restores the part weights and the
+/// boundary exactly. The best prefix has the lowest cut, ties to the lower
+/// load spread (so balance-only moves that let later gains fit are kept),
+/// then the earliest. Every move fits its destination, so a feasible
+/// partition stays feasible at every step.
 FmRound fm_round(KWayContext& ctx, KWayBoundary& bnd, FmState& fm,
                  const std::vector<idx_t>& seeds, std::uint64_t round_seed) {
   const Graph& g = ctx.graph();
   const std::vector<idx_t>& where = ctx.where();
+  fm.cap = 0.0;
+  for (idx_t p = 0; p < ctx.nparts(); ++p) {
+    fm.cap = std::max(fm.cap, ctx.part_load(p));
+  }
   fm.order.clear();
   for (const idx_t v : seeds) {
     fm.order.emplace_back(mix_seed(round_seed, static_cast<std::uint64_t>(v)),
@@ -619,7 +632,9 @@ FmRound fm_round(KWayContext& ctx, KWayBoundary& bnd, FmState& fm,
     idx_t dest;
     idx_t blocked_part;
     sum_t move_gain;
-    if (!fm_best_move(ctx, v, dest, move_gain, blocked_part)) continue;
+    if (!fm_best_move(ctx, v, fm.cap, dest, move_gain, blocked_part)) {
+      continue;
+    }
     if (move_gain != key) {  // a load changed since v was keyed
       fm.queue.insert(v, checked_narrow<wgt_t>(move_gain), FmState::kOpen);
       continue;
@@ -647,7 +662,12 @@ FmRound fm_round(KWayContext& ctx, KWayBoundary& bnd, FmState& fm,
     fm.wake.clear();
     fm.wake.swap(fm.blocked[to_size(from)]);
     for (const idx_t u : fm.wake) {
-      if (!fm.locked(u)) fm.rekey(ctx, bnd, u);
+      if (fm.locked(u)) continue;
+      if (ctx.fits(u, from)) {
+        fm.rekey(ctx, bnd, u);
+      } else {  // still blocked: its key stands
+        fm.blocked[to_size(from)].push_back(u);
+      }
     }
   }
   res.moves = static_cast<idx_t>(fm.log.size());

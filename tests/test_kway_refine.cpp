@@ -728,15 +728,26 @@ TEST(KWayFm, TakesANegativeGainMoveThatUnlocksALargerGain) {
   EXPECT_GE(stats.fm_rounds, 1);
 }
 
-// Straight stripes of a grid admit no improving move sequence: the FM
-// explores, finds nothing and must restore the start exactly.
+// Straight stripes admit no improving move sequence: the cheapest way to
+// shift a stripe border is a whole column, 80 moves at one cut unit above
+// the start, longer than a round's kFmStall. The FM explores (the wide
+// stripes may lend to the narrow ones), finds nothing and must restore
+// the start exactly.
 TEST(KWayFm, RollsBackExactlyWhenNothingImproves) {
-  Graph g = grid2d(24, 24);
-  const std::vector<idx_t> start = stripes(24, 24, 4);
+  static_assert(kFmStall < 80);
+  const idx_t nx = 24;
+  const idx_t ny = 80;
+  Graph g = grid2d(nx, ny);
+  const idx_t widths[] = {5, 7, 7, 5};
+  std::vector<idx_t> start(to_size(nx * ny));
+  for (idx_t x = 0, p = 0, edge = widths[0]; x < nx; ++x) {
+    if (x == edge) edge += widths[++p];
+    for (idx_t y = 0; y < ny; ++y) start[to_size(x * ny + y)] = p;
+  }
   std::vector<idx_t> part = start;
   Rng rng(5);
   KWayRefineStats stats;
-  const sum_t cut = kway_refine(g, 4, part, ubvec(1), 8, rng, &stats);
+  const sum_t cut = kway_refine(g, 4, part, ubvec(1, 1.17), 8, rng, &stats);
   EXPECT_EQ(part, start);
   EXPECT_EQ(cut, edge_cut(g, start));
   EXPECT_EQ(stats.fm_rounds, 1);
