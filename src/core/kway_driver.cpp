@@ -82,9 +82,10 @@ std::vector<idx_t> partition_kway(const Graph& g, const Options& opts,
   }
 
   const std::vector<real_t> ub = opts.tolerances(g.ncon);
-  for (int l = h.num_levels(); l >= 0; --l) {
+  const int nlevels = h.num_levels();
+  for (int l = nlevels; l >= 0; --l) {
     const Graph& cur = h.graph_at(l);
-    if (l < h.num_levels()) {
+    if (l < nlevels) {
       const std::vector<idx_t>& cmap = h.levels[to_size(l)].cmap;
       std::vector<idx_t> fine_where;
       {
@@ -96,6 +97,9 @@ std::vector<idx_t> partition_kway(const Graph& g, const Options& opts,
                                     fine_where, "kway.uncoarsen");
       }
       cwhere = std::move(fine_where);
+      // The coarser graph and its map are spent: release them, so each
+      // finer level refines next to the levels still ahead only.
+      h.levels.pop_back();
     }
     run.level = l;
     // Extra sweeps on the finest graph, where moves are cheapest in

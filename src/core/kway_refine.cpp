@@ -684,7 +684,9 @@ FmRound fm_round(KWayContext& ctx, KWayBoundary& bnd, FmState& fm,
 }
 
 /// The localized k-way FM that finishes kway_refine(): fm_round while a
-/// round improves the cut, at most kFmMaxRounds. Every round seeds from
+/// round improves the cut, for at most half the caller's `max_passes`
+/// rounds, rounded up (at most kFmMaxRounds), so a caller that asks for a
+/// short refinement gets a short search. Every round seeds from
 /// the boundary vertices whose external degree reaches their internal one
 /// (the maintained movable lists), the vertices that can have a move of
 /// non-negative gain, or from the whole boundary when there are none.
@@ -695,7 +697,7 @@ FmRound fm_round(KWayContext& ctx, KWayBoundary& bnd, FmState& fm,
 /// thread count.
 void localized_fm(const Graph& g, KWayContext& ctx, idx_t nparts,
                   std::vector<idx_t>& where, KWayBoundary& bnd,
-                  int first_pass, Rng& rng, KWayRefineStats* stats,
+                  int first_pass, int max_passes, Rng& rng, KWayRefineStats* stats,
                   const RunContext& run) {
   const bool paranoid = run.audit != nullptr && run.audit->paranoid();
   FmState fm;
@@ -709,7 +711,8 @@ void localized_fm(const Graph& g, KWayContext& ctx, idx_t nparts,
   fm.queue.reset(g.nvtxs, checked_narrow<wgt_t>(max_degree), 2);
   fm.blocked.resize(to_size(nparts));
   std::vector<idx_t> seeds;
-  for (int round = 0; round < kFmMaxRounds; ++round) {
+  const int rounds = std::clamp((max_passes + 1) / 2, 1, kFmMaxRounds);
+  for (int round = 0; round < rounds; ++round) {
     seeds.clear();
     for (idx_t c = 0; c < bnd.ncolors(); ++c) {
       seeds.insert(seeds.end(), bnd.movable(c).begin(), bnd.movable(c).end());
@@ -928,7 +931,7 @@ sum_t kway_refine(const Graph& g, idx_t nparts, std::vector<idx_t>& where,
         return res;
       });
   if (max_passes > 0) {
-    localized_fm(g, ctx, nparts, where, st.bnd, passes, rng, stats, run);
+    localized_fm(g, ctx, nparts, where, st.bnd, passes, max_passes, rng, stats, run);
   }
   return finish_refinement(g, ctx, nparts, where, ub, rng, stats, tpwgts, run,
                            "kway.refine");

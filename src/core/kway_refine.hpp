@@ -1,9 +1,14 @@
-// Greedy multi-constraint k-way refinement (the MC-KW uncoarsening step).
+// Multi-constraint k-way refinement (the MC-KW uncoarsening step).
 //
-// A randomized greedy sweep over boundary vertices: each vertex may move
-// to a neighboring subdomain if the move improves the cut without pushing
-// any constraint of the destination past its tolerance (or if it improves
-// balance at no cut cost). When the projected partition arrives out of
+// Two stages. First, at most max_passes colored greedy sweeps over the
+// boundary: each vertex may move to a neighboring subdomain if the move
+// improves the cut without pushing any constraint of the destination past
+// its tolerance (or if it improves balance at no cut cost). Then a
+// localized k-way FM (the local search of Sanders & Schulz, "Engineering
+// Multilevel Graph Partitioning Algorithms"): gain-ordered rounds that
+// also take losing moves and roll back to the best prefix, which finds
+// the improvements the greedy sweeps only stumbled on by many rounds of
+// zero-gain jiggling. When the projected partition arrives out of
 // tolerance — coarse-vertex granularity can force this — the peak drain
 // runs first, preferring minimum-cut-damage moves out of overloaded parts.
 #pragma once
@@ -51,8 +56,9 @@ inline constexpr idx_t kSweepChunk = 512;
 /// A localized FM round stops after this many moves in a row without a
 /// new best cut, and rolls back to the best prefix.
 inline constexpr idx_t kFmStall = 64;
-/// At most this many localized FM rounds finish one kway_refine() call;
-/// fewer when a round does not improve the cut.
+/// At most this many localized FM rounds finish one kway_refine() call:
+/// half its max_passes rounded up, and fewer when a round does not
+/// improve the cut.
 inline constexpr int kFmMaxRounds = 3;
 
 /// Balancing: when `where` violates `ub`, run the peak drain (drain_peaks,
@@ -69,16 +75,20 @@ bool kway_balance(const Graph& g, idx_t nparts, std::vector<idx_t>& where,
                   const std::vector<real_t>* tpwgts = nullptr,
                   const RunContext& run = {});
 
-/// Greedy refinement. Runs up to `max_passes` sweeps (plus balancing when
-/// needed) and returns the final cut. `tpwgts` (optional) gives per-part
+/// Refinement: at most `max_passes` colored sweeps, then the localized FM
+/// (balancing first and last when needed); returns the final cut. With
+/// `max_passes` 0 it only balances. `tpwgts` (optional) gives per-part
 /// target fractions; null = uniform. Of `run`: a non-null `trace` records
-/// one "kway.pass" span per sweep plus the kway.moves / kway.passes /
-/// kway.proposed / kway.skipped counters. A non-null `audit` verifies the incrementally
-/// maintained part weights and vertex counts against fresh recomputes when
-/// refinement finishes (kBoundaries) and, per sweep, that the accumulated
-/// move gains account exactly for the cut change and that the maintained
-/// boundary and degrees match a recompute (kParanoid). A non-null `flight`
-/// appends one telemetry sample per sweep (moves, gain, max overload).
+/// one "kway.pass" span per sweep and per FM round plus the kway.passes /
+/// kway.moves / kway.moves.zero_gain / kway.proposed / kway.skipped and
+/// kway.fm.{rounds, moves, rolled_back} counters. A non-null `audit`
+/// verifies the incrementally maintained part weights and vertex counts
+/// against fresh recomputes when refinement finishes (kBoundaries) and,
+/// per sweep and per FM round, that the accumulated move gains account
+/// exactly for the cut change and that the maintained boundary and
+/// degrees match a recompute (kParanoid). A non-null `flight` appends one
+/// telemetry sample per sweep and per FM round (moves, gain, max
+/// overload; a round's is the highest load any of its moves reached).
 ///
 /// Each sweep is a colored sweep: boundary vertices are bucketed by a
 /// greedy vertex coloring (adjacent vertices never share a color) and
@@ -86,16 +96,32 @@ bool kway_balance(const Graph& g, idx_t nparts, std::vector<idx_t>& where,
 /// concurrently from a frozen snapshot — same-color vertices are pairwise
 /// non-adjacent, so no proposal can change another's connectivity — and
 /// the proposals that found a destination are then COMMITTED serially in
-/// a per-pass hashed order, re-validating balance against the live state. A non-null
-/// `run.pool` runs the propose phases, each chunk attributing its on-CPU
-/// time to `run.profile`'s bucket at `run.level`; the result is
-/// bit-identical at every thread count. The boundary and every vertex's
-/// internal and external degree are maintained across commits
+/// a per-pass hashed order, re-validating balance against the live state.
+/// A non-null `run.pool` runs the propose phases, each chunk attributing
+/// its on-CPU time to `run.profile`'s bucket at `run.level`; the result
+/// is bit-identical at every thread count. The boundary and every
+/// vertex's internal and external degree are maintained across commits
 /// (core/kway_boundary.hpp), so a sweep neither rescans the graph nor
 /// proposes a vertex whose external degree is below its internal one;
 /// edge weights must be non-negative for that skip to be exact. Nor is a
 /// vertex proposed again once a proposal found no part whose connectivity
-/// reaches its internal degree, until it or a neighbor moves.
+/// reaches its internal degree, until it or a neighbor moves. The sweeps
+/// stop early at a pass that moves nothing.
+///
+/// The localized FM then runs up to half `max_passes` rounds, rounded up
+/// (at most kFmMaxRounds), while a round improves the cut. A round
+/// keys the boundary vertices that can have a move of non-negative gain
+/// (the whole boundary when there are none) by their best gain over the
+/// parts they fit, inserted in vertex-hash order into a gain BucketQueue;
+/// pops the best, moves it even at a loss and locks it; re-keys its
+/// neighbors through the maintained boundary and the vertices whose
+/// better move into the part it left was blocked by balance; stops after
+/// kFmStall moves without a new best cut and rolls back to the best
+/// prefix. It never moves a vertex out of a part that would fall below
+/// its target over the tolerance in every constraint (keeps_floor), and a
+/// move of gain <= 0 never raises a part above the round's starting peak
+/// load. The FM is serial and keyed by vertex hash, so it is the same at
+/// every thread count.
 sum_t kway_refine(const Graph& g, idx_t nparts, std::vector<idx_t>& where,
                   const std::vector<real_t>& ub, int max_passes, Rng& rng,
                   KWayRefineStats* stats = nullptr,
@@ -115,7 +141,8 @@ sum_t kway_refine(const Graph& g, idx_t nparts, std::vector<idx_t>& where,
 /// bucket queue keyed by their best potential move (kmetis-style), so the
 /// highest-gain moves commit first and newly exposed gains are picked up
 /// within the same pass. Same admissibility rules and observers as the
-/// sweep variant; serial, so `run`'s pool goes unused.
+/// sweeps; it runs until the cut stops improving (up to 4 × max_passes
+/// passes) and has no FM stage. Serial, so `run`'s pool goes unused.
 sum_t kway_refine_pq(const Graph& g, idx_t nparts, std::vector<idx_t>& where,
                      const std::vector<real_t>& ub, int max_passes, Rng& rng,
                      KWayRefineStats* stats = nullptr,

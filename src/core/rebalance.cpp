@@ -650,6 +650,10 @@ bool run_vcycle(const Graph& g, idx_t nparts, std::vector<idx_t>& where,
     const Graph& fine_g = l == 0 ? g : levels[l - 1].graph;
     std::vector<idx_t>& fine_w = l == 0 ? where : parts[l - 1];
     project_partition(levels[l].cmap, parts[l], fine_w);
+    // Level l and its partition are spent; the finer refinement runs
+    // without them.
+    levels.pop_back();
+    parts.pop_back();
     kway_refine(fine_g, nparts, fine_w, ub, /*max_passes=*/2, rng, nullptr,
                 tpwgts, refine);
   }
