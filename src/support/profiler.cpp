@@ -76,6 +76,7 @@ void Profiler::fold(const char* phase, int level, const ProfBucket& delta,
     PhaseClock& c = top_[key.first];
     c.wall_ns += top->wall_ns;
     c.cpu_ns += top->cpu_ns;
+    top_cpu_ns_ += top->cpu_ns;
   }
 }
 
@@ -101,11 +102,17 @@ std::map<std::string, PhaseClock> Profiler::top_level() const {
   return top_;
 }
 
+std::int64_t Profiler::top_level_cpu_ns() const {
+  MutexLock lk(mu_);
+  return top_cpu_ns_;
+}
+
 void Profiler::clear() {
   MutexLock lk(mu_);
   buckets_.clear();
   bucket_threads_.clear();
   top_.clear();
+  top_cpu_ns_ = 0;
 }
 
 void Profiler::write_json_value(JsonWriter& w) const {
@@ -172,6 +179,8 @@ void ProfScope::begin() {
     case kRun:
       ++slot.depth;
       ++slot.runs;
+      top_cpu0_ns_ = slot.top_cpu_ns;
+      all_top_cpu0_ns_ = p_->top_level_cpu_ns();
       break;
     case kWait:
       // Only the run's calling thread idles on the critical path, and a
@@ -211,6 +220,12 @@ std::int64_t ProfScope::end() {
   if (kind_ == kWait && own_slot) {
     d.wall_ns -= slot.top_wall_ns - top_wall0_ns_;
     d.task_clock_ns -= slot.top_cpu_ns - top_cpu0_ns_;
+  }
+  if (kind_ == kRun && own_slot) {
+    // Add what the other threads folded: everything top-level since
+    // begin() less this thread's own, which its clock already counts.
+    d.task_clock_ns += (p->top_level_cpu_ns() - all_top_cpu0_ns_) -
+                       (slot.top_cpu_ns - top_cpu0_ns_);
   }
   const PhaseClock top{critical_ ? d.wall_ns : 0, d.task_clock_ns};
   if (top_ && own_slot) {

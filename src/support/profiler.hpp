@@ -105,6 +105,9 @@ class Profiler {
   ProfBucket phase_total(const std::string& phase) const;
   /// Top-level totals by phase, levels summed: the run's phases.
   std::map<std::string, PhaseClock> top_level() const;
+  /// On-CPU time of every top-level interval folded so far, all threads
+  /// and phases together.
+  std::int64_t top_level_cpu_ns() const;
 
   /// The buckets so far as a one-thread RunProfile's "profile" section.
   void write_json_value(JsonWriter& w) const;
@@ -125,6 +128,7 @@ class Profiler {
   std::map<std::pair<std::string, int>, std::set<std::uint64_t>>
       bucket_threads_ MCGP_GUARDED_BY(mu_);
   std::map<std::string, PhaseClock> top_ MCGP_GUARDED_BY(mu_);
+  std::int64_t top_cpu_ns_ MCGP_GUARDED_BY(mu_) = 0;
 };
 
 /// RAII measurement interval. Detached (null profiler) is one pointer
@@ -141,7 +145,10 @@ class Profiler {
 /// thread, a second interval would double-count the chunk).
 ///
 /// The `kRun` scope is the whole run: it marks its thread as the run's
-/// calling thread and encloses no top-level phase.
+/// calling thread and encloses no top-level phase. Its on-CPU time is the
+/// calling thread's plus the top-level time every other thread folded
+/// while it was live, so it covers the CPU the run's pool tasks burned.
+/// (Tasks are joined before the run ends, and a run owns its profiler.)
 ///
 /// A `kWait` scope times the run's calling thread while it joins forked
 /// tasks. It arms only on that thread and only where no phase scope is
@@ -193,9 +200,12 @@ class ProfScope {
   /// for the profiler and the flight recorder).
   std::int64_t t0_ns_ = 0;
   std::int64_t cpu0_ns_ = 0;  ///< thread_cpu_now_ns() at begin()
-  /// kWait: the thread's folded top-level wall and CPU time at begin().
+  /// kWait and kRun: the thread's folded top-level wall and CPU time at
+  /// begin().
   std::int64_t top_wall0_ns_ = 0;
   std::int64_t top_cpu0_ns_ = 0;
+  /// kRun: the profiler's top_level_cpu_ns() at begin().
+  std::int64_t all_top_cpu0_ns_ = 0;
 };
 
 }  // namespace mcgp

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 #include <sys/resource.h>
+#include <time.h>
 
 #include <algorithm>
 #include <map>
@@ -343,6 +344,39 @@ TEST(PhaseAccounting, RbWaitHasItsOwnRow) {
       } else {
         EXPECT_EQ(r.part, ref_part);
       }
+    }
+  }
+}
+
+// The run bucket's task clock is the on-CPU time of every thread of the
+// run. At four threads MC-RB's forked bisections burn CPU on the pool,
+// and the run still covers all its phases report; at one thread it is the
+// calling thread's own clock, as before.
+TEST(PhaseAccounting, RunTaskClockCoversEveryThread) {
+  auto thread_cpu_ns = [] {
+    timespec ts{};
+    ::clock_gettime(CLOCK_THREAD_CPUTIME_ID, &ts);
+    return static_cast<std::int64_t>(ts.tv_sec) * 1000000000 +
+           static_cast<std::int64_t>(ts.tv_nsec);
+  };
+  Graph g = grid2d(60, 60);
+  for (const int threads : {1, 4}) {
+    SCOPED_TRACE(::testing::Message() << "t=" << threads);
+    Options o;
+    o.nparts = 16;
+    o.algorithm = Algorithm::kRecursiveBisection;
+    o.num_threads = threads;
+    const std::int64_t cpu0 = thread_cpu_ns();
+    const PartitionResult r = partition(g, o);
+    const std::int64_t own_ns = thread_cpu_ns() - cpu0;
+    double phases_cpu_s = 0;
+    for (const PhaseTime& p : r.phases) phases_cpu_s += p.cpu_s;
+    const ProfBucket run = r.profile.total("run");
+    // cpu_s are doubles summed from nanoseconds: a microsecond of slack.
+    EXPECT_GE(static_cast<double>(run.task_clock_ns) * 1e-9,
+              phases_cpu_s - 1e-6);
+    if (threads == 1) {
+      EXPECT_LE(run.task_clock_ns, own_ns);
     }
   }
 }
