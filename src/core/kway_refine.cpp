@@ -469,10 +469,10 @@ int run_passes(const Graph& g, KWayContext& ctx, idx_t nparts,
 /// then the lower part id. The gain may be negative, but a move of gain
 /// <= 0 may not raise its destination's load above `cap` when that is
 /// below 1: exploration spends cut, not the balance headroom a caller
-/// left. Returns false, with dest -1, when v's part cannot
-/// spare it (can_leave, keeps_floor) or no such part fits. `blocked` is
-/// the part of highest gain above the chosen one that v does not fit, or
-/// -1: the part whose losing weight could open a better move for v.
+/// left. Returns false, with dest -1, when v's part cannot spare it
+/// (can_leave, keeps_floor) or no such part fits. `blocked` is the part
+/// of highest gain above the chosen one that v does not fit, or -1: the
+/// part whose losing weight could open a better move for v.
 bool fm_best_move(KWayContext& ctx, idx_t v, real_t cap, idx_t& dest,
                   sum_t& gain, idx_t& blocked) {
   dest = -1;
@@ -686,8 +686,8 @@ FmRound fm_round(KWayContext& ctx, KWayBoundary& bnd, FmState& fm,
 /// The localized k-way FM that finishes kway_refine(): fm_round while a
 /// round improves the cut, for at most half the caller's `max_passes`
 /// rounds, rounded up (at most kFmMaxRounds), so a caller that asks for a
-/// short refinement gets a short search. Every round seeds from
-/// the boundary vertices whose external degree reaches their internal one
+/// short refinement gets a short search. Every round seeds from the
+/// boundary vertices whose external degree reaches their internal one
 /// (the maintained movable lists), the vertices that can have a move of
 /// non-negative gain, or from the whole boundary when there are none.
 /// Each round is one more pass of `stats` and one "kway.pass" seam,
@@ -697,8 +697,8 @@ FmRound fm_round(KWayContext& ctx, KWayBoundary& bnd, FmState& fm,
 /// thread count.
 void localized_fm(const Graph& g, KWayContext& ctx, idx_t nparts,
                   std::vector<idx_t>& where, KWayBoundary& bnd,
-                  int first_pass, int max_passes, Rng& rng, KWayRefineStats* stats,
-                  const RunContext& run) {
+                  int first_pass, int max_passes, Rng& rng,
+                  KWayRefineStats* stats, const RunContext& run) {
   const bool paranoid = run.audit != nullptr && run.audit->paranoid();
   FmState fm;
   // Buckets sized for the largest gain any vertex can have, so the queues
@@ -711,7 +711,7 @@ void localized_fm(const Graph& g, KWayContext& ctx, idx_t nparts,
   fm.queue.reset(g.nvtxs, checked_narrow<wgt_t>(max_degree), 2);
   fm.blocked.resize(to_size(nparts));
   std::vector<idx_t> seeds;
-  const int rounds = std::clamp((max_passes + 1) / 2, 1, kFmMaxRounds);
+  const int rounds = std::min((max_passes + 1) / 2, kFmMaxRounds);
   for (int round = 0; round < rounds; ++round) {
     seeds.clear();
     for (idx_t c = 0; c < bnd.ncolors(); ++c) {
@@ -931,7 +931,8 @@ sum_t kway_refine(const Graph& g, idx_t nparts, std::vector<idx_t>& where,
         return res;
       });
   if (max_passes > 0) {
-    localized_fm(g, ctx, nparts, where, st.bnd, passes, max_passes, rng, stats, run);
+    localized_fm(g, ctx, nparts, where, st.bnd, passes, max_passes, rng,
+                 stats, run);
   }
   return finish_refinement(g, ctx, nparts, where, ub, rng, stats, tpwgts, run,
                            "kway.refine");
