@@ -59,7 +59,7 @@ inline constexpr idx_t kFmStall = 64;
 /// At most this many localized FM rounds finish one kway_refine() call:
 /// half its max_passes rounded up, and fewer when a round does not
 /// improve the cut.
-inline constexpr int kFmMaxRounds = 3;
+inline constexpr int kFmMaxRounds = 2;
 
 /// Balancing: when `where` violates `ub`, run the peak drain (drain_peaks,
 /// core/kway_context.hpp — the same drain the rebalancer starts with) until
