@@ -445,7 +445,6 @@ int run_passes(const Graph& g, KWayContext& ctx, idx_t nparts,
       stats->moves += r.moves;
       stats->proposed += r.proposed;
       stats->skipped += r.skipped;
-      stats->zero_gain += r.zero_gain;
       stats->widest_class = std::max(stats->widest_class, r.widest_class);
     }
     seam.close([&] {

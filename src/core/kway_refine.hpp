@@ -28,11 +28,10 @@ using KWayExec = RunContext;
 
 struct KWayRefineStats {
   int passes = 0;  ///< colored-sweep (or PQ) passes plus FM rounds
-  idx_t moves = 0;  ///< moves kept: sweep commits and unrolled FM moves
+  idx_t moves = 0;  ///< moves kept: sweep commits and FM moves not undone
   idx_t proposed = 0;  ///< vertices whose best move was evaluated
   idx_t skipped = 0;   ///< dead candidates not re-proposed
   idx_t widest_class = 0;  ///< most candidates one color class proposed
-  idx_t zero_gain = 0;     ///< sweep commits of gain 0 (balance-only moves)
   int fm_rounds = 0;       ///< localized FM rounds
   idx_t fm_moves = 0;      ///< FM moves made, kept or not
   idx_t fm_rolled_back = 0;  ///< FM moves undone by the best-prefix rollback
